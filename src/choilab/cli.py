@@ -14,7 +14,7 @@ import sys
 import numpy as np
 
 from . import __version__
-from .channels import choi, mix, verify_cptp
+from .channels import COMPLETENESS_TOL, choi, mix, verify_cptp
 from .codec import (
     channel_from_dict,
     channel_to_dict,
@@ -25,6 +25,7 @@ from .codec import (
     state_to_dict,
 )
 from .entanglement import (
+    GHZ_RESIDUAL_TOL,
     all_cut_indices,
     ghz_diagonal_coefficients,
     index_to_cut,
@@ -34,7 +35,7 @@ from .entanglement import (
 )
 from .errors import ChoilabError, ParseError
 from .nonadditivity import full_report
-from .states import PartySystem
+from .states import TRACE_TOL, PartySystem
 
 EXIT_PASS = 0
 EXIT_FAIL = 1
@@ -80,7 +81,7 @@ def _cmd_verify(args) -> int:
     report["entries"] = [
         {
             "id": "cptp-completeness",
-            "status": "pass" if rep.trace_preserving_defect <= 1e-10 else "fail",
+            "status": "pass" if rep.trace_preserving_defect <= COMPLETENESS_TOL else "fail",
             "computed": f"defect = {rep.trace_preserving_defect:.3e}",
         },
         {
@@ -121,7 +122,7 @@ def _cmd_choi(args) -> int:
     report["entries"] = [
         {
             "id": "choi-trace",
-            "status": "pass" if abs(tr - 1) <= 1e-10 else "fail",
+            "status": "pass" if abs(tr - 1) <= TRACE_TOL else "fail",
             "computed": f"trace = {tr:.15f}",
         },
         {
@@ -169,7 +170,7 @@ def _cmd_classify(args) -> int:
     coeffs = ghz_diagonal_coefficients(state)
     report = _base_report("classify", args.tolerance)
     entries = report["entries"]
-    ghz_diagonal = coeffs.offdiagonal_residual <= 1e-8
+    ghz_diagonal = coeffs.offdiagonal_residual <= GHZ_RESIDUAL_TOL
     entries.append(
         {
             "id": "residual",

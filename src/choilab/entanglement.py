@@ -3,12 +3,16 @@
 The classifier reads an N-qubit density operator in the GHZ basis
 |Psi_j^pm> = (|j,0> pm |jbar,1>)/sqrt(2) and condenses it to the
 fingerprint (delta, {lambda_j}): delta = |lambda_0^+ - lambda_0^-| and
-lambda_j the symmetrized pair weight for j != 0.  Within this class the
-partial transpose across the cut with index j is non-positive iff
-2*lambda_j < delta, PPT across a cut implies separability across it, and
-non-positive partial transposition across every cut separating two groups
-is sufficient for distilling entanglement between them.  Outside the class
-only partial-transpose facts are reported, never verdicts.
+lambda_j the symmetrized pair weight for j != 0.  Each pair lives on the
+two computational kets |j,0> and |jbar,1>, so the read takes the 2x2
+blocks of the density matrix on those kets: O(2^N) entries for the
+coefficients and one O(4^N) pass for the off-diagonal residual, with no
+GHZ vector built.  Within this class the partial transpose across the cut
+with index j is non-positive iff 2*lambda_j < delta, PPT across a cut
+implies separability across it, and non-positive partial transposition
+across every cut separating two groups is sufficient for distilling
+entanglement between them.  Outside the class only partial-transpose
+facts are reported, never verdicts.
 
 The localization procedure turns a Schmidt-rank-2 pure state shared by a
 sender group and a receiver group into a maximally entangled pair between
@@ -40,8 +44,8 @@ from .states import (
     MultipartiteState,
     PartySystem,
     PureState,
-    ghz_basis_state,
     partial_transpose,
+    permute_vector_parties,
     schmidt_decomposition,
     trace_out_axes,
 )
@@ -122,32 +126,41 @@ def index_to_cut(j: str, system: PartySystem) -> BipartiteCut:
 def ghz_diagonal_coefficients(state: MultipartiteState) -> GhzDiagonalCoefficients:
     """Read the GHZ-basis diagonal of an N-qubit state.
 
-    Pair weights for j != 0 are symmetrized, lambda_j = (lambda_j^+ +
-    lambda_j^-)/2 (achievable by local operations), with a flag raised when
-    the raw pair was asymmetric; offdiagonal_residual is the Frobenius norm
-    of the part of the state outside its GHZ diagonal.
+    Each pair |Psi_j^pm> spans the two computational kets a = |j,0> and
+    b = |jbar,1>, so lambda_j^pm = (rho_aa + rho_bb)/2 pm Re rho_ab: the
+    read touches 2^N entries.  Pair weights for j != 0 are symmetrized,
+    lambda_j = (lambda_j^+ + lambda_j^-)/2 (achievable by local
+    operations), with a flag raised when the raw pair was asymmetric;
+    offdiagonal_residual is the Frobenius norm of the part of the state
+    outside its GHZ diagonal, i.e. of rho minus its projection onto the
+    2^(N-1) (a, b) blocks, an O(4^N) pass over the matrix.
     """
     sys = state.system
     if not sys.is_qubits():
         raise NotQubits(f"classifier needs qubits, got dims {sys.dims}")
     n = sys.num_parties
-    diag = np.zeros_like(state.matrix)
-    raw: dict[tuple[str, int], float] = {}
-    for bits in itertools.product("01", repeat=n - 1):
-        j = "".join(bits)
-        for sign in (1, -1):
-            v = ghz_basis_state(sys, j, sign).vector
-            val = float(np.real(v.conj() @ state.matrix @ v))
-            raw[(j, sign)] = val
-            diag += val * np.outer(v, v.conj())
-    residual = float(np.linalg.norm(state.matrix - diag))
-    zero = "0" * (n - 1)
-    lam_plus = raw[(zero, 1)]
-    lam_minus = raw[(zero, -1)]
+    rho = state.matrix
+    # with j read as the integer k, |j,0> sits at index 2k and |jbar,1>,
+    # its bitwise complement, at 2^N - 1 - 2k
+    k = np.arange(2 ** (n - 1))
+    a = 2 * k
+    b = rho.shape[0] - 1 - a
+    mean = (rho[a, a].real + rho[b, b].real) / 2
+    cross = rho[a, b].real
+    off = rho.copy()
+    off[a, a] -= mean
+    off[b, b] -= mean
+    off[a, b] -= cross
+    off[b, a] -= cross
+    residual = float(np.linalg.norm(off))
+    # itertools.product enumerates j in the order of k, including j = "" at N = 1
+    js = ("".join(bits) for bits in itertools.product("01", repeat=n - 1))
+    raw = {j: (m + c, m - c) for j, m, c in zip(js, mean.tolist(), cross.tolist())}
+    lam_plus, lam_minus = raw["0" * (n - 1)]
     lambdas = {}
     asymmetric = False
     for j in all_cut_indices(n):
-        plus, minus = raw[(j, 1)], raw[(j, -1)]
+        plus, minus = raw[j]
         if abs(plus - minus) > ASYMMETRY_TOL:
             asymmetric = True
         lambdas[j] = (plus + minus) / 2
@@ -433,8 +446,6 @@ def localize_entanglement(
     pair = PureState(pair_system, vecs[:, -1])
     if kept_in_order[0] != sender_kept:
         # cosmetic: list the sender first in the final pair
-        from .states import permute_vector_parties
-
         perm = [1, 0]
         pair = PureState(
             PartySystem(

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -40,7 +41,7 @@ from .states import (
     MultipartiteState,
     PartySystem,
     PureState,
-    basis_projector,
+    basis_index,
     ghz_basis_state,
     max_entangled,
     partial_trace,
@@ -69,8 +70,14 @@ _SWAP = np.array(
 )
 
 
-def _pp(a: int, b: int) -> np.ndarray:
-    return np.kron(linalg.PAULIS[a], linalg.PAULIS[b])
+def _pauli_product(a: int, b: int) -> np.ndarray:
+    m = np.kron(linalg.PAULIS[a], linalg.PAULIS[b])
+    m.setflags(write=False)
+    return m
+
+
+# The sixteen two-qubit Pauli products sigma_a (x) sigma_b, keyed by (a, b).
+_PP = {(a, b): _pauli_product(a, b) for a in range(4) for b in range(4)}
 
 
 def _kraus_list_one() -> tuple[np.ndarray, ...]:
@@ -79,11 +86,11 @@ def _kraus_list_one() -> tuple[np.ndarray, ...]:
         (0, 2), (0, 3), (3, 1), (1, 3), (3, 2), (2, 3),
     ]
     ops = [
-        (_pp(0, 0) + _pp(3, 3)) / 4,
-        (_pp(1, 1) + _pp(2, 2)) / math.sqrt(32),
-        (_pp(2, 1) - _pp(1, 2)) / math.sqrt(32),
+        (_PP[0, 0] + _PP[3, 3]) / 4,
+        (_PP[1, 1] + _PP[2, 2]) / math.sqrt(32),
+        (_PP[2, 1] - _PP[1, 2]) / math.sqrt(32),
     ]
-    ops.extend(_pp(a, b) / 4 for a, b in singles)
+    ops.extend(_PP[a, b] / 4 for a, b in singles)
     return tuple(ops)
 
 
@@ -93,11 +100,11 @@ def _kraus_list_two() -> tuple[np.ndarray, ...]:
         (3, 1), (0, 2), (1, 2), (2, 2), (3, 2), (0, 3),
     ]
     ops = [
-        (_pp(0, 0) + _pp(3, 3)) / 4,
+        (_PP[0, 0] + _PP[3, 3]) / 4,
         np.kron(linalg.sigma_minus, linalg.sigma0 + linalg.sigma3) / 4,
         np.kron(linalg.sigma_plus, linalg.sigma0 - linalg.sigma3) / 4,
     ]
-    ops.extend(_pp(a, b) / 4 for a, b in singles)
+    ops.extend(_PP[a, b] / 4 for a, b in singles)
     return tuple(ops)
 
 
@@ -122,9 +129,14 @@ def binding_channel(a: int) -> KrausChannel:
     return ch
 
 
-def mixed_binding_channel() -> KrausChannel:
-    """Uniform classical mixture of the three binding channels."""
-    return mix([binding_channel(a) for a in (1, 2, 3)], name="Emix")
+def mixed_binding_channel(parts: Sequence[KrausChannel] | None = None) -> KrausChannel:
+    """Uniform classical mixture of the three binding channels.
+
+    ``parts`` are already built (E1, E2, E3); when omitted they are built here.
+    """
+    if parts is None:
+        parts = [binding_channel(a) for a in (1, 2, 3)]
+    return mix(parts, name="Emix")
 
 
 def choi_state(ch: KrausChannel) -> MultipartiteState:
@@ -136,7 +148,8 @@ def _formula_matrix(removed: dict[str, float]) -> np.ndarray:
     psi = ghz_basis_state(CHOI_SYSTEM, "000", 1).vector
     m = 2 * np.outer(psi, psi.conj()) + linalg.identity(16)
     for bits, weight in removed.items():
-        m -= weight * basis_projector(CHOI_SYSTEM, bits).matrix
+        i = basis_index(CHOI_SYSTEM, bits)
+        m[i, i] -= weight
     return m / 16
 
 
@@ -225,22 +238,35 @@ def capacity_proxy(
     )
 
 
-def _scenario_states() -> dict[str, MultipartiteState]:
-    states = {f"E{a}": choi_state(binding_channel(a)) for a in (1, 2, 3)}
-    states["mix"] = choi_state(mixed_binding_channel())
-    return states
+@dataclass(frozen=True)
+class Scenario:
+    """The witness chain, computed once: Choi states and GHZ fingerprints.
+
+    Both maps are keyed "E1", "E2", "E3" and "mix"; the Choi states come
+    from the Kraus lists, never from the closed forms they are checked
+    against.
+    """
+
+    states: dict[str, MultipartiteState]
+    coeffs: dict[str, GhzDiagonalCoefficients]
 
 
-def reproduce_choi_claims() -> ReproductionReport:
+def build_scenario() -> Scenario:
+    """Build the three channels once, mix them, and read every Choi state once."""
+    channels = {f"E{a}": binding_channel(a) for a in (1, 2, 3)}
+    channels["mix"] = mixed_binding_channel(list(channels.values()))
+    states = {key: choi_state(ch) for key, ch in channels.items()}
+    coeffs = {key: ghz_diagonal_coefficients(s) for key, s in states.items()}
+    return Scenario(states=states, coeffs=coeffs)
+
+
+def reproduce_choi_claims(scenario: Scenario | None = None) -> ReproductionReport:
     """Choi states from the Kraus lists against their closed forms."""
-    states = _scenario_states()
+    states = (scenario or build_scenario()).states
+    closed = {f"E{a}": choi_closed_form(a) for a in (1, 2, 3)}
+    closed["mix"] = choi_closed_form("mix")
     entries = []
-    for key, reference in [
-        ("E1", choi_closed_form(1)),
-        ("E2", choi_closed_form(2)),
-        ("E3", choi_closed_form(3)),
-        ("mix", choi_closed_form("mix")),
-    ]:
+    for key, reference in closed.items():
         dist = float(np.linalg.norm(states[key].matrix - reference.matrix))
         entries.append(
             ClaimEntry(
@@ -253,7 +279,7 @@ def reproduce_choi_claims() -> ReproductionReport:
             )
         )
     swap_dist = float(
-        np.linalg.norm(states["E3"].matrix - swap_image(choi_closed_form(2)).matrix)
+        np.linalg.norm(states["E3"].matrix - swap_image(closed["E2"]).matrix)
     )
     entries.append(
         ClaimEntry(
@@ -265,7 +291,7 @@ def reproduce_choi_claims() -> ReproductionReport:
             passed=swap_dist <= CHOI_IDENTITY_TOL,
         )
     )
-    corrupted = choi_closed_form(1).matrix.copy()
+    corrupted = closed["E1"].matrix.copy()
     corrupted[0, 0] += 1e-6
     bad_dist = float(np.linalg.norm(states["E1"].matrix - corrupted))
     entries.append(
@@ -297,10 +323,10 @@ _PT_FACTS = (
 MIX_NPT_EIGENVALUE = -1 / 48
 
 
-def reproduce_pt_table() -> ReproductionReport:
+def reproduce_pt_table(scenario: Scenario | None = None) -> ReproductionReport:
     """The seven partial-transpose sign facts, by eigensolver and by criterion."""
-    states = _scenario_states()
-    coeffs = {k: ghz_diagonal_coefficients(v) for k, v in states.items()}
+    scenario = scenario or build_scenario()
+    states, coeffs = scenario.states, scenario.coeffs
     entries = []
     for key, side, expect_ppt in _PT_FACTS:
         cut = BipartiteCut.from_side(CHOI_SYSTEM, side)
@@ -341,23 +367,24 @@ def reproduce_pt_table() -> ReproductionReport:
     return ReproductionReport("partial transpose table", _sorted(entries))
 
 
-def capacity_proxy_report() -> ReproductionReport:
+def capacity_proxy_report(scenario: Scenario | None = None) -> ReproductionReport:
     """Capacity proxies for the three channels (all negative) and the mixture (positive)."""
-    states = _scenario_states()
+    scenario = scenario or build_scenario()
     targets = [("AB", ("B",)), ("AC", ("C",)), ("ABC", ("B", "C"))]
     entries = []
     proxies: dict[tuple[str, str], CapacityProxy] = {}
-    for key, state in states.items():
-        coeffs = ghz_diagonal_coefficients(state)
+    for key, coeffs in scenario.coeffs.items():
         expect = key == "mix"
         for tag, receivers in targets:
             proxy = capacity_proxy(coeffs, key, receivers)
             proxies[(key, tag)] = proxy
-            blocking = [
+            # a cut separating the senders from both receivers blocks
+            # each witness; list it once, in first-seen order
+            blocking = dict.fromkeys(
                 c.describe(CHOI_SYSTEM)
                 for w in proxy.witnesses
                 for c in w.blocking_cuts
-            ]
+            )
             entries.append(
                 ClaimEntry(
                     claim_id=f"proxy-{key}-{tag}",
@@ -386,7 +413,7 @@ def capacity_proxy_report() -> ReproductionReport:
         )
     )
     # control: zeroing the blocking pair weight of E1 must flip its A-B proxy
-    coeffs_e1 = ghz_diagonal_coefficients(states["E1"])
+    coeffs_e1 = scenario.coeffs["E1"]
     corrupted = GhzDiagonalCoefficients(
         system=coeffs_e1.system,
         lambda0_plus=coeffs_e1.lambda0_plus,
@@ -605,11 +632,12 @@ def teleport_report() -> ReproductionReport:
 
 def full_report() -> ReproductionReport:
     """Every claim of the scenario in one report, ordered by claim id."""
+    scenario = build_scenario()
     entries = []
     for rep in (
-        reproduce_choi_claims(),
-        reproduce_pt_table(),
-        capacity_proxy_report(),
+        reproduce_choi_claims(scenario),
+        reproduce_pt_table(scenario),
+        capacity_proxy_report(scenario),
         ghz_oneway_example(),
         teleport_report(),
     ):

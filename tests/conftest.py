@@ -20,20 +20,26 @@ def random_pure_vector(rng: np.random.Generator, dim: int) -> np.ndarray:
     return v / np.linalg.norm(v)
 
 
-def random_ghz_diagonal_state(rng: np.random.Generator, system: PartySystem) -> MultipartiteState:
-    """Random state diagonal in the GHZ basis with symmetric pair weights."""
+def random_ghz_diagonal_state(
+    rng: np.random.Generator, system: PartySystem, symmetric: bool = True
+) -> MultipartiteState:
+    """Random state diagonal in the GHZ basis.
+
+    With ``symmetric`` the two weights of each pair j != 0 are equal;
+    otherwise every GHZ-basis weight is drawn independently.
+    """
     n = system.num_parties
     indices = all_cut_indices(n)
-    raw = rng.random(2 + len(indices))
-    total = raw[0] + raw[1] + 2 * raw[2:].sum()
-    weights = raw / total
-    m = weights[0] * _proj(ghz_basis_state(system, "0" * (n - 1), 1).vector)
-    m = m + weights[1] * _proj(ghz_basis_state(system, "0" * (n - 1), -1).vector)
-    for w, j in zip(weights[2:], indices):
-        m = m + w * (
-            _proj(ghz_basis_state(system, j, 1).vector)
-            + _proj(ghz_basis_state(system, j, -1).vector)
-        )
+    if symmetric:
+        raw = rng.random(2 + len(indices))
+        raw = np.concatenate([raw[:2], np.repeat(raw[2:], 2)])
+    else:
+        raw = rng.random(2 + 2 * len(indices))
+    weights = raw / raw.sum()
+    vectors = [ghz_basis_state(system, "0" * (n - 1), s).vector for s in (1, -1)]
+    for j in indices:
+        vectors.extend(ghz_basis_state(system, j, s).vector for s in (1, -1))
+    m = sum(w * _proj(v) for w, v in zip(weights, vectors))
     return MultipartiteState(system, m)
 
 

@@ -1,9 +1,14 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from choilab.entanglement import (
+    ASYMMETRY_TOL,
+    GhzDiagonalCoefficients,
     all_cut_indices,
     cut_to_index,
     filter_to_maximally_entangled,
@@ -26,6 +31,7 @@ from choilab.states import (
     MultipartiteState,
     PartySystem,
     PureState,
+    ghz_basis_state,
     max_entangled,
 )
 
@@ -153,6 +159,71 @@ class TestClassifier:
         rho = MultipartiteState(PartySystem(("A", "B"), (3, 3)), np.eye(9) / 9)
         with pytest.raises(NotQubits):
             ghz_diagonal_coefficients(rho)
+
+
+def dense_ghz_diagonal_coefficients(state: MultipartiteState) -> GhzDiagonalCoefficients:
+    """Reference read: project onto all 2^N dense GHZ vectors, O(8^N)."""
+    sys = state.system
+    n = sys.num_parties
+    diag = np.zeros_like(state.matrix)
+    raw = {}
+    for bits in itertools.product("01", repeat=n - 1):
+        j = "".join(bits)
+        for sign in (1, -1):
+            v = ghz_basis_state(sys, j, sign).vector
+            val = float(np.real(v.conj() @ state.matrix @ v))
+            raw[(j, sign)] = val
+            diag += val * np.outer(v, v.conj())
+    zero = "0" * (n - 1)
+    lambdas = {j: (raw[(j, 1)] + raw[(j, -1)]) / 2 for j in all_cut_indices(n)}
+    return GhzDiagonalCoefficients(
+        system=sys,
+        lambda0_plus=raw[(zero, 1)],
+        lambda0_minus=raw[(zero, -1)],
+        lambdas=lambdas,
+        delta=abs(raw[(zero, 1)] - raw[(zero, -1)]),
+        asymmetry_flag=any(
+            abs(raw[(j, 1)] - raw[(j, -1)]) > ASYMMETRY_TOL for j in all_cut_indices(n)
+        ),
+        offdiagonal_residual=float(np.linalg.norm(state.matrix - diag)),
+    )
+
+
+class TestBlockReadAgainstDenseOracle:
+    @settings(max_examples=90, deadline=None, database=None)
+    @given(
+        n=st.integers(1, 6),
+        seed=st.integers(0, 2**32 - 1),
+        kind=st.sampled_from(("general", "ghz", "asymmetric")),
+    )
+    def test_every_field_matches(self, n, seed, kind):
+        rng = np.random.default_rng(seed)
+        system = qubits(*(f"Q{i}" for i in range(n)))
+        if kind == "general":
+            rho = random_state(rng, system)
+        else:
+            rho = random_ghz_diagonal_state(rng, system, symmetric=kind == "ghz")
+        got = ghz_diagonal_coefficients(rho)
+        want = dense_ghz_diagonal_coefficients(rho)
+        assert got.system == want.system
+        assert got.lambdas.keys() == want.lambdas.keys()
+        for j in want.lambdas:
+            assert abs(got.lambdas[j] - want.lambdas[j]) <= 1e-12
+        for field in ("lambda0_plus", "lambda0_minus", "delta", "offdiagonal_residual"):
+            assert abs(getattr(got, field) - getattr(want, field)) <= 1e-12, field
+        assert got.asymmetry_flag == want.asymmetry_flag
+        if kind != "general":
+            assert got.offdiagonal_residual <= 1e-12
+            assert got.asymmetry_flag == (kind == "asymmetric" and n > 1)
+
+    def test_single_qubit(self):
+        # N = 1: the only pair is j = "" on the kets |0> and |1>
+        m = np.array([[0.7, 0.2 - 0.1j], [0.2 + 0.1j, 0.3]])
+        c = ghz_diagonal_coefficients(MultipartiteState(qubits("Q"), m))
+        assert c.lambdas == {}
+        assert abs(c.lambda0_plus - 0.7) < 1e-15
+        assert abs(c.lambda0_minus - 0.3) < 1e-15
+        assert abs(c.offdiagonal_residual - math.sqrt(0.08 + 2 * 0.01)) < 1e-15
 
 
 class TestCutIndex:

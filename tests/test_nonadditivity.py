@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from choilab import nonadditivity
 from choilab.channels import completeness_defect, verify_cptp
 from choilab.errors import DimensionMismatch
 from choilab.linalg import identity
@@ -160,6 +161,44 @@ class TestReports:
         assert [(e.claim_id, e.computed, e.passed) for e in a.entries] == [
             (e.claim_id, e.computed, e.passed) for e in b.entries
         ]
+
+    def test_blocking_cuts_listed_once(self):
+        rep = capacity_proxy_report()
+        assert rep.entry("proxy-E2-ABC").computed == (
+            "zero (blocking cuts: A1,A2 | B,C; A1,B,A2 | C)"
+        )
+        assert rep.entry("proxy-E3-ABC").computed == (
+            "zero (blocking cuts: A1,A2,C | B; A1,A2 | B,C)"
+        )
+        for e in rep.entries:
+            if e.computed.startswith("zero (blocking cuts: "):
+                cuts = e.computed[len("zero (blocking cuts: ") : -1].split("; ")
+                assert len(cuts) == len(set(cuts)), e.claim_id
+
+    def test_scenario_built_once_per_report(self, monkeypatch):
+        calls = []
+        build = nonadditivity.binding_channel
+
+        def counting(a):
+            calls.append(a)
+            return build(a)
+
+        monkeypatch.setattr(nonadditivity, "binding_channel", counting)
+        full_report()
+        assert sorted(calls) == [1, 2, 3]
+        # a second report builds its own channels: nothing is cached
+        full_report()
+        assert len(calls) == 6
+
+    def test_reports_accept_a_shared_scenario(self):
+        scenario = nonadditivity.build_scenario()
+        for report in (reproduce_choi_claims, reproduce_pt_table, capacity_proxy_report):
+            shared = report(scenario)
+            own = report()
+            assert shared.overall
+            assert [(e.claim_id, e.computed) for e in shared.entries] == [
+                (e.claim_id, e.computed) for e in own.entries
+            ]
 
 
 class TestTeleportation:
