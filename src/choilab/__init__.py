@@ -1,80 +1,64 @@
-"""choilab: Kraus channels, Choi states and multipartite distillability checks."""
+"""choilab: Kraus channels, Choi states and multipartite distillability checks.
+
+The public names below are loaded from their modules on first use, so that
+importing one layer (say ``choilab.linalg``) does not import the layers
+above it.
+"""
+
+import importlib
 
 __version__ = "0.1.0"
 
-from .channels import (
-    CptpReport,
-    KrausChannel,
-    apply,
-    apply_matrix,
-    choi,
-    kraus_from_choi,
-    mix,
-    reduced_channel,
-    verify_cptp,
-)
-from .entanglement import (
-    DistillabilityVerdict,
-    GhzDiagonalCoefficients,
-    LocalizationResult,
-    PtVerdict,
-    cut_to_index,
-    filter_to_maximally_entangled,
-    ghz_diagonal_coefficients,
-    localize_entanglement,
-    npt_criterion,
-    pairwise_distillability,
-    ppt_check,
-    two_qubit_separability,
-)
-from .states import (
-    BipartiteCut,
-    MultipartiteState,
-    PartySystem,
-    PureState,
-    basis_projector,
-    fidelity,
-    ghz_basis_state,
-    max_entangled,
-    partial_trace,
-    partial_transpose,
-    permute_parties,
-    schmidt_decomposition,
-)
+_EXPORTS = {
+    "channels": (
+        "CptpReport",
+        "KrausChannel",
+        "apply",
+        "apply_matrix",
+        "choi",
+        "kraus_from_choi",
+        "mix",
+        "reduced_channel",
+        "verify_cptp",
+    ),
+    "entanglement": (
+        "DistillabilityVerdict",
+        "GhzDiagonalCoefficients",
+        "LocalizationResult",
+        "PtVerdict",
+        "cut_to_index",
+        "filter_to_maximally_entangled",
+        "ghz_diagonal_coefficients",
+        "localize_entanglement",
+        "npt_criterion",
+        "pairwise_distillability",
+        "ppt_check",
+        "two_qubit_separability",
+    ),
+    "states": (
+        "BipartiteCut",
+        "MultipartiteState",
+        "PartySystem",
+        "PureState",
+        "basis_projector",
+        "fidelity",
+        "ghz_basis_state",
+        "max_entangled",
+        "partial_trace",
+        "partial_transpose",
+        "permute_parties",
+        "schmidt_decomposition",
+    ),
+}
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
 
-__all__ = [
-    "__version__",
-    "BipartiteCut",
-    "CptpReport",
-    "DistillabilityVerdict",
-    "GhzDiagonalCoefficients",
-    "KrausChannel",
-    "LocalizationResult",
-    "MultipartiteState",
-    "PartySystem",
-    "PtVerdict",
-    "PureState",
-    "apply",
-    "apply_matrix",
-    "basis_projector",
-    "choi",
-    "cut_to_index",
-    "fidelity",
-    "filter_to_maximally_entangled",
-    "ghz_basis_state",
-    "ghz_diagonal_coefficients",
-    "kraus_from_choi",
-    "localize_entanglement",
-    "max_entangled",
-    "mix",
-    "npt_criterion",
-    "pairwise_distillability",
-    "partial_trace",
-    "partial_transpose",
-    "permute_parties",
-    "ppt_check",
-    "reduced_channel",
-    "schmidt_decomposition",
-    "two_qubit_separability",
-    "verify_cptp",
-]
+__all__ = ["__version__", *sorted(_HOME)]
+
+
+def __getattr__(name):
+    module = _HOME.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__name__}.{module}"), name)
+    globals()[name] = value
+    return value

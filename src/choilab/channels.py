@@ -38,6 +38,8 @@ from .states import (
 )
 
 COMPLETENESS_TOL = 1e-10
+# |choi(mix(E_k, w_k)) - sum_k w_k choi(E_k)|, checked by the `mix` command.
+MIX_LINEARITY_TOL = 1e-12
 CHOI_RANK_CUTOFF = 1e-11
 REF_MARGINAL_TOL = 1e-8
 

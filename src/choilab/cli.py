@@ -2,8 +2,10 @@
 
 Commands: verify, choi, classify, mix, reproduce.  Global flags: --format
 {human,json}, --tolerance <float> (overrides the default positivity
-threshold; echoed in the report), --out <path>.  Exit codes: 0 pass,
-1 claim failure, 2 input/usage error.
+threshold, except for reproduce, which accepts only the default; echoed in
+the report), --out <path> (the Choi state for choi, the mixed channel for
+mix, the JSON report otherwise).  Exit codes: 0 pass, 1 claim failure,
+2 input/usage error.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ import sys
 import numpy as np
 
 from . import __version__
-from .channels import COMPLETENESS_TOL, choi, mix, verify_cptp
+from .channels import COMPLETENESS_TOL, MIX_LINEARITY_TOL, choi, mix, verify_cptp
 from .codec import (
     channel_from_dict,
     channel_to_dict,
@@ -34,51 +36,55 @@ from .entanglement import (
     ppt_check,
 )
 from .errors import ChoilabError, ParseError
+from .linalg import PSD_THRESHOLD
 from .nonadditivity import full_report
 from .states import TRACE_TOL, PartySystem
 
 EXIT_PASS = 0
 EXIT_FAIL = 1
 EXIT_USAGE = 2
+DEFAULT_TOLERANCE = -PSD_THRESHOLD
 
 
-def _emit(report: dict, fmt: str, out_path: str | None) -> None:
+def _finish(args, entries: list[dict], artifact: dict | None = None) -> int:
+    """Report a command's entries; --out gets the artifact, or else the report.
+
+    The run fails iff some entry has status "fail".
+    """
+    failed = any(e["status"] == "fail" for e in entries)
+    report = {
+        "version": __version__,
+        "command": args.command,
+        "tolerance": args.tolerance,
+        "entries": entries,
+        "overall": "fail" if failed else "pass",
+    }
     text = dumps(report)
-    if fmt == "json":
+    if args.out:
+        with open(args.out, "w", encoding="utf-8") as fh:
+            fh.write(text if artifact is None else dumps(artifact))
+    if args.format == "json":
         sys.stdout.write(text)
     else:
         _render_human(report)
-    if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+    return EXIT_FAIL if failed else EXIT_PASS
 
 
 def _render_human(report: dict) -> None:
     print(f"choilab {report['version']} :: {report['command']}")
-    if report.get("tolerance") is not None:
-        print(f"positivity threshold: -{report['tolerance']:g}")
+    print(f"positivity threshold: -{report['tolerance']:g}")
     for entry in report["entries"]:
-        status = entry.get("status", "info")
-        line = f"  [{status:>4}] {entry['id']:<34} {entry.get('computed', '')}"
-        print(line)
+        print(f"  [{entry['status']:>4}] {entry['id']:<34} {entry['computed']}")
     print(f"overall: {report['overall']}")
-
-
-def _base_report(command: str, tolerance: float) -> dict:
-    return {
-        "version": __version__,
-        "command": command,
-        "tolerance": tolerance,
-        "entries": [],
-        "overall": "pass",
-    }
+    headline = next((e for e in report["entries"] if e["id"] == "nonadditivity-headline"), None)
+    if headline is not None:
+        print(f"headline: {headline['computed']}")
 
 
 def _cmd_verify(args) -> int:
     ch = channel_from_dict(load_path(args.channel))
     rep = verify_cptp(ch, psd_threshold=-args.tolerance)
-    report = _base_report("verify", args.tolerance)
-    report["entries"] = [
+    entries = [
         {
             "id": "cptp-completeness",
             "status": "pass" if rep.trace_preserving_defect <= COMPLETENESS_TOL else "fail",
@@ -90,9 +96,7 @@ def _cmd_verify(args) -> int:
             "computed": f"choi min eigenvalue = {rep.choi_min_eigenvalue:.3e}",
         },
     ]
-    report["overall"] = "pass" if rep.passed else "fail"
-    _emit(report, args.format, args.out)
-    return EXIT_PASS if rep.passed else EXIT_FAIL
+    return _finish(args, entries)
 
 
 def _reference_for_order(ch, order: list[str]) -> PartySystem:
@@ -118,8 +122,7 @@ def _cmd_choi(args) -> int:
         state = choi(ch)
     low = float(np.linalg.eigvalsh(state.matrix)[0])
     tr = float(np.real(np.trace(state.matrix)))
-    report = _base_report("choi", args.tolerance)
-    report["entries"] = [
+    entries = [
         {
             "id": "choi-trace",
             "status": "pass" if abs(tr - 1) <= TRACE_TOL else "fail",
@@ -131,16 +134,7 @@ def _cmd_choi(args) -> int:
             "computed": f"min eigenvalue = {low:.3e}",
         },
     ]
-    ok = all(e["status"] == "pass" for e in report["entries"])
-    report["overall"] = "pass" if ok else "fail"
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(dumps(state_to_dict(state)))
-    if args.format == "json":
-        sys.stdout.write(dumps(report))
-    else:
-        _render_human(report)
-    return EXIT_PASS if ok else EXIT_FAIL
+    return _finish(args, entries, state_to_dict(state))
 
 
 def _parse_pairs(specs, system) -> list[tuple[tuple[str, ...], tuple[str, ...]]]:
@@ -168,8 +162,7 @@ def _cmd_classify(args) -> int:
     if not sys_.is_qubits():
         raise ParseError(f"classify needs a qubit system, got dims {sys_.dims}")
     coeffs = ghz_diagonal_coefficients(state)
-    report = _base_report("classify", args.tolerance)
-    entries = report["entries"]
+    entries = []
     ghz_diagonal = coeffs.offdiagonal_residual <= GHZ_RESIDUAL_TOL
     entries.append(
         {
@@ -217,7 +210,6 @@ def _cmd_classify(args) -> int:
             text += f", criterion {crit}"
             if crit != row["eigensolver"]:
                 row["status"] = "fail"
-                report["overall"] = "fail"
         row["computed"] = text + f", min eig = {verdict.min_eigenvalue: .6e}"
         entries.append(row)
     if ghz_diagonal:
@@ -239,8 +231,7 @@ def _cmd_classify(args) -> int:
                     "distillable": verdict.distillable,
                 }
             )
-    _emit(report, args.format, args.out)
-    return EXIT_PASS if report["overall"] == "pass" else EXIT_FAIL
+    return _finish(args, entries)
 
 
 def _cmd_mix(args) -> int:
@@ -252,11 +243,10 @@ def _cmd_mix(args) -> int:
     combo = sum(x * p.matrix for x, p in zip(w, parts))
     linearity = float(np.linalg.norm(choi(mixed).matrix - combo))
     rep = verify_cptp(mixed, psd_threshold=-args.tolerance)
-    report = _base_report("mix", args.tolerance)
-    report["entries"] = [
+    entries = [
         {
             "id": "mix-choi-linearity",
-            "status": "pass" if linearity <= 1e-12 else "fail",
+            "status": "pass" if linearity <= MIX_LINEARITY_TOL else "fail",
             "computed": f"|choi(mix) - sum w*choi| = {linearity:.3e}",
         },
         {
@@ -265,19 +255,15 @@ def _cmd_mix(args) -> int:
             "computed": f"defect = {rep.trace_preserving_defect:.3e}",
         },
     ]
-    ok = all(e["status"] == "pass" for e in report["entries"])
-    report["overall"] = "pass" if ok else "fail"
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(dumps(channel_to_dict(mixed)))
-    if args.format == "json":
-        sys.stdout.write(dumps(report))
-    else:
-        _render_human(report)
-    return EXIT_PASS if ok else EXIT_FAIL
+    return _finish(args, entries, channel_to_dict(mixed))
 
 
 def _cmd_reproduce(args) -> int:
+    if args.tolerance != DEFAULT_TOLERANCE:
+        raise ParseError(
+            f"reproduce checks its claims at the fixed threshold -{DEFAULT_TOLERANCE:g}; "
+            f"--tolerance {args.tolerance:g} is not supported"
+        )
     rep = full_report()
     body = report_to_dict(rep)
     entries = body["entries"]
@@ -287,15 +273,7 @@ def _cmd_reproduce(args) -> int:
         if unknown:
             raise ParseError(f"unknown claim ids: {sorted(unknown)}")
         entries = [e for e in entries if e["id"] in wanted]
-    report = _base_report("reproduce", args.tolerance)
-    report["entries"] = entries
-    ok = all(e["status"] == "pass" for e in entries)
-    report["overall"] = "pass" if ok else "fail"
-    headline = next((e for e in entries if e["id"] == "nonadditivity-headline"), None)
-    _emit(report, args.format, args.out)
-    if args.format == "human" and headline is not None:
-        print(f"headline: {headline['computed']}")
-    return EXIT_PASS if ok else EXIT_FAIL
+    return _finish(args, entries)
 
 
 def _add_global_flags(parser: argparse.ArgumentParser, top: bool) -> None:
@@ -306,7 +284,7 @@ def _add_global_flags(parser: argparse.ArgumentParser, top: bool) -> None:
     parser.add_argument(
         "--tolerance",
         type=float,
-        default=default(1e-9),
+        default=default(DEFAULT_TOLERANCE),
         help="positivity threshold: eigenvalues >= -tolerance count as nonnegative",
     )
     parser.add_argument(
@@ -368,13 +346,7 @@ def main(argv=None) -> int:
         return EXIT_USAGE if exc.code not in (0, None) else 0
     try:
         return args.func(args)
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except ChoilabError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except OSError as exc:
+    except (ChoilabError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -8,14 +8,16 @@ bit-exact at double precision.
 from __future__ import annotations
 
 import json
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
 import numpy as np
 
 from .channels import KrausChannel
 from .errors import ChoilabError, ParseError
-from .nonadditivity import ReproductionReport
 from .states import MultipartiteState, PartySystem
+
+if TYPE_CHECKING:  # the report layer sits above the codec
+    from .nonadditivity import ReproductionReport
 
 
 def encode_matrix(m: np.ndarray) -> list[list[list[float]]]:

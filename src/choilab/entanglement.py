@@ -34,7 +34,6 @@ from .errors import (
     LocalizationFailed,
     NotGhzDiagonal,
     NotQubits,
-    NotRank2,
     NotSchmidtRank2,
     OverlappingGroups,
     UnknownParty,
@@ -267,7 +266,7 @@ def filter_to_maximally_entangled(phi: PureState) -> tuple[PureState, float]:
     cut = BipartiteCut.from_side(phi.system, [phi.system.labels[0]])
     sd = schmidt_decomposition(phi, cut)
     if sd.rank != 2:
-        raise NotRank2(f"Schmidt rank {sd.rank}, need exactly 2")
+        raise NotSchmidtRank2(f"Schmidt rank {sd.rank}, need exactly 2")
     c1, c2 = float(sd.coefficients[0]), float(sd.coefficients[1])
     u1, u2 = sd.left_vectors[:, 0], sd.left_vectors[:, 1]
     filt = (c2 / c1) * np.outer(u1, u1.conj()) + np.outer(u2, u2.conj())

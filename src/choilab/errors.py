@@ -5,10 +5,6 @@ class ChoilabError(Exception):
     """Base class for every error raised by this package."""
 
 
-class NotSquare(ChoilabError):
-    pass
-
-
 class NotHermitian(ChoilabError):
     pass
 
@@ -62,10 +58,6 @@ class OverlappingGroups(ChoilabError):
 
 
 class NotSchmidtRank2(ChoilabError):
-    pass
-
-
-class NotRank2(ChoilabError):
     pass
 
 

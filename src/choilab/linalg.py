@@ -2,9 +2,9 @@
 
 All matrices in this package are plain ``numpy.ndarray`` objects of dtype
 ``complex128``.  The helpers here add the conventions everything downstream
-relies on: finiteness validation, Hermiticity gates, eigenvalues sorted
-ascending, and the standard Pauli constructors (sigma1 = X, sigma2 = Y,
-sigma3 = Z, sigma_pm = (sigma1 -/+ i*sigma2)/2).
+relies on: finiteness validation, the Hermiticity and positivity
+tolerances, the smallest eigenvalue, and the standard Pauli constructors
+(sigma1 = X, sigma2 = Y, sigma3 = Z, sigma_pm = (sigma1 -/+ i*sigma2)/2).
 
 Matrices never exceed ~64x64 here, so numpy's LAPACK-backed routines are
 used throughout; robustness matters more than asymptotics.
@@ -12,11 +12,9 @@ used throughout; robustness matters more than asymptotics.
 
 from __future__ import annotations
 
-from typing import NamedTuple
-
 import numpy as np
 
-from .errors import DimensionMismatch, NotHermitian, NotSquare
+from .errors import DimensionMismatch
 
 # Absolute Frobenius tolerance for "is Hermitian".
 HERMITICITY_TOL = 1e-10
@@ -44,67 +42,9 @@ def as_vector(entries) -> np.ndarray:
     return v
 
 
-def kron(a, b) -> np.ndarray:
-    """Kronecker product; first factor carries the most significant index."""
-    return np.kron(as_matrix(a), as_matrix(b))
-
-
-def dagger(a) -> np.ndarray:
-    """Conjugate transpose."""
-    return as_matrix(a).conj().T
-
-
-def trace(a) -> complex:
-    m = as_matrix(a)
-    if m.shape[0] != m.shape[1]:
-        raise NotSquare(f"trace of a {m.shape} matrix")
-    return complex(np.trace(m))
-
-
-def frobenius_distance(a, b) -> float:
-    ma, mb = as_matrix(a), as_matrix(b)
-    if ma.shape != mb.shape:
-        raise DimensionMismatch(f"shapes {ma.shape} and {mb.shape} differ")
-    return float(np.linalg.norm(ma - mb))
-
-
-def hermiticity_defect(a) -> float:
-    """Frobenius norm of m - m^dagger."""
-    m = as_matrix(a)
-    if m.shape[0] != m.shape[1]:
-        raise NotSquare(f"hermiticity defect of a {m.shape} matrix")
-    return float(np.linalg.norm(m - m.conj().T))
-
-
-class EigenDecomposition(NamedTuple):
-    """Real spectrum sorted ascending with matching orthonormal columns."""
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
-
-
-def hermitian_eig(m, tol: float = HERMITICITY_TOL) -> EigenDecomposition:
-    """Full eigensystem of a Hermitian matrix.
-
-    Raises NotSquare / NotHermitian when the input fails the respective gate;
-    eigenvalues come back ascending with orthonormal eigenvector columns.
-    """
-    mat = as_matrix(m)
-    if mat.shape[0] != mat.shape[1]:
-        raise NotSquare(f"eigensystem of a {mat.shape} matrix")
-    defect = float(np.linalg.norm(mat - mat.conj().T))
-    if defect > tol:
-        raise NotHermitian(f"hermiticity defect {defect:.3e} exceeds {tol:.1e}")
-    vals, vecs = np.linalg.eigh(mat)
-    return EigenDecomposition(eigenvalues=vals, eigenvectors=vecs)
-
-
-def min_eigenvalue(m) -> float:
-    return float(hermitian_eig(m).eigenvalues[0])
-
-
-def is_psd(m, threshold: float = PSD_THRESHOLD) -> bool:
-    return min_eigenvalue(m) >= threshold
+def min_eigenvalue(m: np.ndarray) -> float:
+    """Smallest eigenvalue of a Hermitian matrix (only its lower triangle is read)."""
+    return float(np.linalg.eigvalsh(m)[0])
 
 
 def _const(rows) -> np.ndarray:

@@ -328,9 +328,10 @@ def reproduce_pt_table(scenario: Scenario | None = None) -> ReproductionReport:
     scenario = scenario or build_scenario()
     states, coeffs = scenario.states, scenario.coeffs
     entries = []
+    verdicts = {}
     for key, side, expect_ppt in _PT_FACTS:
         cut = BipartiteCut.from_side(CHOI_SYSTEM, side)
-        verdict = ppt_check(states[key], cut)
+        verdict = verdicts[key, side] = ppt_check(states[key], cut)
         criterion_npt = npt_criterion(coeffs[key], cut)
         agree = verdict.is_ppt == (not criterion_npt)
         ok = agree and verdict.is_ppt == expect_ppt
@@ -350,9 +351,9 @@ def reproduce_pt_table(scenario: Scenario | None = None) -> ReproductionReport:
                 passed=ok,
             )
         )
-    # control: the same PPT claim evaluated on the wrong (mixed) state must fail
-    cut_b = BipartiteCut.from_side(CHOI_SYSTEM, ("B",))
-    wrong = ppt_check(states["mix"], cut_b)
+    # control: the E1 PPT claim evaluated on the wrong (mixed) state must fail;
+    # that is the pt-mix-B eigensolve above
+    wrong = verdicts["mix", ("B",)]
     entries.append(
         ClaimEntry(
             claim_id="pt-control-wrong-state",

@@ -18,6 +18,7 @@ import numpy as np
 
 from . import linalg
 from .errors import (
+    BadPermutation,
     DimensionMismatch,
     IndexOutOfRange,
     NotHermitian,
@@ -128,20 +129,18 @@ class MultipartiteState:
     psd_threshold: InitVar[float | None] = None
 
     def __post_init__(self, psd_threshold):
-        self.matrix = linalg.as_matrix(self.matrix)
+        m = self.matrix = linalg.as_matrix(self.matrix)
         d = self.system.total_dim
-        if self.matrix.shape != (d, d):
-            raise DimensionMismatch(
-                f"matrix shape {self.matrix.shape} != system dimension {d}"
-            )
-        defect = linalg.hermiticity_defect(self.matrix)
+        if m.shape != (d, d):
+            raise DimensionMismatch(f"matrix shape {m.shape} != system dimension {d}")
+        defect = float(np.linalg.norm(m - m.conj().T))
         if defect > linalg.HERMITICITY_TOL:
             raise NotHermitian(f"hermiticity defect {defect:.3e}")
-        tr = linalg.trace(self.matrix)
+        tr = complex(np.trace(m))
         if abs(tr - 1.0) > TRACE_TOL:
             raise DimensionMismatch(f"trace {tr} is not 1 within {TRACE_TOL}")
         threshold = linalg.PSD_THRESHOLD if psd_threshold is None else psd_threshold
-        low = linalg.min_eigenvalue(self.matrix)
+        low = linalg.min_eigenvalue(m)
         if low < threshold:
             raise NotPSD(f"min eigenvalue {low:.3e} below threshold {threshold:.1e}")
 
@@ -306,8 +305,6 @@ def partial_trace(state: MultipartiteState, traced: Iterable[str]) -> Multiparti
 
 def permute_parties(state: MultipartiteState, order: Sequence[str]) -> MultipartiteState:
     """Return the same state with parties listed in the requested order."""
-    from .errors import BadPermutation
-
     if sorted(order) != sorted(state.system.labels):
         raise BadPermutation(f"{tuple(order)} is not a permutation of {state.system.labels}")
     perm = [state.system.axis(l) for l in order]

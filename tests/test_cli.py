@@ -1,9 +1,10 @@
 import json
 
 import numpy as np
+import pytest
 
 from choilab.cli import main
-from choilab.codec import dumps, loads, state_from_dict, state_to_dict
+from choilab.codec import channel_from_dict, dumps, loads, state_from_dict, state_to_dict
 from choilab.nonadditivity import choi_closed_form, swap_image
 from choilab.states import MultipartiteState, PartySystem
 
@@ -256,6 +257,79 @@ class TestReproduce:
         _, first, _ = run(capsys, "--format", "json", "reproduce")
         _, second, _ = run(capsys, "--format", "json", "reproduce")
         assert first == second
+
+    @pytest.mark.parametrize("place", ["global", "subcommand"])
+    def test_other_tolerance_rejected(self, capsys, place):
+        flag = ["--tolerance", "0.5"]
+        argv = [*flag, "reproduce"] if place == "global" else ["reproduce", *flag]
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and "--tolerance 0.5" in err
+
+    def test_default_tolerance_output_unchanged(self, capsys):
+        code, implicit, _ = run(capsys, "--format", "json", "reproduce")
+        assert code == 0
+        assert json.loads(implicit)["tolerance"] == 1e-9
+        code, explicit, _ = run(capsys, "--format", "json", "--tolerance", "1e-9", "reproduce")
+        assert code == 0
+        assert explicit == implicit
+
+
+class TestOutputContract:
+    """--out holds the JSON report, or the state (choi) or channel (mix) it made."""
+
+    def _report_cases(self, fixture_dir, tmp_path):
+        doc = loads((fixture_dir / "e1.json").read_text())
+        del doc["kraus"][0]
+        broken = tmp_path / "broken.json"
+        broken.write_text(dumps(doc))
+        return {
+            "verify": (["verify", str(fixture_dir / "e1.json")], 0),
+            "verify-fails": (["verify", str(broken)], 1),
+            "classify": (["classify", str(fixture_dir / "emix_choi.json"), "--pair", "A1,A2:B"], 0),
+            "reproduce": (["reproduce", "--claims", "pt-E1-B,nonadditivity-headline"], 0),
+        }
+
+    @pytest.mark.parametrize("case", ["verify", "verify-fails", "classify", "reproduce"])
+    def test_out_is_the_json_report(self, fixture_dir, tmp_path, capsys, case):
+        argv, want = self._report_cases(fixture_dir, tmp_path)[case]
+        code, report, _ = run(capsys, "--format", "json", *argv)
+        assert code == want
+        assert json.loads(report)["overall"] == ("pass" if want == 0 else "fail")
+        for fmt in ("json", "human"):
+            out_path = tmp_path / f"{case}-{fmt}.json"
+            code, out, _ = run(capsys, "--format", fmt, *argv, "--out", str(out_path))
+            assert code == want
+            assert out_path.read_text() == report
+            if fmt == "json":
+                assert out == report
+            else:
+                assert f"overall: {'pass' if want == 0 else 'fail'}" in out.splitlines()
+
+    @pytest.mark.parametrize("fmt", ["json", "human"])
+    def test_out_is_the_artifact(self, fixture_dir, tmp_path, capsys, fmt):
+        mixed_path = tmp_path / "mixed.json"
+        files = [str(fixture_dir / f"e{a}.json") for a in (1, 2, 3)]
+        code, out, _ = run(capsys, "--format", fmt, "mix", *files, "--out", str(mixed_path))
+        assert code == 0
+        assert channel_from_dict(loads(mixed_path.read_text())).kraus
+        self._assert_report(out, fmt, "mix")
+        choi_path = tmp_path / "choi.json"
+        code, out, _ = run(capsys, "--format", fmt, "choi", str(mixed_path), "--out", str(choi_path))
+        assert code == 0
+        assert state_from_dict(loads(choi_path.read_text())).system.labels == ("A_ref", "B", "C")
+        self._assert_report(out, fmt, "choi")
+
+    @staticmethod
+    def _assert_report(out, fmt, command):
+        if fmt == "json":
+            doc = json.loads(out)
+            assert (doc["command"], doc["overall"]) == (command, "pass")
+        else:
+            lines = out.splitlines()
+            assert lines[0].endswith(f":: {command}")
+            assert lines[-1] == "overall: pass"
 
 
 class TestUsage:

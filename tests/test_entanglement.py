@@ -23,7 +23,7 @@ from choilab.errors import (
     DimensionMismatch,
     NotGhzDiagonal,
     NotQubits,
-    NotRank2,
+    NotSchmidtRank2,
     OverlappingGroups,
 )
 from choilab.states import (
@@ -326,5 +326,5 @@ class TestFilter:
         sys = qubits("A", "B")
         v = np.zeros(4, dtype=complex)
         v[0] = 1.0
-        with pytest.raises(NotRank2):
+        with pytest.raises(NotSchmidtRank2):
             filter_to_maximally_entangled(PureState(sys, v))

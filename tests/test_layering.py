@@ -1,0 +1,46 @@
+"""Import direction: the bottom layer (linalg) needs only errors, and the codec
+loads states and channels without the report layer (nonadditivity)."""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import choilab
+
+SRC = str(Path(choilab.__file__).resolve().parents[1])
+
+
+def loaded_after_import(module: str) -> set[str]:
+    """choilab modules a fresh interpreter holds after importing ``module``."""
+    code = (
+        f"import json, sys, {module}; "
+        "print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] == 'choilab')))"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([SRC, os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    return set(json.loads(out.stdout))
+
+
+def test_codec_does_not_import_the_report_layer():
+    loaded = loaded_after_import("choilab.codec")
+    assert "choilab.codec" in loaded
+    assert "choilab.nonadditivity" not in loaded
+
+
+def test_linalg_needs_only_errors():
+    assert loaded_after_import("choilab.linalg") == {
+        "choilab",
+        "choilab.errors",
+        "choilab.linalg",
+    }
+
+
+def test_public_names_load_on_first_use():
+    for name in choilab.__all__:
+        value = getattr(choilab, name)
+        assert name == "__version__" or value.__module__.startswith("choilab.")
+    assert not hasattr(choilab, "no_such_name")

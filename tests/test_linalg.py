@@ -2,27 +2,8 @@ import numpy as np
 import pytest
 
 from choilab import linalg
-from choilab.errors import DimensionMismatch, NotHermitian, NotSquare
-from choilab.linalg import (
-    dagger,
-    frobenius_distance,
-    hermitian_eig,
-    kron,
-    sigma0,
-    sigma1,
-    sigma2,
-    sigma3,
-    sigma_minus,
-    sigma_plus,
-    trace,
-)
-
-from conftest import random_density_matrix
-
-
-def test_kron_identities():
-    assert np.array_equal(kron(sigma0, sigma0), np.eye(4))
-    assert np.array_equal(kron(sigma3, sigma3), np.diag([1, -1, -1, 1]).astype(complex))
+from choilab.errors import DimensionMismatch
+from choilab.linalg import min_eigenvalue, sigma1, sigma2, sigma_minus, sigma_plus
 
 
 def test_kron_sigma1_sigma2_hand_expansion():
@@ -35,76 +16,30 @@ def test_kron_sigma1_sigma2_hand_expansion():
             [1j, 0, 0, 0],
         ]
     )
-    assert np.allclose(kron(sigma1, sigma2), expected, atol=0)
+    assert np.allclose(np.kron(sigma1, sigma2), expected, atol=0)
 
 
-def test_kron_associativity_and_mixed_product():
-    rng = np.random.default_rng(7)
-    for _ in range(10):
-        a, b, c, d = (
-            rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
-            for _ in range(4)
-        )
-        assert np.allclose(kron(a, kron(b, c)), kron(kron(a, b), c), atol=1e-13)
-        assert np.allclose(kron(a, b) @ kron(c, d), kron(a @ c, b @ d), atol=1e-12)
+def test_sigma_plus_minus():
+    assert np.array_equal(sigma_plus.conj().T, sigma_minus)
+    assert np.array_equal(sigma_plus, (sigma1 - 1j * sigma2) / 2)
+    assert np.array_equal(sigma_minus, (sigma1 + 1j * sigma2) / 2)
 
 
-def test_dagger():
-    assert np.array_equal(dagger(sigma0), sigma0)
-    assert np.array_equal(dagger(sigma2), sigma2)
-    assert np.array_equal(dagger(sigma_plus), sigma_minus)
-    rng = np.random.default_rng(11)
-    m = rng.standard_normal((3, 5)) + 1j * rng.standard_normal((3, 5))
-    assert np.array_equal(dagger(dagger(m)), m.astype(complex))
-
-
-def test_hermitian_eig_diagonal_and_pauli():
-    vals = hermitian_eig(np.diag([3.0, 1.0, 2.0])).eigenvalues
-    assert np.allclose(vals, [1, 2, 3], atol=0)
-    assert np.allclose(hermitian_eig(sigma1).eigenvalues, [-1, 1], atol=1e-15)
+def test_min_eigenvalue_diagonal_and_pauli():
+    assert min_eigenvalue(np.diag([3.0, 1.0, 2.0])) == 1
+    assert abs(min_eigenvalue(sigma1) + 1) < 1e-15
 
 
 @pytest.mark.parametrize("dim", [2, 5, 8, 16])
-def test_hermitian_eig_random(dim):
+def test_min_eigenvalue_random(dim):
+    # a Hermitian matrix with a known spectrum: U diag(vals) U^dagger
     rng = np.random.default_rng(dim)
     for _ in range(5):
         g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-        m = (g + g.conj().T) / 2
-        vals, vecs = hermitian_eig(m)
-        assert np.all(np.diff(vals) >= 0)
-        assert abs(vals.sum() - np.trace(m).real) < 1e-10
-        assert np.linalg.norm(vecs.conj().T @ vecs - np.eye(dim)) < 1e-12
-        rebuilt = vecs @ np.diag(vals) @ vecs.conj().T
-        assert np.linalg.norm(m - rebuilt) < 1e-10
-        assert np.allclose(hermitian_eig(rebuilt).eigenvalues, vals, atol=1e-10)
-
-
-def test_hermitian_eig_errors():
-    with pytest.raises(NotSquare):
-        hermitian_eig(np.zeros((2, 3)))
-    with pytest.raises(NotHermitian):
-        hermitian_eig(np.array([[0, 1], [0, 0]], dtype=complex))
-
-
-def test_frobenius_distance():
-    assert frobenius_distance(sigma0, sigma0) == 0
-    assert abs(frobenius_distance(sigma3, -sigma3) - 2 * np.sqrt(2)) < 1e-15
-    rng = np.random.default_rng(3)
-    for _ in range(10):
-        a, b, c = (random_density_matrix(rng, 4) for _ in range(3))
-        assert frobenius_distance(a, b) == frobenius_distance(b, a)
-        assert frobenius_distance(a, c) <= (
-            frobenius_distance(a, b) + frobenius_distance(b, c) + 1e-14
-        )
-    with pytest.raises(DimensionMismatch):
-        frobenius_distance(sigma0, np.eye(3))
-
-
-def test_trace():
-    assert trace(np.eye(4)) == 4
-    assert trace(sigma1) == 0
-    with pytest.raises(NotSquare):
-        trace(np.zeros((2, 3)))
+        u, _ = np.linalg.qr(g)
+        vals = rng.standard_normal(dim)
+        m = u @ np.diag(vals) @ u.conj().T
+        assert abs(min_eigenvalue(m) - vals.min()) < 1e-12
 
 
 def test_nonfinite_entries_rejected():

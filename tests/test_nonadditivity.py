@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from choilab import nonadditivity
+from choilab import entanglement, nonadditivity
 from choilab.channels import completeness_defect, verify_cptp
 from choilab.errors import DimensionMismatch
 from choilab.linalg import identity
@@ -189,6 +189,22 @@ class TestReports:
         # a second report builds its own channels: nothing is cached
         full_report()
         assert len(calls) == 6
+
+    def test_each_pt_fact_solved_once_per_report(self, monkeypatch):
+        calls = []
+        check = nonadditivity.ppt_check
+
+        def counting(state, cut, *rest, **kw):
+            calls.append(cut)
+            return check(state, cut, *rest, **kw)
+
+        for module in (entanglement, nonadditivity):
+            monkeypatch.setattr(module, "ppt_check", counting)
+        rep = full_report()
+        # the wrong-state control reuses the pt-mix-B eigensolve
+        assert len(calls) == 11
+        control = rep.entry("pt-control-wrong-state")
+        assert control.computed == rep.entry("pt-mix-B").computed.split(";")[0]
 
     def test_reports_accept_a_shared_scenario(self):
         scenario = nonadditivity.build_scenario()
