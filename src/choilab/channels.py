@@ -16,7 +16,7 @@ operator basis, never Kraus-list equality (gauge freedom).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -80,6 +80,8 @@ class CptpReport:
     choi_min_eigenvalue: float
     passed: bool
     reasons: tuple[str, ...]
+    # the unit-trace Choi matrix that was checked, (reference, output) order
+    choi_matrix: np.ndarray = field(compare=False, repr=False)
 
 
 def completeness_defect(ch: KrausChannel) -> float:
@@ -109,7 +111,8 @@ def verify_cptp(
     guards data loaded through the codec.
     """
     defect = completeness_defect(ch)
-    choi_min = float(np.linalg.eigvalsh(_choi_matrix(ch))[0])
+    e = _choi_matrix(ch)
+    choi_min = linalg.min_eigenvalue(e)
     reasons = []
     if defect > defect_tol:
         reasons.append(f"completeness defect {defect:.3e} exceeds {defect_tol:.1e}")
@@ -120,6 +123,7 @@ def verify_cptp(
         choi_min_eigenvalue=choi_min,
         passed=not reasons,
         reasons=tuple(reasons),
+        choi_matrix=e,
     )
 
 

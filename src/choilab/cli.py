@@ -36,7 +36,7 @@ from .entanglement import (
     ppt_check,
 )
 from .errors import ChoilabError, ParseError
-from .linalg import PSD_THRESHOLD
+from .linalg import PSD_THRESHOLD, min_eigenvalue
 from .nonadditivity import full_report
 from .states import TRACE_TOL, PartySystem
 
@@ -120,7 +120,7 @@ def _cmd_choi(args) -> int:
         state = choi(ch, reference=reference, order=order)
     else:
         state = choi(ch)
-    low = float(np.linalg.eigvalsh(state.matrix)[0])
+    low = min_eigenvalue(state.matrix)
     tr = float(np.real(np.trace(state.matrix)))
     entries = [
         {
@@ -205,7 +205,7 @@ def _cmd_classify(args) -> int:
         }
         text = f"{cut.describe(sys_):<18} eigensolver {row['eigensolver']}"
         if ghz_diagonal:
-            crit = "NPT" if npt_criterion(coeffs, cut) else "PPT"
+            crit = "NPT" if npt_criterion(coeffs, cut, threshold=-args.tolerance) else "PPT"
             row["criterion"] = crit
             text += f", criterion {crit}"
             if crit != row["eigensolver"]:
@@ -214,7 +214,7 @@ def _cmd_classify(args) -> int:
         entries.append(row)
     if ghz_diagonal:
         for one, two in _parse_pairs(args.pair, sys_):
-            verdict = pairwise_distillability(coeffs, one, two)
+            verdict = pairwise_distillability(coeffs, one, two, threshold=-args.tolerance)
             entries.append(
                 {
                     "id": f"distill-{','.join(one)}-vs-{','.join(two)}",
@@ -241,8 +241,8 @@ def _cmd_mix(args) -> int:
     parts = [choi(ch) for ch in channels]
     w = weights if weights else [1 / len(channels)] * len(channels)
     combo = sum(x * p.matrix for x, p in zip(w, parts))
-    linearity = float(np.linalg.norm(choi(mixed).matrix - combo))
     rep = verify_cptp(mixed, psd_threshold=-args.tolerance)
+    linearity = float(np.linalg.norm(rep.choi_matrix - combo))
     entries = [
         {
             "id": "mix-choi-linearity",

@@ -25,28 +25,23 @@ def encode_matrix(m: np.ndarray) -> list[list[list[float]]]:
 
 
 def decode_matrix(obj: Any, what: str = "matrix") -> np.ndarray:
-    if not isinstance(obj, list) or not obj:
-        raise ParseError(f"{what}: expected a nonempty array of rows")
-    rows = []
-    width = None
-    for row in obj:
-        if not isinstance(row, list):
-            raise ParseError(f"{what}: each row must be an array")
-        if width is None:
-            width = len(row)
-        elif len(row) != width:
-            raise ParseError(f"{what}: ragged rows")
-        entries = []
-        for cell in row:
-            if (
-                not isinstance(cell, list)
-                or len(cell) != 2
-                or not all(isinstance(x, (int, float)) for x in cell)
-            ):
-                raise ParseError(f"{what}: entries must be [re, im] pairs")
-            entries.append(complex(cell[0], cell[1]))
-        rows.append(entries)
-    return np.array(rows, dtype=np.complex128)
+    """A nonempty rows x cols array of [re, im] number pairs, decoded bit-exactly.
+
+    JSON numbers arrive as Python ints, floats and bools; numpy reads them
+    in one pass, and any array that is not numeric with shape
+    (rows, cols, 2) (ragged rows, strings, null, a cell that is not a
+    pair) is rejected.
+    """
+    try:
+        arr = np.array(obj)
+    except ValueError:  # ragged or mixed-depth nesting
+        arr = None
+    if arr is None or arr.dtype.kind not in "biuf" or arr.ndim != 3 or arr.shape[2] != 2:
+        raise ParseError(f"{what}: expected a nonempty array of rows of [re, im] number pairs")
+    m = np.empty(arr.shape[:2], dtype=np.complex128)
+    m.real = arr[..., 0]
+    m.imag = arr[..., 1]
+    return m
 
 
 def _decode_system(obj: Any, what: str) -> PartySystem:

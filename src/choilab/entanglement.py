@@ -50,7 +50,6 @@ from .states import (
 )
 
 GHZ_RESIDUAL_TOL = 1e-8
-NPT_MARGIN = 1e-12
 ASYMMETRY_TOL = 1e-10
 BRANCH_DISTINCT_TOL = 1e-9
 BRANCH_NORM_TOL = 1e-6
@@ -72,8 +71,7 @@ def ppt_check(
     threshold: float = linalg.PSD_THRESHOLD,
 ) -> PtVerdict:
     """Eigensolver route: minimum eigenvalue of the partial transpose."""
-    pt = partial_transpose(state, cut)
-    low = float(np.linalg.eigvalsh(pt)[0])
+    low = linalg.min_eigenvalue(partial_transpose(state, cut))
     return PtVerdict(cut=cut, min_eigenvalue=low, is_ppt=low >= threshold)
 
 
@@ -174,11 +172,18 @@ def ghz_diagonal_coefficients(state: MultipartiteState) -> GhzDiagonalCoefficien
     )
 
 
-def npt_criterion(coeffs: GhzDiagonalCoefficients, cut: BipartiteCut) -> bool:
-    """Coefficient route: the cut is NPT iff 2*lambda_j < delta (strictly).
+def npt_criterion(
+    coeffs: GhzDiagonalCoefficients,
+    cut: BipartiteCut,
+    threshold: float = linalg.PSD_THRESHOLD,
+) -> bool:
+    """Coefficient route: the cut is NPT iff lambda_j - delta/2 < threshold.
 
-    Equality sits on the PPT side, matching the exact boundary cases of the
-    class; requires the state to actually be GHZ-diagonal.
+    lambda_j - delta/2 is the smallest eigenvalue of the partial transpose
+    across the cut, so with the eigensolver's threshold the two routes
+    read the same number against the same bound; equality, and the exact
+    boundary cases of the class, sit on the PPT side.  Requires the state
+    to actually be GHZ-diagonal.
     """
     if coeffs.offdiagonal_residual > GHZ_RESIDUAL_TOL:
         raise NotGhzDiagonal(
@@ -186,7 +191,7 @@ def npt_criterion(coeffs: GhzDiagonalCoefficients, cut: BipartiteCut) -> bool:
             f"{GHZ_RESIDUAL_TOL:.1e}"
         )
     j = cut_to_index(cut, coeffs.system)
-    return 2 * coeffs.lambdas[j] < coeffs.delta - NPT_MARGIN
+    return coeffs.lambdas[j] - coeffs.delta / 2 < threshold
 
 
 @dataclass(frozen=True)
@@ -202,11 +207,13 @@ def pairwise_distillability(
     coeffs: GhzDiagonalCoefficients,
     group_one,
     group_two,
+    threshold: float = linalg.PSD_THRESHOLD,
 ) -> DistillabilityVerdict:
     """Class rule: distillable between the groups iff every separating cut is NPT.
 
     Enumerates all bipartitions placing the two groups on opposite sides
-    (remaining parties free); any PPT cut among them blocks distillation.
+    (remaining parties free); any PPT cut among them, by npt_criterion at
+    ``threshold``, blocks distillation.
     """
     sys = coeffs.system
     g1 = sys.require(group_one)
@@ -221,7 +228,7 @@ def pairwise_distillability(
         side = set(g1) | {l for l, a in zip(free, assign) if a}
         cuts.append(BipartiteCut.from_side(sys, side))
     cuts.sort(key=lambda c: cut_to_index(c, sys))
-    blocking = tuple(c for c in cuts if not npt_criterion(coeffs, c))
+    blocking = tuple(c for c in cuts if not npt_criterion(coeffs, c, threshold))
     return DistillabilityVerdict(
         group_one=g1,
         group_two=g2,

@@ -5,6 +5,25 @@ from choilab.entanglement import all_cut_indices
 from choilab.states import MultipartiteState, PartySystem, ghz_basis_state
 
 
+# Matrix fields that the codec rejects with ParseError.
+REJECTED_MATRICES = {
+    "string": [[["1", 0]]],
+    "null-cell": [[[None, 0]]],
+    "null-matrix": None,
+    "row-not-array": [[[1, 0]], 5],
+    "ragged-rows": [[[1, 0], [0, 0]], [[0, 0]]],
+    "re-only-cells": [[[1.0]]],
+    "triple-cells": [[[1.0, 0.0, 0.0]]],
+    "depth-4": [[[[1, 0], [0, 0]]]],
+    "empty-row": [[]],
+    "empty": [],
+    "object": {"re": 1, "im": 0},
+    "number": 1.0,
+    "cell-not-pair": [[1, 0]],
+    "mixed-cell-depth": [[[1, 0], [[1], 0]]],
+}
+
+
 def random_density_matrix(rng: np.random.Generator, dim: int) -> np.ndarray:
     g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     m = g @ g.conj().T

@@ -3,12 +3,20 @@ import json
 import numpy as np
 import pytest
 
+from choilab import channels
 from choilab.cli import main
-from choilab.codec import channel_from_dict, dumps, loads, state_from_dict, state_to_dict
-from choilab.nonadditivity import choi_closed_form, swap_image
-from choilab.states import MultipartiteState, PartySystem
+from choilab.codec import (
+    channel_from_dict,
+    channel_to_dict,
+    dumps,
+    loads,
+    state_from_dict,
+    state_to_dict,
+)
+from choilab.nonadditivity import binding_channel, choi_closed_form, swap_image
+from choilab.states import MultipartiteState, PartySystem, ghz_basis_state
 
-from conftest import random_state
+from conftest import REJECTED_MATRICES, random_state
 
 
 def run(capsys, *argv):
@@ -177,6 +185,73 @@ class TestClassify:
         assert code == 2
 
 
+def near_boundary_state() -> MultipartiteState:
+    """3-qubit GHZ-diagonal state with delta = 0.3 and 2*lambda_01 = delta - 1e-10.
+
+    The partial transpose across B | A,C (cut 01) has the smallest
+    eigenvalue lambda_01 - delta/2 = -5e-11, just inside the default
+    threshold -1e-9; the other two cuts are clearly NPT.
+    """
+    system = PartySystem(("A", "B", "C"), (2, 2, 2))
+    delta = 0.3
+    lam = {"01": (delta - 1e-10) / 2, "10": 0.05, "11": 0.05}
+    rest = 1 - 2 * sum(lam.values())
+    weights = {("00", 1): (rest + delta) / 2, ("00", -1): (rest - delta) / 2}
+    for j, value in lam.items():
+        weights[(j, 1)] = weights[(j, -1)] = value
+    m = np.zeros((8, 8), dtype=complex)
+    for (j, sign), w in weights.items():
+        v = ghz_basis_state(system, j, sign).vector
+        m += w * np.outer(v, v.conj())
+    return MultipartiteState(system, m)
+
+
+class TestClassifyNearBoundary:
+    """The eigensolver and the coefficient criterion read one threshold."""
+
+    def _rows(self, tmp_path, capsys, *flags):
+        path = tmp_path / "boundary.json"
+        path.write_text(dumps(state_to_dict(near_boundary_state())))
+        code, out, _ = run(capsys, "--format", "json", *flags, "classify", str(path))
+        return code, {e["id"]: e for e in json.loads(out)["entries"]}
+
+    def test_default_threshold_both_routes_ppt(self, tmp_path, capsys):
+        code, rows = self._rows(tmp_path, capsys)
+        assert code == 0
+        assert all(r["status"] != "fail" for r in rows.values())
+        cut = rows["cut-01"]
+        assert cut["cut"] == "B | A,C"
+        assert (cut["eigensolver"], cut["criterion"]) == ("PPT", "PPT")
+        assert abs(cut["min_eigenvalue"] + 5e-11) < 1e-15
+        # the blocking cut is named from the first group's side
+        assert rows["distill-A-vs-B"]["computed"] == "A vs B: not distillable (blocking: A,C | B)"
+        assert rows["distill-B-vs-C"]["computed"] == "B vs C: not distillable (blocking: B | A,C)"
+        assert rows["distill-A-vs-C"]["distillable"] is True
+
+    def test_tolerance_flag_moves_both_routes(self, tmp_path, capsys):
+        code, rows = self._rows(tmp_path, capsys, "--tolerance", "1e-11")
+        assert code == 0
+        assert (rows["cut-01"]["eigensolver"], rows["cut-01"]["criterion"]) == ("NPT", "NPT")
+        assert all(rows[f"distill-{p}"]["distillable"] for p in ("A-vs-B", "A-vs-C", "B-vs-C"))
+
+
+class TestBadMatrixFiles:
+    @pytest.mark.parametrize("name", sorted(REJECTED_MATRICES))
+    def test_usage_error_without_traceback(self, tmp_path, capsys, name):
+        bad = REJECTED_MATRICES[name]
+        state = tmp_path / "state.json"
+        state.write_text(json.dumps({"labels": ["A"], "dims": [2], "matrix": bad}))
+        doc = channel_to_dict(binding_channel(1))
+        doc["kraus"][0] = bad
+        channel = tmp_path / "channel.json"
+        channel.write_text(json.dumps(doc))
+        for argv in (["classify", str(state)], ["verify", str(channel)]):
+            code, out, err = run(capsys, *argv)
+            assert code == 2
+            assert out == ""
+            assert err.startswith("error:") and "Traceback" not in err
+
+
 class TestMix:
     def test_uniform_mixture_matches_closed_form(self, fixture_dir, tmp_path, capsys):
         mixed_path = tmp_path / "mixed.json"
@@ -221,6 +296,20 @@ class TestMix:
         copy = channel_from_dict(loads(out_path.read_text()))
         rho = np.eye(4, dtype=complex) / 4
         assert np.linalg.norm(apply_matrix(original, rho) - apply_matrix(copy, rho)) < 1e-14
+
+    def test_mixture_choi_matrix_built_once(self, fixture_dir, capsys, monkeypatch):
+        # one build per part, one for the mixture (its linearity and CPTP checks share it)
+        built = []
+        original = channels._choi_matrix
+
+        def counting(ch):
+            built.append(ch.name)
+            return original(ch)
+
+        monkeypatch.setattr(channels, "_choi_matrix", counting)
+        code, _, _ = run(capsys, "mix", *(str(fixture_dir / f"e{a}.json") for a in (1, 2, 3)))
+        assert code == 0
+        assert len(built) == 4
 
     def test_bad_weights(self, fixture_dir, capsys):
         code, _, err = run(

@@ -6,6 +6,7 @@ import pytest
 from choilab.codec import (
     channel_from_dict,
     channel_to_dict,
+    decode_matrix,
     dumps,
     loads,
     report_to_dict,
@@ -15,7 +16,7 @@ from choilab.codec import (
 from choilab.errors import ParseError
 from choilab.nonadditivity import binding_channel, choi_state, full_report
 
-from conftest import random_state
+from conftest import REJECTED_MATRICES, random_state
 
 
 def test_state_roundtrip_bit_exact(four_qubits):
@@ -107,3 +108,63 @@ def test_channel_parse_errors():
 def test_loads_rejects_bad_json():
     with pytest.raises(ParseError):
         loads("not json at all {{{")
+
+
+# Accepted: numbers (ints, bools, floats, mixed) in [re, im] pairs, decoded
+# bit-exactly.  The rejected fields (conftest.REJECTED_MATRICES) are shared
+# with the CLI tests.
+ACCEPTED_MATRICES = {
+    "ints": [[[1, 0], [0, 2]], [[0, -2], [3, 0]]],
+    "bools": [[[True, False]], [[False, True]]],
+    "ints-and-floats": [[[1, 0.5], [-2, 0.0]], [[0.25, -1], [7, 3]]],
+    "bools-and-ints": [[[True, 2]]],
+    "signed-zeros": [[[-0.0, 0.0], [0.0, -0.0]], [[-0.0, -0.0], [0, 0]]],
+    "subnormals": [[[5e-324, -5e-324], [2.225e-308, 1e-310]]],
+    "wide-int": [[[2**53 + 1, 0.5]]],
+}
+
+
+def _bits(m: np.ndarray) -> np.ndarray:
+    return np.ascontiguousarray(m).view(np.uint64)
+
+
+@pytest.mark.parametrize("name", sorted(ACCEPTED_MATRICES))
+def test_decode_matrix_accepts_numbers_bit_exactly(name):
+    obj = ACCEPTED_MATRICES[name]
+    got = decode_matrix(obj)
+    want = np.array([[complex(re, im) for re, im in row] for row in obj], dtype=np.complex128)
+    assert got.dtype == np.complex128
+    assert got.shape == want.shape
+    assert np.array_equal(_bits(got), _bits(want))
+
+
+def test_decode_matrix_keeps_signed_zeros():
+    got = decode_matrix(ACCEPTED_MATRICES["signed-zeros"])
+    assert np.signbit(got.real).tolist() == [[True, False], [True, False]]
+    assert np.signbit(got.imag).tolist() == [[False, True], [True, False]]
+
+
+@pytest.mark.parametrize("name", sorted(REJECTED_MATRICES))
+def test_bad_matrix_is_parse_error(name):
+    obj = REJECTED_MATRICES[name]
+    if name != "empty-row":  # the per-cell loop let [[]] through to the state check
+        with pytest.raises(ParseError):
+            decode_matrix(obj)
+    with pytest.raises(ParseError):
+        state_from_dict({"labels": ["A"], "dims": [2], "matrix": obj})
+    doc = channel_to_dict(binding_channel(1))
+    doc["kraus"][0] = obj
+    with pytest.raises(ParseError):
+        channel_from_dict(doc)
+
+
+def test_numeric_files_accepted():
+    # a qubit |0><0| written with ints and with bools
+    for zero, one in ((0, 1), (False, True)):
+        doc = {
+            "labels": ["A"],
+            "dims": [2],
+            "matrix": [[[one, zero], [zero, zero]], [[zero, zero], [zero, zero]]],
+        }
+        state = state_from_dict(doc)
+        assert np.array_equal(state.matrix, np.diag([1, 0]).astype(np.complex128))

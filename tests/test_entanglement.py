@@ -33,6 +33,7 @@ from choilab.states import (
     PureState,
     ghz_basis_state,
     max_entangled,
+    partial_transpose,
 )
 
 from conftest import random_density_matrix, random_ghz_diagonal_state, random_state
@@ -80,6 +81,24 @@ class TestPptCheck:
                 a = ppt_check(rho, cut).min_eigenvalue
                 b = ppt_check(rho, flipped).min_eigenvalue
                 assert abs(a - b) < 1e-10
+
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 6, 7])
+    @pytest.mark.parametrize("symmetric", [True, False])
+    def test_ghz_diagonal_matches_dense_eigvalsh(self, n, symmetric):
+        # GHZ-diagonal partial transposes are X-shaped, so ppt_check solves
+        # them block by block; the dense solver is the oracle
+        rng = np.random.default_rng(100 * n + symmetric)
+        system = qubits(*(f"Q{i}" for i in range(n)))
+        rho = random_ghz_diagonal_state(rng, system, symmetric=symmetric)
+        d = system.total_dim
+        for j in all_cut_indices(n):
+            cut = index_to_cut(j, system)
+            pt = partial_transpose(rho, cut)
+            on_x = np.count_nonzero(pt.diagonal()) + np.count_nonzero(np.fliplr(pt).diagonal())
+            assert np.count_nonzero(pt) == on_x and d % 2 == 0
+            dense = float(np.linalg.eigvalsh(pt)[0])
+            assert abs(ppt_check(rho, cut).min_eigenvalue - dense) <= 1e-12
 
 
 class TestTwoQubitSeparability:

@@ -1,8 +1,10 @@
 """Import direction: the bottom layer (linalg) needs only errors, and the codec
-loads states and channels without the report layer (nonadditivity)."""
+loads states and channels without the report layer (nonadditivity).  The
+smallest eigenvalue has one path, linalg.min_eigenvalue."""
 
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -44,3 +46,13 @@ def test_public_names_load_on_first_use():
         value = getattr(choilab, name)
         assert name == "__version__" or value.__module__.startswith("choilab.")
     assert not hasattr(choilab, "no_such_name")
+
+
+def test_only_linalg_calls_eigvalsh():
+    package = Path(choilab.__file__).resolve().parent
+    callers = [
+        path.name
+        for path in sorted(package.glob("*.py"))
+        if re.search(r"\beigvalsh\s*\(", path.read_text(encoding="utf-8"))
+    ]
+    assert callers == ["linalg.py"]

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from choilab import linalg
 from choilab.errors import DimensionMismatch
@@ -47,3 +49,81 @@ def test_nonfinite_entries_rejected():
         linalg.as_matrix([[np.nan, 0], [0, 1]])
     with pytest.raises(DimensionMismatch):
         linalg.as_matrix([[np.inf * 1j, 0], [0, 1]])
+
+
+def x_shaped(rng: np.random.Generator, d: int) -> np.ndarray:
+    """Random Hermitian matrix supported on the diagonal and the anti-diagonal.
+
+    Each 2x2 block on (x, d-1-x) is drawn as a generic block, a zero block,
+    a multiple of the identity (a repeated eigenvalue) or an integer rank-1
+    block (an exact zero eigenvalue).
+    """
+    m = np.zeros((d, d), dtype=np.complex128)
+    for x in range(d // 2):
+        y = d - 1 - x
+        kind = rng.integers(4)
+        if kind == 0:
+            p, r = rng.standard_normal(2)
+            q = complex(*rng.standard_normal(2))
+        elif kind == 1:
+            p = r = q = 0
+        elif kind == 2:
+            p = r = rng.standard_normal()
+            q = 0
+        else:
+            a, b = rng.integers(-3, 4, size=2)
+            p, r, q = a * a, b * b, complex(b * a)
+        m[x, x], m[y, y], m[y, x], m[x, y] = p, r, q, np.conj(q)
+    return m
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(half=st.integers(1, 128), seed=st.integers(0, 2**32 - 1))
+def test_min_eigenvalue_x_shaped_matches_dense(half, seed):
+    m = x_shaped(np.random.default_rng(seed), 2 * half)
+    dense = float(np.linalg.eigvalsh(m)[0])
+    assert abs(min_eigenvalue(m) - dense) <= 1e-12 * np.linalg.norm(m)
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(
+    half=st.integers(2, 64),
+    seed=st.integers(0, 2**32 - 1),
+    value=st.sampled_from((1e-300, 1e-12, 0.5, 1e300)),
+    mirrored=st.booleans(),
+)
+def test_min_eigenvalue_one_off_x_entry_is_dense(half, seed, value, mirrored):
+    # negative control: one entry off the X sends the matrix to eigvalsh, bit for bit
+    rng = np.random.default_rng(seed)
+    d = 2 * half
+    m = x_shaped(rng, d)
+    while True:
+        i, j = (int(v) for v in rng.integers(d, size=2))
+        if i > j and i + j != d - 1:
+            break
+    m[i, j] = value
+    if mirrored:
+        m[j, i] = value
+    assert min_eigenvalue(m) == float(np.linalg.eigvalsh(m)[0])
+
+
+@pytest.mark.parametrize("d", [1, 3, 5, 9])
+def test_min_eigenvalue_odd_dimension_is_dense(d):
+    # X-shaped with positive 2x2 blocks around a zero centre: the centre is
+    # the 1x1 block that pairs with itself, and the smallest eigenvalue is 0
+    rng = np.random.default_rng(d)
+    m = np.diag(1 + rng.random(d)).astype(np.complex128)
+    m[d // 2, d // 2] = 0
+    for x in range(d // 2):
+        m[d - 1 - x, x] = m[x, d - 1 - x] = 0.25
+    assert min_eigenvalue(m) == float(np.linalg.eigvalsh(m)[0])
+
+
+def test_x_shaped_takes_no_dense_solve(monkeypatch):
+    def refuse(m):
+        raise AssertionError("dense eigvalsh called on an X-shaped matrix")
+
+    m = x_shaped(np.random.default_rng(5), 256)
+    want = float(np.linalg.eigvalsh(m)[0])
+    monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+    assert abs(min_eigenvalue(m) - want) <= 1e-12 * np.linalg.norm(m)
