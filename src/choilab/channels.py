@@ -40,6 +40,8 @@ from .states import (
 COMPLETENESS_TOL = 1e-10
 # |choi(mix(E_k, w_k)) - sum_k w_k choi(E_k)|, checked by the `mix` command.
 MIX_LINEARITY_TOL = 1e-12
+# |sum of mix weights - 1| allowed by `mix`.
+WEIGHT_SUM_TOL = 1e-12
 CHOI_RANK_CUTOFF = 1e-11
 REF_MARGINAL_TOL = 1e-8
 
@@ -100,12 +102,8 @@ def _choi_matrix(ch: KrausChannel) -> np.ndarray:
     return e / d
 
 
-def verify_cptp(
-    ch: KrausChannel,
-    defect_tol: float = COMPLETENESS_TOL,
-    psd_threshold: float = linalg.PSD_THRESHOLD,
-) -> CptpReport:
-    """Report trace preservation and Choi positivity.
+def verify_cptp(ch: KrausChannel, psd_threshold: float = linalg.PSD_THRESHOLD) -> CptpReport:
+    """Report trace preservation (within COMPLETENESS_TOL) and Choi positivity.
 
     Complete positivity is automatic for genuine Kraus lists; the Choi check
     guards data loaded through the codec.
@@ -114,8 +112,8 @@ def verify_cptp(
     e = _choi_matrix(ch)
     choi_min = linalg.min_eigenvalue(e)
     reasons = []
-    if defect > defect_tol:
-        reasons.append(f"completeness defect {defect:.3e} exceeds {defect_tol:.1e}")
+    if defect > COMPLETENESS_TOL:
+        reasons.append(f"completeness defect {defect:.3e} exceeds {COMPLETENESS_TOL:.1e}")
     if choi_min < psd_threshold:
         reasons.append(f"Choi min eigenvalue {choi_min:.3e} below {psd_threshold:.1e}")
     return CptpReport(
@@ -224,7 +222,7 @@ def mix(
     w = [float(x) for x in weights]
     if any(x < 0 for x in w):
         raise BadWeights(f"negative weight in {w}")
-    if abs(sum(w) - 1.0) > 1e-12:
+    if abs(sum(w) - 1.0) > WEIGHT_SUM_TOL:
         raise BadWeights(f"weights sum to {sum(w)!r}, expected 1")
     ops = []
     for ch, x in zip(channels, w):
@@ -263,16 +261,14 @@ def kraus_from_choi(
     choi_state: MultipartiteState,
     reference: Sequence[str],
     outputs: Sequence[str],
-    name: str | None = None,
-    input_system: PartySystem | None = None,
-    rank_cutoff: float = CHOI_RANK_CUTOFF,
 ) -> KrausChannel:
     """Recover a Kraus representation from a Choi state.
 
     ``reference`` / ``outputs`` split the Choi parties; the reference
+    parties become the input system of the channel "from_choi", and their
     marginal must be maximally mixed (trace-preserving case).  Kraus
     operators come from the scaled eigenvectors of the Choi matrix;
-    eigenvalues below ``rank_cutoff`` are dropped.
+    eigenvalues at most CHOI_RANK_CUTOFF are dropped.
     """
     sys = choi_state.system
     ref = tuple(reference)
@@ -292,10 +288,9 @@ def kraus_from_choi(
         raise NotTracePreserving("reference marginal of the Choi state is not maximally mixed")
     ops = []
     for val, vec in zip(vals, vecs.T):
-        if val <= rank_cutoff:
+        if val <= CHOI_RANK_CUTOFF:
             continue
         ops.append(math.sqrt(val * d_ref) * vec.reshape(d_ref, d_out).T)
-    if input_system is None:
-        input_system = PartySystem(ref, tuple(sys.dim_of(l) for l in ref))
+    input_system = PartySystem(ref, tuple(sys.dim_of(l) for l in ref))
     output_system = PartySystem(out, tuple(sys.dim_of(l) for l in out))
-    return KrausChannel(name or "from_choi", input_system, output_system, tuple(ops))
+    return KrausChannel("from_choi", input_system, output_system, tuple(ops))

@@ -27,8 +27,8 @@ from .codec import (
     state_to_dict,
 )
 from .entanglement import (
-    GHZ_RESIDUAL_TOL,
     all_cut_indices,
+    disjoint_groups,
     ghz_diagonal_coefficients,
     index_to_cut,
     npt_criterion,
@@ -138,6 +138,10 @@ def _cmd_choi(args) -> int:
 
 
 def _parse_pairs(specs, system) -> list[tuple[tuple[str, ...], tuple[str, ...]]]:
+    """The --pair group pairs, each checked against the system and listed once.
+
+    With no --pair, every pair of single parties.
+    """
     pairs = []
     if specs:
         for spec in specs:
@@ -145,15 +149,18 @@ def _parse_pairs(specs, system) -> list[tuple[tuple[str, ...], tuple[str, ...]]]
                 one, two = spec.split(":")
             except ValueError:
                 raise ParseError(f"--pair must look like L1,L2:L3 (got {spec!r})") from None
-            pairs.append(
-                (tuple(s.strip() for s in one.split(",")), tuple(s.strip() for s in two.split(",")))
+            pair = (
+                tuple(s.strip() for s in one.split(",")),
+                tuple(s.strip() for s in two.split(",")),
             )
+            disjoint_groups(system, *pair)
+            pairs.append(pair)
     else:
         labels = system.labels
         for i, a in enumerate(labels):
             for b in labels[i + 1 :]:
                 pairs.append(((a,), (b,)))
-    return pairs
+    return list(dict.fromkeys(pairs))
 
 
 def _cmd_classify(args) -> int:
@@ -161,9 +168,10 @@ def _cmd_classify(args) -> int:
     sys_ = state.system
     if not sys_.is_qubits():
         raise ParseError(f"classify needs a qubit system, got dims {sys_.dims}")
+    pairs = _parse_pairs(args.pair, sys_)
     coeffs = ghz_diagonal_coefficients(state)
     entries = []
-    ghz_diagonal = coeffs.offdiagonal_residual <= GHZ_RESIDUAL_TOL
+    ghz_diagonal = coeffs.ghz_diagonal
     entries.append(
         {
             "id": "residual",
@@ -213,7 +221,7 @@ def _cmd_classify(args) -> int:
         row["computed"] = text + f", min eig = {verdict.min_eigenvalue: .6e}"
         entries.append(row)
     if ghz_diagonal:
-        for one, two in _parse_pairs(args.pair, sys_):
+        for one, two in pairs:
             verdict = pairwise_distillability(coeffs, one, two, threshold=-args.tolerance)
             entries.append(
                 {

@@ -12,6 +12,7 @@ from typing import TYPE_CHECKING, Any
 
 import numpy as np
 
+from . import linalg
 from .channels import KrausChannel
 from .errors import ChoilabError, ParseError
 from .states import MultipartiteState, PartySystem
@@ -67,7 +68,7 @@ def state_to_dict(state: MultipartiteState) -> dict:
     }
 
 
-def state_from_dict(obj: Any, psd_threshold: float | None = None) -> MultipartiteState:
+def state_from_dict(obj: Any, psd_threshold: float = linalg.PSD_THRESHOLD) -> MultipartiteState:
     if not isinstance(obj, dict):
         raise ParseError("state: expected a JSON object")
     system = _decode_system({"labels": obj.get("labels"), "dims": obj.get("dims")}, "state")

@@ -95,6 +95,11 @@ class GhzDiagonalCoefficients:
     asymmetry_flag: bool
     offdiagonal_residual: float
 
+    @property
+    def ghz_diagonal(self) -> bool:
+        """Whether the state counts as GHZ-diagonal: residual within GHZ_RESIDUAL_TOL."""
+        return self.offdiagonal_residual <= GHZ_RESIDUAL_TOL
+
 
 def all_cut_indices(num_parties: int) -> tuple[str, ...]:
     """All nonzero (N-1)-bit strings, one per bipartition of N parties."""
@@ -185,7 +190,7 @@ def npt_criterion(
     boundary cases of the class, sit on the PPT side.  Requires the state
     to actually be GHZ-diagonal.
     """
-    if coeffs.offdiagonal_residual > GHZ_RESIDUAL_TOL:
+    if not coeffs.ghz_diagonal:
         raise NotGhzDiagonal(
             f"off-diagonal residual {coeffs.offdiagonal_residual:.3e} exceeds "
             f"{GHZ_RESIDUAL_TOL:.1e}"
@@ -203,6 +208,19 @@ class DistillabilityVerdict:
     blocking_cuts: tuple[BipartiteCut, ...]  # the PPT subset
 
 
+def disjoint_groups(
+    system: PartySystem, group_one, group_two
+) -> tuple[frozenset[str], frozenset[str]]:
+    """The two groups as label sets; each must be nonempty, known and apart from the other."""
+    g1 = system.require(group_one)
+    g2 = system.require(group_two)
+    if g1 & g2:
+        raise OverlappingGroups(f"groups overlap: {sorted(g1 & g2)}")
+    if not g1 or not g2:
+        raise OverlappingGroups("both groups must be nonempty")
+    return g1, g2
+
+
 def pairwise_distillability(
     coeffs: GhzDiagonalCoefficients,
     group_one,
@@ -216,12 +234,7 @@ def pairwise_distillability(
     ``threshold``, blocks distillation.
     """
     sys = coeffs.system
-    g1 = sys.require(group_one)
-    g2 = sys.require(group_two)
-    if g1 & g2:
-        raise OverlappingGroups(f"groups overlap: {sorted(g1 & g2)}")
-    if not g1 or not g2:
-        raise OverlappingGroups("both groups must be nonempty")
+    g1, g2 = disjoint_groups(sys, group_one, group_two)
     free = [l for l in sys.labels if l not in g1 and l not in g2]
     cuts = []
     for assign in itertools.product((0, 1), repeat=len(free)):

@@ -58,7 +58,15 @@ CHOI_SYSTEM = PartySystem(CANONICAL_ORDER, (2, 2, 2, 2))
 SENDER_GROUP = ("A1", "A2")
 
 CHOI_IDENTITY_TOL = 1e-12
+# Size of the error planted in the E1 closed form by the Choi negative control.
+CHOI_CONTROL_ERROR = 1e-6
 BUILD_DEFECT_TOL = 1e-12
+TELEPORT_FIDELITY_TOL = 1e-12
+# A localized pair is balanced and teleports exactly within this: its
+# Schmidt coefficients sit this close to 1/sqrt(2), its fidelity to 1.
+LOCALIZED_PAIR_TOL = 1e-9
+# teleport_fidelity skips Bell outcomes at most this likely.
+BELL_OUTCOME_FLOOR = 1e-15
 
 # Each channel is GHZ-diagonal with exactly one vanished pair weight; the
 # computational-basis projectors removed by its closed form sit at these
@@ -260,48 +268,50 @@ def build_scenario() -> Scenario:
     return Scenario(states=states, coeffs=coeffs)
 
 
+def _choi_distance_claim(
+    claim_id: str, description: str, distance: float, control: bool = False
+) -> ClaimEntry:
+    """A Frobenius distance held within CHOI_IDENTITY_TOL; a control passes above it."""
+    distance = float(distance)
+    near = distance <= CHOI_IDENTITY_TOL
+    return ClaimEntry(
+        claim_id=claim_id,
+        description=description,
+        expected=f"distance {'>' if control else '<='} {CHOI_IDENTITY_TOL:.0e}",
+        computed=f"distance = {distance:.3e}",
+        tolerance=CHOI_IDENTITY_TOL,
+        passed=not near if control else near,
+        control=control,
+    )
+
+
 def reproduce_choi_claims(scenario: Scenario | None = None) -> ReproductionReport:
     """Choi states from the Kraus lists against their closed forms."""
     states = (scenario or build_scenario()).states
     closed = {f"E{a}": choi_closed_form(a) for a in (1, 2, 3)}
     closed["mix"] = choi_closed_form("mix")
-    entries = []
-    for key, reference in closed.items():
-        dist = float(np.linalg.norm(states[key].matrix - reference.matrix))
-        entries.append(
-            ClaimEntry(
-                claim_id=f"choi-{key}",
-                description=f"Choi({key}) matches its closed form",
-                expected=f"distance <= {CHOI_IDENTITY_TOL:.0e}",
-                computed=f"distance = {dist:.3e}",
-                tolerance=CHOI_IDENTITY_TOL,
-                passed=dist <= CHOI_IDENTITY_TOL,
-            )
+    entries = [
+        _choi_distance_claim(
+            f"choi-{key}",
+            f"Choi({key}) matches its closed form",
+            np.linalg.norm(states[key].matrix - reference.matrix),
         )
-    swap_dist = float(
-        np.linalg.norm(states["E3"].matrix - swap_image(closed["E2"]).matrix)
-    )
+        for key, reference in closed.items()
+    ]
     entries.append(
-        ClaimEntry(
-            claim_id="choi-E3-swap",
-            description="Choi(E3) equals the pair-swapped closed form of E2",
-            expected=f"distance <= {CHOI_IDENTITY_TOL:.0e}",
-            computed=f"distance = {swap_dist:.3e}",
-            tolerance=CHOI_IDENTITY_TOL,
-            passed=swap_dist <= CHOI_IDENTITY_TOL,
+        _choi_distance_claim(
+            "choi-E3-swap",
+            "Choi(E3) equals the pair-swapped closed form of E2",
+            np.linalg.norm(states["E3"].matrix - swap_image(closed["E2"]).matrix),
         )
     )
     corrupted = closed["E1"].matrix.copy()
-    corrupted[0, 0] += 1e-6
-    bad_dist = float(np.linalg.norm(states["E1"].matrix - corrupted))
+    corrupted[0, 0] += CHOI_CONTROL_ERROR
     entries.append(
-        ClaimEntry(
-            claim_id="choi-control-perturbed-E1",
-            description="a perturbed closed form must be caught by the distance check",
-            expected=f"distance > {CHOI_IDENTITY_TOL:.0e}",
-            computed=f"distance = {bad_dist:.3e}",
-            tolerance=CHOI_IDENTITY_TOL,
-            passed=bad_dist > CHOI_IDENTITY_TOL,
+        _choi_distance_claim(
+            "choi-control-perturbed-E1",
+            "a perturbed closed form must be caught by the distance check",
+            np.linalg.norm(states["E1"].matrix - corrupted),
             control=True,
         )
     )
@@ -327,6 +337,9 @@ def reproduce_pt_table(scenario: Scenario | None = None) -> ReproductionReport:
     """The seven partial-transpose sign facts, by eigensolver and by criterion."""
     scenario = scenario or build_scenario()
     states, coeffs = scenario.states, scenario.coeffs
+    # both routes decide at linalg.PSD_THRESHOLD; each claim reports that
+    # bound and holds the mixture's NPT eigenvalue to it
+    tol = -linalg.PSD_THRESHOLD
     entries = []
     verdicts = {}
     for key, side, expect_ppt in _PT_FACTS:
@@ -340,14 +353,14 @@ def reproduce_pt_table(scenario: Scenario | None = None) -> ReproductionReport:
             f"criterion {'NPT' if criterion_npt else 'PPT'}"
         )
         if not expect_ppt:
-            ok = ok and abs(verdict.min_eigenvalue - MIX_NPT_EIGENVALUE) <= 1e-9
+            ok = ok and abs(verdict.min_eigenvalue - MIX_NPT_EIGENVALUE) <= tol
         entries.append(
             ClaimEntry(
                 claim_id=f"pt-{key}-{''.join(side)}",
                 description=f"{key} is {'PPT' if expect_ppt else 'NPT'} across {','.join(side)}",
                 expected="PPT (both methods)" if expect_ppt else "NPT = -1/48 (both methods)",
                 computed=computed,
-                tolerance=1e-9,
+                tolerance=tol,
                 passed=ok,
             )
         )
@@ -360,7 +373,7 @@ def reproduce_pt_table(scenario: Scenario | None = None) -> ReproductionReport:
             description="the E1 PPT fact must fail when checked on the mixture",
             expected="NPT detected",
             computed=f"min eig = {wrong.min_eigenvalue: .6e}",
-            tolerance=1e-9,
+            tolerance=tol,
             passed=not wrong.is_ppt,
             control=True,
         )
@@ -477,7 +490,7 @@ def ghz_oneway_example() -> ReproductionReport:
             description="the full state is NPT across A | (B1,B2)",
             expected="NPT",
             computed=f"min eig = {verdict.min_eigenvalue: .6e}",
-            tolerance=1e-9,
+            tolerance=-linalg.PSD_THRESHOLD,
             passed=not verdict.is_ppt,
         )
     )
@@ -486,10 +499,8 @@ def ghz_oneway_example() -> ReproductionReport:
         result.final_state,
         BipartiteCut.from_side(result.final_state.system, [result.sender_kept]),
     )
-    balanced = (
-        sd.rank == 2
-        and abs(float(sd.coefficients[0]) - 1 / math.sqrt(2)) <= 1e-9
-        and abs(float(sd.coefficients[1]) - 1 / math.sqrt(2)) <= 1e-9
+    balanced = sd.rank == 2 and all(
+        abs(float(c) - 1 / math.sqrt(2)) <= LOCALIZED_PAIR_TOL for c in sd.coefficients[:2]
     )
     entries.append(
         ClaimEntry(
@@ -497,7 +508,7 @@ def ghz_oneway_example() -> ReproductionReport:
             description="localization yields a balanced pair on (A, one receiver)",
             expected="coefficients (1/sqrt2, 1/sqrt2)",
             computed=f"pair (A,{result.receiver_kept}), coefficients {sd.coefficients[:2].round(12).tolist()}",
-            tolerance=1e-9,
+            tolerance=LOCALIZED_PAIR_TOL,
             passed=balanced,
         )
     )
@@ -554,12 +565,34 @@ def teleport_fidelity(resource: MultipartiteState, input_state: PureState) -> fl
         proj = np.kron(np.outer(bell, bell.conj()), linalg.identity(2))
         sub = proj @ total @ proj
         prob = float(np.real(np.trace(sub)))
-        if prob <= 1e-15:
+        if prob <= BELL_OUTCOME_FLOOR:
             continue
         out = trace_out_axes(sub, (2, 2, 2), [0, 1]) / prob
         out = corr @ out @ corr.conj().T
         fid += prob * float(np.real(psi.conj() @ out @ psi))
     return fid
+
+
+def _fidelity_claim(
+    claim_id: str,
+    description: str,
+    expected: str,
+    fidelity: float,
+    target: float,
+    tol: float,
+    control: bool = False,
+) -> ClaimEntry:
+    """A fidelity held within tol of its target; a control passes when it is farther."""
+    near = abs(fidelity - target) <= tol
+    return ClaimEntry(
+        claim_id=claim_id,
+        description=description,
+        expected=expected,
+        computed=f"fidelity = {fidelity:.15f}",
+        tolerance=tol,
+        passed=not near if control else near,
+        control=control,
+    )
 
 
 def teleport_report() -> ReproductionReport:
@@ -571,29 +604,8 @@ def teleport_report() -> ReproductionReport:
         PartySystem(("M",), (2,)),
         np.array([math.sqrt(0.3), math.sqrt(0.7) * 1j], dtype=np.complex128),
     )
-    entries = []
     f_ideal = min(teleport_fidelity(plus.density(), zero), teleport_fidelity(plus.density(), tilted))
-    entries.append(
-        ClaimEntry(
-            claim_id="teleport-ideal",
-            description="maximally entangled resource teleports exactly",
-            expected="fidelity 1",
-            computed=f"fidelity = {f_ideal:.15f}",
-            tolerance=1e-12,
-            passed=abs(f_ideal - 1.0) <= 1e-12,
-        )
-    )
     f_mixed = teleport_fidelity(ident, tilted)
-    entries.append(
-        ClaimEntry(
-            claim_id="teleport-useless",
-            description="maximally mixed resource gives fidelity 1/2",
-            expected="fidelity 1/2",
-            computed=f"fidelity = {f_mixed:.15f}",
-            tolerance=1e-12,
-            passed=abs(f_mixed - 0.5) <= 1e-12,
-        )
-    )
     # resource produced by the localization pipeline on a skewed rank-2 state
     skew = PureState(
         GHZ3_SYSTEM,
@@ -607,27 +619,41 @@ def teleport_report() -> ReproductionReport:
         np.outer(localized.final_state.vector, localized.final_state.vector.conj()),
     )
     f_localized = teleport_fidelity(resource, tilted)
-    entries.append(
-        ClaimEntry(
-            claim_id="teleport-localized",
-            description="a localized and filtered pair teleports exactly",
-            expected="fidelity 1",
-            computed=f"fidelity = {f_localized:.15f}",
-            tolerance=1e-9,
-            passed=abs(f_localized - 1.0) <= 1e-9,
-        )
-    )
-    entries.append(
-        ClaimEntry(
-            claim_id="teleport-control-useless-resource",
-            description="the exact-teleportation claim must fail on the mixed resource",
-            expected="fidelity far from 1",
-            computed=f"fidelity = {f_mixed:.15f}",
-            tolerance=1e-12,
-            passed=abs(f_mixed - 1.0) > 1e-12,
+    entries = [
+        _fidelity_claim(
+            "teleport-ideal",
+            "maximally entangled resource teleports exactly",
+            "fidelity 1",
+            f_ideal,
+            1.0,
+            TELEPORT_FIDELITY_TOL,
+        ),
+        _fidelity_claim(
+            "teleport-useless",
+            "maximally mixed resource gives fidelity 1/2",
+            "fidelity 1/2",
+            f_mixed,
+            0.5,
+            TELEPORT_FIDELITY_TOL,
+        ),
+        _fidelity_claim(
+            "teleport-localized",
+            "a localized and filtered pair teleports exactly",
+            "fidelity 1",
+            f_localized,
+            1.0,
+            LOCALIZED_PAIR_TOL,
+        ),
+        _fidelity_claim(
+            "teleport-control-useless-resource",
+            "the exact-teleportation claim must fail on the mixed resource",
+            "fidelity far from 1",
+            f_mixed,
+            1.0,
+            TELEPORT_FIDELITY_TOL,
             control=True,
-        )
-    )
+        ),
+    ]
     return ReproductionReport("teleportation", _sorted(entries))
 
 

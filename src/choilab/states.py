@@ -115,8 +115,17 @@ class BipartiteCut:
             )
 
     def describe(self, system: PartySystem) -> str:
-        one = [l for l in system.labels if l in self.side_one]
-        two = [l for l in system.labels if l in self.side_two]
+        """Both sides in system order, the side holding the first party first.
+
+        The text does not depend on which side is ``side_one``, so one cut
+        reads the same wherever it is reported.
+        """
+        if system.labels[0] in self.side_one:
+            first, second = self.side_one, self.side_two
+        else:
+            first, second = self.side_two, self.side_one
+        one = [l for l in system.labels if l in first]
+        two = [l for l in system.labels if l in second]
         return f"{','.join(one)} | {','.join(two)}"
 
 
@@ -126,7 +135,7 @@ class MultipartiteState:
 
     system: PartySystem
     matrix: np.ndarray
-    psd_threshold: InitVar[float | None] = None
+    psd_threshold: InitVar[float] = linalg.PSD_THRESHOLD
 
     def __post_init__(self, psd_threshold):
         m = self.matrix = linalg.as_matrix(self.matrix)
@@ -139,10 +148,9 @@ class MultipartiteState:
         tr = complex(np.trace(m))
         if abs(tr - 1.0) > TRACE_TOL:
             raise DimensionMismatch(f"trace {tr} is not 1 within {TRACE_TOL}")
-        threshold = linalg.PSD_THRESHOLD if psd_threshold is None else psd_threshold
         low = linalg.min_eigenvalue(m)
-        if low < threshold:
-            raise NotPSD(f"min eigenvalue {low:.3e} below threshold {threshold:.1e}")
+        if low < psd_threshold:
+            raise NotPSD(f"min eigenvalue {low:.3e} below threshold {psd_threshold:.1e}")
 
 
 @dataclass(eq=False)

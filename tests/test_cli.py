@@ -188,7 +188,7 @@ class TestClassify:
 def near_boundary_state() -> MultipartiteState:
     """3-qubit GHZ-diagonal state with delta = 0.3 and 2*lambda_01 = delta - 1e-10.
 
-    The partial transpose across B | A,C (cut 01) has the smallest
+    The partial transpose across A,C | B (cut 01) has the smallest
     eigenvalue lambda_01 - delta/2 = -5e-11, just inside the default
     threshold -1e-9; the other two cuts are clearly NPT.
     """
@@ -220,12 +220,13 @@ class TestClassifyNearBoundary:
         assert code == 0
         assert all(r["status"] != "fail" for r in rows.values())
         cut = rows["cut-01"]
-        assert cut["cut"] == "B | A,C"
+        assert cut["cut"] == "A,C | B"
         assert (cut["eigensolver"], cut["criterion"]) == ("PPT", "PPT")
         assert abs(cut["min_eigenvalue"] + 5e-11) < 1e-15
-        # the blocking cut is named from the first group's side
+        # the cut row and both pair verdicts name the blocking cut one way,
+        # the side holding the first party (A) first
         assert rows["distill-A-vs-B"]["computed"] == "A vs B: not distillable (blocking: A,C | B)"
-        assert rows["distill-B-vs-C"]["computed"] == "B vs C: not distillable (blocking: B | A,C)"
+        assert rows["distill-B-vs-C"]["computed"] == "B vs C: not distillable (blocking: A,C | B)"
         assert rows["distill-A-vs-C"]["distillable"] is True
 
     def test_tolerance_flag_moves_both_routes(self, tmp_path, capsys):
@@ -233,6 +234,37 @@ class TestClassifyNearBoundary:
         assert code == 0
         assert (rows["cut-01"]["eigensolver"], rows["cut-01"]["criterion"]) == ("NPT", "NPT")
         assert all(rows[f"distill-{p}"]["distillable"] for p in ("A-vs-B", "A-vs-C", "B-vs-C"))
+
+
+class TestClassifyPairs:
+    """--pair is checked on every state, GHZ-diagonal or not, and listed once."""
+
+    def _state_file(self, tmp_path, kind):
+        if kind == "ghz-diagonal":
+            state = near_boundary_state()
+        else:
+            system = PartySystem(("A", "B", "C"), (2, 2, 2))
+            state = random_state(np.random.default_rng(33), system)
+        path = tmp_path / f"{kind}.json"
+        path.write_text(dumps(state_to_dict(state)))
+        return path
+
+    @pytest.mark.parametrize("kind", ["ghz-diagonal", "not-ghz-diagonal"])
+    @pytest.mark.parametrize("spec", ["X:B", "A:A", "A-B"])
+    def test_bad_pair_is_usage_error(self, tmp_path, capsys, kind, spec):
+        path = self._state_file(tmp_path, kind)
+        code, out, err = run(capsys, "classify", str(path), "--pair", "A:B", "--pair", spec)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and "Traceback" not in err
+
+    def test_repeated_pair_reported_once(self, tmp_path, capsys):
+        path = self._state_file(tmp_path, "ghz-diagonal")
+        pairs = ["--pair", "A:C", "--pair", "A:B", "--pair", "A:C"]
+        code, out, _ = run(capsys, "--format", "json", "classify", str(path), *pairs)
+        assert code == 0
+        ids = [e["id"] for e in json.loads(out)["entries"] if e["id"].startswith("distill-")]
+        assert ids == ["distill-A-vs-C", "distill-A-vs-B"]
 
 
 class TestBadMatrixFiles:

@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from choilab.entanglement import (
@@ -26,6 +26,7 @@ from choilab.errors import (
     NotSchmidtRank2,
     OverlappingGroups,
 )
+from choilab.linalg import PSD_THRESHOLD
 from choilab.states import (
     BipartiteCut,
     MultipartiteState,
@@ -36,7 +37,12 @@ from choilab.states import (
     partial_transpose,
 )
 
-from conftest import random_density_matrix, random_ghz_diagonal_state, random_state
+from conftest import (
+    ghz_diagonal_state,
+    random_density_matrix,
+    random_ghz_diagonal_state,
+    random_state,
+)
 
 
 def qubits(*labels):
@@ -209,7 +215,7 @@ def dense_ghz_diagonal_coefficients(state: MultipartiteState) -> GhzDiagonalCoef
 
 
 class TestBlockReadAgainstDenseOracle:
-    @settings(max_examples=90, deadline=None, database=None)
+    @settings(max_examples=90)
     @given(
         n=st.integers(1, 6),
         seed=st.integers(0, 2**32 - 1),
@@ -295,6 +301,45 @@ class TestNptCriterion:
                 cut = index_to_cut(j, four_qubits)
                 assert npt_criterion(c, cut) == (not ppt_check(rho, cut).is_ppt)
 
+    @settings(max_examples=60)
+    @given(data=st.data())
+    def test_agrees_with_eigensolver_near_thresholds(self, data):
+        # Symmetric GHZ-diagonal states whose margins lambda_j - delta/2 sit
+        # near 0, near the default threshold and near a second one, each at
+        # least 1e-12 away from both.  Both routes must read the known sign.
+        n = data.draw(st.integers(3, 6), label="n")
+        other = -(10 ** data.draw(st.floats(-8, -4), label="log10(-other)"))
+        thresholds = (PSD_THRESHOLD, other)
+        indices = all_cut_indices(n)
+        delta = data.draw(st.floats(0.2, 0.5), label="delta * cuts") / len(indices)
+        margins = {}
+        for j in indices:
+            anchor = data.draw(st.sampled_from((0.0, *thresholds)), label=f"anchor {j}")
+            sign = data.draw(st.sampled_from((1, -1)), label=f"sign {j}")
+            offset = 10 ** data.draw(st.floats(-11.9, -4), label=f"log10|offset {j}|")
+            margins[j] = anchor + sign * offset
+        assume(all(abs(m - t) >= 1e-12 for m in margins.values() for t in thresholds))
+        lambdas = {j: delta / 2 + m for j, m in margins.items()}
+        rest = 1 - 2 * sum(lambdas.values())
+        zero = "0" * (n - 1)
+        weights = {(zero, 1): (rest + delta) / 2, (zero, -1): (rest - delta) / 2}
+        for j, lam in lambdas.items():
+            weights[j, 1] = weights[j, -1] = lam
+        system = qubits(*(f"Q{i}" for i in range(n)))
+        rho = ghz_diagonal_state(system, weights)
+        c = ghz_diagonal_coefficients(rho)
+        for j in indices:
+            cut = index_to_cut(j, system)
+            for t in thresholds:
+                ppt = margins[j] >= t
+                assert ppt_check(rho, cut, t).is_ppt is ppt, (j, t)
+                assert npt_criterion(c, cut, t) is (not ppt), (j, t)
+
+
+def sides(cut: BipartiteCut) -> set[tuple[frozenset, frozenset]]:
+    """The cut's two orientations, so cuts compare whichever side is side_one."""
+    return {(cut.side_one, cut.side_two), (cut.side_two, cut.side_one)}
+
 
 class TestPairwiseDistillability:
     def test_channel_one_blocked(self, scenario_states, four_qubits):
@@ -312,6 +357,38 @@ class TestPairwiseDistillability:
             assert verdict.distillable
             js = {cut_to_index(s, four_qubits) for s in verdict.separating_cuts}
             assert js == expected_js
+
+    @settings(max_examples=80)
+    @given(
+        n=st.integers(2, 7),
+        seed=st.integers(0, 2**32 - 1),
+        data=st.data(),
+        threshold=st.one_of(st.just(PSD_THRESHOLD), st.floats(-0.05, 0.05)),
+    )
+    def test_matches_brute_force_walk_of_cuts(self, n, seed, data, threshold):
+        # roles: 1 puts a party in group one, 2 in group two, 0 leaves it
+        # free; parties p and q keep both groups nonempty
+        roles = data.draw(st.lists(st.sampled_from((0, 1, 2)), min_size=n, max_size=n))
+        p = data.draw(st.integers(0, n - 1), label="p")
+        q = (p + data.draw(st.integers(1, n - 1), label="q - p")) % n
+        roles[p], roles[q] = 1, 2
+        system = qubits(*(f"Q{i}" for i in range(n)))
+        c = ghz_diagonal_coefficients(
+            random_ghz_diagonal_state(np.random.default_rng(seed), system)
+        )
+        one = tuple(l for l, r in zip(system.labels, roles) if r == 1)
+        two = tuple(l for l, r in zip(system.labels, roles) if r == 2)
+        separating, blocking = [], []
+        for j in all_cut_indices(n):
+            cut = index_to_cut(j, system)
+            if any(set(one) <= a and set(two) <= b for a, b in sides(cut)):
+                separating.append(cut)
+                if c.lambdas[j] - c.delta / 2 >= threshold:
+                    blocking.append(cut)
+        verdict = pairwise_distillability(c, one, two, threshold)
+        assert [sides(x) for x in verdict.separating_cuts] == [sides(x) for x in separating]
+        assert [sides(x) for x in verdict.blocking_cuts] == [sides(x) for x in blocking]
+        assert verdict.distillable is (not blocking)
 
     def test_overlapping_groups(self, scenario_states):
         c = ghz_diagonal_coefficients(scenario_states["E1"])

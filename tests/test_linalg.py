@@ -77,7 +77,7 @@ def x_shaped(rng: np.random.Generator, d: int) -> np.ndarray:
     return m
 
 
-@settings(max_examples=150, deadline=None, database=None)
+@settings(max_examples=150)
 @given(half=st.integers(1, 128), seed=st.integers(0, 2**32 - 1))
 def test_min_eigenvalue_x_shaped_matches_dense(half, seed):
     m = x_shaped(np.random.default_rng(seed), 2 * half)
@@ -85,7 +85,7 @@ def test_min_eigenvalue_x_shaped_matches_dense(half, seed):
     assert abs(min_eigenvalue(m) - dense) <= 1e-12 * np.linalg.norm(m)
 
 
-@settings(max_examples=60, deadline=None, database=None)
+@settings(max_examples=60)
 @given(
     half=st.integers(2, 64),
     seed=st.integers(0, 2**32 - 1),

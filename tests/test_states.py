@@ -66,6 +66,15 @@ class TestCut:
         with pytest.raises(UnknownParty):
             BipartiteCut(frozenset({"A"}), frozenset({"B"})).validate(sys)
 
+    def test_describe_ignores_side_order(self):
+        sys = qubits("A1", "B", "A2", "C")
+        for side in (["B"], ["A1", "A2"], ["A1", "C"], ["B", "A2", "C"]):
+            cut = BipartiteCut.from_side(sys, side)
+            swapped = BipartiteCut(cut.side_two, cut.side_one)
+            assert cut.describe(sys) == swapped.describe(sys)
+            assert cut.describe(sys).startswith("A1")
+        assert BipartiteCut.from_side(sys, ["B"]).describe(sys) == "A1,A2,C | B"
+
 
 class TestBasisProjector:
     def test_corner(self):
