@@ -76,14 +76,18 @@ class KrausChannel:
 
 @dataclass(frozen=True)
 class CptpReport:
-    """Outcome of verify_cptp."""
+    """Outcome of verify_cptp: each rule's number and its verdict."""
 
     trace_preserving_defect: float
+    trace_preserving: bool  # defect <= COMPLETENESS_TOL
     choi_min_eigenvalue: float
-    passed: bool
-    reasons: tuple[str, ...]
+    choi_positive: bool  # min eigenvalue >= the psd_threshold checked against
     # the unit-trace Choi matrix that was checked, (reference, output) order
     choi_matrix: np.ndarray = field(compare=False, repr=False)
+
+    @property
+    def passed(self) -> bool:
+        return self.trace_preserving and self.choi_positive
 
 
 def completeness_defect(ch: KrausChannel) -> float:
@@ -111,16 +115,11 @@ def verify_cptp(ch: KrausChannel, psd_threshold: float = linalg.PSD_THRESHOLD) -
     defect = completeness_defect(ch)
     e = _choi_matrix(ch)
     choi_min = linalg.min_eigenvalue(e)
-    reasons = []
-    if defect > COMPLETENESS_TOL:
-        reasons.append(f"completeness defect {defect:.3e} exceeds {COMPLETENESS_TOL:.1e}")
-    if choi_min < psd_threshold:
-        reasons.append(f"Choi min eigenvalue {choi_min:.3e} below {psd_threshold:.1e}")
     return CptpReport(
         trace_preserving_defect=defect,
+        trace_preserving=defect <= COMPLETENESS_TOL,
         choi_min_eigenvalue=choi_min,
-        passed=not reasons,
-        reasons=tuple(reasons),
+        choi_positive=choi_min >= psd_threshold,
         choi_matrix=e,
     )
 

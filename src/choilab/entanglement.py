@@ -14,6 +14,13 @@ across every cut separating two groups is sufficient for distilling
 entanglement between them.  Outside the class only partial-transpose
 facts are reported, never verdicts.
 
+The partial-transpose route (ppt_check) never builds a partial transpose
+of an X-shaped state, GHZ-diagonal ones included: each cut's spectrum is
+read in O(2^N) from the state's diagonal and its permuted anti-diagonal.
+A pair verdict picks its separating cuts by bit masks, in cut-index
+order, and reads each one by the same lambda_j - delta/2 rule as
+npt_criterion.
+
 The localization procedure turns a Schmidt-rank-2 pure state shared by a
 sender group and a receiver group into a maximally entangled pair between
 one sender and one receiver, using one rank-1 local projector per
@@ -70,8 +77,28 @@ def ppt_check(
     cut: BipartiteCut,
     threshold: float = linalg.PSD_THRESHOLD,
 ) -> PtVerdict:
-    """Eigensolver route: minimum eigenvalue of the partial transpose."""
-    low = linalg.min_eigenvalue(partial_transpose(state, cut))
+    """Eigensolver route: minimum eigenvalue of the partial transpose on side_one.
+
+    Transposing the parties T of side_one moves entry (a, b) to
+    ((b_T, a_R), (a_T, b_R)).  That keeps the X shape: the diagonal stays
+    put, and the anti-diagonal entry of row i moves to row sigma(i), sigma
+    the digit-wise complement on T (i xor s for qubits, s the bit mask of
+    T).  So an X-shaped state's partial transpose is read in O(d) from the
+    state's diagonal and its anti-diagonal flipped along the T axes, with
+    no matrix built; the block solve reads the same entries as on the dense
+    partial transpose, so the value is the same bit for bit.  Any other
+    state is transposed and solved densely.  Either way the route reads
+    matrix entries, never the GHZ coefficients, so it stays an independent
+    check on npt_criterion.
+    """
+    if state.x_shaped:
+        cut.validate(state.system)
+        axes = tuple(state.system.axis(l) for l in cut.side_one)
+        m = state.matrix
+        anti = np.flip(np.fliplr(m).diagonal().reshape(state.system.dims), axes)
+        low = linalg.x_min_eigenvalue(m.diagonal(), anti.ravel())
+    else:
+        low = linalg.min_eigenvalue(partial_transpose(state, cut), x_shaped=False)
     return PtVerdict(cut=cut, min_eigenvalue=low, is_ppt=low >= threshold)
 
 
@@ -177,6 +204,16 @@ def ghz_diagonal_coefficients(state: MultipartiteState) -> GhzDiagonalCoefficien
     )
 
 
+def _npt(coeffs: GhzDiagonalCoefficients, j: str, threshold: float) -> bool:
+    """The coefficient rule for the cut with index j: lambda_j - delta/2 < threshold."""
+    if not coeffs.ghz_diagonal:
+        raise NotGhzDiagonal(
+            f"off-diagonal residual {coeffs.offdiagonal_residual:.3e} exceeds "
+            f"{GHZ_RESIDUAL_TOL:.1e}"
+        )
+    return coeffs.lambdas[j] - coeffs.delta / 2 < threshold
+
+
 def npt_criterion(
     coeffs: GhzDiagonalCoefficients,
     cut: BipartiteCut,
@@ -190,13 +227,7 @@ def npt_criterion(
     boundary cases of the class, sit on the PPT side.  Requires the state
     to actually be GHZ-diagonal.
     """
-    if not coeffs.ghz_diagonal:
-        raise NotGhzDiagonal(
-            f"off-diagonal residual {coeffs.offdiagonal_residual:.3e} exceeds "
-            f"{GHZ_RESIDUAL_TOL:.1e}"
-        )
-    j = cut_to_index(cut, coeffs.system)
-    return coeffs.lambdas[j] - coeffs.delta / 2 < threshold
+    return _npt(coeffs, cut_to_index(cut, coeffs.system), threshold)
 
 
 @dataclass(frozen=True)
@@ -229,25 +260,38 @@ def pairwise_distillability(
 ) -> DistillabilityVerdict:
     """Class rule: distillable between the groups iff every separating cut is NPT.
 
-    Enumerates all bipartitions placing the two groups on opposite sides
-    (remaining parties free); any PPT cut among them, by npt_criterion at
+    Cut k (the index of cut_to_index read as a number, with the last
+    party's bit 0 appended) separates the groups iff its bits agree within
+    each group's mask and differ between the two; the remaining parties
+    are free.  Cuts come in index order, each with side_one holding
+    group_one; any PPT cut among them, by the coefficient rule at
     ``threshold``, blocks distillation.
     """
     sys = coeffs.system
     g1, g2 = disjoint_groups(sys, group_one, group_two)
-    free = [l for l in sys.labels if l not in g1 and l not in g2]
+    n = sys.num_parties
+    bit = {l: 1 << (n - 1 - i) for i, l in enumerate(sys.labels)}
+    mask1 = sum(bit[l] for l in g1)
+    mask2 = sum(bit[l] for l in g2)
+    everyone = frozenset(sys.labels)
     cuts = []
-    for assign in itertools.product((0, 1), repeat=len(free)):
-        side = set(g1) | {l for l, a in zip(free, assign) if a}
-        cuts.append(BipartiteCut.from_side(sys, side))
-    cuts.sort(key=lambda c: cut_to_index(c, sys))
-    blocking = tuple(c for c in cuts if not npt_criterion(coeffs, c, threshold))
+    blocking = []
+    for k, j in enumerate(all_cut_indices(n), start=1):
+        bits = k << 1  # the last party's bit is 0
+        on1, on2 = bits & mask1, bits & mask2
+        if on1 not in (0, mask1) or on2 not in (0, mask2) or bool(on1) == bool(on2):
+            continue
+        side = frozenset(l for l in sys.labels if bool(bits & bit[l]) == bool(on1))
+        cut = BipartiteCut(side, everyone - side)
+        cuts.append(cut)
+        if not _npt(coeffs, j, threshold):
+            blocking.append(cut)
     return DistillabilityVerdict(
         group_one=g1,
         group_two=g2,
         separating_cuts=tuple(cuts),
         distillable=not blocking,
-        blocking_cuts=blocking,
+        blocking_cuts=tuple(blocking),
     )
 
 

@@ -10,9 +10,12 @@ The smallest eigenvalue takes one of two exact routes.  An X-shaped matrix
 (even dimension d, every nonzero entry on the diagonal or the
 anti-diagonal) is a permutation of d/2 Hermitian 2x2 blocks on the index
 pairs (x, d-1-x); GHZ-diagonal states and all their partial transposes
-have this shape, and their spectra come from the blocks in closed form in
-O(d) after an O(d^2) support test.  Every other matrix goes to LAPACK's
-dense ``eigvalsh``.
+have this shape.  ``is_x_shaped`` is the exact O(d^2) support test, and
+``x_min_eigenvalue`` solves the blocks in closed form in O(d) from the
+diagonal and the anti-diagonal alone, so a caller that already holds
+those two vectors (a partial transpose of an X-shaped state, say) needs
+no matrix.  ``min_eigenvalue`` composes the two; every other matrix goes
+to LAPACK's dense ``eigvalsh``.
 """
 
 from __future__ import annotations
@@ -47,24 +50,48 @@ def as_vector(entries) -> np.ndarray:
     return v
 
 
-def min_eigenvalue(m: np.ndarray) -> float:
+def is_x_shaped(m: np.ndarray) -> bool:
+    """Whether every nonzero entry of the square matrix lies on its diagonal or anti-diagonal.
+
+    The test is exact and needs an even dimension, so a single off-X entry
+    of any size, or an odd dimension, answers False.
+    """
+    if m.shape[0] % 2:
+        return False
+    on_x = np.count_nonzero(m.diagonal()) + np.count_nonzero(np.fliplr(m).diagonal())
+    return bool(np.count_nonzero(m) == on_x)
+
+
+def x_min_eigenvalue(diag: np.ndarray, anti: np.ndarray) -> float:
+    """Smallest eigenvalue of the X-shaped Hermitian matrix with this diagonal and anti-diagonal.
+
+    diag[i] = m[i, i] and anti[i] = m[i, d-1-i].  With y = d-1-x the block
+    [[p, conj(q)], [q, r]], p = m[x,x], r = m[y,y], q = m[y,x] (the lower
+    triangle), has the smaller eigenvalue (p+r)/2 - hypot((p-r)/2, |q|).
+    """
+    h = diag.shape[0] // 2
+    hp = 0.5 * diag[:h].real  # p/2 = m[x, x]/2 for x = 0 .. h-1
+    hr = 0.5 * diag[::-1][:h].real  # r/2 = m[y, y]/2
+    # q = m[y, x], read reversed: numpy's complex abs runs a SIMD kernel on
+    # forward strides and a scalar one on reversed strides, and the two can
+    # differ in the last bit.  Reversing a forward-strided ``anti`` keeps
+    # every caller on the scalar kernel, so two routes to the same entries
+    # give the same value bit for bit.
+    q = anti[::-1][:h]
+    return float((hp + hr - np.hypot(hp - hr, np.abs(q))).min())
+
+
+def min_eigenvalue(m: np.ndarray, x_shaped: bool | None = None) -> float:
     """Smallest eigenvalue of a Hermitian matrix (only its lower triangle is read).
 
-    X-shaped matrices are solved block by block: with y = d-1-x the block
-    [[p, conj(q)], [q, r]], p = m[x,x], r = m[y,y], q = m[y,x], has the
-    smaller eigenvalue (p+r)/2 - hypot((p-r)/2, |q|).  The support test is
-    exact, so a single off-X entry of any size sends the matrix to the
-    dense solver.
+    X-shaped matrices are solved block by block, every other one densely.
+    ``x_shaped`` is ``is_x_shaped(m)`` when the caller already holds it;
+    the support test runs only when it is None.
     """
-    d = m.shape[0]
-    diag = m.diagonal()
-    anti = np.fliplr(m).diagonal()  # anti[i] = m[i, d-1-i]
-    if d % 2 == 0 and np.count_nonzero(m) == np.count_nonzero(diag) + np.count_nonzero(anti):
-        h = d // 2
-        p = diag[:h].real  # m[x, x] for x = 0 .. h-1
-        r = diag[::-1][:h].real  # m[y, y]
-        q = anti[::-1][:h]  # m[y, x], the lower-triangle half of the pair
-        return float(np.min(0.5 * p + 0.5 * r - np.hypot(0.5 * p - 0.5 * r, np.abs(q))))
+    if x_shaped is None:
+        x_shaped = is_x_shaped(m)
+    if x_shaped:
+        return x_min_eigenvalue(m.diagonal(), np.fliplr(m).diagonal())
     return float(np.linalg.eigvalsh(m)[0])
 
 

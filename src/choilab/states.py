@@ -2,7 +2,8 @@
 
 A ``PartySystem`` is an ordered list of party labels with local dimensions;
 computational-basis indices map big-endian (first party most significant).
-``MultipartiteState`` wraps a validated density operator, ``PureState`` a
+``MultipartiteState`` wraps a validated, read-only density operator and
+records whether it is X-shaped (see ``linalg``); ``PureState`` wraps a
 unit vector.  Bipartite cuts are unordered two-block partitions of the
 labels; by convention operations that transpose or decompose act on
 ``side_one``.
@@ -11,7 +12,7 @@ labels; by convention operations that transpose or decompose act on
 from __future__ import annotations
 
 import math
-from dataclasses import InitVar, dataclass
+from dataclasses import InitVar, dataclass, field
 from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
@@ -129,16 +130,24 @@ class BipartiteCut:
         return f"{','.join(one)} | {','.join(two)}"
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class MultipartiteState:
-    """Density operator with its party system; validated at construction."""
+    """Density operator with its party system; validated at construction.
+
+    The state holds a read-only copy of the matrix it was given, so
+    ``x_shaped``, the support test taken once during validation, stays
+    true of it.
+    """
 
     system: PartySystem
     matrix: np.ndarray
     psd_threshold: InitVar[float] = linalg.PSD_THRESHOLD
+    x_shaped: bool = field(init=False)
 
     def __post_init__(self, psd_threshold):
-        m = self.matrix = linalg.as_matrix(self.matrix)
+        m = linalg.as_matrix(np.array(self.matrix, dtype=np.complex128))
+        m.setflags(write=False)
+        object.__setattr__(self, "matrix", m)
         d = self.system.total_dim
         if m.shape != (d, d):
             raise DimensionMismatch(f"matrix shape {m.shape} != system dimension {d}")
@@ -148,7 +157,8 @@ class MultipartiteState:
         tr = complex(np.trace(m))
         if abs(tr - 1.0) > TRACE_TOL:
             raise DimensionMismatch(f"trace {tr} is not 1 within {TRACE_TOL}")
-        low = linalg.min_eigenvalue(m)
+        object.__setattr__(self, "x_shaped", linalg.is_x_shaped(m))
+        low = linalg.min_eigenvalue(m, self.x_shaped)
         if low < psd_threshold:
             raise NotPSD(f"min eigenvalue {low:.3e} below threshold {psd_threshold:.1e}")
 

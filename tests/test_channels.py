@@ -91,6 +91,9 @@ class TestVerifyCptp:
         broken = KrausChannel("bad", sys, sys, (0.9 * sigma1,))
         rep = verify_cptp(broken)
         assert not rep.passed
+        # one verdict per rule: the Choi matrix of 0.9*X is still positive
+        assert (rep.trace_preserving, rep.choi_positive) == (False, True)
+        assert not verify_cptp(identity_channel(), psd_threshold=1.0).choi_positive
         expected = np.linalg.norm(0.81 * np.eye(2) - np.eye(2))
         assert abs(rep.trace_preserving_defect - expected) < 1e-14
 

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from choilab import channels
+from choilab import channels, cli, linalg, states
 from choilab.cli import main
 from choilab.codec import (
     channel_from_dict,
@@ -16,13 +16,26 @@ from choilab.codec import (
 from choilab.nonadditivity import binding_channel, choi_closed_form, swap_image
 from choilab.states import MultipartiteState, PartySystem, ghz_basis_state
 
-from conftest import REJECTED_MATRICES, random_state
+from conftest import REJECTED_MATRICES, random_ghz_diagonal_state, random_state
 
 
 def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+def without_last_kraus(fixture_dir, tmp_path):
+    """e1.json minus its last Kraus operator: a channel that is not trace preserving."""
+    doc = loads((fixture_dir / "e1.json").read_text())
+    del doc["kraus"][-1]
+    path = tmp_path / "not_tp.json"
+    path.write_text(dumps(doc))
+    return path
+
+
+def statuses(out):
+    return {e["id"]: e["status"] for e in json.loads(out)["entries"]}
 
 
 class TestVerify:
@@ -39,6 +52,18 @@ class TestVerify:
         code, out, _ = run(capsys, "verify", str(broken))
         assert code == 1
         assert "overall: fail" in out
+
+    def test_each_rule_read_from_its_own_verdict(self, fixture_dir, tmp_path, capsys):
+        path = without_last_kraus(fixture_dir, tmp_path)
+        code, out, _ = run(capsys, "--format", "json", "verify", str(path))
+        assert code == 1
+        assert statuses(out) == {"cptp-completeness": "fail", "cptp-choi-positive": "pass"}
+        # --tolerance -1 asks for eigenvalues >= 1: only the PSD rule fails
+        code, out, _ = run(
+            capsys, "--format", "json", "--tolerance", "-1", "verify", str(fixture_dir / "e1.json")
+        )
+        assert code == 1
+        assert statuses(out) == {"cptp-completeness": "pass", "cptp-choi-positive": "fail"}
 
     def test_truncated_json_is_usage_error(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
@@ -103,6 +128,19 @@ class TestChoi:
             outs[a] = state_from_dict(loads(out_path.read_text()))
         swapped = swap_image(outs[2])
         assert np.linalg.norm(outs[3].matrix - swapped.matrix) <= 1e-12
+
+    def test_reports_positivity_only(self, fixture_dir, capsys):
+        code, out, _ = run(capsys, "--format", "json", "choi", str(fixture_dir / "e1.json"))
+        assert code == 0
+        assert statuses(out) == {"choi-positive": "pass"}
+
+    def test_not_trace_preserving_is_bad_input(self, fixture_dir, tmp_path, capsys):
+        # the Choi state of such a channel has no unit trace, so it is not a state
+        path = without_last_kraus(fixture_dir, tmp_path)
+        code, out, err = run(capsys, "choi", str(path))
+        assert (code, out) == (2, "")
+        assert err.startswith("error:") and "trace" in err and "Traceback" not in err
+        assert run(capsys, "verify", str(path))[0] == 1
 
     def test_bad_order(self, fixture_dir, capsys):
         code, _, err = run(
@@ -175,6 +213,33 @@ class TestClassify:
         rows = {e["id"]: e for e in doc["entries"]}
         for j in ("01", "10", "11"):
             assert rows[f"cut-{j}"]["eigensolver"] == "NPT"
+
+    def test_n8_reads_x_shape_once_and_transposes_nothing(self, tmp_path, capsys, monkeypatch):
+        # An X-shaped state's support is tested once, when it is validated;
+        # every cut's spectrum then comes from its diagonal and anti-diagonal.
+        system = PartySystem(tuple(f"Q{i}" for i in range(8)), (2,) * 8)
+        state = random_ghz_diagonal_state(np.random.default_rng(8), system)
+        path = tmp_path / "ghz8.json"
+        path.write_text(dumps(state_to_dict(state)))
+        scans = []
+        original = linalg.is_x_shaped
+
+        def counting(m):
+            scans.append(m.shape)
+            return original(m)
+
+        def refuse(*args):
+            raise AssertionError("dense partial transpose or eigensolve")
+
+        monkeypatch.setattr(linalg, "is_x_shaped", counting)
+        monkeypatch.setattr(states, "transpose_parties", refuse)
+        monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+        code, out, _ = run(capsys, "--format", "json", "classify", str(path))
+        assert code == 0
+        assert scans == [(256, 256)]
+        rows = [e for e in json.loads(out)["entries"] if e["id"].startswith("cut-")]
+        assert len(rows) == 127
+        assert all(r["eigensolver"] == r["criterion"] for r in rows)
 
     def test_qudit_state_rejected(self, tmp_path, capsys):
         sys = PartySystem(("A", "B"), (3, 3))
@@ -343,6 +408,15 @@ class TestMix:
         assert code == 0
         assert len(built) == 4
 
+    def test_cptp_entry_shows_both_rules(self, fixture_dir, capsys):
+        files = [str(fixture_dir / f"e{a}.json") for a in (1, 2, 3)]
+        for tolerance, status in (("1e-9", "pass"), ("-1", "fail")):
+            code, out, _ = run(capsys, "--format", "json", "--tolerance", tolerance, "mix", *files)
+            entry = {e["id"]: e for e in json.loads(out)["entries"]}["mix-cptp"]
+            assert entry["status"] == status
+            assert entry["computed"].startswith("defect = ")
+            assert ", choi min eigenvalue = " in entry["computed"]
+
     def test_bad_weights(self, fixture_dir, capsys):
         code, _, err = run(
             capsys,
@@ -454,6 +528,31 @@ class TestOutputContract:
 
 
 class TestUsage:
+    def test_parser_built_once_and_reused(self, fixture_dir, tmp_path, capsys):
+        # The same calls with a fresh parser each and with one shared parser
+        # give the same bytes and exit codes: no parse leaves state behind.
+        calls = [
+            ["--format", "json", "classify", str(fixture_dir / "emix_choi.json"),
+             "--pair", "A1,A2:B", "--pair", "A1,A2:C"],
+            ["verify", str(fixture_dir / "e1.json")],
+            ["classify", "--tolerance", "1e-11", str(fixture_dir / "ghz3.json")],
+            ["classify", str(fixture_dir / "ghz3.json"), "--pair", "nonsense"],
+            ["frobnicate"],
+            ["--tolerance", "-1", "verify", str(fixture_dir / "e1.json")],
+            ["--format", "json", "classify", str(fixture_dir / "emix_choi.json")],
+            ["choi", str(fixture_dir / "e2.json"), "--order", "A1,B,A2,C"],
+            ["classify", str(fixture_dir / "ghz3.json")],
+        ]
+        fresh = []
+        for argv in calls:
+            cli._parser.cache_clear()
+            fresh.append(run(capsys, *argv))
+        cli._parser.cache_clear()
+        shared = [run(capsys, *argv) for argv in calls]
+        assert cli._parser.cache_info().misses == 1
+        assert shared == fresh
+        assert [r[0] for r in shared] == [0, 0, 0, 2, 2, 1, 0, 0, 0]
+
     def test_no_command(self, capsys):
         assert run(capsys, )[0] == 2
 

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from choilab import entanglement, linalg
 from choilab.entanglement import (
     ASYMMETRY_TOL,
     GhzDiagonalCoefficients,
@@ -105,6 +106,73 @@ class TestPptCheck:
             assert np.count_nonzero(pt) == on_x and d % 2 == 0
             dense = float(np.linalg.eigvalsh(pt)[0])
             assert abs(ppt_check(rho, cut).min_eigenvalue - dense) <= 1e-12
+
+
+def random_x_state(rng, system: PartySystem) -> MultipartiteState:
+    """Random X-shaped state: a positive 2x2 block with a complex coupling on each (x, d-1-x)."""
+    d = system.total_dim
+    m = np.zeros((d, d), dtype=complex)
+    for x in range(d // 2):
+        y = d - 1 - x
+        p, r = rng.random(2)
+        q = math.sqrt(p * r) * rng.random() * np.exp(2j * np.pi * rng.random())
+        m[x, x], m[y, y], m[y, x], m[x, y] = p, r, q, np.conj(q)
+    return MultipartiteState(system, m / np.trace(m).real)
+
+
+def with_one_off_x_entry(rng, rho: MultipartiteState) -> MultipartiteState:
+    """rho plus one Hermitian pair off the X, kept positive by a matching diagonal."""
+    d = rho.system.total_dim
+    while True:
+        i, j = (int(v) for v in rng.integers(d, size=2))
+        if i != j and i + j != d - 1:
+            break
+    eps = 0.05 * np.exp(2j * np.pi * rng.random())
+    m = rho.matrix.copy()
+    m[i, j] += eps
+    m[j, i] += np.conj(eps)
+    m[i, i] += abs(eps)
+    m[j, j] += abs(eps)
+    return MultipartiteState(rho.system, m / np.trace(m).real)
+
+
+X_STATE_DIMS = ((2, 3), (3, 2), (3, 2, 2), (2, 3, 2), (2, 2, 3), (4, 3), (2, 2, 2))
+
+
+@settings(max_examples=40)
+@given(
+    kind=st.sampled_from(("symmetric", "asymmetric", "x-shaped")),
+    off_x=st.booleans(),
+    n=st.integers(2, 7),
+    dims=st.sampled_from(X_STATE_DIMS),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_ppt_check_matches_dense_partial_transpose(kind, off_x, n, dims, seed):
+    # Oracle: the dense partial transpose and LAPACK's eigvalsh, on every
+    # side_one.  On an X-shaped state the value must also equal, bit for
+    # bit, the block solve of the dense partial transpose (the same
+    # entries are read); off the X it must equal eigvalsh bit for bit.
+    rng = np.random.default_rng(seed)
+    if kind in ("symmetric", "asymmetric"):
+        system = qubits(*(f"Q{i}" for i in range(n)))
+        rho = random_ghz_diagonal_state(rng, system, symmetric=kind == "symmetric")
+    else:
+        system = PartySystem(tuple(f"P{i}" for i in range(len(dims))), dims)
+        rho = random_x_state(rng, system)
+    if off_x:
+        rho = with_one_off_x_entry(rng, rho)
+    assert rho.x_shaped is not off_x
+    for size in range(1, system.num_parties):
+        for side in itertools.combinations(system.labels, size):
+            cut = BipartiteCut.from_side(system, side)
+            pt = partial_transpose(rho, cut)
+            dense = float(np.linalg.eigvalsh(pt)[0])
+            got = ppt_check(rho, cut).min_eigenvalue
+            assert abs(got - dense) <= 1e-12, (side, got, dense)
+            if rho.x_shaped:
+                assert got == linalg.min_eigenvalue(pt), side
+            else:
+                assert got == dense, side
 
 
 class TestTwoQubitSeparability:
@@ -386,9 +454,31 @@ class TestPairwiseDistillability:
                 if c.lambdas[j] - c.delta / 2 >= threshold:
                     blocking.append(cut)
         verdict = pairwise_distillability(c, one, two, threshold)
+        assert all(set(one) <= x.side_one for x in verdict.separating_cuts)
         assert [sides(x) for x in verdict.separating_cuts] == [sides(x) for x in separating]
         assert [sides(x) for x in verdict.blocking_cuts] == [sides(x) for x in blocking]
         assert verdict.distillable is (not blocking)
+
+    def test_reads_cuts_by_bit_mask(self, scenario_states, monkeypatch):
+        # separating cuts come from bit masks in index order, not from labels
+        def refuse(*args):
+            raise AssertionError("cut_to_index called")
+
+        c = ghz_diagonal_coefficients(scenario_states["mix"])
+        monkeypatch.setattr(entanglement, "cut_to_index", refuse)
+        verdict = pairwise_distillability(c, ("A1", "A2"), ("C",))
+        assert verdict.distillable
+        assert [x.side_one for x in verdict.separating_cuts] == [
+            {"A1", "A2"},
+            {"A1", "B", "A2"},
+        ]
+        verdict = pairwise_distillability(c, ("C",), ("B",))
+        assert [x.side_one for x in verdict.separating_cuts] == [
+            {"A1", "A2", "C"},
+            {"A1", "C"},
+            {"A2", "C"},
+            {"C"},
+        ]
 
     def test_overlapping_groups(self, scenario_states):
         c = ghz_diagonal_coefficients(scenario_states["E1"])

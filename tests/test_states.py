@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 
@@ -319,6 +320,26 @@ class TestValidation:
             MultipartiteState(sys, np.diag([1.5, -0.5]))
         # a loosened threshold admits the same matrix
         MultipartiteState(sys, np.diag([1.5, -0.5]), psd_threshold=-1.0)
+
+    def test_matrix_is_a_read_only_copy(self):
+        given = np.diag([0.75, 0.25]).astype(complex)
+        rho = MultipartiteState(qubits("A"), given)
+        with pytest.raises(ValueError):
+            rho.matrix[0, 1] = 0.1
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            rho.matrix = np.eye(2) / 2
+        # the caller's array stays writable and the state does not follow it
+        given[0, 0] = 0.5
+        assert rho.matrix[0, 0] == 0.75 and rho.x_shaped
+
+    def test_x_shape_recorded_once(self):
+        m = np.diag([0.25, 0.25, 0.25, 0.25]).astype(complex)
+        m[0, 3] = m[3, 0] = 0.1
+        assert MultipartiteState(qubits("A", "B"), m).x_shaped
+        m[0, 1] = m[1, 0] = 0.01
+        assert not MultipartiteState(qubits("A", "B"), m).x_shaped
+        # odd dimension: the centre pairs with itself, never X-shaped
+        assert not MultipartiteState(PartySystem(("Q",), (3,)), np.eye(3) / 3).x_shaped
 
     def test_pure_norm_gate(self):
         with pytest.raises(DimensionMismatch):
