@@ -219,6 +219,8 @@ def mix(
     if len(weights) != len(channels):
         raise BadWeights(f"{len(weights)} weights for {len(channels)} channels")
     w = [float(x) for x in weights]
+    if not all(math.isfinite(x) for x in w):
+        raise BadWeights(f"non-finite weight in {w}")
     if any(x < 0 for x in w):
         raise BadWeights(f"negative weight in {w}")
     if abs(sum(w) - 1.0) > WEIGHT_SUM_TOL:

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import math
 import sys
 
 import numpy as np
@@ -270,9 +271,7 @@ def _cmd_reproduce(args) -> int:
             f"reproduce checks its claims at the fixed threshold -{DEFAULT_TOLERANCE:g}; "
             f"--tolerance {args.tolerance:g} is not supported"
         )
-    rep = full_report()
-    body = report_to_dict(rep)
-    entries = body["entries"]
+    entries = report_to_dict(full_report())["entries"]
     if args.claims:
         wanted = {s.strip() for spec in args.claims for s in spec.split(",")}
         unknown = wanted - {e["id"] for e in entries}
@@ -282,6 +281,14 @@ def _cmd_reproduce(args) -> int:
     return _finish(args, entries)
 
 
+def _finite_float(text: str) -> float:
+    """A float flag value; NaN and infinities are usage errors, not thresholds."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+    return value
+
+
 def _add_global_flags(parser: argparse.ArgumentParser, top: bool) -> None:
     # The same flags are accepted before and after the subcommand; the
     # subparser copies use SUPPRESS so they only override when given.
@@ -289,7 +296,7 @@ def _add_global_flags(parser: argparse.ArgumentParser, top: bool) -> None:
     parser.add_argument("--format", choices=("human", "json"), default=default("human"))
     parser.add_argument(
         "--tolerance",
-        type=float,
+        type=_finite_float,
         default=default(DEFAULT_TOLERANCE),
         help="positivity threshold: eigenvalues >= -tolerance count as nonnegative",
     )

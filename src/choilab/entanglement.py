@@ -40,7 +40,6 @@ from .errors import (
     DimensionMismatch,
     LocalizationFailed,
     NotGhzDiagonal,
-    NotQubits,
     NotSchmidtRank2,
     OverlappingGroups,
     UnknownParty,
@@ -166,7 +165,7 @@ def ghz_diagonal_coefficients(state: MultipartiteState) -> GhzDiagonalCoefficien
     """
     sys = state.system
     if not sys.is_qubits():
-        raise NotQubits(f"classifier needs qubits, got dims {sys.dims}")
+        raise DimensionMismatch(f"classifier needs qubits, got dims {sys.dims}")
     n = sys.num_parties
     rho = state.matrix
     # with j read as the integer k, |j,0> sits at index 2k and |jbar,1>,
@@ -340,28 +339,25 @@ def filter_to_maximally_entangled(phi: PureState) -> tuple[PureState, float]:
     return PureState(phi.system, vec / np.linalg.norm(vec)), prob
 
 
-def _project_vector(
-    vector: np.ndarray, dims: tuple[int, ...], axis: int, onto: np.ndarray
-) -> tuple[np.ndarray, float]:
-    """Project one party onto |onto><onto|; returns (renormalized vector, probability)."""
-    pre = math.prod(dims[:axis])
-    d = dims[axis]
-    post = math.prod(dims[axis + 1 :])
-    t = vector.reshape(pre, d, post)
-    amp = np.einsum("k,ikj->ij", onto.conj(), t)
-    prob = float(np.linalg.norm(amp) ** 2)
-    if prob <= 0:
-        return vector, 0.0
-    collapsed = np.einsum("k,ij->ikj", onto, amp / np.linalg.norm(amp)).reshape(-1)
-    return collapsed, prob
-
-
 def _branch_collapse(branch: np.ndarray, dims: tuple[int, ...], axis: int, onto: np.ndarray) -> np.ndarray:
+    """<onto| applied to one party: the vector on the other parties, in system order."""
     pre = math.prod(dims[:axis])
     d = dims[axis]
     post = math.prod(dims[axis + 1 :])
     t = branch.reshape(pre, d, post)
     return np.einsum("k,ikj->ij", onto.conj(), t).reshape(-1)
+
+
+def _project_vector(
+    vector: np.ndarray, dims: tuple[int, ...], axis: int, onto: np.ndarray
+) -> tuple[np.ndarray, float]:
+    """Project one party onto |onto><onto|; returns (renormalized vector, probability)."""
+    amp = _branch_collapse(vector, dims, axis, onto).reshape(math.prod(dims[:axis]), -1)
+    prob = float(np.linalg.norm(amp) ** 2)
+    if prob <= 0:
+        return vector, 0.0
+    collapsed = np.einsum("k,ij->ikj", onto, amp / np.linalg.norm(amp)).reshape(-1)
+    return collapsed, prob
 
 
 def _single_party_marginal(vector: np.ndarray, system: PartySystem, label: str) -> np.ndarray:
@@ -401,6 +397,11 @@ def _side_branches(vector: np.ndarray, system: PartySystem, side: tuple[str, ...
     return sd.left_vectors[:, 0], sd.left_vectors[:, 1], sd.left_labels
 
 
+def _purity(m: np.ndarray) -> float:
+    """tr(m m) of a density matrix."""
+    return float(np.real(np.trace(m @ m)))
+
+
 def _condition_i_holds(
     b1: np.ndarray, b2: np.ndarray, side_system: PartySystem, party: str
 ) -> bool:
@@ -408,9 +409,7 @@ def _condition_i_holds(
     axis = side_system.axis(party)
     m1 = trace_out_axes(np.outer(b1, b1.conj()), side_system.dims, [axis])
     m2 = trace_out_axes(np.outer(b2, b2.conj()), side_system.dims, [axis])
-    p1 = float(np.real(np.trace(m1 @ m1)))
-    p2 = float(np.real(np.trace(m2 @ m2)))
-    if p1 < 1 - FACTORED_PURITY_TOL or p2 < 1 - FACTORED_PURITY_TOL:
+    if min(_purity(m1), _purity(m2)) < 1 - FACTORED_PURITY_TOL:
         return False
     return float(np.linalg.norm(m1 - m2)) <= BRANCH_DISTINCT_TOL
 
@@ -494,10 +493,7 @@ def localize_entanglement(
     vector, receiver_kept = _factor_side(vector, sys, receivers, rng, log)
 
     bystanders = [l for l in sys.labels if l not in (sender_kept, receiver_kept)]
-    purities = {}
-    for label in bystanders:
-        m = _single_party_marginal(vector, sys, label)
-        purities[label] = float(np.real(np.trace(m @ m)))
+    purities = {l: _purity(_single_party_marginal(vector, sys, l)) for l in bystanders}
     rho_full = np.outer(vector, vector.conj())
     traced_axes = [sys.axis(l) for l in bystanders]
     pair_rho = trace_out_axes(rho_full, sys.dims, traced_axes)

@@ -25,10 +25,6 @@ class NothingLeft(ChoilabError):
     pass
 
 
-class NotQubits(ChoilabError):
-    pass
-
-
 class SystemMismatch(ChoilabError):
     pass
 

@@ -18,7 +18,7 @@ the (B, C) output pair; the capacity-proxy sender group is {A1, A2}.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
@@ -198,7 +198,8 @@ class ClaimEntry:
 
 @dataclass(frozen=True)
 class ReproductionReport:
-    title: str
+    """Checked claims: a section's in build order, full_report's by claim id."""
+
     entries: tuple[ClaimEntry, ...]
 
     @property
@@ -212,22 +213,13 @@ class ReproductionReport:
         raise KeyError(claim_id)
 
 
-def _sorted(entries) -> tuple[ClaimEntry, ...]:
-    return tuple(sorted(entries, key=lambda e: e.claim_id))
-
-
 @dataclass(frozen=True)
 class CapacityProxy:
-    channel: str
-    sender_group: tuple[str, ...]
-    receivers: tuple[str, ...]
     positive: bool
     witnesses: tuple[DistillabilityVerdict, ...]
 
 
-def capacity_proxy(
-    coeffs: GhzDiagonalCoefficients, channel_name: str, receivers: tuple[str, ...]
-) -> CapacityProxy:
+def capacity_proxy(coeffs: GhzDiagonalCoefficients, receivers: tuple[str, ...]) -> CapacityProxy:
     """Boolean stand-in for the channel capacity toward the given receivers.
 
     The proxy is positive iff the Choi state is distillable between the
@@ -237,13 +229,7 @@ def capacity_proxy(
     witnesses = tuple(
         pairwise_distillability(coeffs, SENDER_GROUP, (r,)) for r in receivers
     )
-    return CapacityProxy(
-        channel=channel_name,
-        sender_group=SENDER_GROUP,
-        receivers=receivers,
-        positive=any(w.distillable for w in witnesses),
-        witnesses=witnesses,
-    )
+    return CapacityProxy(positive=any(w.distillable for w in witnesses), witnesses=witnesses)
 
 
 @dataclass(frozen=True)
@@ -315,7 +301,7 @@ def reproduce_choi_claims(scenario: Scenario | None = None) -> ReproductionRepor
             control=True,
         )
     )
-    return ReproductionReport("choi identities", _sorted(entries))
+    return ReproductionReport(tuple(entries))
 
 
 _PT_FACTS = (
@@ -378,7 +364,7 @@ def reproduce_pt_table(scenario: Scenario | None = None) -> ReproductionReport:
             control=True,
         )
     )
-    return ReproductionReport("partial transpose table", _sorted(entries))
+    return ReproductionReport(tuple(entries))
 
 
 def capacity_proxy_report(scenario: Scenario | None = None) -> ReproductionReport:
@@ -390,7 +376,7 @@ def capacity_proxy_report(scenario: Scenario | None = None) -> ReproductionRepor
     for key, coeffs in scenario.coeffs.items():
         expect = key == "mix"
         for tag, receivers in targets:
-            proxy = capacity_proxy(coeffs, key, receivers)
+            proxy = capacity_proxy(coeffs, receivers)
             proxies[(key, tag)] = proxy
             # a cut separating the senders from both receivers blocks
             # each witness; list it once, in first-seen order
@@ -428,16 +414,8 @@ def capacity_proxy_report(scenario: Scenario | None = None) -> ReproductionRepor
     )
     # control: zeroing the blocking pair weight of E1 must flip its A-B proxy
     coeffs_e1 = scenario.coeffs["E1"]
-    corrupted = GhzDiagonalCoefficients(
-        system=coeffs_e1.system,
-        lambda0_plus=coeffs_e1.lambda0_plus,
-        lambda0_minus=coeffs_e1.lambda0_minus,
-        lambdas={**coeffs_e1.lambdas, "010": 0.0},
-        delta=coeffs_e1.delta,
-        asymmetry_flag=coeffs_e1.asymmetry_flag,
-        offdiagonal_residual=coeffs_e1.offdiagonal_residual,
-    )
-    flipped = capacity_proxy(corrupted, "E1-corrupted", ("B",))
+    corrupted = replace(coeffs_e1, lambdas={**coeffs_e1.lambdas, "010": 0.0})
+    flipped = capacity_proxy(corrupted, ("B",))
     entries.append(
         ClaimEntry(
             claim_id="proxy-control-corrupted-E1",
@@ -449,7 +427,7 @@ def capacity_proxy_report(scenario: Scenario | None = None) -> ReproductionRepor
             control=True,
         )
     )
-    return ReproductionReport("capacity proxies", _sorted(entries))
+    return ReproductionReport(tuple(entries))
 
 
 GHZ3_SYSTEM = PartySystem(("A", "B1", "B2"), (2, 2, 2))
@@ -525,7 +503,7 @@ def ghz_oneway_example() -> ReproductionReport:
             control=True,
         )
     )
-    return ReproductionReport("one-way example", _sorted(entries))
+    return ReproductionReport(tuple(entries))
 
 
 # ---------------------------------------------------------------------------
@@ -654,7 +632,7 @@ def teleport_report() -> ReproductionReport:
             control=True,
         ),
     ]
-    return ReproductionReport("teleportation", _sorted(entries))
+    return ReproductionReport(tuple(entries))
 
 
 def full_report() -> ReproductionReport:
@@ -669,4 +647,4 @@ def full_report() -> ReproductionReport:
         teleport_report(),
     ):
         entries.extend(rep.entries)
-    return ReproductionReport("non-additivity witness", _sorted(entries))
+    return ReproductionReport(tuple(sorted(entries, key=lambda e: e.claim_id)))

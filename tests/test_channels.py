@@ -200,6 +200,13 @@ class TestMix:
         with pytest.raises(BadWeights):
             mix(chans, [1.0])
 
+    @pytest.mark.parametrize("weights", [[math.nan, 1.0], [0.5, math.nan]])
+    def test_nan_weight_is_bad_weights(self, weights):
+        # every comparison with NaN is False, so neither the sign nor the
+        # sum check alone catches it
+        with pytest.raises(BadWeights, match="non-finite"):
+            mix([identity_channel(), depolarizing_channel()], weights)
+
     def test_system_mismatch(self):
         with pytest.raises(SystemMismatch):
             mix([identity_channel("Q"), identity_channel("R")])

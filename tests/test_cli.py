@@ -430,6 +430,19 @@ class TestMix:
         assert code == 2
         assert "error:" in err
 
+    def test_nan_weight_is_bad_weights(self, fixture_dir, capsys):
+        code, out, err = run(
+            capsys,
+            "mix",
+            str(fixture_dir / "e1.json"),
+            str(fixture_dir / "e2.json"),
+            "--weights",
+            "nan",
+            "1.0",
+        )
+        assert (code, out) == (2, "")
+        assert err.startswith("error: non-finite weight")
+
 
 class TestReproduce:
     def test_default_run_passes(self, capsys):
@@ -525,6 +538,28 @@ class TestOutputContract:
             lines = out.splitlines()
             assert lines[0].endswith(f":: {command}")
             assert lines[-1] == "overall: pass"
+
+
+class TestNonFiniteTolerance:
+    """A NaN or infinite --tolerance is bad input, never a positivity threshold."""
+
+    INPUTS = {
+        "verify": ["e1.json"],
+        "choi": ["e1.json"],
+        "mix": ["e1.json", "e2.json", "e3.json"],
+        "classify": ["ghz3.json"],
+    }
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("command", list(INPUTS))
+    def test_usage_error(self, fixture_dir, tmp_path, capsys, command, value):
+        out_path = tmp_path / "out.json"
+        files = [str(fixture_dir / name) for name in self.INPUTS[command]]
+        code, out, err = run(capsys, f"--tolerance={value}", "--out", str(out_path), command, *files)
+        assert (code, out) == (2, "")
+        assert "usage:" in err and "--tolerance: expected a finite number" in err
+        assert "Traceback" not in err
+        assert not out_path.exists()
 
 
 class TestUsage:

@@ -8,6 +8,7 @@ from choilab.codec import (
     channel_to_dict,
     decode_matrix,
     dumps,
+    encode_matrix,
     loads,
     report_to_dict,
     state_from_dict,
@@ -51,9 +52,32 @@ def test_matrix_entries_are_re_im_pairs():
     assert all(isinstance(x, float) for x in entry)
 
 
+def _encode_per_cell(m):
+    return [[[float(z.real), float(z.imag)] for z in row] for row in m]
+
+
+def test_encode_matrix_bytes_match_per_cell_encoding():
+    tiny = np.finfo(float).smallest_subnormal
+    m = np.array(
+        [
+            [complex(0.0, -0.0), complex(-0.0, 0.0), complex(tiny, -tiny)],
+            [complex(-tiny, 5e-324), complex(1 / 3, -2 / 7), complex(1e308, -1e-308)],
+        ]
+    )
+    rng = np.random.default_rng(7)
+    for matrix in (m, rng.standard_normal((16, 16)) + 1j * rng.standard_normal((16, 16))):
+        got = encode_matrix(matrix)
+        assert json.dumps(got) == json.dumps(_encode_per_cell(matrix))
+        assert all(type(x) is float for row in got for cell in row for x in cell)
+    # the sign of every zero survives the round trip through text
+    back = decode_matrix(json.loads(json.dumps(encode_matrix(m))))
+    assert back.tobytes() == m.tobytes()
+
+
 def test_report_schema():
     doc = report_to_dict(full_report())
-    assert doc["overall"] == "pass"
+    assert set(doc) == {"entries"}
+    assert {e["status"] for e in doc["entries"]} == {"pass"}
     assert loads(dumps(doc)) == doc
     for entry in doc["entries"]:
         assert set(entry) == {

@@ -23,7 +23,6 @@ from choilab.entanglement import (
 from choilab.errors import (
     DimensionMismatch,
     NotGhzDiagonal,
-    NotQubits,
     NotSchmidtRank2,
     OverlappingGroups,
 )
@@ -250,7 +249,7 @@ class TestClassifier:
 
     def test_requires_qubits(self):
         rho = MultipartiteState(PartySystem(("A", "B"), (3, 3)), np.eye(9) / 9)
-        with pytest.raises(NotQubits):
+        with pytest.raises(DimensionMismatch):
             ghz_diagonal_coefficients(rho)
 
 

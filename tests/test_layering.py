@@ -1,7 +1,10 @@
 """Import direction: the bottom layer (linalg) needs only errors, and the codec
 loads states and channels without the report layer (nonadditivity).  The
-smallest eigenvalue has one path, linalg.min_eigenvalue."""
+smallest eigenvalue has one path, linalg.min_eigenvalue.  Every name the
+benchmark's tracer wraps still exists."""
 
+import importlib
+import importlib.util
 import json
 import os
 import re
@@ -12,6 +15,7 @@ from pathlib import Path
 import choilab
 
 SRC = str(Path(choilab.__file__).resolve().parents[1])
+LAYERTRACE = Path(__file__).resolve().parents[1] / "perfbench" / "layertrace.py"
 
 
 def loaded_after_import(module: str) -> set[str]:
@@ -56,3 +60,22 @@ def test_only_linalg_calls_eigvalsh():
         if re.search(r"\beigvalsh\s*\(", path.read_text(encoding="utf-8"))
     ]
     assert callers == ["linalg.py"]
+
+
+def test_every_traced_name_exists():
+    spec = importlib.util.spec_from_file_location("layertrace", LAYERTRACE)
+    layertrace = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(layertrace)
+    wrapped = [
+        (module, name)
+        for table in (layertrace.LAYERS, layertrace.COUNTED)
+        for module, names in table.items()
+        for name in names
+    ]
+    assert len(wrapped) > 20
+    missing = [
+        f"choilab.{module}.{name}"
+        for module, name in wrapped
+        if not hasattr(importlib.import_module(f"choilab.{module}"), name)
+    ]
+    assert missing == []

@@ -125,9 +125,9 @@ class TestReports:
 
     def test_joint_proxy_reduces_to_pairs(self, scenario_states):
         c = ghz_diagonal_coefficients(scenario_states["mix"])
-        joint = capacity_proxy(c, "mix", ("B", "C"))
-        single_b = capacity_proxy(c, "mix", ("B",))
-        single_c = capacity_proxy(c, "mix", ("C",))
+        joint = capacity_proxy(c, ("B", "C"))
+        single_b = capacity_proxy(c, ("B",))
+        single_c = capacity_proxy(c, ("C",))
         assert joint.positive == (single_b.positive or single_c.positive)
 
     def test_ghz_oneway(self):
