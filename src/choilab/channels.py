@@ -195,6 +195,25 @@ def choi_apply(choi_state: MultipartiteState, reference: Sequence[str], mat: np.
     return d_ref * reduced
 
 
+def mix_weights(n: int, weights: Sequence[float] | None = None) -> list[float]:
+    """The weights ``mix`` uses for n >= 1 channels: uniform by default.
+
+    Given weights must number n, be finite and nonnegative, and sum to 1.
+    """
+    if weights is None:
+        weights = [1.0 / n] * n
+    if len(weights) != n:
+        raise BadWeights(f"{len(weights)} weights for {n} channels")
+    w = [float(x) for x in weights]
+    if not all(math.isfinite(x) for x in w):
+        raise BadWeights(f"non-finite weight in {w}")
+    if any(x < 0 for x in w):
+        raise BadWeights(f"negative weight in {w}")
+    if abs(sum(w) - 1.0) > WEIGHT_SUM_TOL:
+        raise BadWeights(f"weights sum to {sum(w)!r}, expected 1")
+    return w
+
+
 def mix(
     channels: Sequence[KrausChannel],
     weights: Sequence[float] | None = None,
@@ -203,7 +222,8 @@ def mix(
     """Classical mixture: concatenated Kraus lists scaled by sqrt(weight).
 
     The Choi state of the mixture is the weighted sum of the input Choi
-    states; all channels must share input and output systems.
+    states, with the weights of ``mix_weights``; all channels must share
+    input and output systems.
     """
     if not channels:
         raise BadWeights("mix needs at least one channel")
@@ -214,19 +234,8 @@ def mix(
             or ch.output_system != first.output_system
         ):
             raise SystemMismatch(f"channel {ch.name!r} has a different input/output system")
-    if weights is None:
-        weights = [1.0 / len(channels)] * len(channels)
-    if len(weights) != len(channels):
-        raise BadWeights(f"{len(weights)} weights for {len(channels)} channels")
-    w = [float(x) for x in weights]
-    if not all(math.isfinite(x) for x in w):
-        raise BadWeights(f"non-finite weight in {w}")
-    if any(x < 0 for x in w):
-        raise BadWeights(f"negative weight in {w}")
-    if abs(sum(w) - 1.0) > WEIGHT_SUM_TOL:
-        raise BadWeights(f"weights sum to {sum(w)!r}, expected 1")
     ops = []
-    for ch, x in zip(channels, w):
+    for ch, x in zip(channels, mix_weights(len(channels), weights)):
         scale = math.sqrt(x)
         ops.extend(scale * a for a in ch.kraus)
     if name is None:

@@ -18,7 +18,7 @@ import sys
 import numpy as np
 
 from . import __version__
-from .channels import MIX_LINEARITY_TOL, choi, mix, verify_cptp
+from .channels import MIX_LINEARITY_TOL, choi, mix, mix_weights, verify_cptp
 from .codec import (
     channel_from_dict,
     channel_to_dict,
@@ -61,7 +61,8 @@ def _finish(args, entries: list[dict], artifact: dict | None = None) -> int:
         "entries": entries,
         "overall": "fail" if failed else "pass",
     }
-    text = dumps(report)
+    # The report is encoded only when it is printed or written.
+    text = dumps(report) if args.format == "json" or (args.out and artifact is None) else None
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text if artifact is None else dumps(artifact))
@@ -164,10 +165,8 @@ def _parse_pairs(specs, system) -> list[tuple[tuple[str, ...], tuple[str, ...]]]
 def _cmd_classify(args) -> int:
     state = state_from_dict(load_path(args.state), psd_threshold=-args.tolerance)
     sys_ = state.system
-    if not sys_.is_qubits():
-        raise ParseError(f"classify needs a qubit system, got dims {sys_.dims}")
+    coeffs = ghz_diagonal_coefficients(state)  # rejects a state not on qubits
     pairs = _parse_pairs(args.pair, sys_)
-    coeffs = ghz_diagonal_coefficients(state)
     entries = []
     ghz_diagonal = coeffs.ghz_diagonal
     entries.append(
@@ -209,7 +208,7 @@ def _cmd_classify(args) -> int:
             "min_eigenvalue": verdict.min_eigenvalue,
             "eigensolver": "PPT" if verdict.is_ppt else "NPT",
         }
-        text = f"{cut.describe(sys_):<18} eigensolver {row['eigensolver']}"
+        text = f"{row['cut']:<18} eigensolver {row['eigensolver']}"
         if ghz_diagonal:
             crit = "NPT" if npt_criterion(coeffs, cut, threshold=-args.tolerance) else "PPT"
             row["criterion"] = crit
@@ -242,10 +241,9 @@ def _cmd_classify(args) -> int:
 
 def _cmd_mix(args) -> int:
     channels = [channel_from_dict(load_path(p)) for p in args.channels]
-    weights = args.weights if args.weights else None
-    mixed = mix(channels, weights=weights)
+    mixed = mix(channels, weights=args.weights)
     parts = [choi(ch) for ch in channels]
-    w = weights if weights else [1 / len(channels)] * len(channels)
+    w = mix_weights(len(channels), args.weights)
     combo = sum(x * p.matrix for x, p in zip(w, parts))
     rep = verify_cptp(mixed, psd_threshold=-args.tolerance)
     linearity = float(np.linalg.norm(rep.choi_matrix - combo))

@@ -3,11 +3,26 @@
 Matrix entries are always [re, im] pairs (even for real values); numbers go
 through Python's shortest-round-trip float encoding, so parse(emit(x)) is
 bit-exact at double precision.
+
+``dumps`` writes the bytes of ``json.dumps(obj, indent=2, sort_keys=True)``
+plus a newline, without the pure-Python encoder that ``indent`` selects in
+CPython.  A nonempty list of plain ints and finite floats nested to one
+depth (a matrix, a list of matrices) is formatted from a single ``repr``:
+that text is checked to hold only numbers, ", " and brackets at that depth,
+and is then re-indented with one ``str.replace`` per depth.  Any other list
+falls back to the per-item path, as do dicts (sorted str keys) and scalars
+(json's own encoding, so NaN, Infinity, true and null are unchanged); a
+dict with non-str keys, or a value json cannot encode, goes to
+``json.dumps`` itself.  Cyclic values raise RecursionError, not json's
+ValueError.
 """
 
 from __future__ import annotations
 
 import json
+import math
+import re
+from json.encoder import encode_basestring_ascii
 from typing import TYPE_CHECKING, Any
 
 import numpy as np
@@ -124,8 +139,103 @@ def report_to_dict(report: ReproductionReport) -> dict:
     }
 
 
-def dumps(obj: dict) -> str:
-    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+def dumps(obj: Any) -> str:
+    """``json.dumps(obj, indent=2, sort_keys=True) + "\\n"``, byte for byte."""
+    out: list[str] = []
+    _encode(obj, 0, out)
+    out.append("\n")
+    return "".join(out)
+
+
+def _float(o: float) -> str:
+    return repr(o) if math.isfinite(o) else json.dumps(o)  # NaN, Infinity, -Infinity
+
+
+# json's text for the scalar types, exact types only: subclasses take the fallback.
+_SCALARS = {
+    str: encode_basestring_ascii,
+    int: repr,
+    float: _float,
+    bool: {True: "true", False: "false"}.__getitem__,
+    type(None): lambda o: "null",
+}
+
+
+def _encode(o: Any, level: int, out: list[str]) -> None:
+    """Append json's text for ``o``, a value starting at indent ``level``."""
+    scalar = _SCALARS.get(type(o))
+    if scalar is not None:
+        out.append(scalar(o))
+    elif isinstance(o, (list, tuple)):
+        text = _numeric_array(o, level) if type(o) is list else None
+        if text is not None:
+            out.append(text)
+        else:
+            _encode_items("[]", [("", item) for item in o], level, out)
+    elif isinstance(o, dict) and all(isinstance(key, str) for key in o):
+        items = [(encode_basestring_ascii(key) + ": ", value) for key, value in sorted(o.items())]
+        _encode_items("{}", items, level, out)
+    else:  # keys json converts, subclasses, or types it rejects; its strings hold no raw newline
+        out.append(json.dumps(o, indent=2, sort_keys=True).replace("\n", "\n" + "  " * level))
+
+
+def _encode_items(brackets: str, items: list[tuple[str, Any]], level: int, out: list[str]) -> None:
+    """A list or dict: each item's prefix ("" or its encoded key) and value, one per line."""
+    if not items:
+        out.append(brackets)
+        return
+    newline = "\n" + "  " * (level + 1)
+    sep = brackets[0] + newline
+    for prefix, value in items:
+        scalar = _SCALARS.get(type(value))
+        if scalar is not None:
+            out.append(sep + prefix + scalar(value))
+        else:
+            out.append(sep + prefix)
+            _encode(value, level + 1, out)
+        sep = "," + newline
+    out.append("\n" + "  " * level + brackets[1])
+
+
+# After each "]"*j + ", " + "["*j (0 < j < depth) becomes chr(j), an array
+# of uniform depth is numbers and separators only.  The control characters
+# appear in no number's repr and bound the depth at 32.
+_NUMBERS = re.compile(r"[-+0-9.eE]+(?:(?:, |[\x01-\x1f])[-+0-9.eE]+)*")
+
+
+def _numeric_array(o: list, level: int) -> str | None:
+    """json's text for a uniform-depth array of plain ints and finite floats, else None.
+
+    repr and json print a plain int or finite float alike; bools, None,
+    strings, NaN, infinities, numpy scalars and ragged nesting leave other
+    characters or brackets in the text and are refused.  (Past the first
+    leaf, an int or float subclass that overrides repr to print another
+    number would be written as it prints.)
+    """
+    depth, leaf = 0, o
+    while type(leaf) is list and leaf and depth < 32:
+        leaf = leaf[0]
+        depth += 1
+    if type(leaf) not in (int, float):
+        return None
+    text = repr(o)
+    inner = text[depth:-depth]
+    for j in range(depth - 1, 0, -1):
+        inner = inner.replace("]" * j + ", " + "[" * j, chr(j))
+    if not _NUMBERS.fullmatch(inner):
+        return None
+    pad = ["\n" + "  " * (level + i) for i in range(depth + 1)]
+
+    def closes(j: int) -> str:
+        return "".join(pad[depth - i] + "]" for i in range(1, j + 1))
+
+    def opens(j: int) -> str:
+        return "".join(pad[depth - j + i] + "[" for i in range(j)) + pad[depth]
+
+    inner = inner.replace(", ", "," + opens(0))
+    for j in range(1, depth):
+        inner = inner.replace(chr(j), closes(j) + "," + opens(j))
+    return "[" + opens(depth - 1) + inner + closes(depth)
 
 
 def loads(text: str) -> Any:

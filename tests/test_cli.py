@@ -248,6 +248,8 @@ class TestClassify:
         path.write_text(dumps(state_to_dict(state)))
         code, _, err = run(capsys, "classify", str(path))
         assert code == 2
+        assert err.startswith("error:")
+        assert "Traceback" not in err
 
 
 def near_boundary_state() -> MultipartiteState:
@@ -417,6 +419,18 @@ class TestMix:
             assert entry["computed"].startswith("defect = ")
             assert ", choi min eigenvalue = " in entry["computed"]
 
+    def test_default_weights_are_the_uniform_weights(self, fixture_dir, tmp_path, capsys):
+        files = [str(fixture_dir / f"e{a}.json") for a in (1, 2, 3)]
+        results = []
+        for name, weights in (("default", []), ("explicit", ["--weights", *[repr(1 / 3)] * 3])):
+            out_path = tmp_path / f"{name}.json"
+            code, out, _ = run(
+                capsys, "--format", "json", "mix", *files, *weights, "--out", str(out_path)
+            )
+            results.append((code, out, out_path.read_bytes()))
+        assert results[0][0] == 0
+        assert results[0] == results[1]
+
     def test_bad_weights(self, fixture_dir, capsys):
         code, _, err = run(
             capsys,
@@ -528,6 +542,26 @@ class TestOutputContract:
         assert code == 0
         assert state_from_dict(loads(choi_path.read_text())).system.labels == ("A_ref", "B", "C")
         self._assert_report(out, fmt, "choi")
+
+    def test_human_report_with_artifact_is_not_encoded(
+        self, fixture_dir, tmp_path, capsys, monkeypatch
+    ):
+        encoded = []
+
+        def counting(obj):
+            encoded.append(obj)
+            return dumps(obj)
+
+        monkeypatch.setattr(cli, "dumps", counting)
+        choi_path = tmp_path / "choi.json"
+        code, out, _ = run(
+            capsys, "--format", "human", "choi", str(fixture_dir / "e1.json"), "--out", str(choi_path)
+        )
+        assert code == 0
+        # only the Choi state is encoded: the report is printed for people
+        assert len(encoded) == 1
+        assert choi_path.read_text() == dumps(encoded[0])
+        self._assert_report(out, "human", "choi")
 
     @staticmethod
     def _assert_report(out, fmt, command):

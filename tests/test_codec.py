@@ -1,7 +1,10 @@
 import json
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from choilab.codec import (
     channel_from_dict,
@@ -15,7 +18,8 @@ from choilab.codec import (
     state_to_dict,
 )
 from choilab.errors import ParseError
-from choilab.nonadditivity import binding_channel, choi_state, full_report
+from choilab.nonadditivity import binding_channel, choi_state, full_report, mixed_binding_channel
+from choilab.states import PartySystem
 
 from conftest import REJECTED_MATRICES, random_state
 
@@ -192,3 +196,97 @@ def test_numeric_files_accepted():
         }
         state = state_from_dict(doc)
         assert np.array_equal(state.matrix, np.diag([1, 0]).astype(np.complex128))
+
+
+def json_dumps(obj) -> str:
+    """The reference encoding that codec.dumps reproduces byte for byte."""
+    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+
+
+EDGE_NUMBERS = [-0.0, 0.0, 5e-324, -5e-324, 1e16, 1e-7, 1e308, 2**64, 2**64 + 1, -(2**70)]
+NUMBERS = st.integers(-(2**70), 2**70) | st.floats(allow_nan=False, allow_infinity=False)
+ODD_LEAVES = st.sampled_from([True, False, None, math.nan, math.inf, -math.inf, "1", "é"])
+KEYS = st.text(max_size=5) | st.sampled_from(['"', "\\", "é", "\u2028", "\x00", "ключ", "a b"])
+SCALARS = (
+    st.none() | st.booleans() | NUMBERS | st.sampled_from(EDGE_NUMBERS) | ODD_LEAVES | st.text(max_size=5)
+)
+
+
+def nested(shape: list[int], leaves) -> st.SearchStrategy:
+    """Lists nested to len(shape), each level exactly shape[i] long."""
+    inner = leaves if len(shape) == 1 else nested(shape[1:], leaves)
+    return st.lists(inner, min_size=shape[0], max_size=shape[0])
+
+
+def uniform_arrays(leaves) -> st.SearchStrategy:
+    depths = st.integers(1, 4)
+    shapes = depths.flatmap(lambda d: st.lists(st.integers(1, 3), min_size=d, max_size=d))
+    return shapes.flatmap(lambda shape: nested(shape, leaves))
+
+
+JSON_VALUES = st.recursive(
+    SCALARS
+    | uniform_arrays(NUMBERS | st.sampled_from(EDGE_NUMBERS))
+    | uniform_arrays(NUMBERS | NUMBERS | NUMBERS | ODD_LEAVES),
+    lambda children: st.lists(children, max_size=4)
+    | st.lists(children, max_size=3).map(tuple)
+    | st.dictionaries(KEYS, children, max_size=4),
+    max_leaves=30,
+)
+
+
+@given(JSON_VALUES)
+def test_dumps_matches_json_dumps(value):
+    assert dumps(value) == json_dumps(value)
+
+
+@pytest.mark.parametrize(
+    "value",
+    [
+        [],
+        {},
+        [[]],
+        [[], []],
+        [{}, [[]], {"a": {}}],
+        [[1], []],
+        [[1], 2],
+        [[1, [2]], [3, 4]],
+        [[1, 2], [3]],
+        [[[1.5, -0.0]], [[5e-324, 1e16], [1e-7, 2**64]]],
+        [1, True],
+        [1.0, None],
+        [0.5, math.nan],
+        [[1.0, math.inf], [-math.inf, 2.0]],
+        [(1, 2), (3, 4)],
+        (1.5, [2.5]),
+        {"b": [1, 2], "a": {"é\"\\": [[1e-7, 2**70]]}},
+        [{1: "int key", 2: [1.5]}, {1.5: None, True: 0}],
+        [np.float64(0.1), 0.2],
+        [0.1, np.float64(0.2)],
+    ],
+)
+def test_dumps_matches_json_dumps_on_edge_values(value):
+    assert dumps(value) == json_dumps(value)
+
+
+def test_dumps_rejects_what_json_rejects():
+    for value in ([1, object()], {"a": {1: 1, "b": 2}}):
+        with pytest.raises(TypeError):
+            json_dumps(value)
+        with pytest.raises(TypeError):
+            dumps(value)
+
+
+def test_dumps_writes_matrices_without_the_python_encoder(monkeypatch):
+    rng = np.random.default_rng(61)
+    payloads = [
+        state_to_dict(random_state(rng, PartySystem(tuple("ABCDEF"), (2,) * 6))),
+        channel_to_dict(mixed_binding_channel()),
+    ]
+    want = [json_dumps(p) for p in payloads]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("json's pure-Python encoder was used")
+
+    monkeypatch.setattr(json.encoder, "_make_iterencode", refuse)
+    assert [dumps(p) for p in payloads] == want

@@ -1,7 +1,7 @@
 """Import direction: the bottom layer (linalg) needs only errors, and the codec
 loads states and channels without the report layer (nonadditivity).  The
-smallest eigenvalue has one path, linalg.min_eigenvalue.  Every name the
-benchmark's tracer wraps still exists."""
+smallest eigenvalue has one path, linalg.min_eigenvalue, and JSON one
+module, codec.  Every name the benchmark's tracer wraps still exists."""
 
 import importlib
 import importlib.util
@@ -60,6 +60,16 @@ def test_only_linalg_calls_eigvalsh():
         if re.search(r"\beigvalsh\s*\(", path.read_text(encoding="utf-8"))
     ]
     assert callers == ["linalg.py"]
+
+
+def test_only_codec_imports_json():
+    package = Path(choilab.__file__).resolve().parent
+    importers = [
+        path.name
+        for path in sorted(package.glob("*.py"))
+        if re.search(r"^\s*(import|from)\s+json\b", path.read_text(encoding="utf-8"), re.M)
+    ]
+    assert importers == ["codec.py"]
 
 
 def test_every_traced_name_exists():
