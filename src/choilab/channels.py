@@ -6,8 +6,8 @@ sending the second half of a maximally entangled pair through the channel,
 
     E_state = (1 (x) E) |Phi><Phi|,   |Phi> = (1/sqrt(d)) sum_k |k>|k>,
 
-normalized to unit trace; the reference half may be declared with any
-party structure whose total dimension matches the input.  The inverse
+normalized to unit trace; a party order for the result names the
+reference parties, split like the input or into qubits.  The inverse
 direction (Choi -> Kraus) comes from the spectral decomposition of the
 Choi matrix.  Channel equality is always action equality on a spanning
 operator basis, never Kraus-list equality (gauge freedom).
@@ -33,6 +33,7 @@ from .errors import (
 from .states import (
     MultipartiteState,
     PartySystem,
+    permute_matrix_parties,
     permute_parties,
     trace_out_axes,
 )
@@ -144,38 +145,46 @@ def apply(ch: KrausChannel, rho: MultipartiteState) -> MultipartiteState:
     return MultipartiteState(ch.output_system, apply_matrix(ch, rho.matrix))
 
 
-def _default_reference(system: PartySystem) -> PartySystem:
-    return PartySystem(tuple(f"{l}_ref" for l in system.labels), system.dims)
+def _reference_system(ch: KrausChannel, order: Sequence[str] | None) -> PartySystem:
+    """The Choi state's reference parties, by the rule that ``choi`` states."""
+    inputs = ch.input_system
+    if order is None:
+        return PartySystem(tuple(f"{l}_ref" for l in inputs.labels), inputs.dims)
+    outputs = set(ch.output_system.labels)
+    labels = tuple(l for l in order if l not in outputs)
+    if len(labels) == inputs.num_parties:
+        return PartySystem(labels, inputs.dims)
+    if ch.dim_in == 2 ** len(labels):
+        return PartySystem(labels, (2,) * len(labels))
+    raise DimensionMismatch(
+        f"cannot split input dimension {ch.dim_in} over reference labels {labels}"
+    )
 
 
-def choi(
-    ch: KrausChannel,
-    reference: PartySystem | None = None,
-    order: Sequence[str] | None = None,
-) -> MultipartiteState:
-    """Choi state of the channel on (reference..., output...) parties.
+def choi(ch: KrausChannel, order: Sequence[str] | None = None) -> MultipartiteState:
+    """Choi state of the channel, built and validated once.
 
-    ``reference`` declares the party structure of the kept half of the
-    maximally entangled input pair; its total dimension must equal the
-    channel input dimension (default: one reference party per input party).
-    ``order`` optionally permutes the parties of the result, e.g. to
-    interleave reference and output parties.
+    Without ``order`` the parties are (reference..., output...), with one
+    reference party ``<label>_ref`` per input party.  ``order`` lists the
+    parties of the result, e.g. to interleave reference and output parties;
+    its labels that are not outputs name the reference parties.  They split
+    the input dimension like the input parties when there are as many of
+    them, and into qubits when the input dimension is 2^k for k of them;
+    any other count raises DimensionMismatch.
     """
-    reference = _default_reference(ch.input_system) if reference is None else reference
-    if reference.total_dim != ch.dim_in:
-        raise DimensionMismatch(
-            f"reference dimension {reference.total_dim} != input dim {ch.dim_in}"
-        )
+    reference = _reference_system(ch, order)
     clash = set(reference.labels) & set(ch.output_system.labels)
     if clash:
         raise DimensionMismatch(f"reference labels collide with output labels: {sorted(clash)}")
     system = PartySystem(
         reference.labels + ch.output_system.labels, reference.dims + ch.output_system.dims
     )
-    state = MultipartiteState(system, _choi_matrix(ch))
+    matrix = _choi_matrix(ch)
     if order is not None:
-        state = permute_parties(state, tuple(order))
-    return state
+        ordered, perm = system.reordered(order)
+        matrix = permute_matrix_parties(matrix, system.dims, perm)
+        system = ordered
+    return MultipartiteState(system, matrix)
 
 
 def choi_apply(choi_state: MultipartiteState, reference: Sequence[str], mat: np.ndarray) -> np.ndarray:

@@ -38,9 +38,8 @@ from .entanglement import (
     ppt_check,
 )
 from .errors import ChoilabError, ParseError
-from .linalg import PSD_THRESHOLD, min_eigenvalue
+from .linalg import PSD_THRESHOLD
 from .nonadditivity import full_report
-from .states import PartySystem
 
 EXIT_PASS = 0
 EXIT_FAIL = 1
@@ -102,30 +101,14 @@ def _cmd_verify(args) -> int:
     return _finish(args, entries)
 
 
-def _reference_for_order(ch, order: list[str]) -> PartySystem:
-    out_labels = set(ch.output_system.labels)
-    ref_labels = tuple(l for l in order if l not in out_labels)
-    d_in = ch.input_system.total_dim
-    if len(ref_labels) == len(ch.input_system.dims):
-        return PartySystem(ref_labels, ch.input_system.dims)
-    if d_in == 2 ** len(ref_labels):
-        return PartySystem(ref_labels, (2,) * len(ref_labels))
-    raise ParseError(
-        f"cannot split input dimension {d_in} over reference labels {ref_labels}"
-    )
-
-
 def _cmd_choi(args) -> int:
     ch = channel_from_dict(load_path(args.channel))
     order = [s.strip() for s in args.order.split(",")] if args.order else None
-    if order:
-        reference = _reference_for_order(ch, order)
-        state = choi(ch, reference=reference, order=order)
-    else:
-        state = choi(ch)
-    # choi() has already rejected a Choi matrix without unit trace (a
-    # channel that is not trace preserving) as bad input.
-    low = min_eigenvalue(state.matrix, state.x_shaped)
+    # choi() rejects a Choi matrix without unit trace (a channel that is
+    # not trace preserving) as bad input; its validation solved the
+    # smallest eigenvalue this report reads.
+    state = choi(ch, order)
+    low = state.min_eigenvalue
     entries = [
         {
             "id": "choi-positive",

@@ -243,11 +243,15 @@ def loads(text: str) -> Any:
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON: {exc}") from exc
+    except RecursionError:
+        raise ParseError("invalid JSON: nested too deeply") from None
 
 
 def load_path(path) -> Any:
+    """The JSON document in a UTF-8 file; an unreadable file is a ParseError."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return loads(fh.read())
-    except OSError as exc:
+            text = fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
+    return loads(text)

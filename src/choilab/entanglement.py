@@ -17,9 +17,9 @@ facts are reported, never verdicts.
 The partial-transpose route (ppt_check) never builds a partial transpose
 of an X-shaped state, GHZ-diagonal ones included: each cut's spectrum is
 read in O(2^N) from the state's diagonal and its permuted anti-diagonal.
-A pair verdict picks its separating cuts by bit masks, in cut-index
-order, and reads each one by the same lambda_j - delta/2 rule as
-npt_criterion.
+A pair verdict walks its separating cuts by bit masks, in cut-index
+order, reads each one by the same lambda_j - delta/2 rule as
+npt_criterion, and reports the cuts that block.
 
 The localization procedure turns a Schmidt-rank-2 pure state shared by a
 sender group and a receiver group into a maximally entangled pair between
@@ -66,7 +66,6 @@ _PROJECTOR_SEED = 0x10CA1
 
 @dataclass(frozen=True)
 class PtVerdict:
-    cut: BipartiteCut
     min_eigenvalue: float
     is_ppt: bool
 
@@ -98,7 +97,7 @@ def ppt_check(
         low = linalg.x_min_eigenvalue(m.diagonal(), anti.ravel())
     else:
         low = linalg.min_eigenvalue(partial_transpose(state, cut), x_shaped=False)
-    return PtVerdict(cut=cut, min_eigenvalue=low, is_ppt=low >= threshold)
+    return PtVerdict(min_eigenvalue=low, is_ppt=low >= threshold)
 
 
 def two_qubit_separability(state: MultipartiteState) -> bool:
@@ -231,11 +230,8 @@ def npt_criterion(
 
 @dataclass(frozen=True)
 class DistillabilityVerdict:
-    group_one: frozenset[str]
-    group_two: frozenset[str]
-    separating_cuts: tuple[BipartiteCut, ...]
     distillable: bool
-    blocking_cuts: tuple[BipartiteCut, ...]  # the PPT subset
+    blocking_cuts: tuple[BipartiteCut, ...]  # the separating cuts that are PPT
 
 
 def disjoint_groups(
@@ -262,9 +258,9 @@ def pairwise_distillability(
     Cut k (the index of cut_to_index read as a number, with the last
     party's bit 0 appended) separates the groups iff its bits agree within
     each group's mask and differ between the two; the remaining parties
-    are free.  Cuts come in index order, each with side_one holding
-    group_one; any PPT cut among them, by the coefficient rule at
-    ``threshold``, blocks distillation.
+    are free.  Any PPT separating cut, by the coefficient rule at
+    ``threshold``, blocks distillation; the blocking cuts come in index
+    order, each with side_one holding group_one, and only they are built.
     """
     sys = coeffs.system
     g1, g2 = disjoint_groups(sys, group_one, group_two)
@@ -273,25 +269,16 @@ def pairwise_distillability(
     mask1 = sum(bit[l] for l in g1)
     mask2 = sum(bit[l] for l in g2)
     everyone = frozenset(sys.labels)
-    cuts = []
     blocking = []
-    for k, j in enumerate(all_cut_indices(n), start=1):
+    for k in range(1, 1 << (n - 1)):
         bits = k << 1  # the last party's bit is 0
         on1, on2 = bits & mask1, bits & mask2
         if on1 not in (0, mask1) or on2 not in (0, mask2) or bool(on1) == bool(on2):
             continue
-        side = frozenset(l for l in sys.labels if bool(bits & bit[l]) == bool(on1))
-        cut = BipartiteCut(side, everyone - side)
-        cuts.append(cut)
-        if not _npt(coeffs, j, threshold):
-            blocking.append(cut)
-    return DistillabilityVerdict(
-        group_one=g1,
-        group_two=g2,
-        separating_cuts=tuple(cuts),
-        distillable=not blocking,
-        blocking_cuts=tuple(blocking),
-    )
+        if not _npt(coeffs, format(k, f"0{n - 1}b"), threshold):
+            side = frozenset(l for l in sys.labels if bool(bits & bit[l]) == bool(on1))
+            blocking.append(BipartiteCut(side, everyone - side))
+    return DistillabilityVerdict(distillable=not blocking, blocking_cuts=tuple(blocking))
 
 
 # ---------------------------------------------------------------------------

@@ -52,7 +52,6 @@ from .states import (
 
 INPUT_SYSTEM = PartySystem(("A",), (4,))
 OUTPUT_SYSTEM = PartySystem(("B", "C"), (2, 2))
-REFERENCE_SYSTEM = PartySystem(("A1", "A2"), (2, 2))
 CANONICAL_ORDER = ("A1", "B", "A2", "C")
 CHOI_SYSTEM = PartySystem(CANONICAL_ORDER, (2, 2, 2, 2))
 SENDER_GROUP = ("A1", "A2")
@@ -137,19 +136,14 @@ def binding_channel(a: int) -> KrausChannel:
     return ch
 
 
-def mixed_binding_channel(parts: Sequence[KrausChannel] | None = None) -> KrausChannel:
-    """Uniform classical mixture of the three binding channels.
-
-    ``parts`` are already built (E1, E2, E3); when omitted they are built here.
-    """
-    if parts is None:
-        parts = [binding_channel(a) for a in (1, 2, 3)]
+def mixed_binding_channel(parts: Sequence[KrausChannel]) -> KrausChannel:
+    """Uniform classical mixture of the three binding channels ``parts`` (E1, E2, E3)."""
     return mix(parts, name="Emix")
 
 
 def choi_state(ch: KrausChannel) -> MultipartiteState:
     """Choi state of a scenario channel on the canonical (A1, B, A2, C) qubits."""
-    return choi(ch, reference=REFERENCE_SYSTEM, order=CANONICAL_ORDER)
+    return choi(ch, CANONICAL_ORDER)
 
 
 def _formula_matrix(removed: dict[str, float]) -> np.ndarray:
@@ -271,9 +265,9 @@ def _choi_distance_claim(
     )
 
 
-def reproduce_choi_claims(scenario: Scenario | None = None) -> ReproductionReport:
+def reproduce_choi_claims(scenario: Scenario) -> ReproductionReport:
     """Choi states from the Kraus lists against their closed forms."""
-    states = (scenario or build_scenario()).states
+    states = scenario.states
     closed = {f"E{a}": choi_closed_form(a) for a in (1, 2, 3)}
     closed["mix"] = choi_closed_form("mix")
     entries = [
@@ -319,9 +313,8 @@ _PT_FACTS = (
 MIX_NPT_EIGENVALUE = -1 / 48
 
 
-def reproduce_pt_table(scenario: Scenario | None = None) -> ReproductionReport:
+def reproduce_pt_table(scenario: Scenario) -> ReproductionReport:
     """The seven partial-transpose sign facts, by eigensolver and by criterion."""
-    scenario = scenario or build_scenario()
     states, coeffs = scenario.states, scenario.coeffs
     # both routes decide at linalg.PSD_THRESHOLD; each claim reports that
     # bound and holds the mixture's NPT eigenvalue to it
@@ -367,9 +360,8 @@ def reproduce_pt_table(scenario: Scenario | None = None) -> ReproductionReport:
     return ReproductionReport(tuple(entries))
 
 
-def capacity_proxy_report(scenario: Scenario | None = None) -> ReproductionReport:
+def capacity_proxy_report(scenario: Scenario) -> ReproductionReport:
     """Capacity proxies for the three channels (all negative) and the mixture (positive)."""
-    scenario = scenario or build_scenario()
     targets = [("AB", ("B",)), ("AC", ("C",)), ("ABC", ("B", "C"))]
     entries = []
     proxies: dict[tuple[str, str], CapacityProxy] = {}

@@ -84,6 +84,13 @@ class PartySystem:
     def is_qubits(self) -> bool:
         return all(d == 2 for d in self.dims)
 
+    def reordered(self, order: Sequence[str]) -> tuple["PartySystem", list[int]]:
+        """The system with its parties listed in ``order``, and the old axis of each new slot."""
+        if sorted(order) != sorted(self.labels):
+            raise BadPermutation(f"{tuple(order)} is not a permutation of {self.labels}")
+        perm = [self.axis(l) for l in order]
+        return PartySystem(tuple(order), tuple(self.dims[p] for p in perm)), perm
+
 
 @dataclass(frozen=True)
 class BipartiteCut:
@@ -135,14 +142,16 @@ class MultipartiteState:
     """Density operator with its party system; validated at construction.
 
     The state holds a read-only copy of the matrix it was given, so
-    ``x_shaped``, the support test taken once during validation, stays
-    true of it.
+    ``x_shaped``, the support test taken once during validation, and
+    ``min_eigenvalue``, the smallest eigenvalue that validation solved,
+    stay true of it.
     """
 
     system: PartySystem
     matrix: np.ndarray
     psd_threshold: InitVar[float] = linalg.PSD_THRESHOLD
     x_shaped: bool = field(init=False)
+    min_eigenvalue: float = field(init=False)
 
     def __post_init__(self, psd_threshold):
         m = linalg.as_matrix(np.array(self.matrix, dtype=np.complex128))
@@ -159,6 +168,7 @@ class MultipartiteState:
             raise DimensionMismatch(f"trace {tr} is not 1 within {TRACE_TOL}")
         object.__setattr__(self, "x_shaped", linalg.is_x_shaped(m))
         low = linalg.min_eigenvalue(m, self.x_shaped)
+        object.__setattr__(self, "min_eigenvalue", low)
         if low < psd_threshold:
             raise NotPSD(f"min eigenvalue {low:.3e} below threshold {psd_threshold:.1e}")
 
@@ -323,12 +333,8 @@ def partial_trace(state: MultipartiteState, traced: Iterable[str]) -> Multiparti
 
 def permute_parties(state: MultipartiteState, order: Sequence[str]) -> MultipartiteState:
     """Return the same state with parties listed in the requested order."""
-    if sorted(order) != sorted(state.system.labels):
-        raise BadPermutation(f"{tuple(order)} is not a permutation of {state.system.labels}")
-    perm = [state.system.axis(l) for l in order]
-    m = permute_matrix_parties(state.matrix, state.system.dims, perm)
-    dims = tuple(state.system.dims[p] for p in perm)
-    return MultipartiteState(PartySystem(tuple(order), dims), m)
+    system, perm = state.system.reordered(order)
+    return MultipartiteState(system, permute_matrix_parties(state.matrix, state.system.dims, perm))
 
 
 def fidelity(phi: PureState, rho: MultipartiteState) -> float:

@@ -84,11 +84,9 @@ def four_qubits() -> PartySystem:
 
 @pytest.fixture(scope="session")
 def scenario_states():
-    from choilab.nonadditivity import binding_channel, choi_state, mixed_binding_channel
+    from choilab.nonadditivity import build_scenario
 
-    states = {f"E{a}": choi_state(binding_channel(a)) for a in (1, 2, 3)}
-    states["mix"] = choi_state(mixed_binding_channel())
-    return states
+    return build_scenario().states
 
 
 @pytest.fixture(scope="session")
@@ -103,12 +101,12 @@ def fixture_dir(tmp_path_factory):
     )
 
     root = tmp_path_factory.mktemp("fixtures")
-    for a in (1, 2, 3):
-        ch = binding_channel(a)
+    parts = [binding_channel(a) for a in (1, 2, 3)]
+    for a, ch in enumerate(parts, start=1):
         (root / f"e{a}.json").write_text(dumps(channel_to_dict(ch)))
         (root / f"e{a}_choi.json").write_text(dumps(state_to_dict(choi_state(ch))))
     (root / "ghz3.json").write_text(dumps(state_to_dict(ghz3_state().density())))
     (root / "emix_choi.json").write_text(
-        dumps(state_to_dict(choi_state(mixed_binding_channel())))
+        dumps(state_to_dict(choi_state(mixed_binding_channel(parts))))
     )
     return root

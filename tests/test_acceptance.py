@@ -38,8 +38,8 @@ from choilab.entanglement import (
 from choilab.nonadditivity import (
     CANONICAL_ORDER,
     CHOI_SYSTEM,
-    REFERENCE_SYSTEM,
     binding_channel,
+    build_scenario,
     capacity_proxy_report,
     choi_closed_form,
     choi_state,
@@ -74,7 +74,7 @@ def _report(number: int, name: str, ok: bool, detail: str = "") -> None:
 
 def _channels():
     chans = {f"E{a}": binding_channel(a) for a in (1, 2, 3)}
-    chans["mix"] = mixed_binding_channel()
+    chans["mix"] = mixed_binding_channel(list(chans.values()))
     return chans
 
 
@@ -149,7 +149,7 @@ def test_criterion_04_classifier_oracle_equivalence():
 
 
 def test_criterion_05_nonadditivity_headline():
-    rep = capacity_proxy_report()
+    rep = capacity_proxy_report(build_scenario())
     proxies = {
         e.claim_id: e for e in rep.entries if e.claim_id.startswith("proxy-E") or
         e.claim_id.startswith("proxy-mix")
@@ -237,7 +237,7 @@ def test_criterion_09_roundtrips():
     ok = True
     details = []
     for name, ch in _channels().items():
-        state = choi(ch, reference=REFERENCE_SYSTEM, order=CANONICAL_ORDER)
+        state = choi(ch, CANONICAL_ORDER)
         rebuilt = kraus_from_choi(state, ["A1", "A2"], ["B", "C"])
         worst = 0.0
         for i in range(4):
@@ -262,10 +262,11 @@ def test_criterion_09_roundtrips():
 
 
 def test_criterion_10_negative_controls_and_exit_codes(tmp_path, capsys):
+    scenario = build_scenario()
     reports = [
-        reproduce_choi_claims(),
-        reproduce_pt_table(),
-        capacity_proxy_report(),
+        reproduce_choi_claims(scenario),
+        reproduce_pt_table(scenario),
+        capacity_proxy_report(scenario),
         ghz_oneway_example(),
         teleport_report(),
     ]

@@ -16,6 +16,7 @@ from choilab.channels import (
     verify_cptp,
 )
 from choilab.errors import (
+    BadPermutation,
     BadWeights,
     DimensionMismatch,
     NothingLeft,
@@ -27,12 +28,17 @@ from choilab.errors import (
 from choilab.linalg import PAULIS, identity, sigma1
 from choilab.nonadditivity import (
     CANONICAL_ORDER,
-    REFERENCE_SYSTEM,
     binding_channel,
     choi_state,
     mixed_binding_channel,
 )
-from choilab.states import BipartiteCut, MultipartiteState, PartySystem, max_entangled
+from choilab.states import (
+    BipartiteCut,
+    MultipartiteState,
+    PartySystem,
+    max_entangled,
+    permute_parties,
+)
 
 from conftest import random_density_matrix, random_state
 
@@ -84,7 +90,7 @@ class TestVerifyCptp:
             rep = verify_cptp(binding_channel(a))
             assert rep.passed
             assert rep.trace_preserving_defect <= 1e-12
-        assert verify_cptp(mixed_binding_channel()).passed
+        assert verify_cptp(mixed_binding_channel([binding_channel(a) for a in (1, 2, 3)])).passed
 
     def test_broken_channel_fails(self):
         sys = qubit_system("Q")
@@ -158,8 +164,34 @@ class TestChoi:
                 assert np.linalg.norm(direct - contracted) < 1e-10
 
     def test_reference_validation(self):
-        with pytest.raises(DimensionMismatch):
-            choi(binding_channel(1), reference=qubit_system("R"))
+        # the labels of the order that are not outputs name the reference
+        ch = binding_channel(1)
+        default = choi(ch)
+        assert default.system == PartySystem(("A_ref", "B", "C"), (4, 2, 2))
+        # as many reference labels as input parties: split like the input
+        like_input = choi(ch, ("B", "R", "C"))
+        assert like_input.system == PartySystem(("B", "R", "C"), (2, 4, 2))
+        want = permute_parties(default, ("B", "A_ref", "C")).matrix
+        assert np.array_equal(like_input.matrix, want)
+        # k labels for an input dimension of 2^k: split into qubits
+        qubits = choi(ch, ("A1", "B", "A2", "C"))
+        assert qubits.system == qubit_system("A1", "B", "A2", "C")
+        assert np.array_equal(qubits.matrix, choi_state(ch).matrix)
+        with pytest.raises(DimensionMismatch, match="cannot split input dimension 4"):
+            choi(ch, ("R1", "R2", "R3", "B", "C"))
+
+    def test_order_must_list_every_party(self):
+        with pytest.raises(BadPermutation) as exc:
+            choi(binding_channel(1), ("A1", "B", "A2"))
+        assert str(exc.value) == (
+            "('A1', 'B', 'A2') is not a permutation of ('A1', 'A2', 'B', 'C')"
+        )
+
+    def test_default_reference_must_not_collide(self):
+        ch = identity_channel()
+        clashing = KrausChannel("id", ch.input_system, PartySystem(("Q_ref",), (2,)), ch.kraus)
+        with pytest.raises(DimensionMismatch, match="collide"):
+            choi(clashing)
 
     def test_swap_relation_between_e2_and_e3(self):
         from choilab.nonadditivity import swap_image
@@ -269,9 +301,9 @@ class TestKrausFromChoi:
         assert np.linalg.norm(apply_matrix(ch, rho) - np.eye(2) / 2) < 1e-12
 
     def test_roundtrip_action_for_scenario_channels(self):
-        for build in (binding_channel(1), binding_channel(2), binding_channel(3),
-                      mixed_binding_channel()):
-            state = choi(build, reference=REFERENCE_SYSTEM, order=CANONICAL_ORDER)
+        parts = [binding_channel(a) for a in (1, 2, 3)]
+        for build in (*parts, mixed_binding_channel(parts)):
+            state = choi(build, CANONICAL_ORDER)
             rebuilt = kraus_from_choi(state, ["A1", "A2"], ["B", "C"])
             assert channels_act_alike(rebuilt, build, tol=1e-9)
             assert verify_cptp(rebuilt).passed

@@ -148,6 +148,33 @@ class TestChoi:
         )
         assert code == 2
 
+    def test_order_validates_once_and_solves_once(self, fixture_dir, capsys, monkeypatch):
+        # choi() permutes the raw Choi matrix, then validates one state, and
+        # the report reads the smallest eigenvalue that validation solved
+        validations, solves = [], []
+        post_init = MultipartiteState.__post_init__
+        solve = linalg.min_eigenvalue
+
+        def validating(self, *args):
+            validations.append(self.system.labels)
+            return post_init(self, *args)
+
+        def solving(*args, **kwargs):
+            solves.append(args[0].shape)
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(MultipartiteState, "__post_init__", validating)
+        for module in (linalg, states, channels, cli):
+            if getattr(module, "min_eigenvalue", None) is solve:
+                monkeypatch.setattr(module, "min_eigenvalue", solving)
+        code, out, _ = run(
+            capsys, "--format", "json", "choi", str(fixture_dir / "e1.json"), "--order", "A1,B,A2,C"
+        )
+        assert code == 0
+        assert validations == [("A1", "B", "A2", "C")]
+        assert solves == [(16, 16)]
+        assert statuses(out) == {"choi-positive": "pass"}
+
 
 class TestClassify:
     def test_mixture_choi(self, fixture_dir, capsys):
@@ -349,6 +376,20 @@ class TestBadMatrixFiles:
             assert code == 2
             assert out == ""
             assert err.startswith("error:") and "Traceback" not in err
+
+
+class TestUnreadableFiles:
+    @pytest.mark.parametrize(
+        "content", [b"\xff\xfe\x00\x00{}", b"[" * 200000], ids=["not-utf8", "nested-too-deeply"]
+    )
+    @pytest.mark.parametrize("command", ["classify", "verify"])
+    def test_usage_error_without_traceback(self, tmp_path, capsys, content, command):
+        path = tmp_path / "unreadable.json"
+        path.write_bytes(content)
+        code, out, err = run(capsys, command, str(path))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and "Traceback" not in err
 
 
 class TestMix:

@@ -281,7 +281,7 @@ def test_dumps_writes_matrices_without_the_python_encoder(monkeypatch):
     rng = np.random.default_rng(61)
     payloads = [
         state_to_dict(random_state(rng, PartySystem(tuple("ABCDEF"), (2,) * 6))),
-        channel_to_dict(mixed_binding_channel()),
+        channel_to_dict(mixed_binding_channel([binding_channel(a) for a in (1, 2, 3)])),
     ]
     want = [json_dumps(p) for p in payloads]
 

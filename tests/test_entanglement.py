@@ -413,7 +413,8 @@ class TestPairwiseDistillability:
         c = ghz_diagonal_coefficients(scenario_states["E1"])
         verdict = pairwise_distillability(c, ("A1", "A2"), ("B",))
         assert not verdict.distillable
-        assert len(verdict.separating_cuts) == 2
+        # at threshold -1 every separating cut blocks
+        assert len(pairwise_distillability(c, ("A1", "A2"), ("B",), -1).blocking_cuts) == 2
         blocking_js = {cut_to_index(b, four_qubits) for b in verdict.blocking_cuts}
         assert blocking_js == {"010"}
 
@@ -422,7 +423,8 @@ class TestPairwiseDistillability:
         for receiver, expected_js in (("B", {"101", "010"}), ("C", {"101", "111"})):
             verdict = pairwise_distillability(c, ("A1", "A2"), (receiver,))
             assert verdict.distillable
-            js = {cut_to_index(s, four_qubits) for s in verdict.separating_cuts}
+            walk = pairwise_distillability(c, ("A1", "A2"), (receiver,), -1)
+            js = {cut_to_index(s, four_qubits) for s in walk.blocking_cuts}
             assert js == expected_js
 
     @settings(max_examples=80)
@@ -430,9 +432,11 @@ class TestPairwiseDistillability:
         n=st.integers(2, 7),
         seed=st.integers(0, 2**32 - 1),
         data=st.data(),
-        threshold=st.one_of(st.just(PSD_THRESHOLD), st.floats(-0.05, 0.05)),
+        threshold=st.one_of(st.just(PSD_THRESHOLD), st.just(-1.0), st.floats(-0.05, 0.05)),
     )
     def test_matches_brute_force_walk_of_cuts(self, n, seed, data, threshold):
+        # at threshold -1 every separating cut blocks, so the blocking cuts
+        # are the whole walk
         # roles: 1 puts a party in group one, 2 in group two, 0 leaves it
         # free; parties p and q keep both groups nonempty
         roles = data.draw(st.lists(st.sampled_from((0, 1, 2)), min_size=n, max_size=n))
@@ -452,32 +456,50 @@ class TestPairwiseDistillability:
                 separating.append(cut)
                 if c.lambdas[j] - c.delta / 2 >= threshold:
                     blocking.append(cut)
+        if threshold == -1:
+            assert blocking == separating
         verdict = pairwise_distillability(c, one, two, threshold)
-        assert all(set(one) <= x.side_one for x in verdict.separating_cuts)
-        assert [sides(x) for x in verdict.separating_cuts] == [sides(x) for x in separating]
+        assert all(set(one) <= x.side_one for x in verdict.blocking_cuts)
         assert [sides(x) for x in verdict.blocking_cuts] == [sides(x) for x in blocking]
         assert verdict.distillable is (not blocking)
 
     def test_reads_cuts_by_bit_mask(self, scenario_states, monkeypatch):
-        # separating cuts come from bit masks in index order, not from labels
+        # separating cuts come from bit masks in index order, not from
+        # labels; at threshold -1 each of them blocks
         def refuse(*args):
             raise AssertionError("cut_to_index called")
 
         c = ghz_diagonal_coefficients(scenario_states["mix"])
         monkeypatch.setattr(entanglement, "cut_to_index", refuse)
-        verdict = pairwise_distillability(c, ("A1", "A2"), ("C",))
-        assert verdict.distillable
-        assert [x.side_one for x in verdict.separating_cuts] == [
+        assert pairwise_distillability(c, ("A1", "A2"), ("C",)).distillable
+        verdict = pairwise_distillability(c, ("A1", "A2"), ("C",), -1)
+        assert [x.side_one for x in verdict.blocking_cuts] == [
             {"A1", "A2"},
             {"A1", "B", "A2"},
         ]
-        verdict = pairwise_distillability(c, ("C",), ("B",))
-        assert [x.side_one for x in verdict.separating_cuts] == [
+        verdict = pairwise_distillability(c, ("C",), ("B",), -1)
+        assert [x.side_one for x in verdict.blocking_cuts] == [
             {"A1", "A2", "C"},
             {"A1", "C"},
             {"A2", "C"},
             {"C"},
         ]
+
+    def test_builds_only_blocking_cuts(self, scenario_states, monkeypatch):
+        built = []
+
+        class CountingCut(BipartiteCut):
+            def __post_init__(self):
+                built.append(self)
+                super().__post_init__()
+
+        monkeypatch.setattr(entanglement, "BipartiteCut", CountingCut)
+        for key, n_blocking in (("E1", 1), ("mix", 0)):
+            c = ghz_diagonal_coefficients(scenario_states[key])
+            built.clear()
+            verdict = pairwise_distillability(c, ("A1", "A2"), ("B",))
+            assert len(verdict.blocking_cuts) == n_blocking
+            assert built == list(verdict.blocking_cuts)
 
     def test_overlapping_groups(self, scenario_states):
         c = ghz_diagonal_coefficients(scenario_states["E1"])

@@ -44,7 +44,7 @@ class TestBuilders:
             assert len(ch.kraus) == 15
             assert completeness_defect(ch) <= 1e-12
             assert verify_cptp(ch).passed
-        mixed = mixed_binding_channel()
+        mixed = mixed_binding_channel([binding_channel(a) for a in (1, 2, 3)])
         assert len(mixed.kraus) == 45
         assert completeness_defect(mixed) <= 1e-12
 
@@ -58,7 +58,7 @@ class TestBuilders:
             assert got.system.labels == CANONICAL_ORDER
             want = choi_closed_form(a)
             assert np.linalg.norm(got.matrix - want.matrix) <= 1e-12
-        got = choi_state(mixed_binding_channel())
+        got = choi_state(mixed_binding_channel([binding_channel(a) for a in (1, 2, 3)]))
         assert np.linalg.norm(got.matrix - choi_closed_form("mix").matrix) <= 1e-12
 
     def test_third_channel_is_swapped_second(self):
@@ -92,7 +92,7 @@ class TestBuilders:
 
 class TestReports:
     def test_choi_claims(self):
-        rep = reproduce_choi_claims()
+        rep = reproduce_choi_claims(nonadditivity.build_scenario())
         assert rep.overall
         ids = {e.claim_id for e in rep.entries}
         assert {"choi-E1", "choi-E2", "choi-E3", "choi-E3-swap", "choi-mix"} <= ids
@@ -100,7 +100,7 @@ class TestReports:
         assert control.control and control.passed
 
     def test_pt_table(self, scenario_states):
-        rep = reproduce_pt_table()
+        rep = reproduce_pt_table(nonadditivity.build_scenario())
         assert rep.overall
         assert len([e for e in rep.entries if not e.control]) == 7
         for key in ("pt-mix-A1A2", "pt-mix-B", "pt-mix-C"):
@@ -112,7 +112,7 @@ class TestReports:
         assert abs(MIX_NPT_EIGENVALUE + 1 / 48) < 1e-16
 
     def test_capacity_proxies(self, scenario_states):
-        rep = capacity_proxy_report()
+        rep = capacity_proxy_report(nonadditivity.build_scenario())
         assert rep.overall
         for a in (1, 2, 3):
             for tag in ("AB", "AC", "ABC"):
@@ -163,7 +163,7 @@ class TestReports:
         ]
 
     def test_blocking_cuts_listed_once(self):
-        rep = capacity_proxy_report()
+        rep = capacity_proxy_report(nonadditivity.build_scenario())
         assert rep.entry("proxy-E2-ABC").computed == (
             "zero (blocking cuts: A1,A2 | B,C; A1,B,A2 | C)"
         )
@@ -190,6 +190,22 @@ class TestReports:
         full_report()
         assert len(calls) == 6
 
+    def test_each_choi_state_validated_once(self, monkeypatch):
+        # four Choi states from Kraus lists, one validation each; the rest
+        # are the closed forms, their swap image and the GHZ, W and
+        # teleportation states
+        validations = []
+        post_init = MultipartiteState.__post_init__
+
+        def validating(self, *args):
+            validations.append(self.system.labels)
+            return post_init(self, *args)
+
+        monkeypatch.setattr(MultipartiteState, "__post_init__", validating)
+        full_report()
+        assert len(validations) == 18
+        assert validations.count(CANONICAL_ORDER) == 9
+
     def test_each_pt_fact_solved_once_per_report(self, monkeypatch):
         calls = []
         check = nonadditivity.ppt_check
@@ -208,13 +224,11 @@ class TestReports:
 
     def test_reports_accept_a_shared_scenario(self):
         scenario = nonadditivity.build_scenario()
+        full = {e.claim_id: e.computed for e in full_report().entries}
         for report in (reproduce_choi_claims, reproduce_pt_table, capacity_proxy_report):
             shared = report(scenario)
-            own = report()
             assert shared.overall
-            assert [(e.claim_id, e.computed) for e in shared.entries] == [
-                (e.claim_id, e.computed) for e in own.entries
-            ]
+            assert all(full[e.claim_id] == e.computed for e in shared.entries)
 
 
 class TestTeleportation:

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from choilab import linalg
 from choilab.errors import (
     BadPermutation,
     DimensionMismatch,
@@ -30,7 +31,12 @@ from choilab.states import (
     schmidt_decomposition,
 )
 
-from conftest import random_density_matrix, random_pure_vector, random_state
+from conftest import (
+    random_density_matrix,
+    random_ghz_diagonal_state,
+    random_pure_vector,
+    random_state,
+)
 
 
 def qubits(*labels):
@@ -340,6 +346,13 @@ class TestValidation:
         assert not MultipartiteState(qubits("A", "B"), m).x_shaped
         # odd dimension: the centre pairs with itself, never X-shaped
         assert not MultipartiteState(PartySystem(("Q",), (3,)), np.eye(3) / 3).x_shaped
+
+    def test_min_eigenvalue_kept_from_validation(self, four_qubits):
+        x = random_ghz_diagonal_state(np.random.default_rng(9), four_qubits)
+        dense = random_state(np.random.default_rng(9), four_qubits)
+        assert x.x_shaped and not dense.x_shaped
+        for rho in (x, dense):
+            assert rho.min_eigenvalue == linalg.min_eigenvalue(rho.matrix)
 
     def test_pure_norm_gate(self):
         with pytest.raises(DimensionMismatch):
