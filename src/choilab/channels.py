@@ -1,8 +1,12 @@
 """Kraus-form CPTP maps and the channel/state isomorphism.
 
-A channel E(rho) = sum_k A_k rho A_k^dagger is stored as its Kraus list
-with declared input/output party systems.  Its Choi state is obtained by
-sending the second half of a maximally entangled pair through the channel,
+A channel E(rho) = sum_k A_k rho A_k^dagger is stored as one
+(K, d_out, d_in) array of its Kraus operators with declared input/output
+party systems, so each step over the operators is a single numpy call.
+Sums over the operators add the terms in the order k = 0, 1, ..., as a
+loop over the operators would, so every result is bit-identical to it.
+Its Choi state is obtained by sending the second half of a maximally
+entangled pair through the channel,
 
     E_state = (1 (x) E) |Phi><Phi|,   |Phi> = (1/sqrt(d)) sum_k |k>|k>,
 
@@ -49,21 +53,26 @@ REF_MARGINAL_TOL = 1e-8
 
 @dataclass(eq=False)
 class KrausChannel:
-    """A linear map in Kraus form; completeness is checked by verify_cptp."""
+    """A linear map in Kraus form; completeness is checked by verify_cptp.
+
+    ``kraus`` may be given as any sequence of matrices; it is stored as a
+    fresh, writable, C-contiguous complex128 array of shape
+    (K, dim_out, dim_in), K >= 1, with finite entries.
+    """
 
     name: str
     input_system: PartySystem
     output_system: PartySystem
-    kraus: tuple[np.ndarray, ...]
+    kraus: np.ndarray
 
     def __post_init__(self):
-        ops = tuple(linalg.as_matrix(a) for a in self.kraus)
-        if not ops:
-            raise DimensionMismatch("a channel needs at least one Kraus operator")
         shape = (self.output_system.total_dim, self.input_system.total_dim)
-        for a in ops:
-            if a.shape != shape:
-                raise DimensionMismatch(f"Kraus operator shape {a.shape}, expected {shape}")
+        try:
+            ops = np.array(self.kraus, dtype=np.complex128, order="C")
+        except (TypeError, ValueError, OverflowError):  # ragged, or not numbers
+            ops = None
+        if ops is None or ops.shape[1:] != shape or not len(ops) or not np.isfinite(ops).all():
+            ops = np.array(_checked_one_by_one(self.kraus, shape))
         self.kraus = ops
 
     @property
@@ -73,6 +82,17 @@ class KrausChannel:
     @property
     def dim_out(self) -> int:
         return self.output_system.total_dim
+
+
+def _checked_one_by_one(kraus, shape: tuple[int, int]) -> list[np.ndarray]:
+    """Each operator coerced and checked alone, so the first bad one names the error."""
+    ops = [linalg.as_matrix(a) for a in kraus]
+    if not ops:
+        raise DimensionMismatch("a channel needs at least one Kraus operator")
+    for a in ops:
+        if a.shape != shape:
+            raise DimensionMismatch(f"Kraus operator shape {a.shape}, expected {shape}")
+    return ops
 
 
 @dataclass(frozen=True)
@@ -93,18 +113,34 @@ class CptpReport:
 
 def completeness_defect(ch: KrausChannel) -> float:
     """Frobenius norm of sum_k A_k^dagger A_k - identity."""
-    acc = sum(a.conj().T @ a for a in ch.kraus)
+    # A reduction over the leading axis adds 0 + P_0 + P_1 + ... in that
+    # order, as a loop would; a BLAS product (V^dagger V) or einsum would
+    # regroup the sum and change the last bits.
+    acc = np.add.reduce(ch.kraus.conj().transpose(0, 2, 1) @ ch.kraus, axis=0, initial=0)
     return float(np.linalg.norm(acc - linalg.identity(ch.dim_in)))
 
 
-def _choi_matrix(ch: KrausChannel) -> np.ndarray:
-    """Unit-trace Choi matrix with (reference, output) index order."""
-    d = ch.dim_in
-    e = np.zeros((d * ch.dim_out,) * 2, dtype=np.complex128)
-    for a in ch.kraus:
-        v = a.T.reshape(-1)  # v[(i, o)] = A[o, i]
-        e += np.outer(v, v.conj())
-    return e / d
+# Complex entries of the outer products that choi_matrix forms at once (64 MiB).
+_OUTER_BATCH = 1 << 22
+
+
+def choi_matrix(ch: KrausChannel) -> np.ndarray:
+    """Unit-trace Choi matrix with (reference, output) index order, not validated.
+
+    It is sum_k v_k v_k^dagger / d_in with v_k[(i, o)] = A_k[o, i], added
+    in the order k = 0, 1, ... (see completeness_defect).  The outer
+    products are formed a batch at a time, each batch summed onto the
+    running total in slot 0, so memory stays bounded for long Kraus lists.
+    """
+    k, d_out, d = ch.kraus.shape
+    v = ch.kraus.transpose(0, 2, 1).reshape(k, d * d_out)
+    step = max(1, _OUTER_BATCH // v.shape[1] ** 2)
+    terms = np.zeros((min(k, step) + 1,) + (v.shape[1],) * 2, dtype=np.complex128)
+    for lo in range(0, k, step):
+        part = v[lo : lo + step]
+        np.multiply(part[:, :, None], part.conj()[:, None, :], out=terms[1 : len(part) + 1])
+        terms[0] = np.add.reduce(terms[: len(part) + 1], axis=0)
+    return terms[0] / d
 
 
 def verify_cptp(ch: KrausChannel, psd_threshold: float = linalg.PSD_THRESHOLD) -> CptpReport:
@@ -114,7 +150,7 @@ def verify_cptp(ch: KrausChannel, psd_threshold: float = linalg.PSD_THRESHOLD) -
     guards data loaded through the codec.
     """
     defect = completeness_defect(ch)
-    e = _choi_matrix(ch)
+    e = choi_matrix(ch)
     choi_min = linalg.min_eigenvalue(e)
     return CptpReport(
         trace_preserving_defect=defect,
@@ -130,10 +166,8 @@ def apply_matrix(ch: KrausChannel, mat: np.ndarray) -> np.ndarray:
     mat = linalg.as_matrix(mat)
     if mat.shape != (ch.dim_in, ch.dim_in):
         raise DimensionMismatch(f"matrix shape {mat.shape}, channel input dim {ch.dim_in}")
-    out = np.zeros((ch.dim_out, ch.dim_out), dtype=np.complex128)
-    for a in ch.kraus:
-        out += a @ mat @ a.conj().T
-    return out
+    terms = ch.kraus @ mat @ ch.kraus.conj().transpose(0, 2, 1)
+    return np.add.reduce(terms, axis=0, initial=0)  # in order, as in completeness_defect
 
 
 def apply(ch: KrausChannel, rho: MultipartiteState) -> MultipartiteState:
@@ -179,7 +213,7 @@ def choi(ch: KrausChannel, order: Sequence[str] | None = None) -> MultipartiteSt
     system = PartySystem(
         reference.labels + ch.output_system.labels, reference.dims + ch.output_system.dims
     )
-    matrix = _choi_matrix(ch)
+    matrix = choi_matrix(ch)
     if order is not None:
         ordered, perm = system.reordered(order)
         matrix = permute_matrix_parties(matrix, system.dims, perm)
@@ -243,13 +277,11 @@ def mix(
             or ch.output_system != first.output_system
         ):
             raise SystemMismatch(f"channel {ch.name!r} has a different input/output system")
-    ops = []
-    for ch, x in zip(channels, mix_weights(len(channels), weights)):
-        scale = math.sqrt(x)
-        ops.extend(scale * a for a in ch.kraus)
+    w = mix_weights(len(channels), weights)
+    ops = np.concatenate([math.sqrt(x) * ch.kraus for ch, x in zip(channels, w)])
     if name is None:
         name = "mix(" + "+".join(ch.name for ch in channels) + ")"
-    return KrausChannel(name, first.input_system, first.output_system, tuple(ops))
+    return KrausChannel(name, first.input_system, first.output_system, ops)
 
 
 def reduced_channel(ch: KrausChannel, traced_outputs: Sequence[str] | frozenset[str]) -> KrausChannel:
@@ -258,21 +290,19 @@ def reduced_channel(ch: KrausChannel, traced_outputs: Sequence[str] | frozenset[
     if traced == set(ch.output_system.labels):
         raise NothingLeft("cannot trace out the whole output")
     keep = [l for l in ch.output_system.labels if l not in traced]
-    axes = [ch.output_system.axis(l) for l in traced]
+    axes = sorted(ch.output_system.axis(l) for l in traced)
     out_dims = ch.output_system.dims
     d_keep = math.prod(ch.output_system.dim_of(l) for l in keep)
     d_traced = ch.dim_out // d_keep
-    ops = []
-    for a in ch.kraus:
-        t = a.reshape(out_dims + (ch.dim_in,))
-        t = np.moveaxis(t, axes, range(len(axes)))
-        t = t.reshape(d_traced, d_keep, ch.dim_in)
-        ops.extend(np.ascontiguousarray(t[i]) for i in range(d_traced))
+    # Operator k of the input gives operators k * d_traced + i, one per
+    # basis state i of the traced parties.
+    t = ch.kraus.reshape((len(ch.kraus),) + out_dims + (ch.dim_in,))
+    t = np.moveaxis(t, [ax + 1 for ax in axes], range(1, len(axes) + 1))
     return KrausChannel(
         f"{ch.name}/traced({','.join(sorted(traced))})",
         ch.input_system,
         ch.output_system.subsystem(keep),
-        tuple(ops),
+        t.reshape(len(ch.kraus) * d_traced, d_keep, ch.dim_in),
     )
 
 
@@ -305,11 +335,10 @@ def kraus_from_choi(
     marginal = trace_out_axes(ordered.matrix, (d_ref, d_out), [1])
     if np.linalg.norm(marginal - linalg.identity(d_ref) / d_ref) > REF_MARGINAL_TOL:
         raise NotTracePreserving("reference marginal of the Choi state is not maximally mixed")
-    ops = []
-    for val, vec in zip(vals, vecs.T):
-        if val <= CHOI_RANK_CUTOFF:
-            continue
-        ops.append(math.sqrt(val * d_ref) * vec.reshape(d_ref, d_out).T)
+    keep = vals > CHOI_RANK_CUTOFF
+    # Eigenvector v of the (reference, output) matrix is the operator A[o, i] = v[(i, o)].
+    ops = vecs.T[keep].reshape(-1, d_ref, d_out).transpose(0, 2, 1)
+    ops = np.sqrt(vals[keep] * d_ref)[:, None, None] * ops
     input_system = PartySystem(ref, tuple(sys.dim_of(l) for l in ref))
     output_system = PartySystem(out, tuple(sys.dim_of(l) for l in out))
-    return KrausChannel("from_choi", input_system, output_system, tuple(ops))
+    return KrausChannel("from_choi", input_system, output_system, ops)

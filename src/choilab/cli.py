@@ -18,7 +18,7 @@ import sys
 import numpy as np
 
 from . import __version__
-from .channels import MIX_LINEARITY_TOL, choi, mix, mix_weights, verify_cptp
+from .channels import MIX_LINEARITY_TOL, choi, choi_matrix, mix, mix_weights, verify_cptp
 from .codec import (
     channel_from_dict,
     channel_to_dict,
@@ -225,9 +225,10 @@ def _cmd_classify(args) -> int:
 def _cmd_mix(args) -> int:
     channels = [channel_from_dict(load_path(p)) for p in args.channels]
     mixed = mix(channels, weights=args.weights)
-    parts = [choi(ch) for ch in channels]
+    # The parts' raw Choi matrices: a part that is not trace preserving is
+    # for mix-cptp to report, not an input error.
     w = mix_weights(len(channels), args.weights)
-    combo = sum(x * p.matrix for x, p in zip(w, parts))
+    combo = sum(x * choi_matrix(ch) for x, ch in zip(w, channels))
     rep = verify_cptp(mixed, psd_threshold=-args.tolerance)
     linearity = float(np.linalg.norm(rep.choi_matrix - combo))
     entries = [

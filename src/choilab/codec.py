@@ -9,19 +9,23 @@ plus a newline, without the pure-Python encoder that ``indent`` selects in
 CPython.  A nonempty list of plain ints and finite floats nested to one
 depth (a matrix, a list of matrices) is formatted from a single ``repr``:
 that text is checked to hold only numbers, ", " and brackets at that depth,
-and is then re-indented with one ``str.replace`` per depth.  Any other list
-falls back to the per-item path, as do dicts (sorted str keys) and scalars
-(json's own encoding, so NaN, Infinity, true and null are unchanged); a
-dict with non-str keys, or a value json cannot encode, goes to
-``json.dumps`` itself.  Cyclic values raise RecursionError, not json's
-ValueError.
+and is then re-indented with one ``str.replace`` per depth.  A nonempty
+list of nonempty flat dicts (report rows: plain str keys, scalar values)
+is written by one call of json's C encoder, whose item separator carries
+the newline and indent.  Any other list falls back to the per-item path,
+as do dicts (sorted str keys) and scalars (json's own encoding, so NaN,
+Infinity, true and null are unchanged); a dict with non-str keys, or a
+value json cannot encode, goes to ``json.dumps`` itself.  Cyclic values
+raise RecursionError, not json's ValueError.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import re
+from itertools import chain
 from json.encoder import encode_basestring_ascii
 from typing import TYPE_CHECKING, Any
 
@@ -36,7 +40,8 @@ if TYPE_CHECKING:  # the report layer sits above the codec
     from .nonadditivity import ReproductionReport
 
 
-def encode_matrix(m: np.ndarray) -> list[list[list[float]]]:
+def encode_matrix(m: np.ndarray) -> list:
+    """[re, im] pairs in nested lists; a stack of matrices gives a list of matrices."""
     return np.stack((m.real, m.imag), -1).tolist()
 
 
@@ -48,16 +53,43 @@ def decode_matrix(obj: Any, what: str = "matrix") -> np.ndarray:
     (rows, cols, 2) (ragged rows, strings, null, a cell that is not a
     pair) is rejected.
     """
+    arr = _number_pairs(obj)
+    if arr is None or arr.ndim != 3:
+        raise ParseError(f"{what}: expected a nonempty array of rows of [re, im] number pairs")
+    return _complex(arr)
+
+
+def _number_pairs(obj: Any) -> np.ndarray | None:
+    """``obj`` read by numpy in one pass, if it is numeric with a last axis of 2."""
     try:
         arr = np.array(obj)
     except ValueError:  # ragged or mixed-depth nesting
-        arr = None
-    if arr is None or arr.dtype.kind not in "biuf" or arr.ndim != 3 or arr.shape[2] != 2:
-        raise ParseError(f"{what}: expected a nonempty array of rows of [re, im] number pairs")
-    m = np.empty(arr.shape[:2], dtype=np.complex128)
-    m.real = arr[..., 0]
-    m.imag = arr[..., 1]
+        return None
+    if arr.dtype.kind not in "biuf" or arr.shape[-1:] != (2,):
+        return None
+    return arr
+
+
+def _complex(pairs: np.ndarray) -> np.ndarray:
+    m = np.empty(pairs.shape[:-1], dtype=np.complex128)
+    m.real = pairs[..., 0]
+    m.imag = pairs[..., 1]
     return m
+
+
+def _decode_kraus(obj: list) -> np.ndarray | list[np.ndarray]:
+    """The Kraus list as one (K, rows, cols) array, each operator as decode_matrix reads it.
+
+    numpy types a list by all of its numbers, and whether an int of 2**63
+    or more reads as uint64, float64 or object depends on the numbers
+    beside it (and on the numpy version).  Lists holding such magnitudes
+    (NaN and infinities among them), and any that do not stack, are read
+    one operator at a time, so the first bad operator names the error.
+    """
+    arr = _number_pairs(obj)
+    if arr is None or arr.ndim != 4 or not (np.abs(arr) < 2.0**63).all():
+        return [decode_matrix(k, f"channel.kraus[{i}]") for i, k in enumerate(obj)]
+    return _complex(arr)
 
 
 def _decode_system(obj: Any, what: str) -> PartySystem:
@@ -99,11 +131,19 @@ def channel_to_dict(ch: KrausChannel) -> dict:
         "name": ch.name,
         "input": {"labels": list(ch.input_system.labels), "dims": list(ch.input_system.dims)},
         "output": {"labels": list(ch.output_system.labels), "dims": list(ch.output_system.dims)},
-        "kraus": [encode_matrix(a) for a in ch.kraus],
+        "kraus": encode_matrix(ch.kraus),
     }
 
 
 def channel_from_dict(obj: Any) -> KrausChannel:
+    """The channel a JSON object describes; any defect in it is a ParseError.
+
+    The ``kraus`` list is decoded with one numpy call into the channel's
+    (K, rows, cols) array when it stacks; otherwise, and when its numbers
+    could type differently read together than one operator at a time, each
+    operator is decoded alone, so errors and values are those of
+    ``decode_matrix``.
+    """
     if not isinstance(obj, dict):
         raise ParseError("channel: expected a JSON object")
     name = obj.get("name")
@@ -114,7 +154,7 @@ def channel_from_dict(obj: Any) -> KrausChannel:
     kraus_obj = obj.get("kraus")
     if not isinstance(kraus_obj, list) or not kraus_obj:
         raise ParseError("channel: kraus must be a nonempty array of matrices")
-    kraus = tuple(decode_matrix(k, f"channel.kraus[{i}]") for i, k in enumerate(kraus_obj))
+    kraus = _decode_kraus(kraus_obj)
     try:
         return KrausChannel(name, input_system, output_system, kraus)
     except ChoilabError as exc:
@@ -167,7 +207,7 @@ def _encode(o: Any, level: int, out: list[str]) -> None:
     if scalar is not None:
         out.append(scalar(o))
     elif isinstance(o, (list, tuple)):
-        text = _numeric_array(o, level) if type(o) is list else None
+        text = (_numeric_array(o, level) or _dict_rows(o, level)) if type(o) is list else None
         if text is not None:
             out.append(text)
         else:
@@ -236,6 +276,33 @@ def _numeric_array(o: list, level: int) -> str | None:
     for j in range(1, depth):
         inner = inner.replace(chr(j), closes(j) + "," + opens(j))
     return "[" + opens(depth - 1) + inner + closes(depth)
+
+
+def _dict_rows(o: list, level: int) -> str | None:
+    """json's text for a nonempty list of nonempty flat dicts (report rows), else None.
+
+    Every row must be a plain dict with plain str keys and values whose
+    exact type is in _SCALARS.  One C encoder call writes the rows with
+    "," + newline + the row items' indent between items; a raw newline
+    never occurs inside an encoded string, and an item never starts with
+    "{", so "}" + that separator + "{" occurs only between two rows.
+    """
+    if not o or set(map(type, o)) != {dict} or not all(o):
+        return None
+    keys = set(map(type, chain.from_iterable(o)))
+    values = set(map(type, chain.from_iterable(map(dict.values, o))))
+    if keys != {str} or not _SCALARS.keys() >= values:
+        return None
+    outer, inner = "\n" + "  " * (level + 1), "\n" + "  " * (level + 2)
+    text = _row_encoder(level).encode(o)
+    body = text[2:-2].replace("}," + inner + "{", outer + "}," + outer + "{" + inner)
+    return "[" + outer + "{" + inner + body + outer + "}" + "\n" + "  " * level + "]"
+
+
+@functools.cache
+def _row_encoder(level: int) -> json.JSONEncoder:
+    """An encoder for the rows of a list at ``level``: json's separators without indent, so C speed."""
+    return json.JSONEncoder(sort_keys=True, separators=(",\n" + "  " * (level + 2), ": "))
 
 
 def loads(text: str) -> Any:

@@ -35,7 +35,11 @@ SCHMIDT_RANK_TOL = 1e-9
 
 @dataclass(frozen=True)
 class PartySystem:
-    """Ordered party labels with matching local dimensions."""
+    """Ordered party labels with matching local dimensions.
+
+    A label is a nonempty string with no ',' or ':' and no surrounding
+    whitespace, so the CLI can name every party of a system.
+    """
 
     labels: tuple[str, ...]
     dims: tuple[int, ...]
@@ -51,6 +55,13 @@ class PartySystem:
             raise DimensionMismatch("a system needs at least one party")
         if any(d < 2 for d in self.dims):
             raise DimensionMismatch(f"local dimensions must be >= 2, got {self.dims}")
+        for label in self.labels:
+            # The CLI splits party lists on "," and group pairs on ":", and strips blanks.
+            if not label or label != label.strip() or "," in label or ":" in label:
+                raise UnknownParty(
+                    f"party label {label!r} must be nonempty, without ',' or ':' "
+                    "and without surrounding whitespace"
+                )
 
     @property
     def total_dim(self) -> int:

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import settings
@@ -30,6 +32,65 @@ REJECTED_MATRICES = {
     "cell-not-pair": [[1, 0]],
     "mixed-cell-depth": [[[1, 0], [[1], 0]]],
 }
+
+
+# The per-operator loops that a channel's Kraus array replaced with one
+# numpy call each, kept as the oracle those calls must match bit for bit.
+
+
+def loop_completeness_defect(kraus, d_in: int) -> float:
+    acc = sum(a.conj().T @ a for a in kraus)
+    return float(np.linalg.norm(acc - np.eye(d_in, dtype=np.complex128)))
+
+
+def loop_choi_matrix(kraus, d_in: int, d_out: int) -> np.ndarray:
+    e = np.zeros((d_in * d_out,) * 2, dtype=np.complex128)
+    for a in kraus:
+        v = a.T.reshape(-1)
+        e += np.outer(v, v.conj())
+    return e / d_in
+
+
+def loop_apply_matrix(kraus, mat: np.ndarray) -> np.ndarray:
+    out = np.zeros((kraus[0].shape[0],) * 2, dtype=np.complex128)
+    for a in kraus:
+        out += a @ mat @ a.conj().T
+    return out
+
+
+def loop_reduced_kraus(kraus, out_dims, axes, d_traced: int, d_keep: int) -> list[np.ndarray]:
+    ops = []
+    for a in kraus:
+        t = a.reshape(tuple(out_dims) + (a.shape[1],))
+        t = np.moveaxis(t, axes, range(len(axes)))
+        t = t.reshape(d_traced, d_keep, a.shape[1])
+        ops.extend(np.ascontiguousarray(t[i]) for i in range(d_traced))
+    return ops
+
+
+def loop_kraus_from_choi(matrix: np.ndarray, d_ref: int, d_out: int, cutoff: float) -> list[np.ndarray]:
+    vals, vecs = np.linalg.eigh(matrix)
+    return [
+        math.sqrt(val * d_ref) * vec.reshape(d_ref, d_out).T
+        for val, vec in zip(vals, vecs.T)
+        if val > cutoff
+    ]
+
+
+def loop_mix_kraus(kraus_lists, weights) -> list[np.ndarray]:
+    return [math.sqrt(x) * a for ops, x in zip(kraus_lists, weights) for a in ops]
+
+
+def loop_decode_kraus(obj) -> list[np.ndarray]:
+    from choilab.codec import decode_matrix
+
+    return [decode_matrix(k, f"channel.kraus[{i}]") for i, k in enumerate(obj)]
+
+
+def same_bits(a, b) -> bool:
+    """Equal shapes and equal bits, signed zeros included."""
+    a, b = np.ascontiguousarray(a), np.ascontiguousarray(b)
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
 
 def random_density_matrix(rng: np.random.Generator, dim: int) -> np.ndarray:

@@ -1,20 +1,28 @@
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from choilab import channels, linalg
 from choilab.channels import (
+    CHOI_RANK_CUTOFF,
     KrausChannel,
     apply,
     apply_matrix,
     choi,
     choi_apply,
+    choi_matrix,
+    completeness_defect,
     kraus_from_choi,
     mix,
     reduced_channel,
     verify_cptp,
 )
+from choilab.codec import channel_from_dict, channel_to_dict, dumps, encode_matrix, loads
 from choilab.errors import (
     BadPermutation,
     BadWeights,
@@ -40,7 +48,18 @@ from choilab.states import (
     permute_parties,
 )
 
-from conftest import random_density_matrix, random_state
+from conftest import (
+    loop_apply_matrix,
+    loop_choi_matrix,
+    loop_completeness_defect,
+    loop_decode_kraus,
+    loop_kraus_from_choi,
+    loop_mix_kraus,
+    loop_reduced_kraus,
+    random_density_matrix,
+    random_state,
+    same_bits,
+)
 
 
 def qubit_system(*labels):
@@ -329,3 +348,115 @@ class TestKrausFromChoi:
         m[0, 0] = 1.0
         with pytest.raises(NotTracePreserving):
             kraus_from_choi(MultipartiteState(sys, m), ["R"], ["Q"])
+
+
+def _random_kraus(rng, k: int, d_out: int, d_in: int) -> list[np.ndarray]:
+    """k separate operators with about a fifth of their parts planted as -0.0 or +0.0."""
+    shape = (k, d_out, d_in)
+    ops = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    for part in (ops.real, ops.imag):
+        part[rng.random(shape) < 0.1] = -0.0
+        part[rng.random(shape) < 0.1] = 0.0
+    return [np.array(a) for a in ops / math.sqrt(k * d_out)]
+
+
+class TestKrausArray:
+    def test_one_writable_array_of_its_own(self):
+        ops = [identity(2), np.array(sigma1)]
+        ch = KrausChannel("t", qubit_system("Q"), qubit_system("Q"), ops)
+        assert isinstance(ch.kraus, np.ndarray) and ch.kraus.dtype == np.complex128
+        assert ch.kraus.shape == (2, 2, 2)
+        assert ch.kraus.flags.c_contiguous and ch.kraus.flags.writeable
+        ops[1][0, 1] = 5  # the channel holds a copy
+        assert ch.kraus[1, 0, 1] == 1
+        read_only = np.stack(ops)
+        read_only.setflags(write=False)
+        assert KrausChannel("t", ch.input_system, ch.output_system, read_only).kraus.flags.writeable
+
+    @pytest.mark.parametrize(
+        "ops, error, message",
+        [
+            ((), DimensionMismatch, "a channel needs at least one Kraus operator"),
+            ((np.eye(2), np.ones(2)), DimensionMismatch, "expected a 2-D matrix, got ndim=1"),
+            ((np.eye(2), np.ones((1, 2, 2))), DimensionMismatch, "expected a 2-D matrix, got ndim=3"),
+            ((np.eye(2), [[0, math.nan], [0, 0]]), DimensionMismatch, "matrix contains non-finite entries"),
+            # every operator is coerced before any shape is compared
+            ((np.eye(3), [[math.inf, 0], [0, 0]]), DimensionMismatch, "matrix contains non-finite entries"),
+            ((np.eye(2), np.eye(3)), DimensionMismatch, "Kraus operator shape (3, 3), expected (2, 2)"),
+            ((np.eye(2), [[1, 0]]), DimensionMismatch, "Kraus operator shape (1, 2), expected (2, 2)"),
+            (np.eye(2), DimensionMismatch, "expected a 2-D matrix, got ndim=1"),
+            ((np.eye(2), [["a", "b"], ["c", "d"]]), ValueError, "complex() arg is a malformed string"),
+            ((np.eye(2), [[2**2000, 0], [0, 0]]), OverflowError, "int too large to convert to float"),
+        ],
+        ids=[
+            "empty", "vector", "stack", "nan", "inf-before-shape", "shape", "ragged",
+            "one-matrix", "strings", "huge-int",
+        ],
+    )
+    def test_first_bad_operator_names_the_error(self, ops, error, message):
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
+            KrausChannel("t", qubit_system("Q"), qubit_system("Q"), ops)
+
+    @given(
+        k=st.integers(1, 64),
+        d_in=st.sampled_from([2, 4, 8]),
+        d_out=st.sampled_from([2, 4, 8]),
+        n_parts=st.integers(1, 3),
+        batch=st.integers(1, 4),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_per_operator_loops(self, k, d_in, d_out, n_parts, batch, seed):
+        rng = np.random.default_rng(seed)
+        sys_in, sys_out = PartySystem(("I",), (d_in,)), PartySystem(("O",), (d_out,))
+        part_ops = [_random_kraus(rng, k, d_out, d_in) for _ in range(n_parts)]
+        parts = [KrausChannel(f"R{i}", sys_in, sys_out, ops) for i, ops in enumerate(part_ops)]
+        ops, ch = part_ops[0], parts[0]
+        assert same_bits(ch.kraus, np.stack(ops))
+        assert completeness_defect(ch).hex() == loop_completeness_defect(ops, d_in).hex()
+        want = loop_choi_matrix(ops, d_in, d_out)
+        assert same_bits(choi_matrix(ch), want)
+        with pytest.MonkeyPatch.context() as mp:  # outer products a few at a time
+            mp.setattr(channels, "_OUTER_BATCH", batch * (d_in * d_out) ** 2)
+            assert same_bits(choi_matrix(ch), want)
+        mat = rng.standard_normal((d_in, d_in)) + 1j * rng.standard_normal((d_in, d_in))
+        assert same_bits(apply_matrix(ch, mat), loop_apply_matrix(ops, mat))
+        weights = rng.random(n_parts) + 0.1
+        weights = list(weights / weights.sum())
+        mixed = mix(parts, weights)
+        assert same_bits(mixed.kraus, np.stack(loop_mix_kraus(part_ops, weights)))
+        text = dumps(channel_to_dict(mixed))
+        per_operator = channel_to_dict(mixed) | {"kraus": [encode_matrix(a) for a in mixed.kraus]}
+        assert text == dumps(per_operator)
+        back = channel_from_dict(loads(text))
+        assert same_bits(back.kraus, mixed.kraus)
+        assert same_bits(back.kraus, np.stack(loop_decode_kraus(loads(text)["kraus"])))
+
+    @pytest.mark.parametrize("traced", [("B",), ("C",), ("B", "D"), ("D", "B")])
+    def test_reduced_channel_matches_per_operator_loop(self, traced):
+        rng = np.random.default_rng(17)
+        out = PartySystem(("B", "C", "D"), (2, 3, 2))
+        ch = KrausChannel("r", qubit_system("A"), out, _random_kraus(rng, 5, 12, 2))
+        axes = [out.axis(l) for l in out.labels if l in traced]
+        d_traced = math.prod(out.dim_of(l) for l in traced)
+        want = loop_reduced_kraus(ch.kraus, out.dims, axes, d_traced, 12 // d_traced)
+        assert same_bits(reduced_channel(ch, traced).kraus, np.stack(want))
+
+    def test_kraus_from_choi_matches_per_operator_loop(self):
+        for ch in (binding_channel(2), two_qubit_depolarizing(), identity_channel()):
+            state = choi(ch)
+            got = kraus_from_choi(state, state.system.labels[:1], state.system.labels[1:])
+            want = loop_kraus_from_choi(state.matrix, ch.dim_in, ch.dim_out, CHOI_RANK_CUTOFF)
+            assert same_bits(got.kraus, np.stack(want))
+
+    def test_mixture_coerces_no_operator_alone(self, monkeypatch):
+        coerced = []
+        as_matrix = linalg.as_matrix
+
+        def counting(*args):
+            coerced.append(1)
+            return as_matrix(*args)
+
+        monkeypatch.setattr(linalg, "as_matrix", counting)
+        mixed = mixed_binding_channel([binding_channel(a) for a in (1, 2, 3)])
+        assert len(mixed.kraus) == 45
+        assert coerced == []

@@ -148,6 +148,16 @@ class TestChoi:
         )
         assert code == 2
 
+    @pytest.mark.parametrize("order", ["A1,,B,C", "A1,B,C,", "A1, B,C,A:2"])
+    def test_order_label_the_cli_cannot_name(self, fixture_dir, tmp_path, capsys, order):
+        out_path = tmp_path / "choi.json"
+        code, out, err = run(
+            capsys, "choi", str(fixture_dir / "e1.json"), "--order", order, "--out", str(out_path)
+        )
+        assert (code, out) == (2, "")
+        assert err.startswith("error: party label") and "Traceback" not in err
+        assert not out_path.exists()
+
     def test_order_validates_once_and_solves_once(self, fixture_dir, capsys, monkeypatch):
         # choi() permutes the raw Choi matrix, then validates one state, and
         # the report reads the smallest eigenvalue that validation solved
@@ -378,6 +388,17 @@ class TestBadMatrixFiles:
             assert err.startswith("error:") and "Traceback" not in err
 
 
+class TestBadLabelFiles:
+    @pytest.mark.parametrize("label", ["", "A,B", "A:B", " A", "A\t"])
+    def test_usage_error_without_traceback(self, tmp_path, capsys, label):
+        state = tmp_path / "state.json"
+        doc = state_to_dict(ghz_basis_state(PartySystem(("A", "B"), (2, 2)), "1", 1).density())
+        state.write_text(dumps(doc | {"labels": [label, "B"]}))
+        code, out, err = run(capsys, "classify", str(state))
+        assert (code, out) == (2, "")
+        assert err.startswith("error: state: party label") and "Traceback" not in err
+
+
 class TestUnreadableFiles:
     @pytest.mark.parametrize(
         "content", [b"\xff\xfe\x00\x00{}", b"[" * 200000], ids=["not-utf8", "nested-too-deeply"]
@@ -440,16 +461,41 @@ class TestMix:
     def test_mixture_choi_matrix_built_once(self, fixture_dir, capsys, monkeypatch):
         # one build per part, one for the mixture (its linearity and CPTP checks share it)
         built = []
-        original = channels._choi_matrix
+        original = channels.choi_matrix
 
         def counting(ch):
             built.append(ch.name)
             return original(ch)
 
-        monkeypatch.setattr(channels, "_choi_matrix", counting)
+        for module in (channels, cli):  # the CLI sums the parts' matrices itself
+            monkeypatch.setattr(module, "choi_matrix", counting)
         code, _, _ = run(capsys, "mix", *(str(fixture_dir / f"e{a}.json") for a in (1, 2, 3)))
         assert code == 0
         assert len(built) == 4
+
+    def test_part_not_trace_preserving_is_reported(self, fixture_dir, tmp_path, capsys):
+        # mix-cptp reports the defect; the part's Choi matrix is not a state,
+        # but mixing it is not an input error
+        files = [str(without_last_kraus(fixture_dir, tmp_path))]
+        files += [str(fixture_dir / f"e{a}.json") for a in (2, 3)]
+        code, out, err = run(capsys, "--format", "json", "mix", *files)
+        assert (code, err) == (1, "")
+        assert statuses(out) == {"mix-choi-linearity": "pass", "mix-cptp": "fail"}
+        cptp = {e["id"]: e for e in json.loads(out)["entries"]}["mix-cptp"]["computed"]
+        assert not cptp.startswith("defect = 0")
+
+    def test_validates_no_part_state(self, fixture_dir, capsys, monkeypatch):
+        validated = []
+        post_init = MultipartiteState.__post_init__
+
+        def validating(self, *args):
+            validated.append(self.system.labels)
+            return post_init(self, *args)
+
+        monkeypatch.setattr(MultipartiteState, "__post_init__", validating)
+        code, _, _ = run(capsys, "mix", *(str(fixture_dir / f"e{a}.json") for a in (1, 2, 3)))
+        assert code == 0
+        assert validated == []
 
     def test_cptp_entry_shows_both_rules(self, fixture_dir, capsys):
         files = [str(fixture_dir / f"e{a}.json") for a in (1, 2, 3)]
@@ -576,7 +622,7 @@ class TestOutputContract:
         files = [str(fixture_dir / f"e{a}.json") for a in (1, 2, 3)]
         code, out, _ = run(capsys, "--format", fmt, "mix", *files, "--out", str(mixed_path))
         assert code == 0
-        assert channel_from_dict(loads(mixed_path.read_text())).kraus
+        assert len(channel_from_dict(loads(mixed_path.read_text())).kraus)
         self._assert_report(out, fmt, "mix")
         choi_path = tmp_path / "choi.json"
         code, out, _ = run(capsys, "--format", fmt, "choi", str(mixed_path), "--out", str(choi_path))

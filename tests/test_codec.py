@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -21,7 +22,7 @@ from choilab.errors import ParseError
 from choilab.nonadditivity import binding_channel, choi_state, full_report, mixed_binding_channel
 from choilab.states import PartySystem
 
-from conftest import REJECTED_MATRICES, random_state
+from conftest import REJECTED_MATRICES, loop_decode_kraus, random_state, same_bits
 
 
 def test_state_roundtrip_bit_exact(four_qubits):
@@ -186,6 +187,38 @@ def test_bad_matrix_is_parse_error(name):
         channel_from_dict(doc)
 
 
+_F = [[[0.5, 0.0], [0.0, -0.0]], [[0.0, 0.0], [0.5, 0.0]]]
+_ONES = [[[1, 0], [0, 0]], [[0, 0], [1, 0]]]
+_NOT_PAIRS = "channel.kraus[1]: expected a nonempty array of rows of [re, im] number pairs"
+# Kraus lists numpy may read differently as one array than one operator at a
+# time, with what per-operator decoding gives: an error, or None to accept.
+KRAUS_LISTS = {
+    "string-cell": ([_F, [[["1", 0], [0, 0]], [[0, 0], [1, 0]]]], _NOT_PAIRS),
+    "null-cell": ([_F, [[[None, 0], [0, 0]], [[0, 0], [1, 0]]]], _NOT_PAIRS),
+    "triple-cell": ([_F, [[[1, 0, 0], [0, 0]], [[0, 0], [1, 0]]]], _NOT_PAIRS),
+    "shapes-differ": ([_F, [[[1, 0]]]], "channel: Kraus operator shape (1, 1), expected (2, 2)"),
+    "inf": ([_F, [[[1e400, 0], [0, 0]], [[0, 0], [1, 0]]]], "channel: matrix contains non-finite entries"),
+    "nan": ([_F, [[[0, math.nan], [0, 0]], [[0, 0], [1, 0]]]], "channel: matrix contains non-finite entries"),
+    "bools-beside-floats": ([[[[True, False], [False, False]], [[False, False], [True, False]]], _F], None),
+    "2**63-beside--1": ([_F, [[[2**63, 0], [-1, 0]], [[0, 0], [1, 0]]]], None),
+    "2**63-and--1-apart": ([[[[2**63, 0], [0, 0]], [[0, 0], [1, 0]]], [[[-1, 0], [0, 0]], _ONES[1]]], None),
+    # alone the int-only operator is not numeric to numpy (2**64 fits no int type)
+    "2**64-beside-floats": ([_F, [[[2**64, 0], [0, 0]], [[0, 0], [1, 0]]]], _NOT_PAIRS),
+}
+
+
+@pytest.mark.parametrize("name", sorted(KRAUS_LISTS))
+def test_kraus_list_decoded_like_each_operator_alone(name):
+    kraus, error = KRAUS_LISTS[name]
+    qubit = {"labels": ["Q"], "dims": [2]}
+    doc = {"name": "t", "input": qubit, "output": qubit, "kraus": kraus}
+    if error is not None:
+        with pytest.raises(ParseError, match=f"^{re.escape(error)}$"):
+            channel_from_dict(doc)
+    else:
+        assert same_bits(channel_from_dict(doc).kraus, np.stack(loop_decode_kraus(kraus)))
+
+
 def test_numeric_files_accepted():
     # a qubit |0><0| written with ints and with bools
     for zero, one in ((0, 1), (False, True)):
@@ -224,8 +257,23 @@ def uniform_arrays(leaves) -> st.SearchStrategy:
     return shapes.flatmap(lambda shape: nested(shape, leaves))
 
 
+# Report rows: a list of flat dicts, which dumps writes with json's C
+# encoder.  Their strings may hold the text between two rows, with the
+# newline that json escapes; empty rows take the per-item path.
+ROW_TEXT = st.text(max_size=5) | st.sampled_from(["},\n      {", "}", "{", ",\n  ", "\n"])
+ROWS = st.lists(
+    st.dictionaries(
+        KEYS | ROW_TEXT,
+        st.none() | st.booleans() | NUMBERS | st.sampled_from([math.nan, math.inf, -math.inf, -0.0]) | ROW_TEXT,
+        max_size=4,
+    ),
+    min_size=1,
+    max_size=4,
+)
+
 JSON_VALUES = st.recursive(
     SCALARS
+    | ROWS
     | uniform_arrays(NUMBERS | st.sampled_from(EDGE_NUMBERS))
     | uniform_arrays(NUMBERS | NUMBERS | NUMBERS | ODD_LEAVES),
     lambda children: st.lists(children, max_size=4)
@@ -282,6 +330,7 @@ def test_dumps_writes_matrices_without_the_python_encoder(monkeypatch):
     payloads = [
         state_to_dict(random_state(rng, PartySystem(tuple("ABCDEF"), (2,) * 6))),
         channel_to_dict(mixed_binding_channel([binding_channel(a) for a in (1, 2, 3)])),
+        report_to_dict(full_report()),
     ]
     want = [json_dumps(p) for p in payloads]
 

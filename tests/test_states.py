@@ -61,6 +61,12 @@ class TestPartySystem:
             qubits("A", "B").require(["A", "X"])
 
 
+    @pytest.mark.parametrize("label", ["", "A,B", "A:B", " A", "A ", "\nA"])
+    def test_label_the_cli_cannot_name(self, label):
+        with pytest.raises(UnknownParty, match="party label"):
+            PartySystem(("B", label), (2, 2))
+
+
 class TestCut:
     def test_validation(self):
         sys = qubits("A", "B", "C")
