@@ -26,11 +26,14 @@ _EXPORTS = {
         "GhzDiagonalCoefficients",
         "LocalizationResult",
         "PtVerdict",
+        "cut_min_eigenvalues",
         "cut_to_index",
         "filter_to_maximally_entangled",
         "ghz_diagonal_coefficients",
         "localize_entanglement",
         "npt_criterion",
+        "npt_vector",
+        "pair_verdicts",
         "pairwise_distillability",
         "ppt_check",
         "two_qubit_separability",

@@ -221,23 +221,6 @@ def choi(ch: KrausChannel, order: Sequence[str] | None = None) -> MultipartiteSt
     return MultipartiteState(system, matrix)
 
 
-def choi_apply(choi_state: MultipartiteState, reference: Sequence[str], mat: np.ndarray) -> np.ndarray:
-    """Channel action reconstructed from a Choi state: d * Tr_ref[(mat^T (x) 1) E].
-
-    The Choi state must have its reference parties listed first, in the given
-    order; used as the independent contraction oracle for `apply`.
-    """
-    sys = choi_state.system
-    ref = list(reference)
-    if list(sys.labels[: len(ref)]) != ref:
-        raise DimensionMismatch("choi_apply expects reference parties first")
-    d_ref = math.prod(sys.dim_of(l) for l in ref)
-    d_out = sys.total_dim // d_ref
-    big = np.kron(mat.T, linalg.identity(d_out)) @ choi_state.matrix
-    reduced = trace_out_axes(big, (d_ref, d_out), [0])
-    return d_ref * reduced
-
-
 def mix_weights(n: int, weights: Sequence[float] | None = None) -> list[float]:
     """The weights ``mix`` uses for n >= 1 channels: uniform by default.
 

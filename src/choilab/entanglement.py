@@ -14,12 +14,12 @@ across every cut separating two groups is sufficient for distilling
 entanglement between them.  Outside the class only partial-transpose
 facts are reported, never verdicts.
 
-The partial-transpose route (ppt_check) never builds a partial transpose
-of an X-shaped state, GHZ-diagonal ones included: each cut's spectrum is
-read in O(2^N) from the state's diagonal and its permuted anti-diagonal.
-A pair verdict walks its separating cuts by bit masks, in cut-index
-order, reads each one by the same lambda_j - delta/2 rule as
-npt_criterion, and reports the cuts that block.
+No partial transpose of an X-shaped state (GHZ-diagonal ones included)
+is built: cut_min_eigenvalues solves every cut from one gather of the
+anti-diagonal and keeps the values with the state, so ppt_check reads a
+cut named by its index in O(1), and a BipartiteCut flips the
+anti-diagonal in O(2^N).  The coefficient rule is one vector over the
+cuts (npt_vector), which npt_criterion and pair_verdicts read.
 
 The localization procedure turns a Schmidt-rank-2 pure state shared by a
 sender group and a receiver group into a maximally entangled pair between
@@ -29,9 +29,8 @@ factored-out party plus a final local filter.
 
 from __future__ import annotations
 
-import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -70,33 +69,77 @@ class PtVerdict:
     is_ppt: bool
 
 
+# Entries cut_min_eigenvalues gathers at once, as channels._OUTER_BATCH.
+_GATHER_BATCH = 1 << 22
+
+
+def _flip_map(dims: tuple[int, ...], axes) -> np.ndarray:
+    """Where each flat index goes when the given axes of a dims-shaped array are reversed."""
+    return np.flip(np.arange(math.prod(dims)).reshape(dims), tuple(axes)).ravel()
+
+
+def cut_min_eigenvalues(state: MultipartiteState) -> np.ndarray:
+    """Smallest partial-transpose eigenvalue of every cut of an X-shaped state.
+
+    Entry k-1 is cut k (cut_to_index read as a number) with the side
+    without the last party transposed.  Transposing the parties T moves
+    entry (a, b) to ((b_T, a_R), (a_T, b_R)): the diagonal stays put and
+    the anti-diagonal flips along the T axes, x -> x xor (k << 1) for
+    qubits.  So all cuts are one gather and one stacked block solve (in
+    batches of _GATHER_BATCH entries) that reads the entries of each dense
+    partial transpose, bit for bit.  The read-only result is kept with the
+    state.
+    """
+    if not state.x_shaped:
+        raise DimensionMismatch("the cut spectra are read only from an X-shaped state")
+    lows = state._cut_lows
+    if lows is None:
+        m, dims = state.matrix, state.system.dims
+        n, d = len(dims), m.shape[0]
+        anti = np.fliplr(m).diagonal()
+        lows = np.empty((1 << (n - 1)) - 1)
+        step = max(1, _GATHER_BATCH // d)
+        for lo in range(0, len(lows), step):
+            ks = np.arange(lo + 1, min(lo + step, len(lows)) + 1)
+            if state.system.is_qubits():
+                maps = np.arange(d) ^ (ks[:, None] << 1)
+            else:
+                sides = ([i for i in range(n - 1) if k >> (n - 2 - i) & 1] for k in ks.tolist())
+                maps = np.stack([_flip_map(dims, side) for side in sides])
+            lows[lo : lo + len(ks)] = linalg.x_min_eigenvalue(m.diagonal(), anti[maps])
+        lows.setflags(write=False)
+        object.__setattr__(state, "_cut_lows", lows)
+    return lows
+
+
 def ppt_check(
     state: MultipartiteState,
-    cut: BipartiteCut,
+    cut: BipartiteCut | str,
     threshold: float = linalg.PSD_THRESHOLD,
 ) -> PtVerdict:
     """Eigensolver route: minimum eigenvalue of the partial transpose on side_one.
 
-    Transposing the parties T of side_one moves entry (a, b) to
-    ((b_T, a_R), (a_T, b_R)).  That keeps the X shape: the diagonal stays
-    put, and the anti-diagonal entry of row i moves to row sigma(i), sigma
-    the digit-wise complement on T (i xor s for qubits, s the bit mask of
-    T).  So an X-shaped state's partial transpose is read in O(d) from the
-    state's diagonal and its anti-diagonal flipped along the T axes, with
-    no matrix built; the block solve reads the same entries as on the dense
-    partial transpose, so the value is the same bit for bit.  Any other
-    state is transposed and solved densely.  Either way the route reads
-    matrix entries, never the GHZ coefficients, so it stays an independent
-    check on npt_criterion.
+    On an X-shaped state a cut index (see cut_to_index; its side_one lacks
+    the last party) is an O(1) read of cut_min_eigenvalues, for callers
+    that walk the cuts, and a BipartiteCut solves its own flip in O(d):
+    the same bits, since both read the entries of the dense partial
+    transpose.  The two sides of a cut agree to the bit only when the
+    anti-diagonal is exactly Hermitian.  Any other state is transposed and
+    solved densely.  The route reads matrix entries, never the GHZ
+    coefficients, so it checks npt_criterion.
     """
-    if state.x_shaped:
-        cut.validate(state.system)
-        axes = tuple(state.system.axis(l) for l in cut.side_one)
-        m = state.matrix
-        anti = np.flip(np.fliplr(m).diagonal().reshape(state.system.dims), axes)
-        low = linalg.x_min_eigenvalue(m.diagonal(), anti.ravel())
-    else:
+    system = state.system
+    if not state.x_shaped:
+        if isinstance(cut, str):
+            cut = index_to_cut(cut, system)
         low = linalg.min_eigenvalue(partial_transpose(state, cut), x_shaped=False)
+    elif isinstance(cut, str):
+        low = float(cut_min_eigenvalues(state)[_cut_number(cut, system) - 1])
+    else:
+        cut.validate(system)
+        flip = _flip_map(system.dims, [system.axis(l) for l in cut.side_one])
+        m = state.matrix
+        low = linalg.x_min_eigenvalue(m.diagonal(), np.fliplr(m).diagonal()[flip])
     return PtVerdict(min_eigenvalue=low, is_ppt=low >= threshold)
 
 
@@ -119,6 +162,12 @@ class GhzDiagonalCoefficients:
     delta: float
     asymmetry_flag: bool
     offdiagonal_residual: float
+    # lambda_j - delta/2 in cut-index order, which npt_vector compares
+    criterion_values: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        lambdas = [self.lambdas[j] for j in all_cut_indices(self.system.num_parties)]
+        object.__setattr__(self, "criterion_values", np.array(lambdas) - self.delta / 2)
 
     @property
     def ghz_diagonal(self) -> bool:
@@ -126,12 +175,17 @@ class GhzDiagonalCoefficients:
         return self.offdiagonal_residual <= GHZ_RESIDUAL_TOL
 
 
+# num_parties -> all_cut_indices(num_parties), built once.
+_CUT_INDICES: dict[int, tuple[str, ...]] = {}
+
+
 def all_cut_indices(num_parties: int) -> tuple[str, ...]:
-    """All nonzero (N-1)-bit strings, one per bipartition of N parties."""
-    n = num_parties - 1
-    return tuple(
-        "".join(bits) for bits in itertools.product("01", repeat=n) if "1" in bits
-    )
+    """All nonzero (N-1)-bit strings in index order, one per bipartition of N parties."""
+    js = _CUT_INDICES.get(num_parties)
+    if js is None:
+        n = num_parties - 1
+        js = _CUT_INDICES[num_parties] = tuple(format(k, f"0{n}b") for k in range(1, 1 << n))
+    return js
 
 
 def cut_to_index(cut: BipartiteCut, system: PartySystem) -> str:
@@ -142,10 +196,16 @@ def cut_to_index(cut: BipartiteCut, system: PartySystem) -> str:
     return "".join("0" if l in with_last else "1" for l in system.labels[:-1])
 
 
+def _cut_number(j: str, system: PartySystem) -> int:
+    """The cut index j read as a number k, 1 <= k < 2^(N-1)."""
+    if len(j) != system.num_parties - 1 or "1" not in j or j.strip("01"):
+        raise UnknownParty(f"invalid cut index {j!r} for {system.labels}")
+    return int(j, 2)
+
+
 def index_to_cut(j: str, system: PartySystem) -> BipartiteCut:
     """Inverse of cut_to_index."""
-    if len(j) != system.num_parties - 1 or "1" not in j:
-        raise UnknownParty(f"invalid cut index {j!r} for {system.labels}")
+    _cut_number(j, system)
     side = [l for l, bit in zip(system.labels[:-1], j) if bit == "1"]
     return BipartiteCut.from_side(system, side)
 
@@ -180,36 +240,29 @@ def ghz_diagonal_coefficients(state: MultipartiteState) -> GhzDiagonalCoefficien
     off[a, b] -= cross
     off[b, a] -= cross
     residual = float(np.linalg.norm(off))
-    # itertools.product enumerates j in the order of k, including j = "" at N = 1
-    js = ("".join(bits) for bits in itertools.product("01", repeat=n - 1))
-    raw = {j: (m + c, m - c) for j, m, c in zip(js, mean.tolist(), cross.tolist())}
-    lam_plus, lam_minus = raw["0" * (n - 1)]
-    lambdas = {}
-    asymmetric = False
-    for j in all_cut_indices(n):
-        plus, minus = raw[j]
-        if abs(plus - minus) > ASYMMETRY_TOL:
-            asymmetric = True
-        lambdas[j] = (plus + minus) / 2
+    plus, minus = mean + cross, mean - cross  # lambda_j^+ and lambda_j^- in the order of k
+    lam_plus, lam_minus = float(plus[0]), float(minus[0])
     return GhzDiagonalCoefficients(
         system=sys,
         lambda0_plus=lam_plus,
         lambda0_minus=lam_minus,
-        lambdas=lambdas,
+        lambdas=dict(zip(all_cut_indices(n), ((plus[1:] + minus[1:]) / 2).tolist())),
         delta=abs(lam_plus - lam_minus),
-        asymmetry_flag=asymmetric,
+        asymmetry_flag=bool((np.abs(plus[1:] - minus[1:]) > ASYMMETRY_TOL).any()),
         offdiagonal_residual=residual,
     )
 
 
-def _npt(coeffs: GhzDiagonalCoefficients, j: str, threshold: float) -> bool:
-    """The coefficient rule for the cut with index j: lambda_j - delta/2 < threshold."""
+def npt_vector(
+    coeffs: GhzDiagonalCoefficients, threshold: float = linalg.PSD_THRESHOLD
+) -> np.ndarray:
+    """The coefficient rule lambda_j - delta/2 < threshold on every cut, in index order."""
     if not coeffs.ghz_diagonal:
         raise NotGhzDiagonal(
             f"off-diagonal residual {coeffs.offdiagonal_residual:.3e} exceeds "
             f"{GHZ_RESIDUAL_TOL:.1e}"
         )
-    return coeffs.lambdas[j] - coeffs.delta / 2 < threshold
+    return coeffs.criterion_values < threshold
 
 
 def npt_criterion(
@@ -225,7 +278,8 @@ def npt_criterion(
     boundary cases of the class, sit on the PPT side.  Requires the state
     to actually be GHZ-diagonal.
     """
-    return _npt(coeffs, cut_to_index(cut, coeffs.system), threshold)
+    k = int(cut_to_index(cut, coeffs.system), 2)
+    return bool(npt_vector(coeffs, threshold)[k - 1])
 
 
 @dataclass(frozen=True)
@@ -247,6 +301,36 @@ def disjoint_groups(
     return g1, g2
 
 
+def pair_verdicts(
+    coeffs: GhzDiagonalCoefficients,
+    pairs,
+    threshold: float = linalg.PSD_THRESHOLD,
+) -> list[DistillabilityVerdict]:
+    """pairwise_distillability of each (group_one, group_two) in ``pairs``.
+
+    Cut k (cut_to_index read as a number, with the last party's bit 0
+    appended) separates two groups iff its bits agree within each group's
+    mask and differ between the two.  One (pairs, cuts) mask ANDed with
+    the negated NPT vector gives the blocking cuts; only they are built,
+    in index order, each with side_one holding group_one.
+    """
+    sys = coeffs.system
+    n = sys.num_parties
+    bit = {l: 1 << (n - 1 - i) for i, l in enumerate(sys.labels)}
+    masks = [[sum(bit[l] for l in g) for g in disjoint_groups(sys, *pair)] for pair in pairs]
+    m1, m2 = np.array(masks, dtype=np.int64).reshape(-1, 2).T[..., None]
+    on = np.arange(2, 1 << n, 2) & (m1 | m2)  # cut k's bits are k << 1 (last party 0)
+    blocking = ((on == m1) | (on == m2)) & ~npt_vector(coeffs, threshold)
+    everyone = frozenset(sys.labels)
+    found = [[] for _ in masks]
+    for p, col in zip(*(a.tolist() for a in np.nonzero(blocking))):
+        bits = (col + 1) << 1
+        one_set = bool(bits & masks[p][0])  # group one among the set bits
+        side = frozenset(l for l in sys.labels if bool(bits & bit[l]) is one_set)
+        found[p].append(BipartiteCut(side, everyone - side))
+    return [DistillabilityVerdict(distillable=not f, blocking_cuts=tuple(f)) for f in found]
+
+
 def pairwise_distillability(
     coeffs: GhzDiagonalCoefficients,
     group_one,
@@ -255,30 +339,10 @@ def pairwise_distillability(
 ) -> DistillabilityVerdict:
     """Class rule: distillable between the groups iff every separating cut is NPT.
 
-    Cut k (the index of cut_to_index read as a number, with the last
-    party's bit 0 appended) separates the groups iff its bits agree within
-    each group's mask and differ between the two; the remaining parties
-    are free.  Any PPT separating cut, by the coefficient rule at
-    ``threshold``, blocks distillation; the blocking cuts come in index
-    order, each with side_one holding group_one, and only they are built.
+    A separating cut that is PPT by the coefficient rule at ``threshold``
+    blocks; see pair_verdicts.
     """
-    sys = coeffs.system
-    g1, g2 = disjoint_groups(sys, group_one, group_two)
-    n = sys.num_parties
-    bit = {l: 1 << (n - 1 - i) for i, l in enumerate(sys.labels)}
-    mask1 = sum(bit[l] for l in g1)
-    mask2 = sum(bit[l] for l in g2)
-    everyone = frozenset(sys.labels)
-    blocking = []
-    for k in range(1, 1 << (n - 1)):
-        bits = k << 1  # the last party's bit is 0
-        on1, on2 = bits & mask1, bits & mask2
-        if on1 not in (0, mask1) or on2 not in (0, mask2) or bool(on1) == bool(on2):
-            continue
-        if not _npt(coeffs, format(k, f"0{n - 1}b"), threshold):
-            side = frozenset(l for l in sys.labels if bool(bits & bit[l]) == bool(on1))
-            blocking.append(BipartiteCut(side, everyone - side))
-    return DistillabilityVerdict(distillable=not blocking, blocking_cuts=tuple(blocking))
+    return pair_verdicts(coeffs, [(group_one, group_two)], threshold)[0]
 
 
 # ---------------------------------------------------------------------------

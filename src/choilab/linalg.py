@@ -12,10 +12,11 @@ anti-diagonal) is a permutation of d/2 Hermitian 2x2 blocks on the index
 pairs (x, d-1-x); GHZ-diagonal states and all their partial transposes
 have this shape.  ``is_x_shaped`` is the exact O(d^2) support test, and
 ``x_min_eigenvalue`` solves the blocks in closed form in O(d) from the
-diagonal and the anti-diagonal alone, so a caller that already holds
-those two vectors (a partial transpose of an X-shaped state, say) needs
-no matrix.  ``min_eigenvalue`` composes the two; every other matrix goes
-to LAPACK's dense ``eigvalsh``.
+diagonal and the anti-diagonal alone (or a stack of anti-diagonals, one
+value each), so a caller that already holds those vectors (the partial
+transposes of an X-shaped state, say) needs no matrix.
+``min_eigenvalue`` composes the two; every other matrix goes to LAPACK's
+dense ``eigvalsh``.
 """
 
 from __future__ import annotations
@@ -62,23 +63,29 @@ def is_x_shaped(m: np.ndarray) -> bool:
     return bool(np.count_nonzero(m) == on_x)
 
 
-def x_min_eigenvalue(diag: np.ndarray, anti: np.ndarray) -> float:
+def x_min_eigenvalue(diag: np.ndarray, anti: np.ndarray) -> float | np.ndarray:
     """Smallest eigenvalue of the X-shaped Hermitian matrix with this diagonal and anti-diagonal.
 
     diag[i] = m[i, i] and anti[i] = m[i, d-1-i].  With y = d-1-x the block
     [[p, conj(q)], [q, r]], p = m[x,x], r = m[y,y], q = m[y,x] (the lower
     triangle), has the smaller eigenvalue (p+r)/2 - hypot((p-r)/2, |q|).
+    A (rows, d) stack of anti-diagonals gives one value per row.
     """
     h = diag.shape[0] // 2
     hp = 0.5 * diag[:h].real  # p/2 = m[x, x]/2 for x = 0 .. h-1
     hr = 0.5 * diag[::-1][:h].real  # r/2 = m[y, y]/2
-    # q = m[y, x], read reversed: numpy's complex abs runs a SIMD kernel on
-    # forward strides and a scalar one on reversed strides, and the two can
-    # differ in the last bit.  Reversing a forward-strided ``anti`` keeps
-    # every caller on the scalar kernel, so two routes to the same entries
-    # give the same value bit for bit.
-    q = anti[::-1][:h]
-    return float((hp + hr - np.hypot(hp - hr, np.abs(q))).min())
+    # q = m[y, x] = anti[..., y], read reversed: numpy's complex abs runs a
+    # SIMD kernel on forward strides and a scalar one on reversed strides,
+    # and the two can differ in the last bit.  Both reads below are
+    # reversed 1-D views, so every caller stays on the scalar kernel; a
+    # stack is read as one flat view, rows last to first, because the
+    # iterator would run a reversed 2-D view forward.
+    if anti.ndim == 1:
+        absq = np.abs(anti[::-1][:h])
+    else:
+        absq = np.abs(np.ravel(anti[:, h:])[::-1]).reshape(-1, h)[::-1]
+    low = (hp + hr - np.hypot(hp - hr, absq)).min(axis=-1)
+    return float(low) if anti.ndim == 1 else low
 
 
 def min_eigenvalue(m: np.ndarray, x_shaped: bool | None = None) -> float:

@@ -31,7 +31,7 @@ from .entanglement import (
     ghz_diagonal_coefficients,
     localize_entanglement,
     npt_criterion,
-    pairwise_distillability,
+    pair_verdicts,
     ppt_check,
     two_qubit_separability,
 )
@@ -209,8 +209,11 @@ class ReproductionReport:
 
 @dataclass(frozen=True)
 class CapacityProxy:
-    positive: bool
-    witnesses: tuple[DistillabilityVerdict, ...]
+    witnesses: tuple[DistillabilityVerdict, ...]  # sender group vs each receiver
+
+    @property
+    def positive(self) -> bool:
+        return any(w.distillable for w in self.witnesses)
 
 
 def capacity_proxy(coeffs: GhzDiagonalCoefficients, receivers: tuple[str, ...]) -> CapacityProxy:
@@ -220,10 +223,7 @@ def capacity_proxy(coeffs: GhzDiagonalCoefficients, receivers: tuple[str, ...]) 
     sender group and at least one individual receiver, which also settles
     the joint-receiver case.
     """
-    witnesses = tuple(
-        pairwise_distillability(coeffs, SENDER_GROUP, (r,)) for r in receivers
-    )
-    return CapacityProxy(positive=any(w.distillable for w in witnesses), witnesses=witnesses)
+    return CapacityProxy(tuple(pair_verdicts(coeffs, [(SENDER_GROUP, (r,)) for r in receivers])))
 
 
 @dataclass(frozen=True)
@@ -367,8 +367,10 @@ def capacity_proxy_report(scenario: Scenario) -> ReproductionReport:
     proxies: dict[tuple[str, str], CapacityProxy] = {}
     for key, coeffs in scenario.coeffs.items():
         expect = key == "mix"
+        # the joint proxy's witnesses serve every target: one pair_verdicts call
+        witness = dict(zip(("B", "C"), capacity_proxy(coeffs, ("B", "C")).witnesses))
         for tag, receivers in targets:
-            proxy = capacity_proxy(coeffs, receivers)
+            proxy = CapacityProxy(tuple(witness[r] for r in receivers))
             proxies[(key, tag)] = proxy
             # a cut separating the senders from both receivers blocks
             # each witness; list it once, in first-seen order

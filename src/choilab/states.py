@@ -153,9 +153,9 @@ class MultipartiteState:
     """Density operator with its party system; validated at construction.
 
     The state holds a read-only copy of the matrix it was given, so
-    ``x_shaped``, the support test taken once during validation, and
+    ``x_shaped``, the support test taken once during validation,
     ``min_eigenvalue``, the smallest eigenvalue that validation solved,
-    stay true of it.
+    and the cut spectra solved on first use stay true of it.
     """
 
     system: PartySystem
@@ -163,6 +163,8 @@ class MultipartiteState:
     psd_threshold: InitVar[float] = linalg.PSD_THRESHOLD
     x_shaped: bool = field(init=False)
     min_eigenvalue: float = field(init=False)
+    # entanglement.cut_min_eigenvalues keeps its result here
+    _cut_lows: np.ndarray | None = field(init=False, default=None, repr=False)
 
     def __post_init__(self, psd_threshold):
         m = linalg.as_matrix(np.array(self.matrix, dtype=np.complex128))

@@ -4,8 +4,16 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
+from choilab import linalg
 from choilab.entanglement import all_cut_indices
-from choilab.states import MultipartiteState, PartySystem, ghz_basis_state
+from choilab.errors import DimensionMismatch
+from choilab.states import (
+    BipartiteCut,
+    MultipartiteState,
+    PartySystem,
+    ghz_basis_state,
+    trace_out_axes,
+)
 
 
 # Every property test draws the same examples on every run, so a verdict on
@@ -85,6 +93,40 @@ def loop_decode_kraus(obj) -> list[np.ndarray]:
     from choilab.codec import decode_matrix
 
     return [decode_matrix(k, f"channel.kraus[{i}]") for i, k in enumerate(obj)]
+
+
+def choi_apply(choi_state: MultipartiteState, reference, mat: np.ndarray) -> np.ndarray:
+    """Channel action reconstructed from a Choi state: d * Tr_ref[(mat^T (x) 1) E].
+
+    The Choi state must have its reference parties listed first, in the given
+    order; the independent contraction oracle for ``apply_matrix``.
+    """
+    sys = choi_state.system
+    ref = list(reference)
+    if list(sys.labels[: len(ref)]) != ref:
+        raise DimensionMismatch("choi_apply expects reference parties first")
+    d_ref = math.prod(sys.dim_of(l) for l in ref)
+    d_out = sys.total_dim // d_ref
+    big = np.kron(mat.T, linalg.identity(d_out)) @ choi_state.matrix
+    reduced = trace_out_axes(big, (d_ref, d_out), [0])
+    return d_ref * reduced
+
+
+def flip_route_min_eigenvalue(state: MultipartiteState, cut: BipartiteCut) -> float:
+    """One cut of an X-shaped state the per-cut way, with the one-row block solve.
+
+    The anti-diagonal is flipped along side_one's axes, and q is read
+    reversed from one row.  entanglement.cut_min_eigenvalues, which solves
+    every cut from one gather and one stacked solve, must match it bit for
+    bit.
+    """
+    axes = tuple(state.system.axis(l) for l in cut.side_one)
+    m = state.matrix
+    anti = np.flip(np.fliplr(m).diagonal().reshape(state.system.dims), axes).ravel()
+    h = m.shape[0] // 2
+    hp = 0.5 * m.diagonal()[:h].real
+    hr = 0.5 * m.diagonal()[::-1][:h].real
+    return float((hp + hr - np.hypot(hp - hr, np.abs(anti[::-1][:h]))).min())
 
 
 def same_bits(a, b) -> bool:

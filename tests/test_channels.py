@@ -14,7 +14,6 @@ from choilab.channels import (
     apply,
     apply_matrix,
     choi,
-    choi_apply,
     choi_matrix,
     completeness_defect,
     kraus_from_choi,
@@ -49,6 +48,7 @@ from choilab.states import (
 )
 
 from conftest import (
+    choi_apply,
     loop_apply_matrix,
     loop_choi_matrix,
     loop_completeness_defect,

@@ -5,6 +5,7 @@ import pytest
 
 from choilab import channels, cli, linalg, states
 from choilab.cli import main
+from choilab.entanglement import all_cut_indices, ppt_check
 from choilab.codec import (
     channel_from_dict,
     channel_to_dict,
@@ -16,7 +17,12 @@ from choilab.codec import (
 from choilab.nonadditivity import binding_channel, choi_closed_form, swap_image
 from choilab.states import MultipartiteState, PartySystem, ghz_basis_state
 
-from conftest import REJECTED_MATRICES, random_ghz_diagonal_state, random_state
+from conftest import (
+    REJECTED_MATRICES,
+    ghz_diagonal_state,
+    random_ghz_diagonal_state,
+    random_state,
+)
 
 
 def run(capsys, *argv):
@@ -277,6 +283,73 @@ class TestClassify:
         rows = [e for e in json.loads(out)["entries"] if e["id"].startswith("cut-")]
         assert len(rows) == 127
         assert all(r["eigensolver"] == r["criterion"] for r in rows)
+
+    def test_n6_work_counts(self, tmp_path, capsys, monkeypatch):
+        # Six qubits, delta = 0.1: every cut is NPT except {Q1} (lambda 0.06,
+        # margin 0.01), and {Q3} (lambda 0.045, margin -0.005) turns PPT at
+        # --tolerance 0.01.  Only the pairs holding Q1 (and then Q3) block.
+        system = PartySystem(tuple(f"Q{i}" for i in range(6)), (2,) * 6)
+        lambdas = dict.fromkeys(all_cut_indices(6), 0.005)
+        lambdas.update({"01000": 0.06, "00010": 0.045})
+        weights = {("00000", 1): 0.3, ("00000", -1): 0.2}
+        weights.update({(j, s): lam for j, lam in lambdas.items() for s in (1, -1)})
+        path = tmp_path / "ghz6.json"
+        path.write_text(dumps(state_to_dict(ghz_diagonal_state(system, weights))))
+
+        solves, checks, built = [], [], []
+        solve, check = linalg.x_min_eigenvalue, cli.ppt_check
+        post_init = states.BipartiteCut.__post_init__
+
+        def counting_solve(diag, anti):
+            solves.append(anti.shape)
+            return solve(diag, anti)
+
+        def counting_check(state, cut, threshold):
+            checks.append(cut)
+            return check(state, cut, threshold)
+
+        def counting_build(cut):
+            built.append(cut)
+            post_init(cut)
+
+        monkeypatch.setattr(linalg, "x_min_eigenvalue", counting_solve)
+        monkeypatch.setattr(cli, "ppt_check", counting_check)
+        monkeypatch.setattr(states.BipartiteCut, "__post_init__", counting_build)
+        blocked = {"": {"Q1"}, "0.01": {"Q1", "Q3"}}
+        for tolerance, members in blocked.items():
+            for log in (solves, checks, built):
+                log.clear()
+            flags = ["--tolerance", tolerance] if tolerance else []
+            code, out, _ = run(capsys, "--format", "json", *flags, "classify", str(path))
+            assert code == 0
+            # one solve validates the state, one stacked solve covers all 31 cuts
+            assert solves == [(64,), (31, 64)]
+            assert checks == list(all_cut_indices(6))
+            rows = {e["id"]: e for e in json.loads(out)["entries"]}
+            pairs = {k: e for k, e in rows.items() if k.startswith("distill-")}
+            assert len(pairs) == 15
+            for key, entry in pairs.items():
+                assert entry["distillable"] is not (set(key[8:].split("-vs-")) & members), key
+            # one cut built per blocking cut, none for a cut row or a distillable pair
+            blocking = sum(e["computed"].count(" | ") for e in pairs.values())
+            assert len(built) == blocking == (5 if len(members) == 1 else 10)
+
+        # One state read, both thresholds: the kept values do not depend on either.
+        state = state_from_dict(loads(path.read_text()))
+        solves.clear()
+        for threshold, ppt in ((linalg.PSD_THRESHOLD, {"01000"}), (-0.01, {"01000", "00010"})):
+            verdicts = {j: ppt_check(state, j, threshold) for j in all_cut_indices(6)}
+            assert {j for j, v in verdicts.items() if v.is_ppt} == ppt
+        assert solves == [(31, 64)]
+
+    def test_cut_rows_named_like_describe(self):
+        for dims in ((2, 2), (2, 2, 2), (2,) * 5):
+            system = PartySystem(tuple(f"P{i}" for i in range(len(dims))), dims)
+            for j in all_cut_indices(len(dims)):
+                cut = states.BipartiteCut.from_side(
+                    system, [l for l, bit in zip(system.labels, j) if bit == "1"]
+                )
+                assert cli._cut_name(system.labels, j) == cut.describe(system)
 
     def test_qudit_state_rejected(self, tmp_path, capsys):
         sys = PartySystem(("A", "B"), (3, 3))

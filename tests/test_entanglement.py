@@ -11,6 +11,7 @@ from choilab.entanglement import (
     ASYMMETRY_TOL,
     GhzDiagonalCoefficients,
     all_cut_indices,
+    cut_min_eigenvalues,
     cut_to_index,
     filter_to_maximally_entangled,
     ghz_diagonal_coefficients,
@@ -25,6 +26,7 @@ from choilab.errors import (
     NotGhzDiagonal,
     NotSchmidtRank2,
     OverlappingGroups,
+    UnknownParty,
 )
 from choilab.linalg import PSD_THRESHOLD
 from choilab.states import (
@@ -38,10 +40,12 @@ from choilab.states import (
 )
 
 from conftest import (
+    flip_route_min_eigenvalue,
     ghz_diagonal_state,
     random_density_matrix,
     random_ghz_diagonal_state,
     random_state,
+    same_bits,
 )
 
 
@@ -172,6 +176,66 @@ def test_ppt_check_matches_dense_partial_transpose(kind, off_x, n, dims, seed):
                 assert got == linalg.min_eigenvalue(pt), side
             else:
                 assert got == dense, side
+
+
+def with_inexact_anti_diagonal(rng, rho: MultipartiteState) -> MultipartiteState:
+    """rho with m[x, d-1-x], x < d/2, off the conjugate of its partner by ~1e-13 relative.
+
+    Such a state still validates (HERMITICITY_TOL is 1e-10), but the two
+    side_one choices of a cut read different last bits.
+    """
+    m = rho.matrix.copy()
+    d = m.shape[0]
+    x = np.arange(d // 2)
+    m[x, d - 1 - x] *= 1 + 1e-13 * rng.standard_normal(d // 2)
+    return MultipartiteState(rho.system, m)
+
+
+@settings(max_examples=40)
+@given(
+    kind=st.sampled_from(("symmetric", "asymmetric", "x-shaped", "dims-2-4-2")),
+    n=st.integers(2, 7),
+    inexact=st.booleans(),
+    batch_rows=st.integers(1, 5),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_every_cut_from_one_gather(kind, n, inexact, batch_rows, seed):
+    # Oracles: the per-cut flip route, bit for bit on both side_one
+    # choices, and the dense partial transpose with eigvalsh within 1e-12.
+    rng = np.random.default_rng(seed)
+    if kind == "dims-2-4-2":
+        system = PartySystem(("P0", "P1", "P2"), (2, 4, 2))
+        rho = random_x_state(rng, system)
+    else:
+        system = qubits(*(f"Q{i}" for i in range(n)))
+        if kind == "x-shaped":
+            rho = random_x_state(rng, system)
+        else:
+            rho = random_ghz_diagonal_state(rng, system, symmetric=kind == "symmetric")
+    if inexact:
+        rho = with_inexact_anti_diagonal(rng, rho)
+    lows = cut_min_eigenvalues(rho)
+    assert lows.shape == (2 ** (system.num_parties - 1) - 1,) and not lows.flags.writeable
+    assert cut_min_eigenvalues(rho) is lows
+    for k, j in enumerate(all_cut_indices(system.num_parties)):
+        cut = index_to_cut(j, system)
+        assert same_bits(lows[k], flip_route_min_eigenvalue(rho, cut)), j
+        assert same_bits(ppt_check(rho, j).min_eigenvalue, lows[k]), j
+        for c in (cut, BipartiteCut(cut.side_two, cut.side_one)):
+            got = ppt_check(rho, c).min_eigenvalue
+            assert same_bits(got, flip_route_min_eigenvalue(rho, c)), (j, c.side_one)
+            dense = float(np.linalg.eigvalsh(partial_transpose(rho, c))[0])
+            assert abs(got - dense) <= 1e-12, (j, c.side_one)
+    # A forced small batch (batch_rows cuts per gather) gives the same bits.
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(entanglement, "_GATHER_BATCH", batch_rows * system.total_dim)
+        again = cut_min_eigenvalues(MultipartiteState(system, rho.matrix))
+    assert same_bits(again, lows)
+
+
+def test_cut_spectra_need_an_x_shaped_state(four_qubits):
+    with pytest.raises(DimensionMismatch):
+        cut_min_eigenvalues(random_state(np.random.default_rng(5), four_qubits))
 
 
 class TestTwoQubitSeparability:
@@ -332,6 +396,14 @@ class TestCutIndex:
             assert back == j
             seen.add(back)
         assert len(seen) == 7
+
+    @pytest.mark.parametrize("j", ["", "000", "0000", "012", "1_0", "0b1", " 01", "1 0"])
+    def test_rejects_strings_that_name_no_cut(self, scenario_states, four_qubits, j):
+        # only strings of N-1 zeros and ones, at least one a one, name a cut
+        with pytest.raises(UnknownParty):
+            index_to_cut(j, four_qubits)
+        with pytest.raises(UnknownParty):
+            ppt_check(scenario_states["mix"], j)
 
     def test_side_agnostic(self, four_qubits):
         cut = BipartiteCut.from_side(four_qubits, ["A1", "A2"])

@@ -1,7 +1,8 @@
 """Import direction: the bottom layer (linalg) needs only errors, and the codec
 loads states and channels without the report layer (nonadditivity).  The
-smallest eigenvalue has one path, linalg.min_eigenvalue, and JSON one
-module, codec.  Every name the benchmark's tracer wraps still exists."""
+smallest eigenvalue has one path, linalg.min_eigenvalue, the X-block
+solve one copy, linalg.x_min_eigenvalue, and JSON one module, codec.
+Every name the benchmark's tracer wraps still exists."""
 
 import importlib
 import importlib.util
@@ -58,6 +59,18 @@ def test_only_linalg_calls_eigvalsh():
         path.name
         for path in sorted(package.glob("*.py"))
         if re.search(r"\beigvalsh\s*\(", path.read_text(encoding="utf-8"))
+    ]
+    assert callers == ["linalg.py"]
+
+
+def test_only_linalg_solves_x_blocks():
+    # np.hypot is the closed-form 2x2 block solve; one copy keeps every
+    # route to a cut's spectrum on the same bits.
+    package = Path(choilab.__file__).resolve().parent
+    callers = [
+        path.name
+        for path in sorted(package.glob("*.py"))
+        if re.search(r"\bhypot\s*\(", path.read_text(encoding="utf-8"))
     ]
     assert callers == ["linalg.py"]
 
