@@ -13,12 +13,10 @@ _EXPORTS = {
     "channels": (
         "CptpReport",
         "KrausChannel",
-        "apply",
         "apply_matrix",
         "choi",
         "kraus_from_choi",
         "mix",
-        "reduced_channel",
         "verify_cptp",
     ),
     "entanglement": (
@@ -43,7 +41,6 @@ _EXPORTS = {
         "MultipartiteState",
         "PartySystem",
         "PureState",
-        "basis_projector",
         "fidelity",
         "ghz_basis_state",
         "max_entangled",

@@ -29,7 +29,6 @@ from . import linalg
 from .errors import (
     BadWeights,
     DimensionMismatch,
-    NothingLeft,
     NotPSD,
     NotTracePreserving,
     SystemMismatch,
@@ -170,15 +169,6 @@ def apply_matrix(ch: KrausChannel, mat: np.ndarray) -> np.ndarray:
     return np.add.reduce(terms, axis=0, initial=0)  # in order, as in completeness_defect
 
 
-def apply(ch: KrausChannel, rho: MultipartiteState) -> MultipartiteState:
-    """Send a density operator through the channel."""
-    if rho.system.total_dim != ch.dim_in:
-        raise DimensionMismatch(
-            f"state dimension {rho.system.total_dim} != channel input dim {ch.dim_in}"
-        )
-    return MultipartiteState(ch.output_system, apply_matrix(ch, rho.matrix))
-
-
 def _reference_system(ch: KrausChannel, order: Sequence[str] | None) -> PartySystem:
     """The Choi state's reference parties, by the rule that ``choi`` states."""
     inputs = ch.input_system
@@ -265,28 +255,6 @@ def mix(
     if name is None:
         name = "mix(" + "+".join(ch.name for ch in channels) + ")"
     return KrausChannel(name, first.input_system, first.output_system, ops)
-
-
-def reduced_channel(ch: KrausChannel, traced_outputs: Sequence[str] | frozenset[str]) -> KrausChannel:
-    """Compose the channel with a trace over some of its output parties."""
-    traced = ch.output_system.require(traced_outputs)
-    if traced == set(ch.output_system.labels):
-        raise NothingLeft("cannot trace out the whole output")
-    keep = [l for l in ch.output_system.labels if l not in traced]
-    axes = sorted(ch.output_system.axis(l) for l in traced)
-    out_dims = ch.output_system.dims
-    d_keep = math.prod(ch.output_system.dim_of(l) for l in keep)
-    d_traced = ch.dim_out // d_keep
-    # Operator k of the input gives operators k * d_traced + i, one per
-    # basis state i of the traced parties.
-    t = ch.kraus.reshape((len(ch.kraus),) + out_dims + (ch.dim_in,))
-    t = np.moveaxis(t, [ax + 1 for ax in axes], range(1, len(axes) + 1))
-    return KrausChannel(
-        f"{ch.name}/traced({','.join(sorted(traced))})",
-        ch.input_system,
-        ch.output_system.subsystem(keep),
-        t.reshape(len(ch.kraus) * d_traced, d_keep, ch.dim_in),
-    )
 
 
 def kraus_from_choi(

@@ -17,6 +17,14 @@ as do dicts (sorted str keys) and scalars (json's own encoding, so NaN,
 Infinity, true and null are unchanged); a dict with non-str keys, or a
 value json cannot encode, goes to ``json.dumps`` itself.  Cyclic values
 raise RecursionError, not json's ValueError.
+
+``load_path`` reads the one large array of a state or channel file, the
+top-level ``matrix`` or ``kraus`` list of [re, im] pairs, straight from
+the text as a float64 array of shape (..., 2), with a few C string passes
+and numpy calls, and leaves the rest to json; the decoders take the array
+or nested lists alike.  It does so only for a large, mostly-0.0 array it
+can prove json would read to the same numbers (see ``_read_pairs``);
+every other file goes to ``loads``, plain ``json.loads``, unchanged.
 """
 
 from __future__ import annotations
@@ -48,8 +56,9 @@ def encode_matrix(m: np.ndarray) -> list:
 def decode_matrix(obj: Any, what: str = "matrix") -> np.ndarray:
     """A nonempty rows x cols array of [re, im] number pairs, decoded bit-exactly.
 
-    JSON numbers arrive as Python ints, floats and bools; numpy reads them
-    in one pass, and any array that is not numeric with shape
+    JSON numbers arrive as Python ints, floats and bools, or already as the
+    float64 array ``load_path`` reads; numpy reads them in one pass, and
+    any array that is not numeric with shape
     (rows, cols, 2) (ragged rows, strings, null, a cell that is not a
     pair) is rejected.
     """
@@ -62,7 +71,7 @@ def decode_matrix(obj: Any, what: str = "matrix") -> np.ndarray:
 def _number_pairs(obj: Any) -> np.ndarray | None:
     """``obj`` read by numpy in one pass, if it is numeric with a last axis of 2."""
     try:
-        arr = np.array(obj)
+        arr = np.asarray(obj)
     except ValueError:  # ragged or mixed-depth nesting
         return None
     if arr.dtype.kind not in "biuf" or arr.shape[-1:] != (2,):
@@ -77,7 +86,7 @@ def _complex(pairs: np.ndarray) -> np.ndarray:
     return m
 
 
-def _decode_kraus(obj: list) -> np.ndarray | list[np.ndarray]:
+def _decode_kraus(obj: list | np.ndarray) -> np.ndarray | list[np.ndarray]:
     """The Kraus list as one (K, rows, cols) array, each operator as decode_matrix reads it.
 
     numpy types a list by all of its numbers, and whether an int of 2**63
@@ -138,11 +147,11 @@ def channel_to_dict(ch: KrausChannel) -> dict:
 def channel_from_dict(obj: Any) -> KrausChannel:
     """The channel a JSON object describes; any defect in it is a ParseError.
 
-    The ``kraus`` list is decoded with one numpy call into the channel's
-    (K, rows, cols) array when it stacks; otherwise, and when its numbers
-    could type differently read together than one operator at a time, each
-    operator is decoded alone, so errors and values are those of
-    ``decode_matrix``.
+    The ``kraus`` list (or the array ``load_path`` reads) is decoded with
+    one numpy call into the channel's (K, rows, cols) array when it stacks;
+    otherwise, and when its numbers could type differently read together
+    than one operator at a time, each operator is decoded alone, so errors
+    and values are those of ``decode_matrix``.
     """
     if not isinstance(obj, dict):
         raise ParseError("channel: expected a JSON object")
@@ -152,7 +161,7 @@ def channel_from_dict(obj: Any) -> KrausChannel:
     input_system = _decode_system(obj.get("input"), "channel.input")
     output_system = _decode_system(obj.get("output"), "channel.output")
     kraus_obj = obj.get("kraus")
-    if not isinstance(kraus_obj, list) or not kraus_obj:
+    if not isinstance(kraus_obj, np.ndarray) and not (isinstance(kraus_obj, list) and kraus_obj):
         raise ParseError("channel: kraus must be a nonempty array of matrices")
     kraus = _decode_kraus(kraus_obj)
     try:
@@ -315,10 +324,137 @@ def loads(text: str) -> Any:
 
 
 def load_path(path) -> Any:
-    """The JSON document in a UTF-8 file; an unreadable file is a ParseError."""
+    """The JSON document in a UTF-8 file; an unreadable file is a ParseError.
+
+    A state's ``matrix`` or a channel's ``kraus`` that ``_read_pairs``
+    proves equal to json's reading comes back as one float64 array of
+    [re, im] pairs; everything else is ``loads(text)``.
+    """
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
-    return loads(text)
+    return _read_pairs(text) or loads(text)
+
+
+# A key that opens a nonempty array on its own line, as dumps writes it.
+_PAIRS_KEY = re.compile(r'"(matrix|kraus)": \[\n')
+_PAIRS_DEPTH = {"matrix": 3, "kraus": 4}
+# Which files _read_pairs reads, from what it sees in the text: at least
+# _MIN_PAIRS_TEXT characters, with at most _MAX_NONZERO_SHARE of the
+# array's numbers other than 0.0.  Elsewhere json and numpy read the pairs
+# as fast or faster.
+_MIN_PAIRS_TEXT = 1 << 15
+_MAX_NONZERO_SHARE = 1 / 8
+
+
+def _read_pairs(text: str) -> dict | None:
+    """The document with its pair array read from the text, or None to leave it to json.
+
+    The array is taken only when the result provably equals ``loads(text)``
+    read by numpy: the text is ASCII without a backslash; the array's text
+    is byte for byte what ``dumps`` writes for its numbers in a uniform
+    shape with a last axis of 2; every number is ``0.0`` or the repr of
+    the float it reads as (so a JSON float that json reads to the same
+    double); and json reads the rest of the text, with the array replaced
+    by the string "\\u0000", as a dict holding that string under the same
+    top-level key.
+    """
+    if len(text) < _MIN_PAIRS_TEXT or not text.isascii() or "\\" in text:
+        return None
+    m = _PAIRS_KEY.search(text)
+    if m is None:
+        return None
+    key, start = m.group(1), m.end() - 2
+    indent = text[text.rfind("\n", 0, m.start()) + 1 : m.start()]
+    if not indent or indent.strip(" ") or len(indent) % 2:
+        return None
+    # The array closes on the last line of its indent, or the text test fails.
+    end = text.rfind("\n" + indent + "]", start) + len(indent) + 2
+    if end <= start:
+        return None
+    array = text[start:end].encode()
+    # Without layout, one "," is left between each two numbers.
+    found = _nonzero(array.translate(None, b" \n[]"))
+    if found is None:
+        return None
+    count, rest, tokens = found
+    level, depth = len(indent) // 2, _PAIRS_DEPTH[key]
+    pads = [b"\n" + b"  " * (level + k) for k in range(depth + 1)]
+    # Below the first axis, the blocks that close in the first block of
+    # each depth, then the [re, im] pair.
+    shape = [
+        array.count(pads[k + 1] + b"]", 0, array.find(pads[k] + b"]"))
+        for k in range(1, depth - 1)
+    ] + [2]
+    size = math.prod(shape)
+    if not size or count % size:
+        return None
+    shape.insert(0, count // size)
+    if array != _array_text(shape, pads, rest, tokens):
+        return None
+    del array
+    values = _floats(count, rest, tokens)
+    if values is None:
+        return None
+    try:
+        doc = json.loads(text[:start] + '"\\u0000"' + text[end:])
+    except (ValueError, RecursionError):
+        return None
+    if type(doc) is not dict or doc.get(key) != "\0":
+        return None
+    doc[key] = values.reshape(shape)
+    return doc
+
+
+def _nonzero(numbers: bytes) -> tuple[int, np.ndarray, list[bytes]] | None:
+    """The count of comma-separated numbers, and the index and text of those not 0.0.
+
+    None when those are more than _MAX_NONZERO_SHARE of the count.
+    """
+    chars = np.frombuffer(numbers + b",,,,", dtype=np.uint8)
+    ends = np.flatnonzero(chars[:-3] == ord(","))
+    starts = np.concatenate(([0], ends[:-1] + 1))
+    zero = chars[starts] == ord("0")
+    for i, c in enumerate(b".0,", 1):
+        zero &= chars[starts + i] == c
+    rest = np.flatnonzero(~zero)
+    if rest.size > _MAX_NONZERO_SHARE * ends.size:
+        return None
+    tokens = list(map(numbers.__getitem__, map(slice, starts[rest].tolist(), ends[rest].tolist())))
+    return ends.size, rest, tokens
+
+
+def _array_text(shape: list[int], pads: list[bytes], rest: np.ndarray, tokens: list[bytes]) -> bytes:
+    """dumps' text for an array of this shape: ``tokens`` at the flat indices ``rest``, else 0.0."""
+    text, heads, steps = b"0.0", 0, []
+    for k in range(len(shape) - 1, -1, -1):
+        head, sep = b"[" + pads[k + 1], b"," + pads[k + 1]
+        heads += len(head)
+        steps.insert(0, len(text) + len(sep))
+        text = b"".join((head, sep.join([text] * shape[k]), pads[k] + b"]"))
+    # A number's offset: past the head of each block around it and the items before it.
+    at = (heads + np.dot(steps, np.unravel_index(rest, shape))).tolist()
+    view = memoryview(text)
+    pieces = [view[:0]] * (2 * len(at) + 1)
+    pieces[::2] = map(view.__getitem__, map(slice, [0] + [a + 3 for a in at], at + [len(text)]))
+    pieces[1::2] = tokens
+    return b"".join(pieces)
+
+
+def _floats(count: int, rest: np.ndarray, tokens: list[bytes]) -> np.ndarray | None:
+    """``count`` numbers as a float64 vector: ``tokens`` at the indices ``rest``, else 0.0.
+
+    None when a token is not exactly the repr of its float; only those are
+    read by Python, with one ``map(float)`` and one ``map(repr)``.
+    """
+    try:
+        floats = list(map(float, tokens))
+    except ValueError:
+        return None
+    if ",".join(map(repr, floats)).encode() != b",".join(tokens):
+        return None
+    values = np.zeros(count)
+    values[rest] = floats
+    return values

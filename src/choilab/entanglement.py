@@ -117,18 +117,22 @@ def ppt_check(
     cut: BipartiteCut | str,
     threshold: float = linalg.PSD_THRESHOLD,
 ) -> PtVerdict:
-    """Eigensolver route: minimum eigenvalue of the partial transpose on side_one.
+    """Eigensolver route: minimum eigenvalue of the partial transpose across a cut.
 
-    On an X-shaped state a cut index (see cut_to_index; its side_one lacks
-    the last party) is an O(1) read of cut_min_eigenvalues, for callers
-    that walk the cuts, and a BipartiteCut solves its own flip in O(d):
-    the same bits, since both read the entries of the dense partial
-    transpose.  The two sides of a cut agree to the bit only when the
-    anti-diagonal is exactly Hermitian.  Any other state is transposed and
-    solved densely.  The route reads matrix entries, never the GHZ
-    coefficients, so it checks npt_criterion.
+    The side without the last party is transposed, whichever side the
+    caller names.  The other side has the same spectrum, but on a state
+    Hermitian only within HERMITICITY_TOL not the same last bits; one side
+    per cut keeps a BipartiteCut, its cut index and cut_min_eigenvalues on
+    the same bits.  On an X-shaped state a cut index (see cut_to_index) is
+    an O(1) read of cut_min_eigenvalues, for callers that walk the cuts,
+    and a BipartiteCut solves its own flip in O(d): the same bits, since
+    both read the entries of the dense partial transpose.  Any other state
+    is transposed and solved densely.  The route reads matrix entries,
+    never the GHZ coefficients, so it checks npt_criterion.
     """
     system = state.system
+    if isinstance(cut, BipartiteCut) and system.labels[-1] in cut.side_one:
+        cut = BipartiteCut(cut.side_two, cut.side_one)
     if not state.x_shaped:
         if isinstance(cut, str):
             cut = index_to_cut(cut, system)

@@ -504,11 +504,16 @@ def ghz_oneway_example() -> ReproductionReport:
 # teleportation
 # ---------------------------------------------------------------------------
 
-_BELL_VECTORS = (
-    np.array([1, 0, 0, 1], dtype=np.complex128) / math.sqrt(2),
-    np.array([0, 1, 1, 0], dtype=np.complex128) / math.sqrt(2),
-    np.array([1, 0, 0, -1], dtype=np.complex128) / math.sqrt(2),
-    np.array([0, 1, -1, 0], dtype=np.complex128) / math.sqrt(2),
+def _bell_projector(bell: list[int]) -> np.ndarray:
+    """|b><b| (x) 1 on (input, first resource qubit, second resource qubit), read-only."""
+    v = np.array(bell, dtype=np.complex128) / math.sqrt(2)
+    m = np.kron(np.outer(v, v.conj()), linalg.identity(2))
+    m.setflags(write=False)
+    return m
+
+
+_BELL_PROJECTORS = tuple(
+    map(_bell_projector, ([1, 0, 0, 1], [0, 1, 1, 0], [1, 0, 0, -1], [0, 1, -1, 0]))
 )
 _CORRECTIONS = (
     linalg.sigma0,
@@ -533,8 +538,7 @@ def teleport_fidelity(resource: MultipartiteState, input_state: PureState) -> fl
     psi = input_state.vector
     total = np.kron(np.outer(psi, psi.conj()), resource.matrix)
     fid = 0.0
-    for bell, corr in zip(_BELL_VECTORS, _CORRECTIONS):
-        proj = np.kron(np.outer(bell, bell.conj()), linalg.identity(2))
+    for proj, corr in zip(_BELL_PROJECTORS, _CORRECTIONS):
         sub = proj @ total @ proj
         prob = float(np.real(np.trace(sub)))
         if prob <= BELL_OUTCOME_FLOOR:
@@ -576,7 +580,8 @@ def teleport_report() -> ReproductionReport:
         PartySystem(("M",), (2,)),
         np.array([math.sqrt(0.3), math.sqrt(0.7) * 1j], dtype=np.complex128),
     )
-    f_ideal = min(teleport_fidelity(plus.density(), zero), teleport_fidelity(plus.density(), tilted))
+    ideal = plus.density()
+    f_ideal = min(teleport_fidelity(ideal, zero), teleport_fidelity(ideal, tilted))
     f_mixed = teleport_fidelity(ident, tilted)
     # resource produced by the localization pipeline on a skewed rank-2 state
     skew = PureState(

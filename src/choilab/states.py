@@ -277,14 +277,6 @@ def basis_index(system: PartySystem, bits: str) -> int:
     return idx
 
 
-def basis_projector(system: PartySystem, bits: str) -> MultipartiteState:
-    """Rank-1 projector onto the computational basis ket |bits>."""
-    idx = basis_index(system, bits)
-    m = np.zeros((system.total_dim, system.total_dim), dtype=np.complex128)
-    m[idx, idx] = 1.0
-    return MultipartiteState(system, m)
-
-
 def ghz_basis_state(system: PartySystem, j: str, sign: int | str) -> PureState:
     """GHZ-basis element (|j,0> +/- |jbar,1>)/sqrt(2) on an all-qubit system.
 

@@ -66,16 +66,6 @@ def loop_apply_matrix(kraus, mat: np.ndarray) -> np.ndarray:
     return out
 
 
-def loop_reduced_kraus(kraus, out_dims, axes, d_traced: int, d_keep: int) -> list[np.ndarray]:
-    ops = []
-    for a in kraus:
-        t = a.reshape(tuple(out_dims) + (a.shape[1],))
-        t = np.moveaxis(t, axes, range(len(axes)))
-        t = t.reshape(d_traced, d_keep, a.shape[1])
-        ops.extend(np.ascontiguousarray(t[i]) for i in range(d_traced))
-    return ops
-
-
 def loop_kraus_from_choi(matrix: np.ndarray, d_ref: int, d_out: int, cutoff: float) -> list[np.ndarray]:
     vals, vecs = np.linalg.eigh(matrix)
     return [
@@ -143,6 +133,21 @@ def random_density_matrix(rng: np.random.Generator, dim: int) -> np.ndarray:
 
 def random_state(rng: np.random.Generator, system: PartySystem) -> MultipartiteState:
     return MultipartiteState(system, random_density_matrix(rng, system.total_dim))
+
+
+def random_x_state(rng: np.random.Generator, system: PartySystem) -> MultipartiteState:
+    """Random X-shaped state: a positive 2x2 block with a complex coupling on each (x, d-1-x).
+
+    Every entry off the X is exactly 0.0.
+    """
+    d = system.total_dim
+    m = np.zeros((d, d), dtype=complex)
+    for x in range(d // 2):
+        y = d - 1 - x
+        p, r = rng.random(2)
+        q = math.sqrt(p * r) * rng.random() * np.exp(2j * np.pi * rng.random())
+        m[x, x], m[y, y], m[y, x], m[x, y] = p, r, q, np.conj(q)
+    return MultipartiteState(system, m / np.trace(m).real)
 
 
 def random_pure_vector(rng: np.random.Generator, dim: int) -> np.ndarray:

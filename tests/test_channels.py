@@ -1,4 +1,3 @@
-import itertools
 import math
 import re
 
@@ -11,14 +10,12 @@ from choilab import channels, linalg
 from choilab.channels import (
     CHOI_RANK_CUTOFF,
     KrausChannel,
-    apply,
     apply_matrix,
     choi,
     choi_matrix,
     completeness_defect,
     kraus_from_choi,
     mix,
-    reduced_channel,
     verify_cptp,
 )
 from choilab.codec import channel_from_dict, channel_to_dict, dumps, encode_matrix, loads
@@ -26,11 +23,9 @@ from choilab.errors import (
     BadPermutation,
     BadWeights,
     DimensionMismatch,
-    NothingLeft,
     NotPSD,
     NotTracePreserving,
     SystemMismatch,
-    UnknownParty,
 )
 from choilab.linalg import PAULIS, identity, sigma1
 from choilab.nonadditivity import (
@@ -55,7 +50,6 @@ from conftest import (
     loop_decode_kraus,
     loop_kraus_from_choi,
     loop_mix_kraus,
-    loop_reduced_kraus,
     random_density_matrix,
     random_state,
     same_bits,
@@ -133,20 +127,20 @@ class TestApply:
         rng = np.random.default_rng(0)
         ch = identity_channel()
         rho = random_state(rng, ch.input_system)
-        assert np.allclose(apply(ch, rho).matrix, rho.matrix, atol=0)
+        assert np.allclose(apply_matrix(ch, rho.matrix), rho.matrix, atol=0)
 
     def test_two_qubit_twirl(self):
         rng = np.random.default_rng(1)
         ch = two_qubit_depolarizing()
         rho = random_state(rng, ch.input_system)
-        out = apply(ch, rho)
-        assert np.linalg.norm(out.matrix - np.eye(4) / 4) < 1e-12
+        out = apply_matrix(ch, rho.matrix)
+        assert np.linalg.norm(out - np.eye(4) / 4) < 1e-12
 
     def test_scenario_channel_output_is_state(self):
         ch = binding_channel(1)
         phi = max_entangled(2, ("X", "Y"))
         rho = MultipartiteState(ch.input_system, phi.density().matrix)
-        out = apply(ch, rho)
+        out = MultipartiteState(ch.output_system, apply_matrix(ch, rho.matrix))
         assert abs(np.trace(out.matrix) - 1) < 1e-12
         assert out.system.labels == ("B", "C")
 
@@ -162,7 +156,7 @@ class TestApply:
     def test_dimension_mismatch(self):
         ch = binding_channel(1)
         with pytest.raises(DimensionMismatch):
-            apply(ch, random_state(np.random.default_rng(3), qubit_system("Q")))
+            apply_matrix(ch, random_state(np.random.default_rng(3), qubit_system("Q")).matrix)
 
 
 class TestChoi:
@@ -264,45 +258,6 @@ class TestMix:
 
     def test_mixture_is_cptp(self):
         assert verify_cptp(mix([binding_channel(1), binding_channel(3)], [0.25, 0.75])).passed
-
-
-class TestReducedChannel:
-    def test_identity_trace_out(self):
-        sys = qubit_system("B", "C")
-        ch = KrausChannel("id2", sys, sys, (identity(4),))
-        red = reduced_channel(ch, ["C"])
-        phi = max_entangled(2, ("B", "C"))
-        rho = MultipartiteState(sys, phi.density().matrix)
-        out = apply(red, rho)
-        assert np.linalg.norm(out.matrix - np.eye(2) / 2) < 1e-14
-        assert out.system.labels == ("B",)
-
-    def test_action_equals_trace_after_apply(self):
-        from choilab.states import trace_out_axes
-
-        ch = binding_channel(1)
-        red = reduced_channel(ch, ["C"])
-        for e in operator_basis(4):
-            direct = trace_out_axes(apply_matrix(ch, e), (2, 2), [1])
-            assert np.linalg.norm(direct - apply_matrix(red, e)) < 1e-10
-
-    def test_sequential_equals_joint(self):
-        sys = qubit_system("X", "Y", "Z")
-        ops = tuple(np.kron(np.kron(a, b), c) / (2 * math.sqrt(2)) for a, b, c in
-                    itertools.product((PAULIS[0], PAULIS[3]), repeat=3))
-        ch = KrausChannel("diag3", sys, sys, ops)
-        assert verify_cptp(ch).passed
-        step = reduced_channel(reduced_channel(ch, ["Z"]), ["Y"])
-        joint = reduced_channel(ch, ["Y", "Z"])
-        assert channels_act_alike(step, joint, tol=1e-12)
-        assert verify_cptp(joint).passed
-
-    def test_errors(self):
-        ch = binding_channel(1)
-        with pytest.raises(UnknownParty):
-            reduced_channel(ch, ["Q"])
-        with pytest.raises(NothingLeft):
-            reduced_channel(ch, ["B", "C"])
 
 
 class TestKrausFromChoi:
@@ -430,16 +385,6 @@ class TestKrausArray:
         back = channel_from_dict(loads(text))
         assert same_bits(back.kraus, mixed.kraus)
         assert same_bits(back.kraus, np.stack(loop_decode_kraus(loads(text)["kraus"])))
-
-    @pytest.mark.parametrize("traced", [("B",), ("C",), ("B", "D"), ("D", "B")])
-    def test_reduced_channel_matches_per_operator_loop(self, traced):
-        rng = np.random.default_rng(17)
-        out = PartySystem(("B", "C", "D"), (2, 3, 2))
-        ch = KrausChannel("r", qubit_system("A"), out, _random_kraus(rng, 5, 12, 2))
-        axes = [out.axis(l) for l in out.labels if l in traced]
-        d_traced = math.prod(out.dim_of(l) for l in traced)
-        want = loop_reduced_kraus(ch.kraus, out.dims, axes, d_traced, 12 // d_traced)
-        assert same_bits(reduced_channel(ch, traced).kraus, np.stack(want))
 
     def test_kraus_from_choi_matches_per_operator_loop(self):
         for ch in (binding_channel(2), two_qubit_depolarizing(), identity_channel()):

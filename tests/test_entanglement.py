@@ -45,6 +45,7 @@ from conftest import (
     random_density_matrix,
     random_ghz_diagonal_state,
     random_state,
+    random_x_state,
     same_bits,
 )
 
@@ -111,18 +112,6 @@ class TestPptCheck:
             assert abs(ppt_check(rho, cut).min_eigenvalue - dense) <= 1e-12
 
 
-def random_x_state(rng, system: PartySystem) -> MultipartiteState:
-    """Random X-shaped state: a positive 2x2 block with a complex coupling on each (x, d-1-x)."""
-    d = system.total_dim
-    m = np.zeros((d, d), dtype=complex)
-    for x in range(d // 2):
-        y = d - 1 - x
-        p, r = rng.random(2)
-        q = math.sqrt(p * r) * rng.random() * np.exp(2j * np.pi * rng.random())
-        m[x, x], m[y, y], m[y, x], m[x, y] = p, r, q, np.conj(q)
-    return MultipartiteState(system, m / np.trace(m).real)
-
-
 def with_one_off_x_entry(rng, rho: MultipartiteState) -> MultipartiteState:
     """rho plus one Hermitian pair off the X, kept positive by a matching diagonal."""
     d = rho.system.total_dim
@@ -153,8 +142,9 @@ X_STATE_DIMS = ((2, 3), (3, 2), (3, 2, 2), (2, 3, 2), (2, 2, 3), (4, 3), (2, 2, 
 def test_ppt_check_matches_dense_partial_transpose(kind, off_x, n, dims, seed):
     # Oracle: the dense partial transpose and LAPACK's eigvalsh, on every
     # side_one.  On an X-shaped state the value must also equal, bit for
-    # bit, the block solve of the dense partial transpose (the same
-    # entries are read); off the X it must equal eigvalsh bit for bit.
+    # bit, the block solve of the dense partial transpose of the side
+    # without the last party (the same entries are read); off the X it
+    # must equal eigvalsh of that transpose bit for bit.
     rng = np.random.default_rng(seed)
     if kind in ("symmetric", "asymmetric"):
         system = qubits(*(f"Q{i}" for i in range(n)))
@@ -168,7 +158,7 @@ def test_ppt_check_matches_dense_partial_transpose(kind, off_x, n, dims, seed):
     for size in range(1, system.num_parties):
         for side in itertools.combinations(system.labels, size):
             cut = BipartiteCut.from_side(system, side)
-            pt = partial_transpose(rho, cut)
+            pt = partial_transpose(rho, index_to_cut(cut_to_index(cut, system), system))
             dense = float(np.linalg.eigvalsh(pt)[0])
             got = ppt_check(rho, cut).min_eigenvalue
             assert abs(got - dense) <= 1e-12, (side, got, dense)
@@ -191,6 +181,30 @@ def with_inexact_anti_diagonal(rng, rho: MultipartiteState) -> MultipartiteState
     return MultipartiteState(rho.system, m)
 
 
+def test_both_sides_of_a_cut_read_the_same_bits():
+    # On states Hermitian only within HERMITICITY_TOL the two sides of a
+    # cut transpose to different last bits; ppt_check transposes the side
+    # without the last party whichever side is named, on the X route and
+    # (with one entry off the X) on the dense route.
+    rng = np.random.default_rng(13)
+    system = qubits(*(f"Q{i}" for i in range(5)))
+    other_side_differs = 0
+    for _ in range(5):
+        rho = with_inexact_anti_diagonal(rng, random_ghz_diagonal_state(rng, system))
+        dense = with_one_off_x_entry(rng, rho)
+        for j in all_cut_indices(5):
+            cut = index_to_cut(j, system)
+            flipped = BipartiteCut(cut.side_two, cut.side_one)
+            for state in (rho, dense):
+                want = ppt_check(state, j).min_eigenvalue
+                assert same_bits(ppt_check(state, cut).min_eigenvalue, want), j
+                assert same_bits(ppt_check(state, flipped).min_eigenvalue, want), j
+            want = cut_min_eigenvalues(rho)[int(j, 2) - 1]
+            assert same_bits(ppt_check(rho, flipped).min_eigenvalue, want), j
+            other_side_differs += not same_bits(flip_route_min_eigenvalue(rho, flipped), want)
+    assert other_side_differs  # the other side's own transpose does read other bits
+
+
 @settings(max_examples=40)
 @given(
     kind=st.sampled_from(("symmetric", "asymmetric", "x-shaped", "dims-2-4-2")),
@@ -200,8 +214,9 @@ def with_inexact_anti_diagonal(rng, rho: MultipartiteState) -> MultipartiteState
     seed=st.integers(0, 2**32 - 1),
 )
 def test_every_cut_from_one_gather(kind, n, inexact, batch_rows, seed):
-    # Oracles: the per-cut flip route, bit for bit on both side_one
-    # choices, and the dense partial transpose with eigvalsh within 1e-12.
+    # Oracles: the per-cut flip route of the side without the last party,
+    # bit for bit whichever side_one the caller names, and the dense
+    # partial transpose with eigvalsh within 1e-12.
     rng = np.random.default_rng(seed)
     if kind == "dims-2-4-2":
         system = PartySystem(("P0", "P1", "P2"), (2, 4, 2))
@@ -223,7 +238,7 @@ def test_every_cut_from_one_gather(kind, n, inexact, batch_rows, seed):
         assert same_bits(ppt_check(rho, j).min_eigenvalue, lows[k]), j
         for c in (cut, BipartiteCut(cut.side_two, cut.side_one)):
             got = ppt_check(rho, c).min_eigenvalue
-            assert same_bits(got, flip_route_min_eigenvalue(rho, c)), (j, c.side_one)
+            assert same_bits(got, lows[k]), (j, c.side_one)
             dense = float(np.linalg.eigvalsh(partial_transpose(rho, c))[0])
             assert abs(got - dense) <= 1e-12, (j, c.side_one)
     # A forced small batch (batch_rows cuts per gather) gives the same bits.

@@ -2,8 +2,10 @@
 loads states and channels without the report layer (nonadditivity).  The
 smallest eigenvalue has one path, linalg.min_eigenvalue, the X-block
 solve one copy, linalg.x_min_eigenvalue, and JSON one module, codec.
-Every name the benchmark's tracer wraps still exists."""
+Every name the benchmark's tracer wraps still exists, and the CLI reads
+every input file through codec.load_path."""
 
+import ast
 import importlib
 import importlib.util
 import json
@@ -102,3 +104,20 @@ def test_every_traced_name_exists():
         if not hasattr(importlib.import_module(f"choilab.{module}"), name)
     ]
     assert missing == []
+
+
+def test_cli_opens_no_file_for_reading():
+    # The benchmark counts codec.bytes_read on codec.load_path; a file
+    # cli.py read itself would go uncounted.  Its one open writes --out.
+    tree = ast.parse((Path(choilab.__file__).resolve().parent / "cli.py").read_text(encoding="utf-8"))
+    readers = ("open", "read_text", "read_bytes", "load", "loads", "fromfile", "loadtxt", "genfromtxt")
+    calls = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            func = node.func
+            name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+            if name in readers:
+                mode = node.args[1] if len(node.args) > 1 else None
+                mode = next((k.value for k in node.keywords if k.arg == "mode"), mode)
+                calls.append((name, "r" if mode is None else ast.literal_eval(mode)))
+    assert calls == [("open", "w")]

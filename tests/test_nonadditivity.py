@@ -193,7 +193,7 @@ class TestReports:
     def test_each_choi_state_validated_once(self, monkeypatch):
         # four Choi states from Kraus lists, one validation each; the rest
         # are the closed forms, their swap image and the GHZ, W and
-        # teleportation states
+        # teleportation states (the ideal resource is built once)
         validations = []
         post_init = MultipartiteState.__post_init__
 
@@ -203,7 +203,7 @@ class TestReports:
 
         monkeypatch.setattr(MultipartiteState, "__post_init__", validating)
         full_report()
-        assert len(validations) == 18
+        assert len(validations) == 17
         assert validations.count(CANONICAL_ORDER) == 9
 
     def test_each_pt_fact_solved_once_per_report(self, monkeypatch):

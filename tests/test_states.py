@@ -21,7 +21,6 @@ from choilab.states import (
     PartySystem,
     PureState,
     basis_index,
-    basis_projector,
     fidelity,
     ghz_basis_state,
     max_entangled,
@@ -90,26 +89,26 @@ class TestCut:
 
 
 class TestBasisProjector:
+    """|bits><bits| is the diagonal entry at basis_index(system, bits)."""
+
     def test_corner(self):
         sys = qubits("A1", "B", "A2", "C")
-        p = basis_projector(sys, "0000")
-        assert p.matrix[0, 0] == 1
-        assert np.count_nonzero(p.matrix) == 1
+        assert basis_index(sys, "0000") == 0
+        assert basis_index(sys, "1111") == 15
 
     def test_big_endian_index(self):
         # 1*8 + 0*4 + 1*2 + 0 = 10
         sys = qubits("A1", "B", "A2", "C")
         assert basis_index(sys, "1010") == 10
-        p = basis_projector(sys, "1010")
-        assert p.matrix[10, 10] == 1
 
     def test_trace_and_errors(self):
+        # the projectors on all basis strings sum to the identity: each index once
         sys = qubits("A", "B")
-        assert np.trace(basis_projector(sys, "01").matrix) == 1
+        assert sorted(basis_index(sys, bits) for bits in ("00", "01", "10", "11")) == [0, 1, 2, 3]
         with pytest.raises(IndexOutOfRange):
-            basis_projector(sys, "012")
+            basis_index(sys, "012")
         with pytest.raises(IndexOutOfRange):
-            basis_projector(sys, "02")
+            basis_index(sys, "02")
 
 
 class TestGhzBasis:
@@ -143,7 +142,8 @@ class TestGhzBasis:
     def test_projector_pair_identity(self):
         # P_1010 + P_0101 equals the (j=101, +/-) GHZ projector pair
         sys = qubits("A1", "B", "A2", "C")
-        lhs = basis_projector(sys, "1010").matrix + basis_projector(sys, "0101").matrix
+        lhs = np.zeros((16, 16))
+        lhs[10, 10] = lhs[5, 5] = 1
         plus = ghz_basis_state(sys, "101", 1).vector
         minus = ghz_basis_state(sys, "101", -1).vector
         rhs = np.outer(plus, plus.conj()) + np.outer(minus, minus.conj())
