@@ -115,8 +115,10 @@ def completeness_defect(ch: KrausChannel) -> float:
     # A reduction over the leading axis adds 0 + P_0 + P_1 + ... in that
     # order, as a loop would; a BLAS product (V^dagger V) or einsum would
     # regroup the sum and change the last bits.
-    acc = np.add.reduce(ch.kraus.conj().transpose(0, 2, 1) @ ch.kraus, axis=0, initial=0)
-    return float(np.linalg.norm(acc - linalg.identity(ch.dim_in)))
+    # Huge entries overflow to an inf or nan defect, which fails the check.
+    with np.errstate(over="ignore", invalid="ignore"):
+        acc = np.add.reduce(ch.kraus.conj().transpose(0, 2, 1) @ ch.kraus, axis=0, initial=0)
+        return float(np.linalg.norm(acc - linalg.identity(ch.dim_in)))
 
 
 # Complex entries of the outer products that choi_matrix forms at once (64 MiB).
@@ -135,11 +137,13 @@ def choi_matrix(ch: KrausChannel) -> np.ndarray:
     v = ch.kraus.transpose(0, 2, 1).reshape(k, d * d_out)
     step = max(1, _OUTER_BATCH // v.shape[1] ** 2)
     terms = np.zeros((min(k, step) + 1,) + (v.shape[1],) * 2, dtype=np.complex128)
-    for lo in range(0, k, step):
-        part = v[lo : lo + step]
-        np.multiply(part[:, :, None], part.conj()[:, None, :], out=terms[1 : len(part) + 1])
-        terms[0] = np.add.reduce(terms[: len(part) + 1], axis=0)
-    return terms[0] / d
+    # Huge entries overflow to inf or nan entries, which validation refuses.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for lo in range(0, k, step):
+            part = v[lo : lo + step]
+            np.multiply(part[:, :, None], part.conj()[:, None, :], out=terms[1 : len(part) + 1])
+            terms[0] = np.add.reduce(terms[: len(part) + 1], axis=0)
+        return terms[0] / d
 
 
 def verify_cptp(ch: KrausChannel, psd_threshold: float = linalg.PSD_THRESHOLD) -> CptpReport:
@@ -150,7 +154,8 @@ def verify_cptp(ch: KrausChannel, psd_threshold: float = linalg.PSD_THRESHOLD) -
     """
     defect = completeness_defect(ch)
     e = choi_matrix(ch)
-    choi_min = linalg.min_eigenvalue(e)
+    # Huge Kraus entries overflow the Choi matrix, which then has no spectrum to check.
+    choi_min = linalg.min_eigenvalue(e) if np.isfinite(e).all() else math.nan
     return CptpReport(
         trace_preserving_defect=defect,
         trace_preserving=defect <= COMPLETENESS_TOL,

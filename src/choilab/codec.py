@@ -6,17 +6,19 @@ bit-exact at double precision.
 
 ``dumps`` writes the bytes of ``json.dumps(obj, indent=2, sort_keys=True)``
 plus a newline, without the pure-Python encoder that ``indent`` selects in
-CPython.  A nonempty list of plain ints and finite floats nested to one
-depth (a matrix, a list of matrices) is formatted from a single ``repr``:
-that text is checked to hold only numbers, ", " and brackets at that depth,
-and is then re-indented with one ``str.replace`` per depth.  A nonempty
-list of nonempty flat dicts (report rows: plain str keys, scalar values)
-is written by one call of json's C encoder, whose item separator carries
-the newline and indent.  Any other list falls back to the per-item path,
-as do dicts (sorted str keys) and scalars (json's own encoding, so NaN,
-Infinity, true and null are unchanged); a dict with non-str keys, or a
-value json cannot encode, goes to ``json.dumps`` itself.  Cyclic values
-raise RecursionError, not json's ValueError.
+CPython, and writes a float64 ``np.ndarray`` as json would write its
+``tolist()``.  A nonempty, finite float64 array of one or more dimensions
+(the pair arrays ``state_to_dict`` and ``channel_to_dict`` return) is laid
+out by ``_array_text``, the template the reader checks files against, with
+one ``repr`` per distinct number.  A nonempty list of nonempty flat dicts
+(report rows: plain str keys, scalar values) is written by one call of
+json's C encoder, whose item separator carries the newline and indent.
+Any other list, and any other float64 array's ``tolist()``, takes the
+per-item path, as do dicts (sorted str keys) and scalars (json's own
+encoding, so NaN, Infinity, true and null are unchanged); a dict with
+non-str keys, or a value json cannot encode (any other ndarray among
+them), goes to ``json.dumps`` itself.  Cyclic values raise RecursionError,
+not json's ValueError.
 
 ``load_path`` reads the one large array of a state or channel file, the
 top-level ``matrix`` or ``kraus`` list of [re, im] pairs, straight from
@@ -48,9 +50,9 @@ if TYPE_CHECKING:  # the report layer sits above the codec
     from .nonadditivity import ReproductionReport
 
 
-def encode_matrix(m: np.ndarray) -> list:
-    """[re, im] pairs in nested lists; a stack of matrices gives a list of matrices."""
-    return np.stack((m.real, m.imag), -1).tolist()
+def encode_matrix(m: np.ndarray) -> np.ndarray:
+    """[re, im] pairs as a float64 array of shape m.shape + (2,), which dumps writes as nested lists."""
+    return np.stack((m.real, m.imag), -1)
 
 
 def decode_matrix(obj: Any, what: str = "matrix") -> np.ndarray:
@@ -80,10 +82,8 @@ def _number_pairs(obj: Any) -> np.ndarray | None:
 
 
 def _complex(pairs: np.ndarray) -> np.ndarray:
-    m = np.empty(pairs.shape[:-1], dtype=np.complex128)
-    m.real = pairs[..., 0]
-    m.imag = pairs[..., 1]
-    return m
+    """The pairs as complex numbers: a view of a C-contiguous float64 array, else of one copy."""
+    return np.ascontiguousarray(pairs, dtype=np.float64).view(np.complex128)[..., 0]
 
 
 def _decode_kraus(obj: list | np.ndarray) -> np.ndarray | list[np.ndarray]:
@@ -216,11 +216,17 @@ def _encode(o: Any, level: int, out: list[str]) -> None:
     if scalar is not None:
         out.append(scalar(o))
     elif isinstance(o, (list, tuple)):
-        text = (_numeric_array(o, level) or _dict_rows(o, level)) if type(o) is list else None
+        text = _dict_rows(o, level) if type(o) is list else None
         if text is not None:
             out.append(text)
         else:
             _encode_items("[]", [("", item) for item in o], level, out)
+    elif type(o) is np.ndarray and o.dtype.type is np.float64:
+        text = _float_array(o, level)
+        if text is not None:
+            out.append(text)
+        else:
+            _encode(o.tolist(), level, out)
     elif isinstance(o, dict) and all(isinstance(key, str) for key in o):
         items = [(encode_basestring_ascii(key) + ": ", value) for key, value in sorted(o.items())]
         _encode_items("{}", items, level, out)
@@ -246,45 +252,22 @@ def _encode_items(brackets: str, items: list[tuple[str, Any]], level: int, out: 
     out.append("\n" + "  " * level + brackets[1])
 
 
-# After each "]"*j + ", " + "["*j (0 < j < depth) becomes chr(j), an array
-# of uniform depth is numbers and separators only.  The control characters
-# appear in no number's repr and bound the depth at 32.
-_NUMBERS = re.compile(r"[-+0-9.eE]+(?:(?:, |[\x01-\x1f])[-+0-9.eE]+)*")
+def _float_array(a: np.ndarray, level: int) -> str | None:
+    """json's text for ``a.tolist()``, if ``a`` is nonempty, finite and at least 1-D, else None.
 
-
-def _numeric_array(o: list, level: int) -> str | None:
-    """json's text for a uniform-depth array of plain ints and finite floats, else None.
-
-    repr and json print a plain int or finite float alike; bools, None,
-    strings, NaN, infinities, numpy scalars and ragged nesting leave other
-    characters or brackets in the text and are refused.  (Past the first
-    leaf, an int or float subclass that overrides repr to print another
-    number would be written as it prints.)
+    A float64 becomes a Python float, which json writes as its repr; each
+    distinct bit pattern is repr'd once.  0.0 is the template's number,
+    so only the other numbers (-0.0 among them) are placed as tokens.
     """
-    depth, leaf = 0, o
-    while type(leaf) is list and leaf and depth < 32:
-        leaf = leaf[0]
-        depth += 1
-    if type(leaf) not in (int, float):
+    if not a.ndim or not a.size or not np.isfinite(a).all():
         return None
-    text = repr(o)
-    inner = text[depth:-depth]
-    for j in range(depth - 1, 0, -1):
-        inner = inner.replace("]" * j + ", " + "[" * j, chr(j))
-    if not _NUMBERS.fullmatch(inner):
-        return None
-    pad = ["\n" + "  " * (level + i) for i in range(depth + 1)]
-
-    def closes(j: int) -> str:
-        return "".join(pad[depth - i] + "]" for i in range(1, j + 1))
-
-    def opens(j: int) -> str:
-        return "".join(pad[depth - j + i] + "[" for i in range(j)) + pad[depth]
-
-    inner = inner.replace(", ", "," + opens(0))
-    for j in range(1, depth):
-        inner = inner.replace(chr(j), closes(j) + "," + opens(j))
-    return "[" + opens(depth - 1) + inner + closes(depth)
+    bits = np.ascontiguousarray(a, dtype=np.float64).reshape(-1).view(np.uint64)
+    rest = np.flatnonzero(bits)
+    distinct, which = np.unique(bits[rest], return_inverse=True)
+    reprs = [repr(x).encode() for x in distinct.view(np.float64).tolist()]
+    pads = [b"\n" + b"  " * (level + k) for k in range(a.ndim + 1)]
+    tokens = list(map(reprs.__getitem__, which.tolist()))
+    return _array_text(list(a.shape), pads, rest, tokens).decode()
 
 
 def _dict_rows(o: list, level: int) -> str | None:
@@ -446,15 +429,16 @@ def _array_text(shape: list[int], pads: list[bytes], rest: np.ndarray, tokens: l
 def _floats(count: int, rest: np.ndarray, tokens: list[bytes]) -> np.ndarray | None:
     """``count`` numbers as a float64 vector: ``tokens`` at the indices ``rest``, else 0.0.
 
-    None when a token is not exactly the repr of its float; only those are
-    read by Python, with one ``map(float)`` and one ``map(repr)``.
+    None when a token is not exactly the repr of its float; Python reads
+    each distinct token once, with one ``float`` and one ``repr``.
     """
+    distinct = list(dict.fromkeys(tokens))
     try:
-        floats = list(map(float, tokens))
+        floats = list(map(float, distinct))
     except ValueError:
         return None
-    if ",".join(map(repr, floats)).encode() != b",".join(tokens):
+    if [repr(x).encode() for x in floats] != distinct:
         return None
     values = np.zeros(count)
-    values[rest] = floats
+    values[rest] = list(map(dict(zip(distinct, floats)).__getitem__, tokens))
     return values

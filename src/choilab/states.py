@@ -173,7 +173,8 @@ class MultipartiteState:
         d = self.system.total_dim
         if m.shape != (d, d):
             raise DimensionMismatch(f"matrix shape {m.shape} != system dimension {d}")
-        defect = float(np.linalg.norm(m - m.conj().T))
+        with np.errstate(over="ignore", invalid="ignore"):  # a huge entry reads as an inf defect
+            defect = float(np.linalg.norm(m - m.conj().T))
         if defect > linalg.HERMITICITY_TOL:
             raise NotHermitian(f"hermiticity defect {defect:.3e}")
         tr = complex(np.trace(m))

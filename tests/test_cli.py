@@ -1,9 +1,15 @@
+import importlib.util
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from choilab import channels, cli, linalg, states
+import choilab
+from choilab import channels, cli, codec, linalg, states
 from choilab.cli import main
 from choilab.entanglement import all_cut_indices, ppt_check
 from choilab.codec import (
@@ -23,6 +29,23 @@ from conftest import (
     random_ghz_diagonal_state,
     random_state,
 )
+
+
+SRC = str(Path(choilab.__file__).resolve().parents[1])
+
+
+def bench_gen(monkeypatch):
+    """perfbench/gen.py, the benchmark's seeded input generator (it imports only numpy)."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "gen.py"
+    spec = importlib.util.spec_from_file_location("perfbench_gen", path)
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, module)  # its dataclasses look the module up
+    spec.loader.exec_module(module)
+    return module
+
+
+def qubits(labels) -> PartySystem:
+    return PartySystem(tuple(labels), (2,) * len(labels))
 
 
 def run(capsys, *argv):
@@ -451,6 +474,7 @@ class TestBadMatrixFiles:
         state = tmp_path / "state.json"
         state.write_text(json.dumps({"labels": ["A"], "dims": [2], "matrix": bad}))
         doc = channel_to_dict(binding_channel(1))
+        doc["kraus"] = doc["kraus"].tolist()
         doc["kraus"][0] = bad
         channel = tmp_path / "channel.json"
         channel.write_text(json.dumps(doc))
@@ -723,6 +747,33 @@ class TestOutputContract:
         assert choi_path.read_text() == dumps(encoded[0])
         self._assert_report(out, "human", "choi")
 
+    @pytest.mark.parametrize("channel_set", ["binding", "seed-1", "seed-2", "seed-3"])
+    def test_written_files_have_json_layout(self, fixture_dir, tmp_path, capsys, monkeypatch, channel_set):
+        # the README channels, or a seeded set of random CPTP maps from the benchmark's generator
+        if channel_set == "binding":
+            files = [str(fixture_dir / f"e{a}.json") for a in (1, 2, 3)]
+        else:
+            files = []
+            rng = np.random.default_rng(int(channel_set[-1]))
+            for spec in bench_gen(monkeypatch).random_channel_set(rng, channel_set):
+                systems = qubits(spec.in_labels), qubits(spec.out_labels)
+                ch = channels.KrausChannel(spec.name, *systems, spec.kraus)
+                files.append(str(tmp_path / f"{spec.name}.json"))
+                Path(files[-1]).write_text(dumps(channel_to_dict(ch)))
+        mixed_path = tmp_path / "mixed.json"
+        assert run(capsys, "mix", *files, "--out", str(mixed_path))[0] == 0
+        mixed = loads(mixed_path.read_text())
+        refs = [f"R{i}" for i in range(len(mixed["input"]["labels"]))]
+        written = [mixed_path]
+        for order in ([], ["--order", ",".join([*mixed["output"]["labels"][::-1], *refs])]):
+            written.append(tmp_path / f"choi{len(order)}.json")
+            assert run(capsys, "choi", str(mixed_path), *order, "--out", str(written[-1]))[0] == 0
+        for path in written:
+            text = path.read_text()
+            assert text == json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n"
+        if channel_set == "binding":  # large and sparse enough for the array reader
+            assert codec._read_pairs(mixed_path.read_text()) is not None
+
     @staticmethod
     def _assert_report(out, fmt, command):
         if fmt == "json":
@@ -732,6 +783,46 @@ class TestOutputContract:
             lines = out.splitlines()
             assert lines[0].endswith(f":: {command}")
             assert lines[-1] == "overall: pass"
+
+
+class TestHugeEntries:
+    """A 1e300 entry overflows the checks' sums: the verdicts stand, with no numpy warning."""
+
+    def _choilab(self, *argv):
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([SRC, os.environ.get("PYTHONPATH", "")]))
+        out = subprocess.run(
+            [sys.executable, "-m", "choilab", *map(str, argv)], env=env, capture_output=True, text=True
+        )
+        return out.returncode, out.stdout, out.stderr
+
+    def test_state(self, tmp_path):
+        path = tmp_path / "state.json"
+        matrix = [[[0.5, 0], [1e300, 0]], [[0, 0], [0.5, 0]]]
+        path.write_text(json.dumps({"labels": ["A"], "dims": [2], "matrix": matrix}))
+        code, out, err = self._choilab("classify", path)
+        assert (code, out, err) == (2, "", "error: state: hermiticity defect inf\n")
+
+    @pytest.mark.parametrize("choi_shape", ["x-shaped", "dense"])
+    def test_channel(self, fixture_dir, tmp_path, choi_shape):
+        if choi_shape == "x-shaped":
+            doc = json.loads((fixture_dir / "e1.json").read_text())
+        else:  # a random isometry: the Choi spectrum takes the dense solver
+            rng = np.random.default_rng(3)
+            v, _ = np.linalg.qr(rng.standard_normal((8, 2)) + 1j * rng.standard_normal((8, 2)))
+            ch = channels.KrausChannel("r", qubits("I"), qubits(["O0", "O1"]), v.reshape(2, 4, 2))
+            doc = json.loads(dumps(channel_to_dict(ch)))
+        doc["kraus"][0][1][0] = [1e300, 0.0]
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = self._choilab("--format", "json", "verify", path)
+        assert (code, err) == (1, "")
+        rows = {e["id"]: (e["computed"], e["status"]) for e in json.loads(out)["entries"]}
+        assert rows == {
+            "cptp-completeness": ("defect = nan", "fail"),
+            "cptp-choi-positive": ("choi min eigenvalue = nan", "fail"),
+        }
+        code, out, err = self._choilab("choi", path, "--out", tmp_path / "choi.json")
+        assert (code, out, err) == (2, "", "error: matrix contains non-finite entries\n")
 
 
 class TestNonFiniteTolerance:

@@ -6,13 +6,16 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
+from choilab import codec
 from choilab.codec import (
     channel_from_dict,
     channel_to_dict,
     decode_matrix,
     dumps,
     encode_matrix,
+    load_path,
     loads,
     report_to_dict,
     state_from_dict,
@@ -71,11 +74,11 @@ def test_encode_matrix_bytes_match_per_cell_encoding():
     )
     rng = np.random.default_rng(7)
     for matrix in (m, rng.standard_normal((16, 16)) + 1j * rng.standard_normal((16, 16))):
-        got = encode_matrix(matrix)
+        got = encode_matrix(matrix).tolist()
         assert json.dumps(got) == json.dumps(_encode_per_cell(matrix))
         assert all(type(x) is float for row in got for cell in row for x in cell)
     # the sign of every zero survives the round trip through text
-    back = decode_matrix(json.loads(json.dumps(encode_matrix(m))))
+    back = decode_matrix(json.loads(json.dumps(encode_matrix(m).tolist())))
     assert back.tobytes() == m.tobytes()
 
 
@@ -182,6 +185,7 @@ def test_bad_matrix_is_parse_error(name):
     with pytest.raises(ParseError):
         state_from_dict({"labels": ["A"], "dims": [2], "matrix": obj})
     doc = channel_to_dict(binding_channel(1))
+    doc["kraus"] = doc["kraus"].tolist()
     doc["kraus"][0] = obj
     with pytest.raises(ParseError):
         channel_from_dict(doc)
@@ -232,8 +236,8 @@ def test_numeric_files_accepted():
 
 
 def json_dumps(obj) -> str:
-    """The reference encoding that codec.dumps reproduces byte for byte."""
-    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+    """The reference encoding that codec.dumps reproduces byte for byte; arrays as their tolist()."""
+    return json.dumps(obj, indent=2, sort_keys=True, default=np.ndarray.tolist) + "\n"
 
 
 EDGE_NUMBERS = [-0.0, 0.0, 5e-324, -5e-324, 1e16, 1e-7, 1e308, 2**64, 2**64 + 1, -(2**70)]
@@ -271,9 +275,16 @@ ROWS = st.lists(
     max_size=4,
 )
 
+# Float64 arrays, which dumps writes as json writes their tolist().
+FLOATS = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(list(map(float, EDGE_NUMBERS)))
+FLOAT_ARRAYS = hnp.arrays(
+    np.float64, hnp.array_shapes(min_dims=1, max_dims=4, min_side=1, max_side=3), elements=FLOATS
+)
+
 JSON_VALUES = st.recursive(
     SCALARS
     | ROWS
+    | FLOAT_ARRAYS
     | uniform_arrays(NUMBERS | st.sampled_from(EDGE_NUMBERS))
     | uniform_arrays(NUMBERS | NUMBERS | NUMBERS | ODD_LEAVES),
     lambda children: st.lists(children, max_size=4)
@@ -311,6 +322,18 @@ def test_dumps_matches_json_dumps(value):
         [{1: "int key", 2: [1.5]}, {1.5: None, True: 0}],
         [np.float64(0.1), 0.2],
         [0.1, np.float64(0.2)],
+        # float64 arrays: NaN and infinities as json's tokens, empty and 0-d ones as json's text
+        np.array([[0.5, math.nan], [-0.0, 1.0]]),
+        np.array([[[math.inf, 0.0]], [[-math.inf, 2.5]]]),
+        np.zeros(0),
+        np.zeros((2, 0)),
+        np.zeros((0, 3, 2)),
+        np.array(0.25),
+        np.array(-0.0),
+        np.array(math.nan),
+        {"a": [np.zeros((1, 2)), np.array(1e308)], "b": {"c": np.array([math.nan, 1.5])}},
+        np.arange(6.0).reshape(2, 3).T,  # not C-contiguous
+        np.array([1.5, -2.5], dtype=">f8"),  # not native byte order
     ],
 )
 def test_dumps_matches_json_dumps_on_edge_values(value):
@@ -339,3 +362,33 @@ def test_dumps_writes_matrices_without_the_python_encoder(monkeypatch):
 
     monkeypatch.setattr(json.encoder, "_make_iterencode", refuse)
     assert [dumps(p) for p in payloads] == want
+
+
+
+
+@pytest.mark.parametrize(
+    "value",
+    [np.array([1, 2]), np.array([[1j, 0]]), np.array([True]), {"m": np.zeros((1, 2), dtype=np.float32)}],
+)
+def test_dumps_rejects_arrays_json_rejects(value):
+    with pytest.raises(TypeError):
+        json.dumps(value)
+    with pytest.raises(TypeError):
+        dumps(value)
+
+
+@pytest.mark.parametrize("poke", ["every", "first"])
+def test_reader_refuses_a_repeated_non_canonical_number(tmp_path, poke):
+    # 1.5 a hundred times in a large, sparse 6-qubit matrix; written as
+    # "1.50" each time, or once beside 99 "1.5"
+    matrix = np.zeros((64, 64, 2))
+    matrix.reshape(-1)[::80][:100] = 1.5
+    text = dumps({"dims": [2] * 6, "labels": list("ABCDEF"), "matrix": matrix})
+    assert codec._read_pairs(text) is not None
+    edited = text.replace(" 1.5,", " 1.50,", -1 if poke == "every" else 1)
+    assert edited.count("1.50") == (100 if poke == "every" else 1)
+    assert codec._read_pairs(edited) is None
+    path = tmp_path / "state.json"
+    path.write_text(edited)
+    doc = load_path(path)  # json's reading: nested lists, 1.50 read as 1.5
+    assert doc == loads(edited) and doc["matrix"] == matrix.tolist()

@@ -58,6 +58,33 @@ def assert_reads_like_json(path, decode):
     assert decoded(decode, lambda: load_path(path)) == decoded(decode, lambda: loads(text))
 
 
+def test_pairs_decode_to_the_bits_of_per_part_assignment():
+    # the reader's float64 array is viewed, not copied; ints and bools convert
+    specials = np.array(SPECIALS + (0.0, 2.0**63)).reshape(-1, 1, 1) * np.ones((1, 3, 2))
+    specials[:, :, 1] = specials[::-1, :, 0]
+    ints = [[[2**63, -1], [0, 7]], [[True, False], [-(2**62), 2**53 + 1]]]
+    for pairs in (specials, np.asarray(ints), np.asarray([[[True, False]]])):
+        want = np.empty(pairs.shape[:-1], dtype=np.complex128)
+        want.real = pairs[..., 0]
+        want.imag = pairs[..., 1]
+        got = codec._complex(pairs)
+        assert got.tobytes() == want.tobytes() and got.shape == want.shape
+        assert np.shares_memory(got, pairs) == (pairs.dtype == np.float64)
+
+
+def test_decoded_objects_own_their_matrix():
+    # the float64 pair arrays load_path and the *_to_dict encoders give alike
+    rng = np.random.default_rng(5)
+    state_doc = state_to_dict(random_x_state(rng, qubits(2)))
+    ops = rng.standard_normal((2, 2, 2)) / 2
+    channel_doc = channel_to_dict(KrausChannel("k", qubits(1), qubits(1), ops))
+    cases = ((state_doc, state_from_dict, "matrix"), (channel_doc, channel_from_dict, "kraus"))
+    for doc, decode, key in cases:
+        obj = decode(doc)
+        assert np.shares_memory(codec._complex(doc[key]), doc[key])
+        assert not np.shares_memory(getattr(obj, key), doc[key])
+
+
 @contextlib.contextmanager
 def reader_on_every_file():
     """The reader on files of any size and density, so small examples reach it."""
