@@ -30,6 +30,7 @@ from .codec import (
 )
 from .entanglement import (
     all_cut_indices,
+    cut_side,
     disjoint_groups,
     ghz_diagonal_coefficients,
     npt_vector,
@@ -39,6 +40,7 @@ from .entanglement import (
 from .errors import ChoilabError, ParseError
 from .linalg import PSD_THRESHOLD
 from .nonadditivity import full_report
+from .states import cut_name
 
 EXIT_PASS = 0
 EXIT_FAIL = 1
@@ -144,20 +146,15 @@ def _parse_pairs(specs, system) -> list[tuple[tuple[str, ...], tuple[str, ...]]]
     return list(dict.fromkeys(pairs))
 
 
-def _cut_name(labels: tuple[str, ...], j: str) -> str:
-    """BipartiteCut.describe of cut j: the first party's side, then the other."""
-    bits = tuple(zip(labels, j + "0"))  # the last party's bit is 0
-    first = ",".join(l for l, bit in bits if bit == j[0])
-    return f"{first} | {','.join(l for l, bit in bits if bit != j[0])}"
-
-
 def _cmd_classify(args) -> int:
     """Rows for the GHZ fingerprint, every cut and every group pair.
 
-    Each cut row makes one ppt_check call, an O(1) read of what
-    entanglement.cut_min_eigenvalues solved for all cuts at once; the
-    calls stay so that the benchmark's per-cut ppt_check count holds.
-    The criterion column and the pair verdicts each read one NPT vector.
+    Cut k's row makes one ppt_check call by its index, on an X-shaped
+    state an O(1) read of what entanglement.cut_min_eigenvalues solved for
+    all cuts at once; the calls stay so that the benchmark's per-cut
+    ppt_check count holds.  The row is named by states.cut_name of
+    entanglement.cut_side, with no cut object built.  The criterion column
+    and the pair verdicts each read one NPT vector.
     """
     state = state_from_dict(load_path(args.state), psd_threshold=-args.tolerance)
     sys_ = state.system
@@ -196,18 +193,18 @@ def _cmd_classify(args) -> int:
                 }
             )
         npt = npt_vector(coeffs, threshold).tolist()
-    for i, j in enumerate(all_cut_indices(sys_.num_parties)):
+    for k, j in enumerate(all_cut_indices(sys_.num_parties), start=1):
         verdict = ppt_check(state, j, threshold=threshold)
         row = {
             "id": f"cut-{j}",
             "status": "info",
-            "cut": _cut_name(sys_.labels, j),
+            "cut": cut_name(sys_, cut_side(sys_, k)),
             "min_eigenvalue": verdict.min_eigenvalue,
             "eigensolver": "PPT" if verdict.is_ppt else "NPT",
         }
         text = f"{row['cut']:<18} eigensolver {row['eigensolver']}"
         if ghz_diagonal:
-            crit = "NPT" if npt[i] else "PPT"
+            crit = "NPT" if npt[k - 1] else "PPT"
             row["criterion"] = crit
             text += f", criterion {crit}"
             if crit != row["eigensolver"]:
@@ -238,9 +235,11 @@ def _cmd_mix(args) -> int:
     # The parts' raw Choi matrices: a part that is not trace preserving is
     # for mix-cptp to report, not an input error.
     w = mix_weights(len(channels), args.weights)
-    combo = sum(x * choi_matrix(ch) for x, ch in zip(w, channels))
     rep = verify_cptp(mixed, psd_threshold=-args.tolerance)
-    linearity = float(np.linalg.norm(rep.choi_matrix - combo))
+    # A huge entry overflows to inf and nan here, which fails the row.
+    with np.errstate(over="ignore", invalid="ignore"):
+        combo = sum(x * choi_matrix(ch) for x, ch in zip(w, channels))
+        linearity = float(np.linalg.norm(rep.choi_matrix - combo))
     entries = [
         {
             "id": "mix-choi-linearity",

@@ -14,11 +14,13 @@ across every cut separating two groups is sufficient for distilling
 entanglement between them.  Outside the class only partial-transpose
 facts are reported, never verdicts.
 
-No partial transpose of an X-shaped state (GHZ-diagonal ones included)
-is built: cut_min_eigenvalues solves every cut from one gather of the
-anti-diagonal and keeps the values with the state, so ppt_check reads a
-cut named by its index in O(1), and a BipartiteCut flips the
-anti-diagonal in O(2^N).  The coefficient rule is one vector over the
+Inside the module a cut is its number k (the cut index j read in
+binary), decoded from either form in one place (_cut_number); cut_side
+gives the parties on its side without the last one.  No partial
+transpose of an X-shaped state (GHZ-diagonal ones included) is built:
+cut_min_eigenvalues solves every cut from one gather of the anti-diagonal
+and keeps the values with the state, and ppt_check reads cut k there
+whichever form names it.  The coefficient rule is one vector over the
 cuts (npt_vector), which npt_criterion and pair_verdicts read.
 
 The localization procedure turns a Schmidt-rank-2 pure state shared by a
@@ -104,7 +106,7 @@ def cut_min_eigenvalues(state: MultipartiteState) -> np.ndarray:
             if state.system.is_qubits():
                 maps = np.arange(d) ^ (ks[:, None] << 1)
             else:
-                sides = ([i for i in range(n - 1) if k >> (n - 2 - i) & 1] for k in ks.tolist())
+                sides = (map(state.system.axis, cut_side(state.system, k)) for k in ks.tolist())
                 maps = np.stack([_flip_map(dims, side) for side in sides])
             lows[lo : lo + len(ks)] = linalg.x_min_eigenvalue(m.diagonal(), anti[maps])
         lows.setflags(write=False)
@@ -119,31 +121,23 @@ def ppt_check(
 ) -> PtVerdict:
     """Eigensolver route: minimum eigenvalue of the partial transpose across a cut.
 
-    The side without the last party is transposed, whichever side the
-    caller names.  The other side has the same spectrum, but on a state
-    Hermitian only within HERMITICITY_TOL not the same last bits; one side
-    per cut keeps a BipartiteCut, its cut index and cut_min_eigenvalues on
-    the same bits.  On an X-shaped state a cut index (see cut_to_index) is
-    an O(1) read of cut_min_eigenvalues, for callers that walk the cuts,
-    and a BipartiteCut solves its own flip in O(d): the same bits, since
-    both read the entries of the dense partial transpose.  Any other state
-    is transposed and solved densely.  The route reads matrix entries,
-    never the GHZ coefficients, so it checks npt_criterion.
+    The cut is a BipartiteCut or a cut index (see cut_to_index); either
+    way cut_side of its number, the side without the last party, is the
+    one transposed.  The other side has the same spectrum, but on a state
+    Hermitian only within HERMITICITY_TOL not the same last bits, so one
+    side per cut keeps both forms on the same bits.  An X-shaped state
+    reads cut_min_eigenvalues, which solves all of its cuts on first use;
+    any other state is transposed and solved densely.  The route reads
+    matrix entries, never the GHZ coefficients, so it checks
+    npt_criterion.
     """
     system = state.system
-    if isinstance(cut, BipartiteCut) and system.labels[-1] in cut.side_one:
-        cut = BipartiteCut(cut.side_two, cut.side_one)
-    if not state.x_shaped:
-        if isinstance(cut, str):
-            cut = index_to_cut(cut, system)
-        low = linalg.min_eigenvalue(partial_transpose(state, cut), x_shaped=False)
-    elif isinstance(cut, str):
-        low = float(cut_min_eigenvalues(state)[_cut_number(cut, system) - 1])
+    k = _cut_number(cut, system)
+    if state.x_shaped:
+        low = float(cut_min_eigenvalues(state)[k - 1])
     else:
-        cut.validate(system)
-        flip = _flip_map(system.dims, [system.axis(l) for l in cut.side_one])
-        m = state.matrix
-        low = linalg.x_min_eigenvalue(m.diagonal(), np.fliplr(m).diagonal()[flip])
+        cut = BipartiteCut.from_side(system, cut_side(system, k))
+        low = linalg.min_eigenvalue(partial_transpose(state, cut), x_shaped=False)
     return PtVerdict(min_eigenvalue=low, is_ppt=low >= threshold)
 
 
@@ -151,8 +145,7 @@ def two_qubit_separability(state: MultipartiteState) -> bool:
     """Separability of a two-qubit state (PPT is necessary and sufficient in 2x2)."""
     if state.system.dims != (2, 2):
         raise DimensionMismatch(f"need a 2x2-qubit state, got dims {state.system.dims}")
-    cut = BipartiteCut.from_side(state.system, [state.system.labels[0]])
-    return ppt_check(state, cut).is_ppt
+    return ppt_check(state, "1").is_ppt
 
 
 @dataclass(frozen=True)
@@ -194,24 +187,32 @@ def all_cut_indices(num_parties: int) -> tuple[str, ...]:
 
 def cut_to_index(cut: BipartiteCut, system: PartySystem) -> str:
     """Bit string with j_i = 1 iff party i sits on the side without the last party."""
+    return format(_cut_number(cut, system), f"0{system.num_parties - 1}b")
+
+
+def _cut_number(cut: BipartiteCut | str, system: PartySystem) -> int:
+    """The number k, 1 <= k < 2^(N-1), of a BipartiteCut or of a cut index (k in binary)."""
+    if isinstance(cut, str):
+        if len(cut) != system.num_parties - 1 or "1" not in cut or cut.strip("01"):
+            raise UnknownParty(f"invalid cut index {cut!r} for {system.labels}")
+        return int(cut, 2)
     cut.validate(system)
-    last = system.labels[-1]
-    with_last = cut.side_one if last in cut.side_one else cut.side_two
-    return "".join("0" if l in with_last else "1" for l in system.labels[:-1])
+    with_last = cut.side_one if system.labels[-1] in cut.side_one else cut.side_two
+    k = 0
+    for l in system.labels[:-1]:
+        k = 2 * k + (l not in with_last)
+    return k
 
 
-def _cut_number(j: str, system: PartySystem) -> int:
-    """The cut index j read as a number k, 1 <= k < 2^(N-1)."""
-    if len(j) != system.num_parties - 1 or "1" not in j or j.strip("01"):
-        raise UnknownParty(f"invalid cut index {j!r} for {system.labels}")
-    return int(j, 2)
+def cut_side(system: PartySystem, k: int) -> list[str]:
+    """The side of cut k without the last party: party i < N-1 iff bit N-2-i of k is set."""
+    n = system.num_parties
+    return [l for i, l in enumerate(system.labels[:-1]) if k >> (n - 2 - i) & 1]
 
 
 def index_to_cut(j: str, system: PartySystem) -> BipartiteCut:
     """Inverse of cut_to_index."""
-    _cut_number(j, system)
-    side = [l for l, bit in zip(system.labels[:-1], j) if bit == "1"]
-    return BipartiteCut.from_side(system, side)
+    return BipartiteCut.from_side(system, cut_side(system, _cut_number(j, system)))
 
 
 def ghz_diagonal_coefficients(state: MultipartiteState) -> GhzDiagonalCoefficients:
@@ -271,7 +272,7 @@ def npt_vector(
 
 def npt_criterion(
     coeffs: GhzDiagonalCoefficients,
-    cut: BipartiteCut,
+    cut: BipartiteCut | str,
     threshold: float = linalg.PSD_THRESHOLD,
 ) -> bool:
     """Coefficient route: the cut is NPT iff lambda_j - delta/2 < threshold.
@@ -282,7 +283,7 @@ def npt_criterion(
     boundary cases of the class, sit on the PPT side.  Requires the state
     to actually be GHZ-diagonal.
     """
-    k = int(cut_to_index(cut, coeffs.system), 2)
+    k = _cut_number(cut, coeffs.system)
     return bool(npt_vector(coeffs, threshold)[k - 1])
 
 
@@ -321,16 +322,17 @@ def pair_verdicts(
     sys = coeffs.system
     n = sys.num_parties
     bit = {l: 1 << (n - 1 - i) for i, l in enumerate(sys.labels)}
-    masks = [[sum(bit[l] for l in g) for g in disjoint_groups(sys, *pair)] for pair in pairs]
+    groups = [disjoint_groups(sys, *pair) for pair in pairs]
+    masks = [[sum(bit[l] for l in g) for g in pair] for pair in groups]
     m1, m2 = np.array(masks, dtype=np.int64).reshape(-1, 2).T[..., None]
     on = np.arange(2, 1 << n, 2) & (m1 | m2)  # cut k's bits are k << 1 (last party 0)
     blocking = ((on == m1) | (on == m2)) & ~npt_vector(coeffs, threshold)
     everyone = frozenset(sys.labels)
     found = [[] for _ in masks]
     for p, col in zip(*(a.tolist() for a in np.nonzero(blocking))):
-        bits = (col + 1) << 1
-        one_set = bool(bits & masks[p][0])  # group one among the set bits
-        side = frozenset(l for l in sys.labels if bool(bits & bit[l]) is one_set)
+        side = frozenset(cut_side(sys, col + 1))
+        if not groups[p][0] <= side:
+            side = everyone - side
         found[p].append(BipartiteCut(side, everyone - side))
     return [DistillabilityVerdict(distillable=not f, blocking_cuts=tuple(f)) for f in found]
 

@@ -196,16 +196,6 @@ class ReproductionReport:
 
     entries: tuple[ClaimEntry, ...]
 
-    @property
-    def overall(self) -> bool:
-        return all(e.passed for e in self.entries)
-
-    def entry(self, claim_id: str) -> ClaimEntry:
-        for e in self.entries:
-            if e.claim_id == claim_id:
-                return e
-        raise KeyError(claim_id)
-
 
 @dataclass(frozen=True)
 class CapacityProxy:

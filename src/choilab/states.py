@@ -134,18 +134,22 @@ class BipartiteCut:
             )
 
     def describe(self, system: PartySystem) -> str:
-        """Both sides in system order, the side holding the first party first.
+        """The cut's name, cut_name of either side."""
+        return cut_name(system, self.side_one)
 
-        The text does not depend on which side is ``side_one``, so one cut
-        reads the same wherever it is reported.
-        """
-        if system.labels[0] in self.side_one:
-            first, second = self.side_one, self.side_two
-        else:
-            first, second = self.side_two, self.side_one
-        one = [l for l in system.labels if l in first]
-        two = [l for l in system.labels if l in second]
-        return f"{','.join(one)} | {','.join(two)}"
+
+def cut_name(system: PartySystem, side: Iterable[str]) -> str:
+    """The cut between ``side`` and the other parties, named by its two sides.
+
+    Both sides in system order, the side holding the first party first:
+    the text does not depend on which side is given, so one cut reads the
+    same wherever it is reported.
+    """
+    side = frozenset(side)
+    first = system.labels[0] in side
+    one = [l for l in system.labels if (l in side) is first]
+    two = [l for l in system.labels if (l in side) is not first]
+    return f"{','.join(one)} | {','.join(two)}"
 
 
 @dataclass(frozen=True, eq=False)

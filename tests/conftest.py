@@ -185,6 +185,19 @@ def _proj(v: np.ndarray) -> np.ndarray:
     return np.outer(v, v.conj())
 
 
+def report_entry(report, claim_id: str):
+    """The ClaimEntry of a ReproductionReport with this claim id."""
+    for e in report.entries:
+        if e.claim_id == claim_id:
+            return e
+    raise KeyError(claim_id)
+
+
+def report_passed(report) -> bool:
+    """Whether every claim of a ReproductionReport passed."""
+    return all(e.passed for e in report.entries)
+
+
 @pytest.fixture(scope="session")
 def four_qubits() -> PartySystem:
     return PartySystem(("A1", "B", "A2", "C"), (2, 2, 2, 2))

@@ -62,7 +62,7 @@ from choilab.states import (
     schmidt_decomposition,
 )
 
-from conftest import random_ghz_diagonal_state
+from conftest import random_ghz_diagonal_state, report_entry, report_passed
 
 
 def _report(number: int, name: str, ok: bool, detail: str = "") -> None:
@@ -161,10 +161,10 @@ def test_criterion_05_nonadditivity_headline():
         and all(e.passed and e.computed.startswith("zero") for e in zeros)
         and len(positives) == 3
         and all(e.passed and e.computed == "positive" for e in positives)
-        and rep.entry("nonadditivity-headline").passed
+        and report_entry(rep, "nonadditivity-headline").passed
     )
     _report(5, "zero proxies for each channel, positive for the mixture", ok,
-            rep.entry("nonadditivity-headline").computed)
+            report_entry(rep, "nonadditivity-headline").computed)
 
 
 def test_criterion_06_ghz_oneway_example():
@@ -181,13 +181,9 @@ def test_criterion_06_ghz_oneway_example():
         BipartiteCut.from_side(result.final_state.system, [result.sender_kept]),
     )
     balanced = np.allclose(sd.coefficients[:2], 1 / math.sqrt(2), atol=1e-9)
-    ok = sep1 and sep2 and ppt1 and full_npt and balanced and rep_all(ghz_oneway_example())
+    ok = sep1 and sep2 and ppt1 and full_npt and balanced and report_passed(ghz_oneway_example())
     _report(6, "separable marginals, NPT triple, localizable pair", ok,
             f"final pair (A,{result.receiver_kept})")
-
-
-def rep_all(report) -> bool:
-    return report.overall
 
 
 def test_criterion_07_localization_suite():
@@ -271,7 +267,7 @@ def test_criterion_10_negative_controls_and_exit_codes(tmp_path, capsys):
         teleport_report(),
     ]
     ok = all(
-        any(e.control and e.passed for e in rep.entries) and rep.overall
+        any(e.control and e.passed for e in rep.entries) and report_passed(rep)
         for rep in reports
     )
     # CLI exit-code contract: 0 pass, 1 claim failure, 2 input error

@@ -11,7 +11,7 @@ import pytest
 import choilab
 from choilab import channels, cli, codec, linalg, states
 from choilab.cli import main
-from choilab.entanglement import all_cut_indices, ppt_check
+from choilab.entanglement import all_cut_indices, index_to_cut, ppt_check
 from choilab.codec import (
     channel_from_dict,
     channel_to_dict,
@@ -365,14 +365,19 @@ class TestClassify:
             assert {j for j, v in verdicts.items() if v.is_ppt} == ppt
         assert solves == [(31, 64)]
 
-    def test_cut_rows_named_like_describe(self):
+    def test_cut_rows_named_like_describe(self, tmp_path, capsys):
+        rng = np.random.default_rng(5)
         for dims in ((2, 2), (2, 2, 2), (2,) * 5):
             system = PartySystem(tuple(f"P{i}" for i in range(len(dims))), dims)
-            for j in all_cut_indices(len(dims)):
-                cut = states.BipartiteCut.from_side(
-                    system, [l for l, bit in zip(system.labels, j) if bit == "1"]
-                )
-                assert cli._cut_name(system.labels, j) == cut.describe(system)
+            path = tmp_path / f"ghz{len(dims)}.json"
+            path.write_text(dumps(state_to_dict(random_ghz_diagonal_state(rng, system))))
+            code, out, _ = run(capsys, "--format", "json", "classify", str(path))
+            assert code == 0
+            names = {e["id"]: e["cut"] for e in json.loads(out)["entries"] if "cut" in e}
+            assert names == {
+                f"cut-{j}": index_to_cut(j, system).describe(system)
+                for j in all_cut_indices(len(dims))
+            }
 
     def test_qudit_state_rejected(self, tmp_path, capsys):
         sys = PartySystem(("A", "B"), (3, 3))
@@ -823,6 +828,13 @@ class TestHugeEntries:
         }
         code, out, err = self._choilab("choi", path, "--out", tmp_path / "choi.json")
         assert (code, out, err) == (2, "", "error: matrix contains non-finite entries\n")
+        code, out, err = self._choilab("--format", "json", "mix", path, path)
+        assert (code, err) == (1, "")
+        rows = {e["id"]: (e["computed"], e["status"]) for e in json.loads(out)["entries"]}
+        assert rows == {
+            "mix-choi-linearity": ("|choi(mix) - sum w*choi| = nan", "fail"),
+            "mix-cptp": ("defect = nan, choi min eigenvalue = nan", "fail"),
+        }
 
 
 class TestNonFiniteTolerance:

@@ -1,7 +1,8 @@
 """Import direction: the bottom layer (linalg) needs only errors, and the codec
 loads states and channels without the report layer (nonadditivity).  The
 smallest eigenvalue has one path, linalg.min_eigenvalue, the X-block
-solve one copy, linalg.x_min_eigenvalue, and JSON one module, codec.
+solve one copy, linalg.x_min_eigenvalue, which only min_eigenvalue and
+entanglement.cut_min_eigenvalues call, and JSON one module, codec.
 Every name the benchmark's tracer wraps still exists, and the CLI reads
 every input file through codec.load_path."""
 
@@ -75,6 +76,29 @@ def test_only_linalg_solves_x_blocks():
         if re.search(r"\bhypot\s*\(", path.read_text(encoding="utf-8"))
     ]
     assert callers == ["linalg.py"]
+
+
+def test_x_blocks_solved_from_two_callers():
+    # ppt_check reads every cut of an X-shaped state from
+    # cut_min_eigenvalues, whichever form names the cut; a block solve of
+    # its own would be a second route to the same spectrum.  Every name,
+    # attribute or import of x_min_eigenvalue counts, by enclosing function.
+    package = Path(choilab.__file__).resolve().parent
+    readers = set()
+
+    def scan(node, module, function):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.FunctionDef):
+                scan(child, module, child.name)
+                continue
+            names = (getattr(child, key, None) for key in ("attr", "id", "name"))
+            if "x_min_eigenvalue" in names:
+                readers.add((module, function))
+            scan(child, module, function)
+
+    for path in sorted(package.glob("*.py")):
+        scan(ast.parse(path.read_text(encoding="utf-8")), path.stem, None)
+    assert readers == {("linalg", "min_eigenvalue"), ("entanglement", "cut_min_eigenvalues")}
 
 
 def test_only_codec_imports_json():

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from choilab import entanglement, nonadditivity
+from choilab import entanglement, linalg, nonadditivity
 from choilab.channels import completeness_defect, verify_cptp
 from choilab.errors import DimensionMismatch
 from choilab.linalg import identity
@@ -35,6 +35,8 @@ from choilab.states import (
     ghz_basis_state,
     max_entangled,
 )
+
+from conftest import report_entry, report_passed
 
 
 class TestBuilders:
@@ -93,35 +95,49 @@ class TestBuilders:
 class TestReports:
     def test_choi_claims(self):
         rep = reproduce_choi_claims(nonadditivity.build_scenario())
-        assert rep.overall
+        assert report_passed(rep)
         ids = {e.claim_id for e in rep.entries}
         assert {"choi-E1", "choi-E2", "choi-E3", "choi-E3-swap", "choi-mix"} <= ids
-        control = rep.entry("choi-control-perturbed-E1")
+        control = report_entry(rep, "choi-control-perturbed-E1")
         assert control.control and control.passed
 
     def test_pt_table(self, scenario_states):
         rep = reproduce_pt_table(nonadditivity.build_scenario())
-        assert rep.overall
+        assert report_passed(rep)
         assert len([e for e in rep.entries if not e.control]) == 7
         for key in ("pt-mix-A1A2", "pt-mix-B", "pt-mix-C"):
-            assert rep.entry(key).passed
-        assert rep.entry("pt-control-wrong-state").passed
+            assert report_entry(rep, key).passed
+        assert report_entry(rep, "pt-control-wrong-state").passed
         # cross-check the NPT eigenvalue against the coefficient formula
         c = ghz_diagonal_coefficients(scenario_states["mix"])
         assert abs((c.lambdas["010"] - c.delta / 2) - MIX_NPT_EIGENVALUE) < 1e-14
         assert abs(MIX_NPT_EIGENVALUE + 1 / 48) < 1e-16
 
+    def test_pt_table_work_counts(self, monkeypatch):
+        # The seven facts name their cuts as BipartiteCut objects; each of
+        # E1, E2 and mix solves all seven of its cuts in one stacked solve.
+        scenario = nonadditivity.build_scenario()
+        solves, solve = [], linalg.x_min_eigenvalue
+
+        def counting_solve(diag, anti):
+            solves.append(anti.shape)
+            return solve(diag, anti)
+
+        monkeypatch.setattr(linalg, "x_min_eigenvalue", counting_solve)
+        assert report_passed(reproduce_pt_table(scenario))
+        assert solves == [(7, 16)] * 3
+
     def test_capacity_proxies(self, scenario_states):
         rep = capacity_proxy_report(nonadditivity.build_scenario())
-        assert rep.overall
+        assert report_passed(rep)
         for a in (1, 2, 3):
             for tag in ("AB", "AC", "ABC"):
-                entry = rep.entry(f"proxy-E{a}-{tag}")
+                entry = report_entry(rep, f"proxy-E{a}-{tag}")
                 assert entry.passed and entry.computed.startswith("zero")
         for tag in ("AB", "AC", "ABC"):
-            assert rep.entry(f"proxy-mix-{tag}").computed == "positive"
-        assert rep.entry("nonadditivity-headline").computed == "non-additivity witnessed"
-        assert rep.entry("proxy-control-corrupted-E1").passed
+            assert report_entry(rep, f"proxy-mix-{tag}").computed == "positive"
+        assert report_entry(rep, "nonadditivity-headline").computed == "non-additivity witnessed"
+        assert report_entry(rep, "proxy-control-corrupted-E1").passed
 
     def test_joint_proxy_reduces_to_pairs(self, scenario_states):
         c = ghz_diagonal_coefficients(scenario_states["mix"])
@@ -132,10 +148,10 @@ class TestReports:
 
     def test_ghz_oneway(self):
         rep = ghz_oneway_example()
-        assert rep.overall
-        assert rep.entry("ghz-oneway-marginal-AB1").passed
-        assert rep.entry("ghz-oneway-marginal-AB2").passed
-        assert rep.entry("ghz-oneway-full-npt").passed
+        assert report_passed(rep)
+        assert report_entry(rep, "ghz-oneway-marginal-AB1").passed
+        assert report_entry(rep, "ghz-oneway-marginal-AB2").passed
+        assert report_entry(rep, "ghz-oneway-full-npt").passed
         # the contrast in PT facts: the marginal is PPT while the full
         # state is NPT across the same single receiver
         from choilab.entanglement import ppt_check
@@ -143,14 +159,14 @@ class TestReports:
 
         rho = ghz3_state().density()
         assert not ppt_check(rho, BipartiteCut.from_side(rho.system, ["B1"])).is_ppt
-        loc = rep.entry("ghz-oneway-localization")
+        loc = report_entry(rep, "ghz-oneway-localization")
         assert loc.passed
         assert "(A,B1)" in loc.computed or "(A,B2)" in loc.computed
-        assert rep.entry("ghz-oneway-control-wrong-state").passed
+        assert report_entry(rep, "ghz-oneway-control-wrong-state").passed
 
     def test_full_report_sorted_and_green(self):
         rep = full_report()
-        assert rep.overall
+        assert report_passed(rep)
         ids = [e.claim_id for e in rep.entries]
         assert ids == sorted(ids)
         assert sum(1 for e in rep.entries if e.control) >= 5
@@ -164,10 +180,10 @@ class TestReports:
 
     def test_blocking_cuts_listed_once(self):
         rep = capacity_proxy_report(nonadditivity.build_scenario())
-        assert rep.entry("proxy-E2-ABC").computed == (
+        assert report_entry(rep, "proxy-E2-ABC").computed == (
             "zero (blocking cuts: A1,A2 | B,C; A1,B,A2 | C)"
         )
-        assert rep.entry("proxy-E3-ABC").computed == (
+        assert report_entry(rep, "proxy-E3-ABC").computed == (
             "zero (blocking cuts: A1,A2,C | B; A1,A2 | B,C)"
         )
         for e in rep.entries:
@@ -219,15 +235,15 @@ class TestReports:
         rep = full_report()
         # the wrong-state control reuses the pt-mix-B eigensolve
         assert len(calls) == 11
-        control = rep.entry("pt-control-wrong-state")
-        assert control.computed == rep.entry("pt-mix-B").computed.split(";")[0]
+        control = report_entry(rep, "pt-control-wrong-state")
+        assert control.computed == report_entry(rep, "pt-mix-B").computed.split(";")[0]
 
     def test_reports_accept_a_shared_scenario(self):
         scenario = nonadditivity.build_scenario()
         full = {e.claim_id: e.computed for e in full_report().entries}
         for report in (reproduce_choi_claims, reproduce_pt_table, capacity_proxy_report):
             shared = report(scenario)
-            assert shared.overall
+            assert report_passed(shared)
             assert all(full[e.claim_id] == e.computed for e in shared.entries)
 
 
@@ -249,11 +265,11 @@ class TestTeleportation:
 
     def test_report(self):
         rep = teleport_report()
-        assert rep.overall
-        assert rep.entry("teleport-ideal").passed
-        assert rep.entry("teleport-useless").passed
-        assert rep.entry("teleport-localized").passed
-        assert rep.entry("teleport-control-useless-resource").passed
+        assert report_passed(rep)
+        assert report_entry(rep, "teleport-ideal").passed
+        assert report_entry(rep, "teleport-useless").passed
+        assert report_entry(rep, "teleport-localized").passed
+        assert report_entry(rep, "teleport-control-useless-resource").passed
 
     def test_dimension_gates(self):
         resource = max_entangled(2, ("A", "B")).density()
