@@ -26,13 +26,7 @@ from typing import Sequence
 import numpy as np
 
 from . import linalg
-from .errors import (
-    BadWeights,
-    DimensionMismatch,
-    NotPSD,
-    NotTracePreserving,
-    SystemMismatch,
-)
+from .errors import BadWeights, DimensionMismatch, NotPSD
 from .states import (
     MultipartiteState,
     PartySystem,
@@ -254,7 +248,7 @@ def mix(
             ch.input_system != first.input_system
             or ch.output_system != first.output_system
         ):
-            raise SystemMismatch(f"channel {ch.name!r} has a different input/output system")
+            raise DimensionMismatch(f"channel {ch.name!r} has a different input/output system")
     w = mix_weights(len(channels), weights)
     ops = np.concatenate([math.sqrt(x) * ch.kraus for ch, x in zip(channels, w)])
     if name is None:
@@ -290,7 +284,7 @@ def kraus_from_choi(
         raise NotPSD(f"Choi min eigenvalue {vals[0]:.3e}")
     marginal = trace_out_axes(ordered.matrix, (d_ref, d_out), [1])
     if np.linalg.norm(marginal - linalg.identity(d_ref) / d_ref) > REF_MARGINAL_TOL:
-        raise NotTracePreserving("reference marginal of the Choi state is not maximally mixed")
+        raise DimensionMismatch("reference marginal of the Choi state is not maximally mixed")
     keep = vals > CHOI_RANK_CUTOFF
     # Eigenvector v of the (reference, output) matrix is the operator A[o, i] = v[(i, o)].
     ops = vecs.T[keep].reshape(-1, d_ref, d_out).transpose(0, 2, 1)

@@ -153,8 +153,10 @@ def _cmd_classify(args) -> int:
     state an O(1) read of what entanglement.cut_min_eigenvalues solved for
     all cuts at once; the calls stay so that the benchmark's per-cut
     ppt_check count holds.  The row is named by states.cut_name of
-    entanglement.cut_side, with no cut object built.  The criterion column
-    and the pair verdicts each read one NPT vector.
+    entanglement.cut_side, with no cut object built.  The fingerprint's
+    bit-string names are made here: the lambda-j rows zip all_cut_indices
+    with the lambdas array.  The criterion column and the pair verdicts
+    each read one NPT vector.
     """
     state = state_from_dict(load_path(args.state), psd_threshold=-args.tolerance)
     sys_ = state.system
@@ -179,11 +181,11 @@ def _cmd_classify(args) -> int:
                 "computed": f"delta = {coeffs.delta:.12g}"
                 + (" (asymmetric pair weights symmetrized)" if coeffs.asymmetry_flag else ""),
                 "delta": coeffs.delta,
-                "lambda0_plus": coeffs.lambda0_plus,
-                "lambda0_minus": coeffs.lambda0_minus,
+                "lambda0_plus": float(coeffs.plus[0]),
+                "lambda0_minus": float(coeffs.minus[0]),
             }
         )
-        for j, lam in coeffs.lambdas.items():
+        for j, lam in zip(all_cut_indices(sys_.num_parties), coeffs.lambdas.tolist()):
             entries.append(
                 {
                     "id": f"lambda-{j}",

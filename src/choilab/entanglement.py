@@ -1,9 +1,12 @@
 """PPT tests, GHZ-diagonal classification, and entanglement localization.
 
 The classifier reads an N-qubit density operator in the GHZ basis
-|Psi_j^pm> = (|j,0> pm |jbar,1>)/sqrt(2) and condenses it to the
-fingerprint (delta, {lambda_j}): delta = |lambda_0^+ - lambda_0^-| and
-lambda_j the symmetrized pair weight for j != 0.  Each pair lives on the
+|Psi_j^pm> = (|j,0> pm |jbar,1>)/sqrt(2) and keeps its weights as two
+vectors, plus[k] = lambda_j^+ and minus[k] = lambda_j^- with j read as
+the number k.  The fingerprint (delta, {lambda_j}) is read from them on
+demand: delta = |lambda_0^+ - lambda_0^-| and lambda_j the symmetrized
+pair weight for j != 0, an array whose entry k-1 is cut k.  Bit-string
+names are made only where a report prints them.  Each pair lives on the
 two computational kets |j,0> and |jbar,1>, so the read takes the 2x2
 blocks of the density matrix on those kets: O(2^N) entries for the
 coefficients and one O(4^N) pass for the off-diagonal residual, with no
@@ -32,7 +35,7 @@ factored-out party plus a final local filter.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -40,7 +43,6 @@ from . import linalg
 from .errors import (
     DimensionMismatch,
     LocalizationFailed,
-    NotGhzDiagonal,
     NotSchmidtRank2,
     OverlappingGroups,
     UnknownParty,
@@ -148,23 +150,34 @@ def two_qubit_separability(state: MultipartiteState) -> bool:
     return ppt_check(state, "1").is_ppt
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GhzDiagonalCoefficients:
-    """The (delta, {lambda_j}) fingerprint of a GHZ-diagonal state."""
+    """The GHZ-basis weights of an N-qubit state, from which (delta, {lambda_j}) is read.
+
+    plus[k] and minus[k] are lambda_j^+ and lambda_j^- with the (N-1)-bit
+    string j read as the number k, 0 <= k < 2^(N-1); everything else is
+    derived from them, so the fingerprint has one stored form.
+    """
 
     system: PartySystem
-    lambda0_plus: float
-    lambda0_minus: float
-    lambdas: dict[str, float]  # j (nonzero bit string) -> symmetrized pair weight
-    delta: float
-    asymmetry_flag: bool
+    plus: np.ndarray
+    minus: np.ndarray
     offdiagonal_residual: float
-    # lambda_j - delta/2 in cut-index order, which npt_vector compares
-    criterion_values: np.ndarray = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self):
-        lambdas = [self.lambdas[j] for j in all_cut_indices(self.system.num_parties)]
-        object.__setattr__(self, "criterion_values", np.array(lambdas) - self.delta / 2)
+    @property
+    def delta(self) -> float:
+        """|lambda_0^+ - lambda_0^-|."""
+        return float(abs(self.plus[0] - self.minus[0]))
+
+    @property
+    def lambdas(self) -> np.ndarray:
+        """The symmetrized pair weights (lambda_j^+ + lambda_j^-)/2; entry k-1 is cut k."""
+        return (self.plus[1:] + self.minus[1:]) / 2
+
+    @property
+    def asymmetry_flag(self) -> bool:
+        """Whether some pair j != 0 has |lambda_j^+ - lambda_j^-| > ASYMMETRY_TOL."""
+        return bool((np.abs(self.plus[1:] - self.minus[1:]) > ASYMMETRY_TOL).any())
 
     @property
     def ghz_diagonal(self) -> bool:
@@ -210,22 +223,19 @@ def cut_side(system: PartySystem, k: int) -> list[str]:
     return [l for i, l in enumerate(system.labels[:-1]) if k >> (n - 2 - i) & 1]
 
 
-def index_to_cut(j: str, system: PartySystem) -> BipartiteCut:
-    """Inverse of cut_to_index."""
-    return BipartiteCut.from_side(system, cut_side(system, _cut_number(j, system)))
-
-
 def ghz_diagonal_coefficients(state: MultipartiteState) -> GhzDiagonalCoefficients:
     """Read the GHZ-basis diagonal of an N-qubit state.
 
     Each pair |Psi_j^pm> spans the two computational kets a = |j,0> and
     b = |jbar,1>, so lambda_j^pm = (rho_aa + rho_bb)/2 pm Re rho_ab: the
-    read touches 2^N entries.  Pair weights for j != 0 are symmetrized,
-    lambda_j = (lambda_j^+ + lambda_j^-)/2 (achievable by local
-    operations), with a flag raised when the raw pair was asymmetric;
-    offdiagonal_residual is the Frobenius norm of the part of the state
-    outside its GHZ diagonal, i.e. of rho minus its projection onto the
-    2^(N-1) (a, b) blocks, an O(4^N) pass over the matrix.
+    read touches 2^N entries and keeps the two read-only vectors plus and
+    minus, indexed by j read as a number.  The fingerprint reads them:
+    delta, the pair weights for j != 0 symmetrized as lambda_j =
+    (lambda_j^+ + lambda_j^-)/2 (achievable by local operations), and a
+    flag raised when a raw pair was asymmetric.  offdiagonal_residual is
+    the Frobenius norm of the part of the state outside its GHZ diagonal,
+    i.e. of rho minus its projection onto the 2^(N-1) (a, b) blocks, an
+    O(4^N) pass over the matrix.
     """
     sys = state.system
     if not sys.is_qubits():
@@ -245,17 +255,10 @@ def ghz_diagonal_coefficients(state: MultipartiteState) -> GhzDiagonalCoefficien
     off[a, b] -= cross
     off[b, a] -= cross
     residual = float(np.linalg.norm(off))
-    plus, minus = mean + cross, mean - cross  # lambda_j^+ and lambda_j^- in the order of k
-    lam_plus, lam_minus = float(plus[0]), float(minus[0])
-    return GhzDiagonalCoefficients(
-        system=sys,
-        lambda0_plus=lam_plus,
-        lambda0_minus=lam_minus,
-        lambdas=dict(zip(all_cut_indices(n), ((plus[1:] + minus[1:]) / 2).tolist())),
-        delta=abs(lam_plus - lam_minus),
-        asymmetry_flag=bool((np.abs(plus[1:] - minus[1:]) > ASYMMETRY_TOL).any()),
-        offdiagonal_residual=residual,
-    )
+    plus, minus = mean + cross, mean - cross
+    plus.setflags(write=False)
+    minus.setflags(write=False)
+    return GhzDiagonalCoefficients(sys, plus, minus, residual)
 
 
 def npt_vector(
@@ -263,11 +266,11 @@ def npt_vector(
 ) -> np.ndarray:
     """The coefficient rule lambda_j - delta/2 < threshold on every cut, in index order."""
     if not coeffs.ghz_diagonal:
-        raise NotGhzDiagonal(
+        raise DimensionMismatch(
             f"off-diagonal residual {coeffs.offdiagonal_residual:.3e} exceeds "
             f"{GHZ_RESIDUAL_TOL:.1e}"
         )
-    return coeffs.criterion_values < threshold
+    return coeffs.lambdas - coeffs.delta / 2 < threshold
 
 
 def npt_criterion(
@@ -280,8 +283,9 @@ def npt_criterion(
     lambda_j - delta/2 is the smallest eigenvalue of the partial transpose
     across the cut, so with the eigensolver's threshold the two routes
     read the same number against the same bound; equality, and the exact
-    boundary cases of the class, sit on the PPT side.  Requires the state
-    to actually be GHZ-diagonal.
+    boundary cases of the class, sit on the PPT side.  The vector is read
+    from coeffs.plus and coeffs.minus on every call (npt_vector).  Requires
+    the state to actually be GHZ-diagonal.
     """
     k = _cut_number(cut, coeffs.system)
     return bool(npt_vector(coeffs, threshold)[k - 1])

@@ -5,10 +5,6 @@ class ChoilabError(Exception):
     """Base class for every error raised by this package."""
 
 
-class NotHermitian(ChoilabError):
-    pass
-
-
 class DimensionMismatch(ChoilabError):
     pass
 
@@ -21,31 +17,11 @@ class UnknownParty(ChoilabError):
     pass
 
 
-class NothingLeft(ChoilabError):
-    pass
-
-
-class SystemMismatch(ChoilabError):
-    pass
-
-
 class BadWeights(ChoilabError):
     pass
 
 
-class BadPermutation(ChoilabError):
-    pass
-
-
 class NotPSD(ChoilabError):
-    pass
-
-
-class NotTracePreserving(ChoilabError):
-    pass
-
-
-class NotGhzDiagonal(ChoilabError):
     pass
 
 

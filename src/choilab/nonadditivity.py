@@ -398,7 +398,9 @@ def capacity_proxy_report(scenario: Scenario) -> ReproductionReport:
     )
     # control: zeroing the blocking pair weight of E1 must flip its A-B proxy
     coeffs_e1 = scenario.coeffs["E1"]
-    corrupted = replace(coeffs_e1, lambdas={**coeffs_e1.lambdas, "010": 0.0})
+    plus, minus = coeffs_e1.plus.copy(), coeffs_e1.minus.copy()
+    plus[0b010] = minus[0b010] = 0.0
+    corrupted = replace(coeffs_e1, plus=plus, minus=minus)
     flipped = capacity_proxy(corrupted, ("B",))
     entries.append(
         ClaimEntry(

@@ -18,15 +18,7 @@ from typing import Iterable, NamedTuple, Sequence
 import numpy as np
 
 from . import linalg
-from .errors import (
-    BadPermutation,
-    DimensionMismatch,
-    IndexOutOfRange,
-    NotHermitian,
-    NothingLeft,
-    NotPSD,
-    UnknownParty,
-)
+from .errors import DimensionMismatch, IndexOutOfRange, NotPSD, UnknownParty
 
 TRACE_TOL = 1e-10
 PURE_NORM_TOL = 1e-12
@@ -98,7 +90,7 @@ class PartySystem:
     def reordered(self, order: Sequence[str]) -> tuple["PartySystem", list[int]]:
         """The system with its parties listed in ``order``, and the old axis of each new slot."""
         if sorted(order) != sorted(self.labels):
-            raise BadPermutation(f"{tuple(order)} is not a permutation of {self.labels}")
+            raise UnknownParty(f"{tuple(order)} is not a permutation of {self.labels}")
         perm = [self.axis(l) for l in order]
         return PartySystem(tuple(order), tuple(self.dims[p] for p in perm)), perm
 
@@ -180,7 +172,7 @@ class MultipartiteState:
         with np.errstate(over="ignore", invalid="ignore"):  # a huge entry reads as an inf defect
             defect = float(np.linalg.norm(m - m.conj().T))
         if defect > linalg.HERMITICITY_TOL:
-            raise NotHermitian(f"hermiticity defect {defect:.3e}")
+            raise DimensionMismatch(f"hermiticity defect {defect:.3e}")
         tr = complex(np.trace(m))
         if abs(tr - 1.0) > TRACE_TOL:
             raise DimensionMismatch(f"trace {tr} is not 1 within {TRACE_TOL}")
@@ -334,7 +326,7 @@ def partial_trace(state: MultipartiteState, traced: Iterable[str]) -> Multiparti
     """Trace out the given parties, keeping the remaining ones in order."""
     traced = state.system.require(traced)
     if traced == set(state.system.labels):
-        raise NothingLeft("cannot trace out every party")
+        raise UnknownParty("cannot trace out every party")
     axes = [state.system.axis(l) for l in traced]
     reduced = trace_out_axes(state.matrix, state.system.dims, axes)
     keep = [l for l in state.system.labels if l not in traced]

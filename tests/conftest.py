@@ -5,7 +5,7 @@ import pytest
 from hypothesis import settings
 
 from choilab import linalg
-from choilab.entanglement import all_cut_indices
+from choilab.entanglement import _cut_number, all_cut_indices, cut_side
 from choilab.errors import DimensionMismatch
 from choilab.states import (
     BipartiteCut,
@@ -183,6 +183,11 @@ def ghz_diagonal_state(system: PartySystem, weights: dict) -> MultipartiteState:
 
 def _proj(v: np.ndarray) -> np.ndarray:
     return np.outer(v, v.conj())
+
+
+def index_to_cut(j: str, system: PartySystem) -> BipartiteCut:
+    """The cut named by index j: the inverse of entanglement.cut_to_index."""
+    return BipartiteCut.from_side(system, cut_side(system, _cut_number(j, system)))
 
 
 def report_entry(report, claim_id: str):

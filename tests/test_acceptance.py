@@ -29,7 +29,6 @@ from choilab.codec import (
 from choilab.entanglement import (
     all_cut_indices,
     ghz_diagonal_coefficients,
-    index_to_cut,
     localize_entanglement,
     npt_criterion,
     ppt_check,
@@ -62,7 +61,7 @@ from choilab.states import (
     schmidt_decomposition,
 )
 
-from conftest import random_ghz_diagonal_state, report_entry, report_passed
+from conftest import index_to_cut, random_ghz_diagonal_state, report_entry, report_passed
 
 
 def _report(number: int, name: str, ok: bool, detail: str = "") -> None:
@@ -122,7 +121,7 @@ def test_criterion_03_pt_sign_table():
         from choilab.entanglement import cut_to_index
 
         j = cut_to_index(cut, CHOI_SYSTEM)
-        formula = coeffs.lambdas[j] - coeffs.delta / 2
+        formula = coeffs.lambdas[int(j, 2) - 1] - coeffs.delta / 2
         ok = ok and abs(low - formula) <= 1e-9 and abs(formula + 1 / 48) <= 1e-12
         details.append(f"mix^T{''.join(side)}={low:.4e}")
     _report(3, "PT sign table with min eigenvalue -1/48 on NPT cuts", ok, "; ".join(details[-3:]))

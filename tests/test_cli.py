@@ -11,7 +11,7 @@ import pytest
 import choilab
 from choilab import channels, cli, codec, linalg, states
 from choilab.cli import main
-from choilab.entanglement import all_cut_indices, index_to_cut, ppt_check
+from choilab.entanglement import all_cut_indices, ppt_check
 from choilab.codec import (
     channel_from_dict,
     channel_to_dict,
@@ -20,12 +20,19 @@ from choilab.codec import (
     state_from_dict,
     state_to_dict,
 )
-from choilab.nonadditivity import binding_channel, choi_closed_form, swap_image
+from choilab.nonadditivity import (
+    binding_channel,
+    choi_closed_form,
+    choi_state,
+    mixed_binding_channel,
+    swap_image,
+)
 from choilab.states import MultipartiteState, PartySystem, ghz_basis_state
 
 from conftest import (
     REJECTED_MATRICES,
     ghz_diagonal_state,
+    index_to_cut,
     random_ghz_diagonal_state,
     random_state,
 )
@@ -256,6 +263,38 @@ class TestClassify:
         assert rows["cut-111"]["eigensolver"] == "PPT"  # cut {C}
         assert rows["distill-A1,A2-vs-B"]["distillable"] is False
         assert rows["distill-A1,A2-vs-C"]["distillable"] is False
+
+    @pytest.mark.parametrize(
+        "key, delta, lambda0, weights",
+        [
+            ("E1", 1 / 8, (3 / 16, 1 / 16), {"101": 0.0}),
+            ("mix", 1 / 8, None, {"010": 1 / 24, "101": 1 / 24, "111": 1 / 24}),
+        ],
+    )
+    def test_fingerprint_rows(self, tmp_path, capsys, key, delta, lambda0, weights):
+        # The bit-string names of the fingerprint are made only here, at
+        # the CLI edge: the lambda-j rows come in all_cut_indices order, and
+        # every weight not listed is 1/16.
+        parts = [binding_channel(a) for a in (1, 2, 3)]
+        channel = parts[0] if key == "E1" else mixed_binding_channel(parts)
+        path = tmp_path / f"{key}.json"
+        path.write_text(dumps(state_to_dict(choi_state(channel))))
+        code, out, _ = run(capsys, "--format", "json", "classify", str(path))
+        assert code == 0
+        entries = json.loads(out)["entries"]
+        rows = {e["id"]: e for e in entries}
+        numbers = [rows["delta"][name] for name in ("delta", "lambda0_plus", "lambda0_minus")]
+        assert all(type(x) in (int, float) for x in numbers)
+        assert abs(numbers[0] - delta) < 1e-14
+        if lambda0 is not None:
+            assert abs(numbers[1] - lambda0[0]) < 1e-14
+            assert abs(numbers[2] - lambda0[1]) < 1e-14
+        ids = [e["id"] for e in entries if e["id"].startswith("lambda-")]
+        assert ids == [f"lambda-{j}" for j in all_cut_indices(4)]
+        for j in all_cut_indices(4):
+            value = rows[f"lambda-{j}"]["value"]
+            assert type(value) in (int, float)
+            assert abs(value - weights.get(j, 1 / 16)) < 1e-14, j
 
     def test_non_ghz_diagonal_falls_back(self, tmp_path, capsys):
         rng = np.random.default_rng(33)

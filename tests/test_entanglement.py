@@ -1,5 +1,6 @@
 import itertools
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -15,15 +16,14 @@ from choilab.entanglement import (
     cut_to_index,
     filter_to_maximally_entangled,
     ghz_diagonal_coefficients,
-    index_to_cut,
     npt_criterion,
+    npt_vector,
     pairwise_distillability,
     ppt_check,
     two_qubit_separability,
 )
 from choilab.errors import (
     DimensionMismatch,
-    NotGhzDiagonal,
     NotSchmidtRank2,
     OverlappingGroups,
     UnknownParty,
@@ -42,6 +42,7 @@ from choilab.states import (
 from conftest import (
     flip_route_min_eigenvalue,
     ghz_diagonal_state,
+    index_to_cut,
     random_density_matrix,
     random_ghz_diagonal_state,
     random_state,
@@ -52,6 +53,11 @@ from conftest import (
 
 def qubits(*labels):
     return PartySystem(tuple(labels), (2,) * len(labels))
+
+
+def weight(c: GhzDiagonalCoefficients, j: str) -> float:
+    """lambda_j of the cut index j: entry k-1 of c.lambdas, k being j read as a number."""
+    return float(c.lambdas[int(j, 2) - 1])
 
 
 def separable_product_mixture(rng, system, terms=6):
@@ -282,11 +288,11 @@ class TestClassifier:
     def test_channel_one_coefficients(self, scenario_states):
         c = ghz_diagonal_coefficients(scenario_states["E1"])
         assert abs(c.delta - 2 / 16) < 1e-14
-        assert abs(c.lambda0_plus - 3 / 16) < 1e-14
-        assert abs(c.lambda0_minus - 1 / 16) < 1e-14
-        assert abs(c.lambdas["101"]) < 1e-14
+        assert abs(c.plus[0] - 3 / 16) < 1e-14
+        assert abs(c.minus[0] - 1 / 16) < 1e-14
+        assert abs(weight(c, "101")) < 1e-14
         for j in ("001", "010", "011", "100", "110", "111"):
-            assert abs(c.lambdas[j] - 1 / 16) < 1e-14
+            assert abs(weight(c, j) - 1 / 16) < 1e-14
         assert c.offdiagonal_residual < 1e-12
         assert not c.asymmetry_flag
 
@@ -294,25 +300,26 @@ class TestClassifier:
         c = ghz_diagonal_coefficients(scenario_states["mix"])
         assert abs(c.delta - 1 / 8) < 1e-14
         for j in ("101", "010", "111"):
-            assert abs(c.lambdas[j] - 1 / 24) < 1e-14
+            assert abs(weight(c, j) - 1 / 24) < 1e-14
         for j in ("001", "011", "100", "110"):
-            assert abs(c.lambdas[j] - 1 / 16) < 1e-14
+            assert abs(weight(c, j) - 1 / 16) < 1e-14
 
     def test_pure_reference_state(self, four_qubits):
         from choilab.states import ghz_basis_state
 
         rho = ghz_basis_state(four_qubits, "000", 1).density()
         c = ghz_diagonal_coefficients(rho)
-        assert abs(c.lambda0_plus - 1) < 1e-14
+        assert abs(c.plus[0] - 1) < 1e-14
         assert abs(c.delta - 1) < 1e-14
-        assert all(abs(v) < 1e-14 for v in c.lambdas.values())
+        assert c.lambdas.shape == (7,)
+        assert all(abs(v) < 1e-14 for v in c.lambdas)
 
     def test_normalization_invariant(self, four_qubits):
         rng = np.random.default_rng(23)
         for _ in range(10):
             rho = random_ghz_diagonal_state(rng, four_qubits)
             c = ghz_diagonal_coefficients(rho)
-            total = c.lambda0_plus + c.lambda0_minus + 2 * sum(c.lambdas.values())
+            total = c.plus[0] + c.minus[0] + 2 * sum(c.lambdas)
             assert abs(total - 1) < 1e-10
             assert c.offdiagonal_residual < 1e-12
 
@@ -324,7 +331,7 @@ class TestClassifier:
         m = 0.75 * np.outer(plus, plus.conj()) + 0.25 * np.outer(minus, minus.conj())
         c = ghz_diagonal_coefficients(MultipartiteState(four_qubits, m))
         assert c.asymmetry_flag
-        assert abs(c.lambdas["011"] - 0.5) < 1e-14
+        assert abs(weight(c, "011") - 0.5) < 1e-14
 
     def test_requires_qubits(self):
         rho = MultipartiteState(PartySystem(("A", "B"), (3, 3)), np.eye(9) / 9)
@@ -345,17 +352,11 @@ def dense_ghz_diagonal_coefficients(state: MultipartiteState) -> GhzDiagonalCoef
             val = float(np.real(v.conj() @ state.matrix @ v))
             raw[(j, sign)] = val
             diag += val * np.outer(v, v.conj())
-    zero = "0" * (n - 1)
-    lambdas = {j: (raw[(j, 1)] + raw[(j, -1)]) / 2 for j in all_cut_indices(n)}
+    # itertools.product lists the strings j in the order of k
     return GhzDiagonalCoefficients(
         system=sys,
-        lambda0_plus=raw[(zero, 1)],
-        lambda0_minus=raw[(zero, -1)],
-        lambdas=lambdas,
-        delta=abs(raw[(zero, 1)] - raw[(zero, -1)]),
-        asymmetry_flag=any(
-            abs(raw[(j, 1)] - raw[(j, -1)]) > ASYMMETRY_TOL for j in all_cut_indices(n)
-        ),
+        plus=np.array([raw[key] for key in raw if key[1] == 1]),
+        minus=np.array([raw[key] for key in raw if key[1] == -1]),
         offdiagonal_residual=float(np.linalg.norm(state.matrix - diag)),
     )
 
@@ -377,12 +378,18 @@ class TestBlockReadAgainstDenseOracle:
         got = ghz_diagonal_coefficients(rho)
         want = dense_ghz_diagonal_coefficients(rho)
         assert got.system == want.system
-        assert got.lambdas.keys() == want.lambdas.keys()
-        for j in want.lambdas:
-            assert abs(got.lambdas[j] - want.lambdas[j]) <= 1e-12
-        for field in ("lambda0_plus", "lambda0_minus", "delta", "offdiagonal_residual"):
+        # lambda_j^+ and lambda_j^- one by one: a swap within a pair j != 0
+        # leaves the symmetrized weights alone but fails here
+        for name in ("plus", "minus", "lambdas"):
+            g, w = getattr(got, name), getattr(want, name)
+            assert g.shape == w.shape, name
+            for k in range(len(w)):
+                assert abs(g[k] - w[k]) <= 1e-12, (name, k)
+        for field in ("delta", "offdiagonal_residual"):
             assert abs(getattr(got, field) - getattr(want, field)) <= 1e-12, field
-        assert got.asymmetry_flag == want.asymmetry_flag
+        assert got.asymmetry_flag == any(
+            abs(want.plus[k] - want.minus[k]) > ASYMMETRY_TOL for k in range(1, len(want.plus))
+        )
         if kind != "general":
             assert got.offdiagonal_residual <= 1e-12
             assert got.asymmetry_flag == (kind == "asymmetric" and n > 1)
@@ -391,10 +398,36 @@ class TestBlockReadAgainstDenseOracle:
         # N = 1: the only pair is j = "" on the kets |0> and |1>
         m = np.array([[0.7, 0.2 - 0.1j], [0.2 + 0.1j, 0.3]])
         c = ghz_diagonal_coefficients(MultipartiteState(qubits("Q"), m))
-        assert c.lambdas == {}
-        assert abs(c.lambda0_plus - 0.7) < 1e-15
-        assert abs(c.lambda0_minus - 0.3) < 1e-15
+        assert c.plus.shape == c.minus.shape == (1,)
+        assert c.lambdas.shape == (0,)
+        assert abs(c.plus[0] - 0.7) < 1e-15
+        assert abs(c.minus[0] - 0.3) < 1e-15
         assert abs(c.offdiagonal_residual - math.sqrt(0.08 + 2 * 0.01)) < 1e-15
+
+
+class TestFingerprintStaysInStep:
+    def test_replace_moves_every_derived_value(self, scenario_states):
+        c = ghz_diagonal_coefficients(scenario_states["E1"])
+        plus, minus = c.plus.copy(), c.minus.copy()
+        plus[0], minus[0] = 0.25, 0.0
+        plus[0b010], minus[0b010] = 0.2, 0.0
+        d = replace(c, plus=plus, minus=minus)
+        # c keeps E1's fingerprint: delta 1/8, symmetric pairs, only cut 101 NPT
+        assert abs(c.delta - 1 / 8) < 1e-14 and abs(weight(c, "010") - 1 / 16) < 1e-14
+        assert not c.asymmetry_flag
+        assert npt_vector(c).tolist() == [j == "101" for j in all_cut_indices(4)]
+        # d reads every value from its own vectors
+        assert d.delta == 0.25
+        assert d.lambdas[0b010 - 1] == 0.1
+        assert np.array_equal(np.delete(d.lambdas, 0b010 - 1), np.delete(c.lambdas, 0b010 - 1))
+        assert d.asymmetry_flag
+        assert npt_vector(d).tolist() == [True] * 7
+
+    def test_weights_are_read_only(self, scenario_states):
+        c = ghz_diagonal_coefficients(scenario_states["mix"])
+        for weights in (c.plus, c.minus):
+            with pytest.raises(ValueError, match="read-only"):
+                weights[0] = 1.0
 
 
 class TestCutIndex:
@@ -442,7 +475,8 @@ class TestNptCriterion:
         rho = random_state(rng, four_qubits)
         c = ghz_diagonal_coefficients(rho)
         assert c.offdiagonal_residual > 1e-8
-        with pytest.raises(NotGhzDiagonal):
+        message = r"^off-diagonal residual \S+ exceeds 1\.0e-08$"
+        with pytest.raises(DimensionMismatch, match=message):
             npt_criterion(c, BipartiteCut.from_side(four_qubits, ["B"]))
 
     def test_agrees_with_eigensolver(self, scenario_states, four_qubits):
@@ -541,7 +575,7 @@ class TestPairwiseDistillability:
             cut = index_to_cut(j, system)
             if any(set(one) <= a and set(two) <= b for a, b in sides(cut)):
                 separating.append(cut)
-                if c.lambdas[j] - c.delta / 2 >= threshold:
+                if weight(c, j) - c.delta / 2 >= threshold:
                     blocking.append(cut)
         if threshold == -1:
             assert blocking == separating

@@ -3,10 +3,13 @@ loads states and channels without the report layer (nonadditivity).  The
 smallest eigenvalue has one path, linalg.min_eigenvalue, the X-block
 solve one copy, linalg.x_min_eigenvalue, which only min_eigenvalue and
 entanglement.cut_min_eigenvalues call, and JSON one module, codec.
-Every name the benchmark's tracer wraps still exists, and the CLI reads
-every input file through codec.load_path."""
+The GHZ fingerprint has one stored form, the weight vectors plus and
+minus, and only the CLI names its entries by cut-index strings.  Every
+name the benchmark's tracer wraps still exists, and the CLI reads every
+input file through codec.load_path."""
 
 import ast
+import dataclasses
 import importlib
 import importlib.util
 import json
@@ -17,6 +20,7 @@ import sys
 from pathlib import Path
 
 import choilab
+from choilab.entanglement import GhzDiagonalCoefficients
 
 SRC = str(Path(choilab.__file__).resolve().parents[1])
 LAYERTRACE = Path(__file__).resolve().parents[1] / "perfbench" / "layertrace.py"
@@ -99,6 +103,24 @@ def test_x_blocks_solved_from_two_callers():
     for path in sorted(package.glob("*.py")):
         scan(ast.parse(path.read_text(encoding="utf-8")), path.stem, None)
     assert readers == {("linalg", "min_eigenvalue"), ("entanglement", "cut_min_eigenvalues")}
+
+
+def test_fingerprint_has_one_stored_form():
+    # delta, the lambda_j and the NPT vector are read from plus and minus,
+    # so no stored copy can fall out of step with them; the cut-index
+    # strings that name the lambda_j are made at the CLI edge only.
+    fields = [f.name for f in dataclasses.fields(GhzDiagonalCoefficients)]
+    assert fields == ["system", "plus", "minus", "offdiagonal_residual"]
+    package = Path(choilab.__file__).resolve().parent
+    defined, readers = [], set()
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.FunctionDef) and node.name == "all_cut_indices":
+                defined.append(path.name)
+            elif "all_cut_indices" in (getattr(node, key, None) for key in ("attr", "id", "name")):
+                readers.add(path.name)
+    assert defined == ["entanglement.py"]
+    assert readers == {"cli.py"}
 
 
 def test_only_codec_imports_json():

@@ -36,7 +36,7 @@ from choilab.states import (
     max_entangled,
 )
 
-from conftest import report_entry, report_passed
+from conftest import report_entry, report_passed, same_bits
 
 
 class TestBuilders:
@@ -89,7 +89,7 @@ class TestBuilders:
         assert abs(fidelity(psi, state) - direct) < 1e-15
         # consistency with the classifier's leading coefficient
         c = ghz_diagonal_coefficients(state)
-        assert abs(c.lambda0_plus - direct) < 1e-14
+        assert abs(c.plus[0] - direct) < 1e-14
 
 
 class TestReports:
@@ -110,7 +110,7 @@ class TestReports:
         assert report_entry(rep, "pt-control-wrong-state").passed
         # cross-check the NPT eigenvalue against the coefficient formula
         c = ghz_diagonal_coefficients(scenario_states["mix"])
-        assert abs((c.lambdas["010"] - c.delta / 2) - MIX_NPT_EIGENVALUE) < 1e-14
+        assert abs((c.lambdas[0b010 - 1] - c.delta / 2) - MIX_NPT_EIGENVALUE) < 1e-14
         assert abs(MIX_NPT_EIGENVALUE + 1 / 48) < 1e-16
 
     def test_pt_table_work_counts(self, monkeypatch):
@@ -138,6 +138,17 @@ class TestReports:
             assert report_entry(rep, f"proxy-mix-{tag}").computed == "positive"
         assert report_entry(rep, "nonadditivity-headline").computed == "non-additivity witnessed"
         assert report_entry(rep, "proxy-control-corrupted-E1").passed
+
+    def test_corrupted_control_leaves_the_scenario_alone(self):
+        # The control zeroes pair 010 in copies of E1's weight vectors.
+        scenario = nonadditivity.build_scenario()
+        e1 = scenario.coeffs["E1"]
+        plus, minus = e1.plus.copy(), e1.minus.copy()
+        assert report_entry(capacity_proxy_report(scenario), "proxy-control-corrupted-E1").passed
+        full_report()
+        for c in (e1, nonadditivity.build_scenario().coeffs["E1"]):
+            assert same_bits(c.plus, plus) and same_bits(c.minus, minus)
+            assert abs(c.lambdas[0b010 - 1] - 1 / 16) < 1e-14
 
     def test_joint_proxy_reduces_to_pairs(self, scenario_states):
         c = ghz_diagonal_coefficients(scenario_states["mix"])

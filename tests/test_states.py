@@ -1,17 +1,15 @@
 import dataclasses
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
 
 from choilab import linalg
 from choilab.errors import (
-    BadPermutation,
     DimensionMismatch,
     IndexOutOfRange,
-    NotHermitian,
-    NothingLeft,
     NotPSD,
     UnknownParty,
 )
@@ -247,7 +245,7 @@ class TestPartialTrace:
 
     def test_errors(self, four_qubits):
         rho = random_state(np.random.default_rng(1), four_qubits)
-        with pytest.raises(NothingLeft):
+        with pytest.raises(UnknownParty, match="^cannot trace out every party$"):
             partial_trace(rho, ["A1", "B", "A2", "C"])
         with pytest.raises(UnknownParty):
             partial_trace(rho, ["Z"])
@@ -319,12 +317,13 @@ class TestValidation:
         silly = permute_parties(rho, ("C", "A1", "B", "A2"))
         back = permute_parties(silly, ("A1", "B", "A2", "C"))
         assert np.allclose(back.matrix, rho.matrix, atol=0)
-        with pytest.raises(BadPermutation):
+        message = "('A1', 'B', 'A2') is not a permutation of ('A1', 'B', 'A2', 'C')"
+        with pytest.raises(UnknownParty, match=f"^{re.escape(message)}$"):
             permute_parties(rho, ("A1", "B", "A2"))
 
     def test_density_gates(self):
         sys = qubits("A")
-        with pytest.raises(NotHermitian):
+        with pytest.raises(DimensionMismatch, match=r"^hermiticity defect 1\.414e\+00$"):
             MultipartiteState(sys, np.array([[0.5, 1], [0, 0.5]]))
         with pytest.raises(DimensionMismatch):
             MultipartiteState(sys, np.eye(2))
