@@ -112,7 +112,7 @@ def completeness_defect(ch: KrausChannel) -> float:
     # Huge entries overflow to an inf or nan defect, which fails the check.
     with np.errstate(over="ignore", invalid="ignore"):
         acc = np.add.reduce(ch.kraus.conj().transpose(0, 2, 1) @ ch.kraus, axis=0, initial=0)
-        return float(np.linalg.norm(acc - linalg.identity(ch.dim_in)))
+        return linalg.norm(acc - linalg.identity(ch.dim_in))
 
 
 # Complex entries of the outer products that choi_matrix forms at once (64 MiB).
@@ -283,7 +283,7 @@ def kraus_from_choi(
     if vals[0] < linalg.PSD_THRESHOLD:
         raise NotPSD(f"Choi min eigenvalue {vals[0]:.3e}")
     marginal = trace_out_axes(ordered.matrix, (d_ref, d_out), [1])
-    if np.linalg.norm(marginal - linalg.identity(d_ref) / d_ref) > REF_MARGINAL_TOL:
+    if linalg.norm(marginal - linalg.identity(d_ref) / d_ref) > REF_MARGINAL_TOL:
         raise DimensionMismatch("reference marginal of the Choi state is not maximally mixed")
     keep = vals > CHOI_RANK_CUTOFF
     # Eigenvector v of the (reference, output) matrix is the operator A[o, i] = v[(i, o)].

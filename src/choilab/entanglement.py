@@ -100,7 +100,7 @@ def cut_min_eigenvalues(state: MultipartiteState) -> np.ndarray:
     if lows is None:
         m, dims = state.matrix, state.system.dims
         n, d = len(dims), m.shape[0]
-        anti = np.fliplr(m).diagonal()
+        anti = m[:, ::-1].diagonal()
         lows = np.empty((1 << (n - 1)) - 1)
         step = max(1, _GATHER_BATCH // d)
         for lo in range(0, len(lows), step):
@@ -254,7 +254,7 @@ def ghz_diagonal_coefficients(state: MultipartiteState) -> GhzDiagonalCoefficien
     off[b, b] -= mean
     off[a, b] -= cross
     off[b, a] -= cross
-    residual = float(np.linalg.norm(off))
+    residual = linalg.norm(off)
     plus, minus = mean + cross, mean - cross
     plus.setflags(write=False)
     minus.setflags(write=False)
@@ -319,22 +319,32 @@ def pair_verdicts(
 
     Cut k (cut_to_index read as a number, with the last party's bit 0
     appended) separates two groups iff its bits agree within each group's
-    mask and differ between the two.  One (pairs, cuts) mask ANDed with
-    the negated NPT vector gives the blocking cuts; only they are built,
-    in index order, each with side_one holding group_one.
+    mask and differ between the two.  One (pairs, cuts) mask over the PPT
+    cuts gives the blocking cuts, with the same dozen numpy calls for any
+    number of pairs and parties; only the blocking cuts are built, in
+    index order, each with side_one holding group_one.
     """
     sys = coeffs.system
-    n = sys.num_parties
-    bit = {l: 1 << (n - 1 - i) for i, l in enumerate(sys.labels)}
+    labels = sys.labels
+    n = len(labels)
+    bit = {l: 1 << (n - 1 - i) for i, l in enumerate(labels)}
     groups = [disjoint_groups(sys, *pair) for pair in pairs]
-    masks = [[sum(bit[l] for l in g) for g in pair] for pair in groups]
-    m1, m2 = np.array(masks, dtype=np.int64).reshape(-1, 2).T[..., None]
-    on = np.arange(2, 1 << n, 2) & (m1 | m2)  # cut k's bits are k << 1 (last party 0)
-    blocking = ((on == m1) | (on == m2)) & ~npt_vector(coeffs, threshold)
-    everyone = frozenset(sys.labels)
-    found = [[] for _ in masks]
-    for p, col in zip(*(a.tolist() for a in np.nonzero(blocking))):
-        side = frozenset(cut_side(sys, col + 1))
+    rows = []
+    for g1, g2 in groups:
+        a, b = sum(map(bit.get, g1)), sum(map(bit.get, g2))
+        rows.append((a, b, a | b))
+    # (pairs, 1) columns: the two group masks and their union
+    m1, m2, both = np.array(rows, dtype=np.int64).reshape(-1, 3).T[:, :, None]
+    # cut k's bits are k << 1 (last party 0); an NPT cut reads as every
+    # bit set, whose restriction to a pair is both groups, so it blocks none
+    codes = np.where(npt_vector(coeffs, threshold), -1, np.arange(2, 1 << n, 2))
+    on = codes & both
+    where_pair, where_cut = np.nonzero((on == m1) | (on == m2))
+    everyone = frozenset(labels)
+    found = [[] for _ in groups]
+    for p, col in zip(where_pair.tolist(), where_cut.tolist()):
+        k = (col + 1) << 1
+        side = frozenset(l for l in labels if k & bit[l])
         if not groups[p][0] <= side:
             side = everyone - side
         found[p].append(BipartiteCut(side, everyone - side))
@@ -394,68 +404,69 @@ def filter_to_maximally_entangled(phi: PureState) -> tuple[PureState, float]:
     c1, c2 = float(sd.coefficients[0]), float(sd.coefficients[1])
     u1, u2 = sd.left_vectors[:, 0], sd.left_vectors[:, 1]
     filt = (c2 / c1) * np.outer(u1, u1.conj()) + np.outer(u2, u2.conj())
-    d_right = phi.system.dims[1]
-    vec = np.kron(filt, linalg.identity(d_right)) @ phi.vector
-    prob = float(np.linalg.norm(vec) ** 2)
-    return PureState(phi.system, vec / np.linalg.norm(vec)), prob
-
-
-def _branch_collapse(branch: np.ndarray, dims: tuple[int, ...], axis: int, onto: np.ndarray) -> np.ndarray:
-    """<onto| applied to one party: the vector on the other parties, in system order."""
-    pre = math.prod(dims[:axis])
-    d = dims[axis]
-    post = math.prod(dims[axis + 1 :])
-    t = branch.reshape(pre, d, post)
-    return np.einsum("k,ikj->ij", onto.conj(), t).reshape(-1)
+    # filt (x) 1 acts on the vector as filt on its (left, right) reshape
+    vec = (filt @ phi.vector.reshape(phi.system.dims)).reshape(-1)
+    norm = linalg.norm(vec)
+    return PureState(phi.system, vec / norm), norm**2
 
 
 def _project_vector(
     vector: np.ndarray, dims: tuple[int, ...], axis: int, onto: np.ndarray
 ) -> tuple[np.ndarray, float]:
     """Project one party onto |onto><onto|; returns (renormalized vector, probability)."""
-    amp = _branch_collapse(vector, dims, axis, onto).reshape(math.prod(dims[:axis]), -1)
-    prob = float(np.linalg.norm(amp) ** 2)
+    t = vector.reshape(math.prod(dims[:axis]), dims[axis], -1)
+    amp = np.einsum("k,ikj->ij", onto.conj(), t)  # <onto| on the party
+    norm = linalg.norm(amp)
+    prob = norm**2
     if prob <= 0:
         return vector, 0.0
-    collapsed = np.einsum("k,ij->ikj", onto, amp / np.linalg.norm(amp)).reshape(-1)
+    collapsed = np.einsum("k,ij->ikj", onto, amp / norm).reshape(-1)
     return collapsed, prob
 
 
-def _single_party_marginal(vector: np.ndarray, system: PartySystem, label: str) -> np.ndarray:
-    rho = np.outer(vector, vector.conj())
-    axes = [i for i, l in enumerate(system.labels) if l != label]
+def _marginal(rho: np.ndarray, system: PartySystem, keep) -> np.ndarray:
+    """The reduced density matrix of the parties in ``keep``, in system order."""
+    axes = [i for i, l in enumerate(system.labels) if l not in keep]
     return trace_out_axes(rho, system.dims, axes)
 
 
-def _candidate_projectors(dim: int, rng: np.random.Generator):
+def _candidate_projectors(dim: int, rng: list[np.random.Generator]):
+    """Rank-1 projector candidates: the fixed qubit ones, then seeded random ones.
+
+    ``rng`` holds the call's seeded generator once the first random
+    candidate has built it, so a search that never gets there builds none.
+    """
     if dim == 2:
         yield np.array([1, 0], dtype=np.complex128)
         yield np.array([0, 1], dtype=np.complex128)
         yield np.array([1, 1], dtype=np.complex128) / math.sqrt(2)
         yield np.array([1, 1j], dtype=np.complex128) / math.sqrt(2)
+    if not rng:
+        rng.append(np.random.default_rng(_PROJECTOR_SEED))
+    draw = rng[0].standard_normal
     for _ in range(MAX_RANDOM_PROJECTORS):
-        v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-        yield v / np.linalg.norm(v)
+        v = draw(dim) + 1j * draw(dim)
+        yield v / linalg.norm(v)
 
 
 def _branches_distinct(b1: np.ndarray, b2: np.ndarray) -> bool:
-    n1, n2 = np.linalg.norm(b1), np.linalg.norm(b2)
+    n1, n2 = linalg.norm(b1), linalg.norm(b2)
     if n1 < BRANCH_NORM_TOL or n2 < BRANCH_NORM_TOL:
         return False
-    overlap = abs(np.vdot(b1, b2)) / (n1 * n2)
-    if overlap >= 1 - BRANCH_DISTINCT_TOL:
+    overlap = abs(np.vdot(b1, b2))
+    if overlap / (n1 * n2) >= 1 - BRANCH_DISTINCT_TOL:
         return False
-    gram_det = (n1 * n2) ** 2 - abs(np.vdot(b1, b2)) ** 2
+    gram_det = (n1 * n2) ** 2 - overlap**2
     return gram_det > BRANCH_DISTINCT_TOL * (n1 * n2) ** 2
 
 
 def _side_branches(vector: np.ndarray, system: PartySystem, side: tuple[str, ...]):
-    """Schmidt branches of the current state living on `side` (system order)."""
+    """The two Schmidt branches of the current state on `side` (system order), as rows."""
     phi = PureState(system, vector)
     sd = schmidt_decomposition(phi, BipartiteCut.from_side(system, side))
     if sd.rank != 2:
         raise LocalizationFailed(f"intermediate state has Schmidt rank {sd.rank}")
-    return sd.left_vectors[:, 0], sd.left_vectors[:, 1], sd.left_labels
+    return sd.left_vectors[:, :2].T, sd.left_labels
 
 
 def _purity(m: np.ndarray) -> float:
@@ -463,37 +474,42 @@ def _purity(m: np.ndarray) -> float:
     return float(np.real(np.trace(m @ m)))
 
 
-def _condition_i_holds(
-    b1: np.ndarray, b2: np.ndarray, side_system: PartySystem, party: str
-) -> bool:
-    """Both branches factor as (state of `party`) x (one common state of the rest)."""
-    axis = side_system.axis(party)
-    m1 = trace_out_axes(np.outer(b1, b1.conj()), side_system.dims, [axis])
-    m2 = trace_out_axes(np.outer(b2, b2.conj()), side_system.dims, [axis])
-    if min(_purity(m1), _purity(m2)) < 1 - FACTORED_PURITY_TOL:
+def _condition_i_holds(branches: np.ndarray) -> bool:
+    """Both branches factor as (state of the party) x (one common state of the rest).
+
+    ``branches`` is the (2, before, party, after) stack of the two.  Each,
+    read as a (rest, party) matrix R, has R R^dagger as its marginal on the
+    rest, so both marginals and their purities are one stack.
+    """
+    r = branches.transpose(0, 1, 3, 2).reshape(2, -1, branches.shape[2])
+    m = r @ r.conj().transpose(0, 2, 1)
+    if (m @ m).trace(axis1=1, axis2=2).real.min() < 1 - FACTORED_PURITY_TOL:
         return False
-    return float(np.linalg.norm(m1 - m2)) <= BRANCH_DISTINCT_TOL
+    return linalg.norm(m[0] - m[1]) <= BRANCH_DISTINCT_TOL
 
 
 def _factor_side(
     vector: np.ndarray,
     system: PartySystem,
     side: tuple[str, ...],
-    rng: np.random.Generator,
+    rng: list[np.random.Generator],
     log: list[Projection],
 ) -> tuple[np.ndarray, str]:
     """Project out parties of one side until a single one carries the branch pair."""
     remaining = list(side)
     while len(remaining) > 1:
         party = remaining[0]
-        b1, b2, side_labels = _side_branches(vector, system, tuple(side))
+        rows, side_labels = _side_branches(vector, system, tuple(side))
         side_system = system.subsystem(side_labels)
-        if _condition_i_holds(b1, b2, side_system, party):
+        axis = side_system.axis(party)
+        dims = side_system.dims
+        branches = rows.reshape(2, math.prod(dims[:axis]), dims[axis], -1)
+        if _condition_i_holds(branches):
             # `party` carries the whole branch distinction; every other
             # remaining party of this side is already factored as a group
             # and can be projected onto its own (pure) marginal.
             for other in remaining[1:]:
-                marginal = _single_party_marginal(vector, system, other)
+                marginal = _marginal(np.outer(vector, vector.conj()), system, (other,))
                 vals, vecs = np.linalg.eigh(marginal)
                 onto = vecs[:, -1]
                 vector, prob = _project_vector(
@@ -501,14 +517,12 @@ def _factor_side(
                 )
                 log.append(Projection(party=other, vector=onto, probability=prob))
             return vector, party
-        axis_in_side = side_system.axis(party)
-        axis_in_full = system.axis(party)
-        for onto in _candidate_projectors(system.dim_of(party), rng):
-            c1 = _branch_collapse(b1, side_system.dims, axis_in_side, onto)
-            c2 = _branch_collapse(b2, side_system.dims, axis_in_side, onto)
+        for onto in _candidate_projectors(dims[axis], rng):
+            # <onto| on `party` of both branches in one call
+            c1, c2 = np.einsum("k,bikj->bij", onto.conj(), branches)
             if not _branches_distinct(c1, c2):
                 continue
-            vector, prob = _project_vector(vector, system.dims, axis_in_full, onto)
+            vector, prob = _project_vector(vector, system.dims, system.axis(party), onto)
             log.append(Projection(party=party, vector=onto, probability=prob))
             remaining.remove(party)
             break
@@ -547,21 +561,21 @@ def localize_entanglement(
     if sd.rank != 2:
         raise NotSchmidtRank2(f"Schmidt rank {sd.rank}, need exactly 2")
 
-    rng = np.random.default_rng(_PROJECTOR_SEED)
+    # one seeded generator per call, built at its first random candidate
+    # and shared by both sides, so the receivers continue the senders' draws
+    rng: list[np.random.Generator] = []
     log: list[Projection] = []
     vector = phi.vector.copy()
     vector, sender_kept = _factor_side(vector, sys, senders, rng, log)
     vector, receiver_kept = _factor_side(vector, sys, receivers, rng, log)
 
-    bystanders = [l for l in sys.labels if l not in (sender_kept, receiver_kept)]
-    purities = {l: _purity(_single_party_marginal(vector, sys, l)) for l in bystanders}
-    rho_full = np.outer(vector, vector.conj())
-    traced_axes = [sys.axis(l) for l in bystanders]
-    pair_rho = trace_out_axes(rho_full, sys.dims, traced_axes)
-    vals, vecs = np.linalg.eigh(pair_rho)
+    kept = (sender_kept, receiver_kept)
+    rho = np.outer(vector, vector.conj())
+    purities = {l: _purity(_marginal(rho, sys, (l,))) for l in sys.labels if l not in kept}
+    vals, vecs = np.linalg.eigh(_marginal(rho, sys, kept))
     if vals[-1] < 1 - FACTORED_PURITY_TOL or min(purities.values(), default=1.0) < 1 - FACTORED_PURITY_TOL:
         raise LocalizationFailed("bystander parties did not factor out")
-    kept_in_order = [l for l in sys.labels if l in (sender_kept, receiver_kept)]
+    kept_in_order = [l for l in sys.labels if l in kept]
     pair_system = sys.subsystem(kept_in_order)
     pair = PureState(pair_system, vecs[:, -1])
     if kept_in_order[0] != sender_kept:

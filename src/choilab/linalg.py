@@ -3,8 +3,10 @@
 All matrices in this package are plain ``numpy.ndarray`` objects of dtype
 ``complex128``.  The helpers here add the conventions everything downstream
 relies on: finiteness validation, the Hermiticity and positivity
-tolerances, the smallest eigenvalue, and the standard Pauli constructors
-(sigma1 = X, sigma2 = Y, sigma3 = Z, sigma_pm = (sigma1 -/+ i*sigma2)/2).
+tolerances, the Frobenius norm (``norm``: the bits of ``np.linalg.norm``
+without its per-call dispatch), the smallest eigenvalue, and the standard
+Pauli constructors (sigma1 = X, sigma2 = Y, sigma3 = Z, sigma_pm =
+(sigma1 -/+ i*sigma2)/2).
 
 The smallest eigenvalue takes one of two exact routes.  An X-shaped matrix
 (even dimension d, every nonzero entry on the diagonal or the
@@ -21,6 +23,8 @@ dense ``eigvalsh``.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .errors import DimensionMismatch
@@ -36,7 +40,7 @@ def as_matrix(entries) -> np.ndarray:
     m = np.asarray(entries, dtype=np.complex128)
     if m.ndim != 2:
         raise DimensionMismatch(f"expected a 2-D matrix, got ndim={m.ndim}")
-    if not np.all(np.isfinite(m)):
+    if not np.isfinite(m).all():
         raise DimensionMismatch("matrix contains non-finite entries")
     return m
 
@@ -46,9 +50,16 @@ def as_vector(entries) -> np.ndarray:
     v = np.asarray(entries, dtype=np.complex128)
     if v.ndim != 1:
         raise DimensionMismatch(f"expected a 1-D vector, got ndim={v.ndim}")
-    if not np.all(np.isfinite(v)):
+    if not np.isfinite(v).all():
         raise DimensionMismatch("vector contains non-finite entries")
     return v
+
+
+def norm(x: np.ndarray) -> float:
+    """np.linalg.norm(x) of a complex array, summed as it sums (same bits), without its dispatch."""
+    x = x.ravel(order="K")
+    re, im = x.real, x.imag
+    return math.sqrt(re.dot(re) + im.dot(im))
 
 
 def is_x_shaped(m: np.ndarray) -> bool:
@@ -59,7 +70,7 @@ def is_x_shaped(m: np.ndarray) -> bool:
     """
     if m.shape[0] % 2:
         return False
-    on_x = np.count_nonzero(m.diagonal()) + np.count_nonzero(np.fliplr(m).diagonal())
+    on_x = np.count_nonzero(m.diagonal()) + np.count_nonzero(m[:, ::-1].diagonal())
     return bool(np.count_nonzero(m) == on_x)
 
 
@@ -72,8 +83,9 @@ def x_min_eigenvalue(diag: np.ndarray, anti: np.ndarray) -> float | np.ndarray:
     A (rows, d) stack of anti-diagonals gives one value per row.
     """
     h = diag.shape[0] // 2
-    hp = 0.5 * diag[:h].real  # p/2 = m[x, x]/2 for x = 0 .. h-1
-    hr = 0.5 * diag[::-1][:h].real  # r/2 = m[y, y]/2
+    half = 0.5 * diag.real
+    hp = half[:h]  # p/2 = m[x, x]/2 for x = 0 .. h-1
+    hr = half[::-1][:h]  # r/2 = m[y, y]/2
     # q = m[y, x] = anti[..., y], read reversed: numpy's complex abs runs a
     # SIMD kernel on forward strides and a scalar one on reversed strides,
     # and the two can differ in the last bit.  Both reads below are
@@ -84,7 +96,7 @@ def x_min_eigenvalue(diag: np.ndarray, anti: np.ndarray) -> float | np.ndarray:
         absq = np.abs(anti[::-1][:h])
     else:
         absq = np.abs(np.ravel(anti[:, h:])[::-1]).reshape(-1, h)[::-1]
-    low = (hp + hr - np.hypot(hp - hr, absq)).min(axis=-1)
+    low = np.minimum.reduce(hp + hr - np.hypot(hp - hr, absq), axis=-1)
     return float(low) if anti.ndim == 1 else low
 
 
@@ -98,7 +110,7 @@ def min_eigenvalue(m: np.ndarray, x_shaped: bool | None = None) -> float:
     if x_shaped is None:
         x_shaped = is_x_shaped(m)
     if x_shaped:
-        return x_min_eigenvalue(m.diagonal(), np.fliplr(m).diagonal())
+        return x_min_eigenvalue(m.diagonal(), m[:, ::-1].diagonal())
     return float(np.linalg.eigvalsh(m)[0])
 
 

@@ -41,13 +41,11 @@ from .states import (
     MultipartiteState,
     PartySystem,
     PureState,
-    basis_index,
     ghz_basis_state,
     max_entangled,
     partial_trace,
     permute_matrix_parties,
     schmidt_decomposition,
-    trace_out_axes,
 )
 
 INPUT_SYSTEM = PartySystem(("A",), (4,))
@@ -77,14 +75,19 @@ _SWAP = np.array(
 )
 
 
-def _pauli_product(a: int, b: int) -> np.ndarray:
-    m = np.kron(linalg.PAULIS[a], linalg.PAULIS[b])
+def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    m = np.kron(a, b)
     m.setflags(write=False)
     return m
 
 
 # The sixteen two-qubit Pauli products sigma_a (x) sigma_b, keyed by (a, b).
-_PP = {(a, b): _pauli_product(a, b) for a in range(4) for b in range(4)}
+_PP = {(a, b): _kron(linalg.PAULIS[a], linalg.PAULIS[b]) for a in range(4) for b in range(4)}
+# The two ladder products of the second list.
+_LADDER = (
+    _kron(linalg.sigma_minus, linalg.sigma0 + linalg.sigma3),
+    _kron(linalg.sigma_plus, linalg.sigma0 - linalg.sigma3),
+)
 
 
 def _kraus_list_one() -> tuple[np.ndarray, ...]:
@@ -108,8 +111,8 @@ def _kraus_list_two() -> tuple[np.ndarray, ...]:
     ]
     ops = [
         (_PP[0, 0] + _PP[3, 3]) / 4,
-        np.kron(linalg.sigma_minus, linalg.sigma0 + linalg.sigma3) / 4,
-        np.kron(linalg.sigma_plus, linalg.sigma0 - linalg.sigma3) / 4,
+        _LADDER[0] / 4,
+        _LADDER[1] / 4,
     ]
     ops.extend(_PP[a, b] / 4 for a, b in singles)
     return tuple(ops)
@@ -119,14 +122,15 @@ def binding_channel(a: int) -> KrausChannel:
     """One of the three binding-entanglement channels (a in {1, 2, 3}).
 
     The third is the second with the two input and the two output qubits
-    exchanged (swap conjugation of every Kraus operator).
+    exchanged (swap conjugation of every Kraus operator, one matmul pair
+    over the stacked list).
     """
     if a == 1:
         ops = _kraus_list_one()
     elif a == 2:
         ops = _kraus_list_two()
     elif a == 3:
-        ops = tuple(_SWAP @ k @ _SWAP for k in _kraus_list_two())
+        ops = _SWAP @ np.stack(_kraus_list_two()) @ _SWAP
     else:
         raise DimensionMismatch(f"channel index must be 1, 2 or 3, got {a}")
     ch = KrausChannel(f"E{a}", INPUT_SYSTEM, OUTPUT_SYSTEM, ops)
@@ -147,11 +151,19 @@ def choi_state(ch: KrausChannel) -> MultipartiteState:
 
 
 def _formula_matrix(removed: dict[str, float]) -> np.ndarray:
-    psi = ghz_basis_state(CHOI_SYSTEM, "000", 1).vector
-    m = 2 * np.outer(psi, psi.conj()) + linalg.identity(16)
-    for bits, weight in removed.items():
-        i = basis_index(CHOI_SYSTEM, bits)
-        m[i, i] -= weight
+    """(2|GHZ><GHZ| + 1 - sum_b w_b |b><b|)/16, written entry by entry.
+
+    |GHZ> = (|0000> + |1111>)/sqrt(2) has h = 1/sqrt(2) at its two ends,
+    so 2|GHZ><GHZ| is 2*(h*h) at the four corners and zero elsewhere; each
+    entry carries the bits the outer-product sum gives it.
+    """
+    h = 1 / math.sqrt(2)
+    corner = 2 * (h * h)
+    m = linalg.identity(16)
+    m[0, 0] = m[15, 15] = corner + 1
+    m[0, 15] = m[15, 0] = corner
+    idx = [int(bits, 2) for bits in removed]  # |bits> on qubits, big-endian
+    m[idx, idx] = [1 - w for w in removed.values()]
     return m / 16
 
 
@@ -264,7 +276,7 @@ def reproduce_choi_claims(scenario: Scenario) -> ReproductionReport:
         _choi_distance_claim(
             f"choi-{key}",
             f"Choi({key}) matches its closed form",
-            np.linalg.norm(states[key].matrix - reference.matrix),
+            linalg.norm(states[key].matrix - reference.matrix),
         )
         for key, reference in closed.items()
     ]
@@ -272,7 +284,7 @@ def reproduce_choi_claims(scenario: Scenario) -> ReproductionReport:
         _choi_distance_claim(
             "choi-E3-swap",
             "Choi(E3) equals the pair-swapped closed form of E2",
-            np.linalg.norm(states["E3"].matrix - swap_image(closed["E2"]).matrix),
+            linalg.norm(states["E3"].matrix - swap_image(closed["E2"]).matrix),
         )
     )
     corrupted = closed["E1"].matrix.copy()
@@ -281,7 +293,7 @@ def reproduce_choi_claims(scenario: Scenario) -> ReproductionReport:
         _choi_distance_claim(
             "choi-control-perturbed-E1",
             "a perturbed closed form must be caught by the distance check",
-            np.linalg.norm(states["E1"].matrix - corrupted),
+            linalg.norm(states["E1"].matrix - corrupted),
             control=True,
         )
     )
@@ -504,15 +516,17 @@ def _bell_projector(bell: list[int]) -> np.ndarray:
     return m
 
 
-_BELL_PROJECTORS = tuple(
-    map(_bell_projector, ([1, 0, 0, 1], [0, 1, 1, 0], [1, 0, 0, -1], [0, 1, -1, 0]))
+# One slice per Bell outcome, in the order (Phi+, Psi+, Phi-, Psi-).
+_BELL_PROJECTORS = np.stack(
+    [_bell_projector(b) for b in ([1, 0, 0, 1], [0, 1, 1, 0], [1, 0, 0, -1], [0, 1, -1, 0])]
 )
-_CORRECTIONS = (
-    linalg.sigma0,
-    linalg.sigma1,
-    linalg.sigma3,
-    linalg.sigma3 @ linalg.sigma1,
+_BELL_PROJECTORS.setflags(write=False)
+_CORRECTIONS = np.stack(
+    (linalg.sigma0, linalg.sigma1, linalg.sigma3, linalg.sigma3 @ linalg.sigma1)
 )
+_CORRECTIONS.setflags(write=False)
+_CORRECTIONS_H = np.ascontiguousarray(_CORRECTIONS.conj().transpose(0, 2, 1))
+_CORRECTIONS_H.setflags(write=False)
 
 
 def teleport_fidelity(resource: MultipartiteState, input_state: PureState) -> float:
@@ -521,23 +535,33 @@ def teleport_fidelity(resource: MultipartiteState, input_state: PureState) -> fl
     Exhaustive Bell-outcome simulation: measure the input qubit together with
     the first resource qubit in the Bell basis, apply the matching Pauli
     correction on the second resource qubit, and average the output fidelity
-    over the four outcomes weighted by their probabilities.
+    over the four outcomes weighted by their probabilities.  The four
+    outcomes are one stack: each step is one numpy call over it, with the
+    per-outcome arithmetic of a loop, and the weighted fidelities are
+    added in outcome order.
     """
     if resource.system.dims != (2, 2):
         raise DimensionMismatch(f"resource must be two qubits, got {resource.system.dims}")
     if input_state.system.total_dim != 2:
         raise DimensionMismatch("teleportation input must be a single qubit")
     psi = input_state.vector
-    total = np.kron(np.outer(psi, psi.conj()), resource.matrix)
+    rho_in = np.outer(psi, psi.conj())
+    # input (x) resource, each entry the one product np.kron forms
+    total = (rho_in[:, None, :, None] * resource.matrix[None, :, None, :]).reshape(8, 8)
+    sub = _BELL_PROJECTORS @ total @ _BELL_PROJECTORS
+    probs = sub.trace(axis1=1, axis2=2).real
+    kept = probs > BELL_OUTCOME_FLOOR
+    probs = probs[kept]
+    # trace out the first resource qubit, then the input, as trace_out_axes does
+    t = sub[kept].reshape(-1, 2, 2, 2, 2, 2, 2).trace(axis1=2, axis2=5)
+    out = t.trace(axis1=1, axis2=3) / probs[:, None, None]
+    out = _CORRECTIONS[kept] @ out @ _CORRECTIONS_H[kept]
+    # one (1, 2) @ (2,) dot per outcome, as the loop's: a (k, 2) @ (2,)
+    # product runs a matrix-vector kernel whose last bits differ
+    overlap = ((psi.conj() @ out)[:, None, :] @ psi)[:, 0].real
     fid = 0.0
-    for proj, corr in zip(_BELL_PROJECTORS, _CORRECTIONS):
-        sub = proj @ total @ proj
-        prob = float(np.real(np.trace(sub)))
-        if prob <= BELL_OUTCOME_FLOOR:
-            continue
-        out = trace_out_axes(sub, (2, 2, 2), [0, 1]) / prob
-        out = corr @ out @ corr.conj().T
-        fid += prob * float(np.real(psi.conj() @ out @ psi))
+    for term in (probs * overlap).tolist():
+        fid += term
     return fid
 
 

@@ -170,10 +170,10 @@ class MultipartiteState:
         if m.shape != (d, d):
             raise DimensionMismatch(f"matrix shape {m.shape} != system dimension {d}")
         with np.errstate(over="ignore", invalid="ignore"):  # a huge entry reads as an inf defect
-            defect = float(np.linalg.norm(m - m.conj().T))
+            defect = linalg.norm(m - m.conj().T)
         if defect > linalg.HERMITICITY_TOL:
             raise DimensionMismatch(f"hermiticity defect {defect:.3e}")
-        tr = complex(np.trace(m))
+        tr = complex(m.trace())
         if abs(tr - 1.0) > TRACE_TOL:
             raise DimensionMismatch(f"trace {tr} is not 1 within {TRACE_TOL}")
         object.__setattr__(self, "x_shaped", linalg.is_x_shaped(m))
@@ -197,7 +197,7 @@ class PureState:
                 f"vector length {self.vector.shape[0]} != system dimension "
                 f"{self.system.total_dim}"
             )
-        norm = float(np.linalg.norm(self.vector))
+        norm = linalg.norm(self.vector)
         if abs(norm - 1.0) > PURE_NORM_TOL:
             raise DimensionMismatch(f"vector norm {norm} is not 1 within {PURE_NORM_TOL}")
 
@@ -358,7 +358,7 @@ class SchmidtDecomposition(NamedTuple):
 
     @property
     def rank(self) -> int:
-        return int(np.sum(self.coefficients > SCHMIDT_RANK_TOL))
+        return int(np.count_nonzero(self.coefficients > SCHMIDT_RANK_TOL))
 
 
 def schmidt_decomposition(phi: PureState, cut: BipartiteCut) -> SchmidtDecomposition:
@@ -367,18 +367,17 @@ def schmidt_decomposition(phi: PureState, cut: BipartiteCut) -> SchmidtDecomposi
     phi = sum_i c_i  left[:, i] (x) right[i, :]  after grouping the parties of
     each side in system order; coefficients come back descending.
     """
-    cut.validate(phi.system)
-    left = [l for l in phi.system.labels if l in cut.side_one]
-    right = [l for l in phi.system.labels if l in cut.side_two]
-    perm = [phi.system.axis(l) for l in left + right]
-    v = permute_vector_parties(phi.vector, phi.system.dims, perm)
-    dl = math.prod(phi.system.dim_of(l) for l in left)
-    dr = math.prod(phi.system.dim_of(l) for l in right)
-    u, s, vh = np.linalg.svd(v.reshape(dl, dr), full_matrices=False)
+    system = phi.system
+    cut.validate(system)
+    left = [i for i, l in enumerate(system.labels) if l in cut.side_one]
+    right = [i for i, l in enumerate(system.labels) if l not in cut.side_one]
+    v = permute_vector_parties(phi.vector, system.dims, left + right)
+    dl = math.prod(system.dims[i] for i in left)
+    u, s, vh = np.linalg.svd(v.reshape(dl, -1), full_matrices=False)
     return SchmidtDecomposition(
         coefficients=s,
         left_vectors=u,
         right_vectors=vh,
-        left_labels=tuple(left),
-        right_labels=tuple(right),
+        left_labels=tuple(system.labels[i] for i in left),
+        right_labels=tuple(system.labels[i] for i in right),
     )

@@ -45,6 +45,25 @@ def test_codec_does_not_import_the_report_layer():
     assert "choilab.nonadditivity" not in loaded
 
 
+def test_reproduce_builds_no_random_generator():
+    # localize_entanglement builds its seeded generator at the first random
+    # candidate; reproduce never reaches one, so numpy.random stays unloaded.
+    code = "\n".join(
+        [
+            "import contextlib, io, sys",
+            "import choilab.cli",
+            "with contextlib.redirect_stdout(io.StringIO()):",
+            "    code = choilab.cli.main(['reproduce'])",
+            "print(code, 'numpy.random' in sys.modules)",
+        ]
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([SRC, os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.split() == ["0", "False"]
+
+
 def test_linalg_needs_only_errors():
     assert loaded_after_import("choilab.linalg") == {
         "choilab",

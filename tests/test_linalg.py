@@ -127,3 +127,20 @@ def test_x_shaped_takes_no_dense_solve(monkeypatch):
     want = float(np.linalg.eigvalsh(m)[0])
     monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
     assert abs(min_eigenvalue(m) - want) <= 1e-12 * np.linalg.norm(m)
+
+
+@given(
+    shape=st.sampled_from([(1,), (7,), (16,), (4, 4), (16, 16), (3, 5)]),
+    transposed=st.booleans(),
+    scale=st.sampled_from([1e-200, 1.0, 1e150, 1e300]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_norm_has_the_bits_of_numpy_norm(shape, transposed, scale, seed):
+    rng = np.random.default_rng(seed)
+    x = scale * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+    if transposed:
+        x = x.T  # a view in Fortran order
+    with np.errstate(over="ignore"):
+        got, want = linalg.norm(x), float(np.linalg.norm(x))
+    assert isinstance(got, float)
+    assert np.array([got]).tobytes() == np.array([want]).tobytes()

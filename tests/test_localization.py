@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from choilab import entanglement
 from choilab.entanglement import localize_entanglement
 from choilab.errors import NotSchmidtRank2, OverlappingGroups, UnknownParty
 from choilab.states import (
@@ -169,3 +170,26 @@ class TestRandomRank2Suite:
         for p1, p2 in zip(r1.projections, r2.projections):
             assert p1.party == p2.party
             assert np.array_equal(p1.vector, p2.vector)
+
+
+class TestRandomProjectorFallback:
+    def test_qutrits_draw_from_one_seeded_generator(self):
+        # A qutrit has no fixed candidates, so each factored-out qutrit takes
+        # the next seeded random projector; the sender side draws first and
+        # the receiver side continues the same stream.
+        rng = np.random.default_rng(5)
+        sys = PartySystem(("A1", "A2", "B1", "B2"), (3, 2, 3, 2))
+        chi = random_orthonormal_pair(rng, 6)
+        psi = random_orthonormal_pair(rng, 6)
+        state = rank2_state(sys, ["A1", "A2"], ["B1", "B2"], 0.8, 0.6, chi, psi)
+        result = localize_entanglement(state, ["A1", "A2"], ["B1", "B2"])
+        draws = np.random.default_rng(entanglement._PROJECTOR_SEED)
+        expected = []
+        for _ in range(2):
+            v = draws.standard_normal(3) + 1j * draws.standard_normal(3)
+            expected.append(v / np.linalg.norm(v))
+        assert [p.party for p in result.projections] == ["A1", "B1"]
+        for projection, vector in zip(result.projections, expected):
+            assert np.array_equal(projection.vector, vector)
+        assert (result.sender_kept, result.receiver_kept) == ("A2", "B2")
+        assert_balanced(result)

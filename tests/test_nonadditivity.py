@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from choilab import entanglement, linalg, nonadditivity
 from choilab.channels import completeness_defect, verify_cptp
@@ -36,7 +38,14 @@ from choilab.states import (
     max_entangled,
 )
 
-from conftest import report_entry, report_passed, same_bits
+from conftest import (
+    loop_teleport_fidelity,
+    random_pure_vector,
+    random_state,
+    report_entry,
+    report_passed,
+    same_bits,
+)
 
 
 class TestBuilders:
@@ -281,6 +290,42 @@ class TestTeleportation:
         assert report_entry(rep, "teleport-useless").passed
         assert report_entry(rep, "teleport-localized").passed
         assert report_entry(rep, "teleport-control-useless-resource").passed
+
+    @given(seed=st.integers(0, 2**32 - 1), pure=st.booleans())
+    def test_stacked_outcomes_match_the_loop(self, seed, pure):
+        rng = np.random.default_rng(seed)
+        system = PartySystem(("A", "B"), (2, 2))
+        if pure:
+            resource = PureState(system, random_pure_vector(rng, 4)).density()
+        else:
+            resource = random_state(rng, system)
+        inp = PureState(PartySystem(("M",), (2,)), random_pure_vector(rng, 2))
+        got = teleport_fidelity(resource, inp)
+        assert abs(got - loop_teleport_fidelity(resource, inp)) <= 1e-15
+
+    def test_report_pairs_match_the_loop_bit_for_bit(self, monkeypatch):
+        calls = []
+
+        def recorded(resource, inp):
+            calls.append((resource, inp))
+            return teleport_fidelity(resource, inp)
+
+        monkeypatch.setattr(nonadditivity, "teleport_fidelity", recorded)
+        teleport_report()
+        assert len(calls) == 4
+        for resource, inp in calls:
+            assert same_bits(
+                teleport_fidelity(resource, inp), loop_teleport_fidelity(resource, inp)
+            )
+
+    def test_outcomes_below_the_floor_are_skipped_as_in_the_loop(self):
+        # |00> with input |0> never gives Psi+ or Psi-: both have probability 0
+        system = PartySystem(("A", "B"), (2, 2))
+        resource = PureState(system, np.array([1, 0, 0, 0], dtype=complex)).density()
+        inp = PureState(PartySystem(("M",), (2,)), np.array([1, 0], dtype=complex))
+        got = teleport_fidelity(resource, inp)
+        assert same_bits(got, loop_teleport_fidelity(resource, inp))
+        assert abs(got - 1) <= 1e-12  # the output is |0> on both outcomes
 
     def test_dimension_gates(self):
         resource = max_entangled(2, ("A", "B")).density()
