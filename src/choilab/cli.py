@@ -30,7 +30,6 @@ from .codec import (
 )
 from .entanglement import (
     all_cut_indices,
-    cut_side,
     disjoint_groups,
     ghz_diagonal_coefficients,
     npt_vector,
@@ -75,7 +74,7 @@ def _finish(args, entries: list[dict], artifact: dict | None = None) -> int:
 
 def _render_human(report: dict) -> None:
     print(f"choilab {report['version']} :: {report['command']}")
-    print(f"positivity threshold: -{report['tolerance']:g}")
+    print(f"positivity threshold: {-report['tolerance']:g}")
     for entry in report["entries"]:
         print(f"  [{entry['status']:>4}] {entry['id']:<34} {entry['computed']}")
     print(f"overall: {report['overall']}")
@@ -152,8 +151,9 @@ def _cmd_classify(args) -> int:
     Cut k's row makes one ppt_check call by its index, on an X-shaped
     state an O(1) read of what entanglement.cut_min_eigenvalues solved for
     all cuts at once; the calls stay so that the benchmark's per-cut
-    ppt_check count holds.  The row is named by states.cut_name of
-    entanglement.cut_side, with no cut object built.  The fingerprint's
+    ppt_check count holds.  Cuts are numbers throughout: states.cut_name
+    names cut k in its row and in a pair's blocking list, which
+    entanglement.pair_verdicts gives as numbers.  The fingerprint's
     bit-string names are made here: the lambda-j rows zip all_cut_indices
     with the lambdas array.  The criterion column and the pair verdicts
     each read one NPT vector.
@@ -200,7 +200,7 @@ def _cmd_classify(args) -> int:
         row = {
             "id": f"cut-{j}",
             "status": "info",
-            "cut": cut_name(sys_, cut_side(sys_, k)),
+            "cut": cut_name(sys_, k),
             "min_eigenvalue": verdict.min_eigenvalue,
             "eigensolver": "PPT" if verdict.is_ppt else "NPT",
         }
@@ -216,7 +216,7 @@ def _cmd_classify(args) -> int:
     if ghz_diagonal:
         for (one, two), verdict in zip(pairs, pair_verdicts(coeffs, pairs, threshold)):
             a, b = ",".join(one), ",".join(two)
-            blocking = "; ".join(c.describe(sys_) for c in verdict.blocking_cuts)
+            blocking = "; ".join(cut_name(sys_, k) for k in verdict.blocking_cuts)
             result = (
                 "distillable" if verdict.distillable else f"not distillable (blocking: {blocking})"
             )

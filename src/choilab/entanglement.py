@@ -18,8 +18,9 @@ entanglement between them.  Outside the class only partial-transpose
 facts are reported, never verdicts.
 
 Inside the module a cut is its number k (the cut index j read in
-binary), decoded from either form in one place (_cut_number); cut_side
-gives the parties on its side without the last one.  No partial
+binary), decoded from either form in one place (_cut_number);
+states.cut_side gives the parties on its side without the last one, and
+the pair verdicts report their blocking cuts as numbers.  No partial
 transpose of an X-shaped state (GHZ-diagonal ones included) is built:
 cut_min_eigenvalues solves every cut from one gather of the anti-diagonal
 and keeps the values with the state, and ppt_check reads cut k there
@@ -52,6 +53,7 @@ from .states import (
     MultipartiteState,
     PartySystem,
     PureState,
+    cut_side,
     partial_transpose,
     permute_vector_parties,
     schmidt_decomposition,
@@ -217,12 +219,6 @@ def _cut_number(cut: BipartiteCut | str, system: PartySystem) -> int:
     return k
 
 
-def cut_side(system: PartySystem, k: int) -> list[str]:
-    """The side of cut k without the last party: party i < N-1 iff bit N-2-i of k is set."""
-    n = system.num_parties
-    return [l for i, l in enumerate(system.labels[:-1]) if k >> (n - 2 - i) & 1]
-
-
 def ghz_diagonal_coefficients(state: MultipartiteState) -> GhzDiagonalCoefficients:
     """Read the GHZ-basis diagonal of an N-qubit state.
 
@@ -293,8 +289,14 @@ def npt_criterion(
 
 @dataclass(frozen=True)
 class DistillabilityVerdict:
+    """Distillable iff no separating cut is PPT.
+
+    blocking_cuts are the numbers k of the PPT separating cuts, in index
+    order; states.cut_name(system, k) names one.
+    """
+
     distillable: bool
-    blocking_cuts: tuple[BipartiteCut, ...]  # the separating cuts that are PPT
+    blocking_cuts: tuple[int, ...]
 
 
 def disjoint_groups(
@@ -320,17 +322,16 @@ def pair_verdicts(
     Cut k (cut_to_index read as a number, with the last party's bit 0
     appended) separates two groups iff its bits agree within each group's
     mask and differ between the two.  One (pairs, cuts) mask over the PPT
-    cuts gives the blocking cuts, with the same dozen numpy calls for any
-    number of pairs and parties; only the blocking cuts are built, in
-    index order, each with side_one holding group_one.
+    cuts gives each pair's blocking cut numbers in index order, with the
+    same dozen numpy calls for any number of pairs and parties and no cut
+    object built.
     """
     sys = coeffs.system
-    labels = sys.labels
-    n = len(labels)
-    bit = {l: 1 << (n - 1 - i) for i, l in enumerate(labels)}
-    groups = [disjoint_groups(sys, *pair) for pair in pairs]
+    n = sys.num_parties
+    bit = {l: 1 << (n - 1 - i) for i, l in enumerate(sys.labels)}
     rows = []
-    for g1, g2 in groups:
+    for pair in pairs:
+        g1, g2 = disjoint_groups(sys, *pair)
         a, b = sum(map(bit.get, g1)), sum(map(bit.get, g2))
         rows.append((a, b, a | b))
     # (pairs, 1) columns: the two group masks and their union
@@ -340,14 +341,9 @@ def pair_verdicts(
     codes = np.where(npt_vector(coeffs, threshold), -1, np.arange(2, 1 << n, 2))
     on = codes & both
     where_pair, where_cut = np.nonzero((on == m1) | (on == m2))
-    everyone = frozenset(labels)
-    found = [[] for _ in groups]
+    found = [[] for _ in rows]
     for p, col in zip(where_pair.tolist(), where_cut.tolist()):
-        k = (col + 1) << 1
-        side = frozenset(l for l in labels if k & bit[l])
-        if not groups[p][0] <= side:
-            side = everyone - side
-        found[p].append(BipartiteCut(side, everyone - side))
+        found[p].append(col + 1)
     return [DistillabilityVerdict(distillable=not f, blocking_cuts=tuple(f)) for f in found]
 
 

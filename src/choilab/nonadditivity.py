@@ -41,6 +41,7 @@ from .states import (
     MultipartiteState,
     PartySystem,
     PureState,
+    cut_name,
     ghz_basis_state,
     max_entangled,
     partial_trace,
@@ -377,9 +378,7 @@ def capacity_proxy_report(scenario: Scenario) -> ReproductionReport:
             # a cut separating the senders from both receivers blocks
             # each witness; list it once, in first-seen order
             blocking = dict.fromkeys(
-                c.describe(CHOI_SYSTEM)
-                for w in proxy.witnesses
-                for c in w.blocking_cuts
+                cut_name(CHOI_SYSTEM, k) for w in proxy.witnesses for k in w.blocking_cuts
             )
             entries.append(
                 ClaimEntry(

@@ -6,7 +6,8 @@ computational-basis indices map big-endian (first party most significant).
 records whether it is X-shaped (see ``linalg``); ``PureState`` wraps a
 unit vector.  Bipartite cuts are unordered two-block partitions of the
 labels; by convention operations that transpose or decompose act on
-``side_one``.
+``side_one``.  Cut k, 1 <= k < 2^(N-1), is the one whose side without the
+last party is read from the bits of k (``cut_side``); ``cut_name`` names it.
 """
 
 from __future__ import annotations
@@ -125,19 +126,21 @@ class BipartiteCut:
                 f"does not cover {system.labels}"
             )
 
-    def describe(self, system: PartySystem) -> str:
-        """The cut's name, cut_name of either side."""
-        return cut_name(system, self.side_one)
+
+def cut_side(system: PartySystem, k: int) -> list[str]:
+    """The side of cut k without the last party: party i < N-1 iff bit N-2-i of k is set."""
+    n = system.num_parties
+    return [l for i, l in enumerate(system.labels[:-1]) if k >> (n - 2 - i) & 1]
 
 
-def cut_name(system: PartySystem, side: Iterable[str]) -> str:
-    """The cut between ``side`` and the other parties, named by its two sides.
+def cut_name(system: PartySystem, k: int) -> str:
+    """Cut k named by its two sides.
 
-    Both sides in system order, the side holding the first party first:
-    the text does not depend on which side is given, so one cut reads the
-    same wherever it is reported.
+    Both sides in system order, the side holding the first party first
+    (``A,C | B``, never ``B | A,C``), so one cut reads the same wherever
+    it is reported.
     """
-    side = frozenset(side)
+    side = cut_side(system, k)
     first = system.labels[0] in side
     one = [l for l in system.labels if (l in side) is first]
     two = [l for l in system.labels if (l in side) is not first]

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import settings
 
 from choilab import linalg
-from choilab.entanglement import _cut_number, all_cut_indices, cut_side
+from choilab.entanglement import _cut_number, all_cut_indices
 from choilab.errors import DimensionMismatch
 from choilab.nonadditivity import BELL_OUTCOME_FLOOR
 from choilab.states import (
@@ -211,8 +211,42 @@ def _proj(v: np.ndarray) -> np.ndarray:
 
 
 def index_to_cut(j: str, system: PartySystem) -> BipartiteCut:
-    """The cut named by index j: the inverse of entanglement.cut_to_index."""
-    return BipartiteCut.from_side(system, cut_side(system, _cut_number(j, system)))
+    """The cut named by index j: the inverse of entanglement.cut_to_index.
+
+    side_one holds party i iff j_i is "1", so it never holds the last party.
+    """
+    _cut_number(j, system)  # rejects a string that names no cut
+    return BipartiteCut.from_side(system, [l for l, b in zip(system.labels, j) if b == "1"])
+
+
+def describe(cut: BipartiteCut, system: PartySystem) -> str:
+    """The name a cut had when it was named from its side_one, the oracle of states.cut_name.
+
+    Both sides in system order, the side holding the first party first.
+    """
+    first = system.labels[0] in cut.side_one
+    one = [l for l in system.labels if (l in cut.side_one) is first]
+    two = [l for l in system.labels if (l in cut.side_one) is not first]
+    return f"{','.join(one)} | {','.join(two)}"
+
+
+def walk_blocking_cuts(c, one, two, threshold: float) -> list[int]:
+    """Brute-force blocking cuts of a pair: every cut index, its cut object and the coefficient rule.
+
+    The number of each separating cut whose lambda_j - delta/2 is at least
+    ``threshold``, in index order: the oracle of entanglement.pair_verdicts.
+    """
+    system = c.system
+    found = []
+    for k, j in enumerate(all_cut_indices(system.num_parties), start=1):
+        cut = index_to_cut(j, system)
+        separates = any(
+            set(one) <= a and set(two) <= b
+            for a, b in ((cut.side_one, cut.side_two), (cut.side_two, cut.side_one))
+        )
+        if separates and float(c.lambdas[k - 1]) - c.delta / 2 >= threshold:
+            found.append(k)
+    return found
 
 
 def report_entry(report, claim_id: str):

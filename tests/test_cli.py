@@ -11,7 +11,7 @@ import pytest
 import choilab
 from choilab import channels, cli, codec, linalg, states
 from choilab.cli import main
-from choilab.entanglement import all_cut_indices, ppt_check
+from choilab.entanglement import all_cut_indices, ghz_diagonal_coefficients, ppt_check
 from choilab.codec import (
     channel_from_dict,
     channel_to_dict,
@@ -31,10 +31,12 @@ from choilab.states import MultipartiteState, PartySystem, ghz_basis_state
 
 from conftest import (
     REJECTED_MATRICES,
+    describe,
     ghz_diagonal_state,
     index_to_cut,
     random_ghz_diagonal_state,
     random_state,
+    walk_blocking_cuts,
 )
 
 
@@ -392,9 +394,10 @@ class TestClassify:
             assert len(pairs) == 15
             for key, entry in pairs.items():
                 assert entry["distillable"] is not (set(key[8:].split("-vs-")) & members), key
-            # one cut built per blocking cut, none for a cut row or a distillable pair
+            # blocking cuts are numbers named by states.cut_name: no cut is built
             blocking = sum(e["computed"].count(" | ") for e in pairs.values())
-            assert len(built) == blocking == (5 if len(members) == 1 else 10)
+            assert blocking == (5 if len(members) == 1 else 10)
+            assert built == []
 
         # One state read, both thresholds: the kept values do not depend on either.
         state = state_from_dict(loads(path.read_text()))
@@ -414,9 +417,45 @@ class TestClassify:
             assert code == 0
             names = {e["id"]: e["cut"] for e in json.loads(out)["entries"] if "cut" in e}
             assert names == {
-                f"cut-{j}": index_to_cut(j, system).describe(system)
+                f"cut-{j}": describe(index_to_cut(j, system), system)
                 for j in all_cut_indices(len(dims))
             }
+
+    def test_pair_rows_name_the_brute_force_blocking_cuts(self, tmp_path, capsys):
+        # Eight qubits with about half of the 127 cuts PPT: lambda_j uniform
+        # in [0, 0.005) against delta/2 = 0.0025.  Each pair row lists the
+        # names of the cuts the brute-force walk finds, in index order.
+        n = 8
+        system = PartySystem(tuple(f"Q{i}" for i in range(n)), (2,) * n)
+        lambdas = np.random.default_rng(18).random(127) / 200
+        delta = 0.005
+        assert np.abs(lambdas - delta / 2).min() > 1e-7  # no verdict sits on the threshold
+        rest = 1 - 2 * lambdas.sum()
+        weights = {("0" * (n - 1), 1): (rest + delta) / 2, ("0" * (n - 1), -1): (rest - delta) / 2}
+        for j, lam in zip(all_cut_indices(n), lambdas):
+            weights[(j, 1)] = weights[(j, -1)] = lam
+        state = ghz_diagonal_state(system, weights)
+        path = tmp_path / "ghz8_many_ppt.json"
+        path.write_text(dumps(state_to_dict(state)))
+        pairs = [((a,), (b,)) for i, a in enumerate(system.labels) for b in system.labels[i + 1 :]]
+        pairs += [(("Q0", "Q1"), ("Q7",)), (("Q2",), ("Q3", "Q5", "Q6"))]
+        flags = [f for one, two in pairs[-2:] for f in ("--pair", f"{','.join(one)}:{','.join(two)}")]
+        coeffs = ghz_diagonal_coefficients(state)
+        ppt = int(np.count_nonzero(coeffs.lambdas - coeffs.delta / 2 >= linalg.PSD_THRESHOLD))
+        assert 40 < ppt < 90
+        for argv in ([], flags):
+            code, out, _ = run(capsys, "--format", "json", "classify", str(path), *argv)
+            assert code == 0
+            rows = {e["id"]: e for e in json.loads(out)["entries"] if e["id"].startswith("distill-")}
+            expected_pairs = pairs[:28] if not argv else pairs[-2:]
+            assert len(rows) == len(expected_pairs)
+            for one, two in expected_pairs:
+                a, b = ",".join(one), ",".join(two)
+                ks = walk_blocking_cuts(coeffs, one, two, linalg.PSD_THRESHOLD)
+                names = [describe(index_to_cut(all_cut_indices(n)[k - 1], system), system) for k in ks]
+                result = f"not distillable (blocking: {'; '.join(names)})" if ks else "distillable"
+                assert rows[f"distill-{a}-vs-{b}"]["computed"] == f"{a} vs {b}: {result}"
+                assert rows[f"distill-{a}-vs-{b}"]["distillable"] is (not ks)
 
     def test_qudit_state_rejected(self, tmp_path, capsys):
         sys = PartySystem(("A", "B"), (3, 3))
@@ -817,6 +856,24 @@ class TestOutputContract:
             assert text == json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n"
         if channel_set == "binding":  # large and sparse enough for the array reader
             assert codec._read_pairs(mixed_path.read_text()) is not None
+
+    @pytest.mark.parametrize(
+        "tolerance, line",
+        [
+            (None, "-1e-09"),
+            ("0.01", "-0.01"),
+            ("0", "-0"),
+            ("-0.5", "0.5"),
+            ("-1e-12", "1e-12"),
+        ],
+    )
+    def test_human_header_prints_the_threshold(self, fixture_dir, capsys, tolerance, line):
+        # the threshold is -tolerance, printed as one number whatever its sign
+        flags = [] if tolerance is None else [f"--tolerance={tolerance}"]
+        _, out, _ = run(capsys, *flags, "verify", str(fixture_dir / "e1.json"))
+        assert out.splitlines()[1] == f"positivity threshold: {line}"
+        _, report, _ = run(capsys, "--format", "json", *flags, "verify", str(fixture_dir / "e1.json"))
+        assert json.loads(report)["tolerance"] == (1e-9 if tolerance is None else float(tolerance))
 
     @staticmethod
     def _assert_report(out, fmt, command):

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from choilab import entanglement, linalg
+from choilab import entanglement, linalg, states
 from choilab.entanglement import (
     ASYMMETRY_TOL,
     GhzDiagonalCoefficients,
@@ -48,6 +48,7 @@ from conftest import (
     random_state,
     random_x_state,
     same_bits,
+    walk_blocking_cuts,
 )
 
 
@@ -524,29 +525,27 @@ class TestNptCriterion:
                 assert npt_criterion(c, cut, t) is (not ppt), (j, t)
 
 
-def sides(cut: BipartiteCut) -> set[tuple[frozenset, frozenset]]:
-    """The cut's two orientations, so cuts compare whichever side is side_one."""
-    return {(cut.side_one, cut.side_two), (cut.side_two, cut.side_one)}
-
-
 class TestPairwiseDistillability:
-    def test_channel_one_blocked(self, scenario_states, four_qubits):
+    def test_channel_one_blocked(self, scenario_states):
         c = ghz_diagonal_coefficients(scenario_states["E1"])
         verdict = pairwise_distillability(c, ("A1", "A2"), ("B",))
         assert not verdict.distillable
+        assert verdict.blocking_cuts == (0b010,)
+        assert list(verdict.blocking_cuts) == walk_blocking_cuts(c, ("A1", "A2"), ("B",), PSD_THRESHOLD)
         # at threshold -1 every separating cut blocks
-        assert len(pairwise_distillability(c, ("A1", "A2"), ("B",), -1).blocking_cuts) == 2
-        blocking_js = {cut_to_index(b, four_qubits) for b in verdict.blocking_cuts}
-        assert blocking_js == {"010"}
+        walk = pairwise_distillability(c, ("A1", "A2"), ("B",), -1)
+        assert walk.blocking_cuts == (0b010, 0b101)
+        assert list(walk.blocking_cuts) == walk_blocking_cuts(c, ("A1", "A2"), ("B",), -1)
 
-    def test_mixture_distillable(self, scenario_states, four_qubits):
+    def test_mixture_distillable(self, scenario_states):
         c = ghz_diagonal_coefficients(scenario_states["mix"])
-        for receiver, expected_js in (("B", {"101", "010"}), ("C", {"101", "111"})):
+        for receiver, expected in (("B", (0b010, 0b101)), ("C", (0b101, 0b111))):
             verdict = pairwise_distillability(c, ("A1", "A2"), (receiver,))
             assert verdict.distillable
+            assert verdict.blocking_cuts == ()
             walk = pairwise_distillability(c, ("A1", "A2"), (receiver,), -1)
-            js = {cut_to_index(s, four_qubits) for s in walk.blocking_cuts}
-            assert js == expected_js
+            assert walk.blocking_cuts == expected
+            assert list(walk.blocking_cuts) == walk_blocking_cuts(c, ("A1", "A2"), (receiver,), -1)
 
     @settings(max_examples=80)
     @given(
@@ -556,8 +555,6 @@ class TestPairwiseDistillability:
         threshold=st.one_of(st.just(PSD_THRESHOLD), st.just(-1.0), st.floats(-0.05, 0.05)),
     )
     def test_matches_brute_force_walk_of_cuts(self, n, seed, data, threshold):
-        # at threshold -1 every separating cut blocks, so the blocking cuts
-        # are the whole walk
         # roles: 1 puts a party in group one, 2 in group two, 0 leaves it
         # free; parties p and q keep both groups nonempty
         roles = data.draw(st.lists(st.sampled_from((0, 1, 2)), min_size=n, max_size=n))
@@ -570,18 +567,14 @@ class TestPairwiseDistillability:
         )
         one = tuple(l for l, r in zip(system.labels, roles) if r == 1)
         two = tuple(l for l, r in zip(system.labels, roles) if r == 2)
-        separating, blocking = [], []
-        for j in all_cut_indices(n):
-            cut = index_to_cut(j, system)
-            if any(set(one) <= a and set(two) <= b for a, b in sides(cut)):
-                separating.append(cut)
-                if weight(c, j) - c.delta / 2 >= threshold:
-                    blocking.append(cut)
+        blocking = walk_blocking_cuts(c, one, two, threshold)
         if threshold == -1:
-            assert blocking == separating
+            # every separating cut blocks: one side holds group one, the other group two
+            free = roles.count(0)
+            assert len(blocking) == 2**free
         verdict = pairwise_distillability(c, one, two, threshold)
-        assert all(set(one) <= x.side_one for x in verdict.blocking_cuts)
-        assert [sides(x) for x in verdict.blocking_cuts] == [sides(x) for x in blocking]
+        assert all(type(k) is int for k in verdict.blocking_cuts)
+        assert verdict.blocking_cuts == tuple(blocking)
         assert verdict.distillable is (not blocking)
 
     def test_reads_cuts_by_bit_mask(self, scenario_states, monkeypatch):
@@ -591,22 +584,19 @@ class TestPairwiseDistillability:
             raise AssertionError("cut_to_index called")
 
         c = ghz_diagonal_coefficients(scenario_states["mix"])
+        expected = {
+            (("A1", "A2"), ("C",)): (0b101, 0b111),  # sides {A1,A2}, {A1,B,A2}
+            (("C",), ("B",)): (0b010, 0b011, 0b110, 0b111),  # C with A1,A2 / A1 / A2 / none
+        }
+        walks = {pair: walk_blocking_cuts(c, *pair, -1) for pair in expected}
         monkeypatch.setattr(entanglement, "cut_to_index", refuse)
         assert pairwise_distillability(c, ("A1", "A2"), ("C",)).distillable
-        verdict = pairwise_distillability(c, ("A1", "A2"), ("C",), -1)
-        assert [x.side_one for x in verdict.blocking_cuts] == [
-            {"A1", "A2"},
-            {"A1", "B", "A2"},
-        ]
-        verdict = pairwise_distillability(c, ("C",), ("B",), -1)
-        assert [x.side_one for x in verdict.blocking_cuts] == [
-            {"A1", "A2", "C"},
-            {"A1", "C"},
-            {"A2", "C"},
-            {"C"},
-        ]
+        for pair, ks in expected.items():
+            verdict = pairwise_distillability(c, *pair, -1)
+            assert verdict.blocking_cuts == ks
+            assert list(verdict.blocking_cuts) == walks[pair]
 
-    def test_builds_only_blocking_cuts(self, scenario_states, monkeypatch):
+    def test_builds_no_cuts(self, scenario_states, monkeypatch):
         built = []
 
         class CountingCut(BipartiteCut):
@@ -615,12 +605,13 @@ class TestPairwiseDistillability:
                 super().__post_init__()
 
         monkeypatch.setattr(entanglement, "BipartiteCut", CountingCut)
-        for key, n_blocking in (("E1", 1), ("mix", 0)):
+        monkeypatch.setattr(states, "BipartiteCut", CountingCut)
+        for key, blocking in (("E1", (0b010,)), ("mix", ())):
             c = ghz_diagonal_coefficients(scenario_states[key])
             built.clear()
             verdict = pairwise_distillability(c, ("A1", "A2"), ("B",))
-            assert len(verdict.blocking_cuts) == n_blocking
-            assert built == list(verdict.blocking_cuts)
+            assert verdict.blocking_cuts == blocking
+            assert built == []
 
     def test_overlapping_groups(self, scenario_states):
         c = ghz_diagonal_coefficients(scenario_states["E1"])

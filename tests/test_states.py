@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from choilab import linalg
+from choilab.entanglement import _cut_number
 from choilab.errors import (
     DimensionMismatch,
     IndexOutOfRange,
@@ -19,6 +20,8 @@ from choilab.states import (
     PartySystem,
     PureState,
     basis_index,
+    cut_name,
+    cut_side,
     fidelity,
     ghz_basis_state,
     max_entangled,
@@ -29,6 +32,8 @@ from choilab.states import (
 )
 
 from conftest import (
+    describe,
+    index_to_cut,
     random_density_matrix,
     random_ghz_diagonal_state,
     random_pure_vector,
@@ -76,14 +81,26 @@ class TestCut:
         with pytest.raises(UnknownParty):
             BipartiteCut(frozenset({"A"}), frozenset({"B"})).validate(sys)
 
-    def test_describe_ignores_side_order(self):
+    def test_cut_name_ignores_side_order(self):
         sys = qubits("A1", "B", "A2", "C")
         for side in (["B"], ["A1", "A2"], ["A1", "C"], ["B", "A2", "C"]):
             cut = BipartiteCut.from_side(sys, side)
             swapped = BipartiteCut(cut.side_two, cut.side_one)
-            assert cut.describe(sys) == swapped.describe(sys)
-            assert cut.describe(sys).startswith("A1")
-        assert BipartiteCut.from_side(sys, ["B"]).describe(sys) == "A1,A2,C | B"
+            name = cut_name(sys, _cut_number(cut, sys))
+            assert name == describe(cut, sys) == describe(swapped, sys)
+            assert name.startswith("A1")
+        assert cut_name(sys, 0b010) == "A1,A2,C | B"
+
+    @pytest.mark.parametrize("n", range(2, 8))
+    def test_cut_name_of_every_number(self, n):
+        # the name of cut k is the one read from either side of the cut object
+        dims = (2, 3, 2, 4, 2, 2, 3)[:n]
+        sys = PartySystem(tuple(f"P{i}" for i in range(n)), dims)
+        for k in range(1, 1 << (n - 1)):
+            cut = index_to_cut(format(k, f"0{n - 1}b"), sys)
+            assert cut_side(sys, k) == [l for l in sys.labels if l in cut.side_one]
+            swapped = BipartiteCut(cut.side_two, cut.side_one)
+            assert cut_name(sys, k) == describe(cut, sys) == describe(swapped, sys), k
 
 
 class TestBasisProjector:
