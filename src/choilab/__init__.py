@@ -25,7 +25,6 @@ _EXPORTS = {
         "LocalizationResult",
         "PtVerdict",
         "cut_min_eigenvalues",
-        "cut_to_index",
         "filter_to_maximally_entangled",
         "ghz_diagonal_coefficients",
         "localize_entanglement",
@@ -37,10 +36,10 @@ _EXPORTS = {
         "two_qubit_separability",
     ),
     "states": (
-        "BipartiteCut",
         "MultipartiteState",
         "PartySystem",
         "PureState",
+        "cut_number",
         "fidelity",
         "ghz_basis_state",
         "max_entangled",

@@ -122,7 +122,7 @@ def _cmd_choi(args) -> int:
 def _parse_pairs(specs, system) -> list[tuple[tuple[str, ...], tuple[str, ...]]]:
     """The --pair group pairs, each checked against the system and listed once.
 
-    With no --pair, every pair of single parties.
+    No group may list a party twice.  With no --pair, every pair of single parties.
     """
     pairs = []
     if specs:
@@ -135,6 +135,8 @@ def _parse_pairs(specs, system) -> list[tuple[tuple[str, ...], tuple[str, ...]]]
                 tuple(s.strip() for s in one.split(",")),
                 tuple(s.strip() for s in two.split(",")),
             )
+            if any(len(set(group)) < len(group) for group in pair):
+                raise ParseError(f"--pair lists a party twice within a group (got {spec!r})")
             disjoint_groups(system, *pair)
             pairs.append(pair)
     else:
@@ -148,7 +150,7 @@ def _parse_pairs(specs, system) -> list[tuple[tuple[str, ...], tuple[str, ...]]]
 def _cmd_classify(args) -> int:
     """Rows for the GHZ fingerprint, every cut and every group pair.
 
-    Cut k's row makes one ppt_check call by its index, on an X-shaped
+    Cut k's row makes one ppt_check call by its number, on an X-shaped
     state an O(1) read of what entanglement.cut_min_eigenvalues solved for
     all cuts at once; the calls stay so that the benchmark's per-cut
     ppt_check count holds.  Cuts are numbers throughout: states.cut_name
@@ -196,7 +198,7 @@ def _cmd_classify(args) -> int:
             )
         npt = npt_vector(coeffs, threshold).tolist()
     for k, j in enumerate(all_cut_indices(sys_.num_parties), start=1):
-        verdict = ppt_check(state, j, threshold=threshold)
+        verdict = ppt_check(state, k, threshold=threshold)
         row = {
             "id": f"cut-{j}",
             "status": "info",

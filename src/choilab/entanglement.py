@@ -17,15 +17,16 @@ across every cut separating two groups is sufficient for distilling
 entanglement between them.  Outside the class only partial-transpose
 facts are reported, never verdicts.
 
-Inside the module a cut is its number k (the cut index j read in
-binary), decoded from either form in one place (_cut_number);
-states.cut_side gives the parties on its side without the last one, and
+ppt_check and npt_criterion take a cut as its number k (the cut index j
+read in binary, 1 <= k < 2^(N-1)); states.cut_number gives the k of a
+side, states.cut_side the parties on its side without the last one, and
 the pair verdicts report their blocking cuts as numbers.  No partial
 transpose of an X-shaped state (GHZ-diagonal ones included) is built:
 cut_min_eigenvalues solves every cut from one gather of the anti-diagonal
-and keeps the values with the state, and ppt_check reads cut k there
-whichever form names it.  The coefficient rule is one vector over the
-cuts (npt_vector), which npt_criterion and pair_verdicts read.
+and keeps the values with the state, and ppt_check reads cut k there.
+The coefficient rule is one vector over the cuts (npt_vector), which
+npt_criterion and pair_verdicts read.  The localization code names a cut
+by a side, as states.schmidt_decomposition takes it.
 
 The localization procedure turns a Schmidt-rank-2 pure state shared by a
 sender group and a receiver group into a maximally entangled pair between
@@ -49,7 +50,6 @@ from .errors import (
     UnknownParty,
 )
 from .states import (
-    BipartiteCut,
     MultipartiteState,
     PartySystem,
     PureState,
@@ -87,14 +87,13 @@ def _flip_map(dims: tuple[int, ...], axes) -> np.ndarray:
 def cut_min_eigenvalues(state: MultipartiteState) -> np.ndarray:
     """Smallest partial-transpose eigenvalue of every cut of an X-shaped state.
 
-    Entry k-1 is cut k (cut_to_index read as a number) with the side
-    without the last party transposed.  Transposing the parties T moves
-    entry (a, b) to ((b_T, a_R), (a_T, b_R)): the diagonal stays put and
-    the anti-diagonal flips along the T axes, x -> x xor (k << 1) for
-    qubits.  So all cuts are one gather and one stacked block solve (in
-    batches of _GATHER_BATCH entries) that reads the entries of each dense
-    partial transpose, bit for bit.  The read-only result is kept with the
-    state.
+    Entry k-1 is cut k with its side without the last party (cut_side)
+    transposed.  Transposing the parties T moves entry (a, b) to
+    ((b_T, a_R), (a_T, b_R)): the diagonal stays put and the anti-diagonal
+    flips along the T axes, x -> x xor (k << 1) for qubits.  So all cuts
+    are one gather and one stacked block solve (in batches of
+    _GATHER_BATCH entries) that reads the entries of each dense partial
+    transpose, bit for bit.  The read-only result is kept with the state.
     """
     if not state.x_shaped:
         raise DimensionMismatch("the cut spectra are read only from an X-shaped state")
@@ -118,30 +117,36 @@ def cut_min_eigenvalues(state: MultipartiteState) -> np.ndarray:
     return lows
 
 
+def _cut(system: PartySystem, k: int) -> int:
+    """k itself if it numbers a cut of the system, 1 <= k < 2^(N-1); else UnknownParty."""
+    if not isinstance(k, (int, np.integer)) or not 0 < k < 1 << (system.num_parties - 1):
+        raise UnknownParty(f"no cut number {k!r} for {system.labels}")
+    return k
+
+
 def ppt_check(
     state: MultipartiteState,
-    cut: BipartiteCut | str,
+    k: int,
     threshold: float = linalg.PSD_THRESHOLD,
 ) -> PtVerdict:
-    """Eigensolver route: minimum eigenvalue of the partial transpose across a cut.
+    """Eigensolver route: minimum eigenvalue of the partial transpose across cut k.
 
-    The cut is a BipartiteCut or a cut index (see cut_to_index); either
-    way cut_side of its number, the side without the last party, is the
-    one transposed.  The other side has the same spectrum, but on a state
+    cut_side(system, k), the side without the last party, is the one
+    transposed.  The other side has the same spectrum, but on a state
     Hermitian only within HERMITICITY_TOL not the same last bits, so one
-    side per cut keeps both forms on the same bits.  An X-shaped state
+    side per cut keeps both routes on the same bits.  An X-shaped state
     reads cut_min_eigenvalues, which solves all of its cuts on first use;
     any other state is transposed and solved densely.  The route reads
     matrix entries, never the GHZ coefficients, so it checks
     npt_criterion.
     """
     system = state.system
-    k = _cut_number(cut, system)
+    k = _cut(system, k)
     if state.x_shaped:
         low = float(cut_min_eigenvalues(state)[k - 1])
     else:
-        cut = BipartiteCut.from_side(system, cut_side(system, k))
-        low = linalg.min_eigenvalue(partial_transpose(state, cut), x_shaped=False)
+        pt = partial_transpose(state, cut_side(system, k))
+        low = linalg.min_eigenvalue(pt, x_shaped=False)
     return PtVerdict(min_eigenvalue=low, is_ppt=low >= threshold)
 
 
@@ -149,7 +154,7 @@ def two_qubit_separability(state: MultipartiteState) -> bool:
     """Separability of a two-qubit state (PPT is necessary and sufficient in 2x2)."""
     if state.system.dims != (2, 2):
         raise DimensionMismatch(f"need a 2x2-qubit state, got dims {state.system.dims}")
-    return ppt_check(state, "1").is_ppt
+    return ppt_check(state, 1).is_ppt
 
 
 @dataclass(frozen=True, eq=False)
@@ -198,25 +203,6 @@ def all_cut_indices(num_parties: int) -> tuple[str, ...]:
         n = num_parties - 1
         js = _CUT_INDICES[num_parties] = tuple(format(k, f"0{n}b") for k in range(1, 1 << n))
     return js
-
-
-def cut_to_index(cut: BipartiteCut, system: PartySystem) -> str:
-    """Bit string with j_i = 1 iff party i sits on the side without the last party."""
-    return format(_cut_number(cut, system), f"0{system.num_parties - 1}b")
-
-
-def _cut_number(cut: BipartiteCut | str, system: PartySystem) -> int:
-    """The number k, 1 <= k < 2^(N-1), of a BipartiteCut or of a cut index (k in binary)."""
-    if isinstance(cut, str):
-        if len(cut) != system.num_parties - 1 or "1" not in cut or cut.strip("01"):
-            raise UnknownParty(f"invalid cut index {cut!r} for {system.labels}")
-        return int(cut, 2)
-    cut.validate(system)
-    with_last = cut.side_one if system.labels[-1] in cut.side_one else cut.side_two
-    k = 0
-    for l in system.labels[:-1]:
-        k = 2 * k + (l not in with_last)
-    return k
 
 
 def ghz_diagonal_coefficients(state: MultipartiteState) -> GhzDiagonalCoefficients:
@@ -271,10 +257,10 @@ def npt_vector(
 
 def npt_criterion(
     coeffs: GhzDiagonalCoefficients,
-    cut: BipartiteCut | str,
+    k: int,
     threshold: float = linalg.PSD_THRESHOLD,
 ) -> bool:
-    """Coefficient route: the cut is NPT iff lambda_j - delta/2 < threshold.
+    """Coefficient route: cut k is NPT iff lambda_j - delta/2 < threshold.
 
     lambda_j - delta/2 is the smallest eigenvalue of the partial transpose
     across the cut, so with the eigensolver's threshold the two routes
@@ -283,7 +269,7 @@ def npt_criterion(
     from coeffs.plus and coeffs.minus on every call (npt_vector).  Requires
     the state to actually be GHZ-diagonal.
     """
-    k = _cut_number(cut, coeffs.system)
+    k = _cut(coeffs.system, k)
     return bool(npt_vector(coeffs, threshold)[k - 1])
 
 
@@ -319,8 +305,8 @@ def pair_verdicts(
 ) -> list[DistillabilityVerdict]:
     """pairwise_distillability of each (group_one, group_two) in ``pairs``.
 
-    Cut k (cut_to_index read as a number, with the last party's bit 0
-    appended) separates two groups iff its bits agree within each group's
+    Cut k (its bits, with the last party's bit 0 appended, as cut_side
+    reads them) separates two groups iff its bits agree within each group's
     mask and differ between the two.  One (pairs, cuts) mask over the PPT
     cuts gives each pair's blocking cut numbers in index order, with the
     same dozen numpy calls for any number of pairs and parties and no cut
@@ -393,8 +379,7 @@ def filter_to_maximally_entangled(phi: PureState) -> tuple[PureState, float]:
     """
     if phi.system.num_parties != 2:
         raise DimensionMismatch("filtering needs a two-party state")
-    cut = BipartiteCut.from_side(phi.system, [phi.system.labels[0]])
-    sd = schmidt_decomposition(phi, cut)
+    sd = schmidt_decomposition(phi, phi.system.labels[:1])
     if sd.rank != 2:
         raise NotSchmidtRank2(f"Schmidt rank {sd.rank}, need exactly 2")
     c1, c2 = float(sd.coefficients[0]), float(sd.coefficients[1])
@@ -459,7 +444,7 @@ def _branches_distinct(b1: np.ndarray, b2: np.ndarray) -> bool:
 def _side_branches(vector: np.ndarray, system: PartySystem, side: tuple[str, ...]):
     """The two Schmidt branches of the current state on `side` (system order), as rows."""
     phi = PureState(system, vector)
-    sd = schmidt_decomposition(phi, BipartiteCut.from_side(system, side))
+    sd = schmidt_decomposition(phi, side)
     if sd.rank != 2:
         raise LocalizationFailed(f"intermediate state has Schmidt rank {sd.rank}")
     return sd.left_vectors[:, :2].T, sd.left_labels
@@ -544,16 +529,16 @@ def localize_entanglement(
     that side and the remaining parties are projected onto their already
     factored marginals.  A final local filter balances the surviving pair.
     """
-    senders = tuple(sender_group)
-    receivers = tuple(receiver_group)
     sys = phi.system
-    s_set = sys.require(senders)
-    r_set = sys.require(receivers)
+    # a bare string reaches require whole, which refuses it
+    groups = (sender_group, receiver_group)
+    senders, receivers = (g if isinstance(g, str) else tuple(g) for g in groups)
+    s_set, r_set = sys.require(senders), sys.require(receivers)
     if s_set & r_set:
         raise OverlappingGroups(f"groups overlap: {sorted(s_set & r_set)}")
     if s_set | r_set != set(sys.labels):
         raise UnknownParty("sender and receiver groups must cover all parties")
-    sd = schmidt_decomposition(phi, BipartiteCut(s_set, r_set))
+    sd = schmidt_decomposition(phi, senders)
     if sd.rank != 2:
         raise NotSchmidtRank2(f"Schmidt rank {sd.rank}, need exactly 2")
 

@@ -37,11 +37,11 @@ from .entanglement import (
 )
 from .errors import DimensionMismatch
 from .states import (
-    BipartiteCut,
     MultipartiteState,
     PartySystem,
     PureState,
     cut_name,
+    cut_number,
     ghz_basis_state,
     max_entangled,
     partial_trace,
@@ -325,9 +325,9 @@ def reproduce_pt_table(scenario: Scenario) -> ReproductionReport:
     entries = []
     verdicts = {}
     for key, side, expect_ppt in _PT_FACTS:
-        cut = BipartiteCut.from_side(CHOI_SYSTEM, side)
-        verdict = verdicts[key, side] = ppt_check(states[key], cut)
-        criterion_npt = npt_criterion(coeffs[key], cut)
+        k = cut_number(CHOI_SYSTEM, side)
+        verdict = verdicts[key, side] = ppt_check(states[key], k)
+        criterion_npt = npt_criterion(coeffs[key], k)
         agree = verdict.is_ppt == (not criterion_npt)
         ok = agree and verdict.is_ppt == expect_ppt
         computed = (
@@ -458,7 +458,7 @@ def ghz_oneway_example() -> ReproductionReport:
                 passed=sep,
             )
         )
-    verdict = ppt_check(rho, BipartiteCut.from_side(GHZ3_SYSTEM, ["A"]))
+    verdict = ppt_check(rho, cut_number(GHZ3_SYSTEM, ["A"]))
     entries.append(
         ClaimEntry(
             claim_id="ghz-oneway-full-npt",
@@ -470,10 +470,7 @@ def ghz_oneway_example() -> ReproductionReport:
         )
     )
     result = localize_entanglement(ghz, ["A"], ["B1", "B2"])
-    sd = schmidt_decomposition(
-        result.final_state,
-        BipartiteCut.from_side(result.final_state.system, [result.sender_kept]),
-    )
+    sd = schmidt_decomposition(result.final_state, [result.sender_kept])
     balanced = sd.rank == 2 and all(
         abs(float(c) - 1 / math.sqrt(2)) <= LOCALIZED_PAIR_TOL for c in sd.coefficients[:2]
     )

@@ -4,10 +4,13 @@ A ``PartySystem`` is an ordered list of party labels with local dimensions;
 computational-basis indices map big-endian (first party most significant).
 ``MultipartiteState`` wraps a validated, read-only density operator and
 records whether it is X-shaped (see ``linalg``); ``PureState`` wraps a
-unit vector.  Bipartite cuts are unordered two-block partitions of the
-labels; by convention operations that transpose or decompose act on
-``side_one``.  Cut k, 1 <= k < 2^(N-1), is the one whose side without the
-last party is read from the bits of k (``cut_side``); ``cut_name`` names it.
+unit vector.  A cut is named two ways.  Where only the cut matters it is
+its number k, 1 <= k < 2^(N-1): the side without the last party is read
+from the bits of k (``cut_side``), and ``cut_name`` names it.  Where an
+orientation matters it is a side, a collection of labels holding some but
+not all parties: ``partial_transpose`` transposes those parties and
+``schmidt_decomposition`` puts them on the left.  ``cut_number`` gives the
+k of either side of a cut.
 """
 
 from __future__ import annotations
@@ -74,6 +77,10 @@ class PartySystem:
         return self.dims[self.axis(label)]
 
     def require(self, labels: Iterable[str]) -> frozenset[str]:
+        if isinstance(labels, str):
+            # a bare string would be read as one label per character
+            raise UnknownParty(f"a list of labels is needed, not the string {labels!r}: "
+                               f"write {[labels]!r}")
         got = frozenset(labels)
         unknown = got - set(self.labels)
         if unknown:
@@ -96,41 +103,29 @@ class PartySystem:
         return PartySystem(tuple(order), tuple(self.dims[p] for p in perm)), perm
 
 
-@dataclass(frozen=True)
-class BipartiteCut:
-    """Unordered two-block partition of a party set."""
-
-    side_one: frozenset[str]
-    side_two: frozenset[str]
-
-    def __post_init__(self):
-        object.__setattr__(self, "side_one", frozenset(self.side_one))
-        object.__setattr__(self, "side_two", frozenset(self.side_two))
-        if not self.side_one or not self.side_two:
-            raise UnknownParty("both sides of a cut must be nonempty")
-        if self.side_one & self.side_two:
-            raise UnknownParty(f"cut sides overlap: {sorted(self.side_one & self.side_two)}")
-
-    @classmethod
-    def from_side(cls, system: PartySystem, side: Iterable[str]) -> "BipartiteCut":
-        one = system.require(side)
-        two = frozenset(system.labels) - one
-        return cls(one, two)
-
-    def validate(self, system: PartySystem) -> None:
-        system.require(self.side_one)
-        system.require(self.side_two)
-        if self.side_one | self.side_two != set(system.labels):
-            raise UnknownParty(
-                f"cut {sorted(self.side_one)} | {sorted(self.side_two)} "
-                f"does not cover {system.labels}"
-            )
-
-
 def cut_side(system: PartySystem, k: int) -> list[str]:
     """The side of cut k without the last party: party i < N-1 iff bit N-2-i of k is set."""
     n = system.num_parties
     return [l for i, l in enumerate(system.labels[:-1]) if k >> (n - 2 - i) & 1]
+
+
+def _side(system: PartySystem, side: Iterable[str]) -> frozenset[str]:
+    """The labels of one side of a cut: known parties, some but not all of them."""
+    got = system.require(side)
+    if not got or len(got) == system.num_parties:
+        raise UnknownParty(f"a cut side holds some but not all of {system.labels}, "
+                           f"got {sorted(got)}")
+    return got
+
+
+def cut_number(system: PartySystem, side: Iterable[str]) -> int:
+    """The number k of the cut with ``side`` on one side; either side gives it (inverse of cut_side)."""
+    side = _side(system, side)
+    flip = system.labels[-1] in side
+    k = 0
+    for l in system.labels[:-1]:
+        k = 2 * k + ((l in side) != flip)
+    return k
 
 
 def cut_name(system: PartySystem, k: int) -> str:
@@ -314,14 +309,13 @@ def max_entangled(d: int, labels: tuple[str, str] = ("A", "B")) -> PureState:
 # ---------------------------------------------------------------------------
 
 
-def partial_transpose(state: MultipartiteState, cut: BipartiteCut) -> np.ndarray:
-    """Transpose the indices of the side_one parties; returns a raw matrix.
+def partial_transpose(state: MultipartiteState, side: Iterable[str]) -> np.ndarray:
+    """Transpose the indices of the parties in ``side``; returns a raw matrix.
 
     The result is Hermitian with unit trace but need not be positive; its
     spectrum is independent of which side of the cut is transposed.
     """
-    cut.validate(state.system)
-    axes = [state.system.axis(l) for l in cut.side_one]
+    axes = [state.system.axis(l) for l in _side(state.system, side)]
     return transpose_parties(state.matrix, state.system.dims, axes)
 
 
@@ -354,8 +348,8 @@ def fidelity(phi: PureState, rho: MultipartiteState) -> float:
 
 class SchmidtDecomposition(NamedTuple):
     coefficients: np.ndarray  # descending, nonnegative
-    left_vectors: np.ndarray  # columns, on side_one (in system order)
-    right_vectors: np.ndarray  # rows, on side_two (in system order)
+    left_vectors: np.ndarray  # columns, on the given side (in system order)
+    right_vectors: np.ndarray  # rows, on the other side (in system order)
     left_labels: tuple[str, ...]
     right_labels: tuple[str, ...]
 
@@ -364,16 +358,16 @@ class SchmidtDecomposition(NamedTuple):
         return int(np.count_nonzero(self.coefficients > SCHMIDT_RANK_TOL))
 
 
-def schmidt_decomposition(phi: PureState, cut: BipartiteCut) -> SchmidtDecomposition:
-    """Bi-orthogonal expansion of phi across the cut (side_one on the left).
+def schmidt_decomposition(phi: PureState, side: Iterable[str]) -> SchmidtDecomposition:
+    """Bi-orthogonal expansion of phi across the cut with ``side`` on the left.
 
     phi = sum_i c_i  left[:, i] (x) right[i, :]  after grouping the parties of
     each side in system order; coefficients come back descending.
     """
     system = phi.system
-    cut.validate(system)
-    left = [i for i, l in enumerate(system.labels) if l in cut.side_one]
-    right = [i for i, l in enumerate(system.labels) if l not in cut.side_one]
+    side = _side(system, side)
+    left = [i for i, l in enumerate(system.labels) if l in side]
+    right = [i for i, l in enumerate(system.labels) if l not in side]
     v = permute_vector_parties(phi.vector, system.dims, left + right)
     dl = math.prod(system.dims[i] for i in left)
     u, s, vh = np.linalg.svd(v.reshape(dl, -1), full_matrices=False)

@@ -5,11 +5,10 @@ import pytest
 from hypothesis import settings
 
 from choilab import linalg
-from choilab.entanglement import _cut_number, all_cut_indices
+from choilab.entanglement import all_cut_indices
 from choilab.errors import DimensionMismatch
 from choilab.nonadditivity import BELL_OUTCOME_FLOOR
 from choilab.states import (
-    BipartiteCut,
     MultipartiteState,
     PartySystem,
     ghz_basis_state,
@@ -127,15 +126,15 @@ def choi_apply(choi_state: MultipartiteState, reference, mat: np.ndarray) -> np.
     return d_ref * reduced
 
 
-def flip_route_min_eigenvalue(state: MultipartiteState, cut: BipartiteCut) -> float:
+def flip_route_min_eigenvalue(state: MultipartiteState, side) -> float:
     """One cut of an X-shaped state the per-cut way, with the one-row block solve.
 
-    The anti-diagonal is flipped along side_one's axes, and q is read
-    reversed from one row.  entanglement.cut_min_eigenvalues, which solves
-    every cut from one gather and one stacked solve, must match it bit for
-    bit.
+    The anti-diagonal is flipped along the axes of the parties in ``side``,
+    and q is read reversed from one row.  entanglement.cut_min_eigenvalues,
+    which solves every cut from one gather and one stacked solve, must
+    match it bit for bit on the side without the last party.
     """
-    axes = tuple(state.system.axis(l) for l in cut.side_one)
+    axes = tuple(state.system.axis(l) for l in side)
     m = state.matrix
     anti = np.flip(np.fliplr(m).diagonal().reshape(state.system.dims), axes).ravel()
     h = m.shape[0] // 2
@@ -210,39 +209,45 @@ def _proj(v: np.ndarray) -> np.ndarray:
     return np.outer(v, v.conj())
 
 
-def index_to_cut(j: str, system: PartySystem) -> BipartiteCut:
-    """The cut named by index j: the inverse of entanglement.cut_to_index.
+def index_side(k: int, system: PartySystem) -> list[str]:
+    """The side of cut k read from its index string, the oracle of states.cut_side.
 
-    side_one holds party i iff j_i is "1", so it never holds the last party.
+    The side holds party i iff digit i of the (N-1)-digit binary string of
+    k is "1", so it never holds the last party.
     """
-    _cut_number(j, system)  # rejects a string that names no cut
-    return BipartiteCut.from_side(system, [l for l, b in zip(system.labels, j) if b == "1"])
+    n = system.num_parties
+    return [l for l, b in zip(system.labels, format(k, f"0{n - 1}b")) if b == "1"]
 
 
-def describe(cut: BipartiteCut, system: PartySystem) -> str:
-    """The name a cut had when it was named from its side_one, the oracle of states.cut_name.
+def complement(side, system: PartySystem) -> list[str]:
+    """The other side of the cut, in system order."""
+    return [l for l in system.labels if l not in side]
+
+
+def describe(side, system: PartySystem) -> str:
+    """The name of the cut with ``side`` on one side, the oracle of states.cut_name.
 
     Both sides in system order, the side holding the first party first.
     """
-    first = system.labels[0] in cut.side_one
-    one = [l for l in system.labels if (l in cut.side_one) is first]
-    two = [l for l in system.labels if (l in cut.side_one) is not first]
+    first = system.labels[0] in side
+    one = [l for l in system.labels if (l in side) is first]
+    two = [l for l in system.labels if (l in side) is not first]
     return f"{','.join(one)} | {','.join(two)}"
 
 
 def walk_blocking_cuts(c, one, two, threshold: float) -> list[int]:
-    """Brute-force blocking cuts of a pair: every cut index, its cut object and the coefficient rule.
+    """Brute-force blocking cuts of a pair: every cut number, its two sides and the coefficient rule.
 
     The number of each separating cut whose lambda_j - delta/2 is at least
     ``threshold``, in index order: the oracle of entanglement.pair_verdicts.
     """
     system = c.system
     found = []
-    for k, j in enumerate(all_cut_indices(system.num_parties), start=1):
-        cut = index_to_cut(j, system)
+    for k in range(1, 1 << (system.num_parties - 1)):
+        side = set(index_side(k, system))
+        other = set(complement(side, system))
         separates = any(
-            set(one) <= a and set(two) <= b
-            for a, b in ((cut.side_one, cut.side_two), (cut.side_two, cut.side_one))
+            set(one) <= a and set(two) <= b for a, b in ((side, other), (other, side))
         )
         if separates and float(c.lambdas[k - 1]) - c.delta / 2 >= threshold:
             found.append(k)

@@ -27,7 +27,6 @@ from choilab.codec import (
     state_to_dict,
 )
 from choilab.entanglement import (
-    all_cut_indices,
     ghz_diagonal_coefficients,
     localize_entanglement,
     npt_criterion,
@@ -52,16 +51,16 @@ from choilab.nonadditivity import (
     teleport_report,
 )
 from choilab.states import (
-    BipartiteCut,
     MultipartiteState,
     PartySystem,
     PureState,
+    cut_number,
     max_entangled,
     partial_trace,
     schmidt_decomposition,
 )
 
-from conftest import index_to_cut, random_ghz_diagonal_state, report_entry, report_passed
+from conftest import random_ghz_diagonal_state, report_entry, report_passed
 
 
 def _report(number: int, name: str, ok: bool, detail: str = "") -> None:
@@ -109,19 +108,16 @@ def test_criterion_03_pt_sign_table():
     ok = True
     details = []
     for key, side in ppt_facts:
-        low = ppt_check(states[key], BipartiteCut.from_side(CHOI_SYSTEM, side)).min_eigenvalue
+        low = ppt_check(states[key], cut_number(CHOI_SYSTEM, side)).min_eigenvalue
         ok = ok and low >= -1e-9
         details.append(f"{key}^T{''.join(side)}={low:.1e}")
     coeffs = ghz_diagonal_coefficients(states["mix"])
     for key, side in npt_facts:
-        cut = BipartiteCut.from_side(CHOI_SYSTEM, side)
-        low = ppt_check(states[key], cut).min_eigenvalue
+        k = cut_number(CHOI_SYSTEM, side)
+        low = ppt_check(states[key], k).min_eigenvalue
         ok = ok and low <= -1 / 48 + 1e-9
         # independent confirmation of the -1/48 value from the coefficients
-        from choilab.entanglement import cut_to_index
-
-        j = cut_to_index(cut, CHOI_SYSTEM)
-        formula = coeffs.lambdas[int(j, 2) - 1] - coeffs.delta / 2
+        formula = coeffs.lambdas[k - 1] - coeffs.delta / 2
         ok = ok and abs(low - formula) <= 1e-9 and abs(formula + 1 / 48) <= 1e-12
         details.append(f"mix^T{''.join(side)}={low:.4e}")
     _report(3, "PT sign table with min eigenvalue -1/48 on NPT cuts", ok, "; ".join(details[-3:]))
@@ -135,10 +131,9 @@ def test_criterion_04_classifier_oracle_equivalence():
     disagreements = 0
     for rho in states:
         coeffs = ghz_diagonal_coefficients(rho)
-        for j in all_cut_indices(4):
-            cut = index_to_cut(j, CHOI_SYSTEM)
-            eig_npt = not ppt_check(rho, cut).is_ppt
-            crit_npt = npt_criterion(coeffs, cut)
+        for k in range(1, 8):  # every cut of the four parties
+            eig_npt = not ppt_check(rho, k).is_ppt
+            crit_npt = npt_criterion(coeffs, k)
             comparisons += 1
             if eig_npt != crit_npt:
                 disagreements += 1
@@ -172,13 +167,10 @@ def test_criterion_06_ghz_oneway_example():
     sep1 = two_qubit_separability(partial_trace(rho, ["B2"]))
     sep2 = two_qubit_separability(partial_trace(rho, ["B1"]))
     ppt1 = ppt_check(partial_trace(rho, ["B2"]),
-                     BipartiteCut.from_side(PartySystem(("A", "B1"), (2, 2)), ["A"])).is_ppt
-    full_npt = not ppt_check(rho, BipartiteCut.from_side(rho.system, ["A"])).is_ppt
+                     cut_number(PartySystem(("A", "B1"), (2, 2)), ["A"])).is_ppt
+    full_npt = not ppt_check(rho, cut_number(rho.system, ["A"])).is_ppt
     result = localize_entanglement(ghz, ["A"], ["B1", "B2"])
-    sd = schmidt_decomposition(
-        result.final_state,
-        BipartiteCut.from_side(result.final_state.system, [result.sender_kept]),
-    )
+    sd = schmidt_decomposition(result.final_state, [result.sender_kept])
     balanced = np.allclose(sd.coefficients[:2], 1 / math.sqrt(2), atol=1e-9)
     ok = sep1 and sep2 and ppt1 and full_npt and balanced and report_passed(ghz_oneway_example())
     _report(6, "separable marginals, NPT triple, localizable pair", ok,
@@ -202,10 +194,7 @@ def test_criterion_07_localization_suite():
         )
         state = PureState(sys, v / np.linalg.norm(v))
         result = localize_entanglement(state, senders, receivers)
-        sd = schmidt_decomposition(
-            result.final_state,
-            BipartiteCut.from_side(result.final_state.system, [result.sender_kept]),
-        )
+        sd = schmidt_decomposition(result.final_state, [result.sender_kept])
         balanced = np.allclose(sd.coefficients[:2], 1 / math.sqrt(2), atol=1e-9)
         pure = all(p >= 1 - 1e-10 for p in result.bystander_purities.values())
         if not (balanced and pure):

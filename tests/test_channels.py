@@ -28,7 +28,6 @@ from choilab.nonadditivity import (
     mixed_binding_channel,
 )
 from choilab.states import (
-    BipartiteCut,
     MultipartiteState,
     PartySystem,
     max_entangled,
@@ -284,7 +283,7 @@ class TestKrausFromChoi:
         from choilab.states import partial_transpose
 
         phi = max_entangled(2, ("R", "Q"))
-        pt = partial_transpose(phi.density(), BipartiteCut.from_side(phi.system, ["Q"]))
+        pt = partial_transpose(phi.density(), ["Q"])
         bad = MultipartiteState(phi.system, pt, psd_threshold=-1.0)
         with pytest.raises(NotPSD):
             kraus_from_choi(bad, ["R"], ["Q"])

@@ -33,7 +33,7 @@ from conftest import (
     REJECTED_MATRICES,
     describe,
     ghz_diagonal_state,
-    index_to_cut,
+    index_side,
     random_ghz_diagonal_state,
     random_state,
     walk_blocking_cuts,
@@ -360,51 +360,44 @@ class TestClassify:
         path = tmp_path / "ghz6.json"
         path.write_text(dumps(state_to_dict(ghz_diagonal_state(system, weights))))
 
-        solves, checks, built = [], [], []
+        solves, checks = [], []
         solve, check = linalg.x_min_eigenvalue, cli.ppt_check
-        post_init = states.BipartiteCut.__post_init__
 
         def counting_solve(diag, anti):
             solves.append(anti.shape)
             return solve(diag, anti)
 
-        def counting_check(state, cut, threshold):
-            checks.append(cut)
-            return check(state, cut, threshold)
-
-        def counting_build(cut):
-            built.append(cut)
-            post_init(cut)
+        def counting_check(state, k, threshold):
+            checks.append(k)
+            return check(state, k, threshold)
 
         monkeypatch.setattr(linalg, "x_min_eigenvalue", counting_solve)
         monkeypatch.setattr(cli, "ppt_check", counting_check)
-        monkeypatch.setattr(states.BipartiteCut, "__post_init__", counting_build)
         blocked = {"": {"Q1"}, "0.01": {"Q1", "Q3"}}
         for tolerance, members in blocked.items():
-            for log in (solves, checks, built):
+            for log in (solves, checks):
                 log.clear()
             flags = ["--tolerance", tolerance] if tolerance else []
             code, out, _ = run(capsys, "--format", "json", *flags, "classify", str(path))
             assert code == 0
             # one solve validates the state, one stacked solve covers all 31 cuts
             assert solves == [(64,), (31, 64)]
-            assert checks == list(all_cut_indices(6))
+            assert checks == list(range(1, 32))
             rows = {e["id"]: e for e in json.loads(out)["entries"]}
             pairs = {k: e for k, e in rows.items() if k.startswith("distill-")}
             assert len(pairs) == 15
             for key, entry in pairs.items():
                 assert entry["distillable"] is not (set(key[8:].split("-vs-")) & members), key
-            # blocking cuts are numbers named by states.cut_name: no cut is built
+            # blocking cuts are numbers named by states.cut_name
             blocking = sum(e["computed"].count(" | ") for e in pairs.values())
             assert blocking == (5 if len(members) == 1 else 10)
-            assert built == []
 
         # One state read, both thresholds: the kept values do not depend on either.
         state = state_from_dict(loads(path.read_text()))
         solves.clear()
-        for threshold, ppt in ((linalg.PSD_THRESHOLD, {"01000"}), (-0.01, {"01000", "00010"})):
-            verdicts = {j: ppt_check(state, j, threshold) for j in all_cut_indices(6)}
-            assert {j for j, v in verdicts.items() if v.is_ppt} == ppt
+        for threshold, ppt in ((linalg.PSD_THRESHOLD, {0b01000}), (-0.01, {0b01000, 0b00010})):
+            verdicts = {k: ppt_check(state, k, threshold) for k in range(1, 32)}
+            assert {k for k, v in verdicts.items() if v.is_ppt} == ppt
         assert solves == [(31, 64)]
 
     def test_cut_rows_named_like_describe(self, tmp_path, capsys):
@@ -417,8 +410,8 @@ class TestClassify:
             assert code == 0
             names = {e["id"]: e["cut"] for e in json.loads(out)["entries"] if "cut" in e}
             assert names == {
-                f"cut-{j}": describe(index_to_cut(j, system), system)
-                for j in all_cut_indices(len(dims))
+                f"cut-{j}": describe(index_side(k, system), system)
+                for k, j in enumerate(all_cut_indices(len(dims)), start=1)
             }
 
     def test_pair_rows_name_the_brute_force_blocking_cuts(self, tmp_path, capsys):
@@ -452,7 +445,7 @@ class TestClassify:
             for one, two in expected_pairs:
                 a, b = ",".join(one), ",".join(two)
                 ks = walk_blocking_cuts(coeffs, one, two, linalg.PSD_THRESHOLD)
-                names = [describe(index_to_cut(all_cut_indices(n)[k - 1], system), system) for k in ks]
+                names = [describe(index_side(k, system), system) for k in ks]
                 result = f"not distillable (blocking: {'; '.join(names)})" if ks else "distillable"
                 assert rows[f"distill-{a}-vs-{b}"]["computed"] == f"{a} vs {b}: {result}"
                 assert rows[f"distill-{a}-vs-{b}"]["distillable"] is (not ks)
@@ -540,6 +533,17 @@ class TestClassifyPairs:
         assert code == 2
         assert out == ""
         assert err.startswith("error:") and "Traceback" not in err
+
+    @pytest.mark.parametrize("kind", ["ghz-diagonal", "not-ghz-diagonal"])
+    @pytest.mark.parametrize("spec", ["A,A:B", "A:B,B", "A, A:C", "A,B,A:C"])
+    def test_label_twice_in_a_group_is_usage_error(self, tmp_path, capsys, kind, spec):
+        # A,A:B is the pair A:B again under another row id
+        path = self._state_file(tmp_path, kind)
+        code, out, err = run(capsys, "classify", str(path), "--pair", "A:B", "--pair", spec)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and "Traceback" not in err
+        assert "twice" in err and repr(spec) in err
 
     def test_repeated_pair_reported_once(self, tmp_path, capsys):
         path = self._state_file(tmp_path, "ghz-diagonal")

@@ -7,13 +7,12 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from choilab import entanglement, linalg, states
+from choilab import entanglement, linalg
 from choilab.entanglement import (
     ASYMMETRY_TOL,
     GhzDiagonalCoefficients,
     all_cut_indices,
     cut_min_eigenvalues,
-    cut_to_index,
     filter_to_maximally_entangled,
     ghz_diagonal_coefficients,
     npt_criterion,
@@ -30,19 +29,20 @@ from choilab.errors import (
 )
 from choilab.linalg import PSD_THRESHOLD
 from choilab.states import (
-    BipartiteCut,
     MultipartiteState,
     PartySystem,
     PureState,
+    cut_number,
     ghz_basis_state,
     max_entangled,
     partial_transpose,
 )
 
 from conftest import (
+    complement,
     flip_route_min_eigenvalue,
     ghz_diagonal_state,
-    index_to_cut,
+    index_side,
     random_density_matrix,
     random_ghz_diagonal_state,
     random_state,
@@ -76,28 +76,24 @@ def separable_product_mixture(rng, system, terms=6):
 
 class TestPptCheck:
     def test_scenario_facts(self, scenario_states, four_qubits):
-        assert ppt_check(
-            scenario_states["E1"], BipartiteCut.from_side(four_qubits, ["B"])
-        ).is_ppt
-        assert not ppt_check(
-            scenario_states["mix"], BipartiteCut.from_side(four_qubits, ["A1", "A2"])
-        ).is_ppt
+        assert ppt_check(scenario_states["E1"], cut_number(four_qubits, ["B"])).is_ppt
+        assert ppt_check(scenario_states["E1"], 0b010).is_ppt
+        assert not ppt_check(scenario_states["mix"], cut_number(four_qubits, ["A1", "A2"])).is_ppt
 
     def test_separable_mixture_always_ppt(self, four_qubits):
         rng = np.random.default_rng(21)
         rho = separable_product_mixture(rng, four_qubits)
-        for j in all_cut_indices(4):
-            assert ppt_check(rho, index_to_cut(j, four_qubits)).is_ppt
+        for k in range(1, 8):
+            assert ppt_check(rho, k).is_ppt
 
     def test_complement_cut_same_spectrum(self, four_qubits):
         rng = np.random.default_rng(22)
         for _ in range(10):
             rho = random_state(rng, four_qubits)
-            for j in all_cut_indices(4):
-                cut = index_to_cut(j, four_qubits)
-                flipped = BipartiteCut(cut.side_two, cut.side_one)
-                a = ppt_check(rho, cut).min_eigenvalue
-                b = ppt_check(rho, flipped).min_eigenvalue
+            for k in range(1, 8):
+                other = complement(index_side(k, four_qubits), four_qubits)
+                a = ppt_check(rho, k).min_eigenvalue
+                b = float(np.linalg.eigvalsh(partial_transpose(rho, other))[0])
                 assert abs(a - b) < 1e-10
 
 
@@ -110,13 +106,12 @@ class TestPptCheck:
         system = qubits(*(f"Q{i}" for i in range(n)))
         rho = random_ghz_diagonal_state(rng, system, symmetric=symmetric)
         d = system.total_dim
-        for j in all_cut_indices(n):
-            cut = index_to_cut(j, system)
-            pt = partial_transpose(rho, cut)
+        for k in range(1, 1 << (n - 1)):
+            pt = partial_transpose(rho, index_side(k, system))
             on_x = np.count_nonzero(pt.diagonal()) + np.count_nonzero(np.fliplr(pt).diagonal())
             assert np.count_nonzero(pt) == on_x and d % 2 == 0
             dense = float(np.linalg.eigvalsh(pt)[0])
-            assert abs(ppt_check(rho, cut).min_eigenvalue - dense) <= 1e-12
+            assert abs(ppt_check(rho, k).min_eigenvalue - dense) <= 1e-12
 
 
 def with_one_off_x_entry(rng, rho: MultipartiteState) -> MultipartiteState:
@@ -148,10 +143,10 @@ X_STATE_DIMS = ((2, 3), (3, 2), (3, 2, 2), (2, 3, 2), (2, 2, 3), (4, 3), (2, 2, 
 )
 def test_ppt_check_matches_dense_partial_transpose(kind, off_x, n, dims, seed):
     # Oracle: the dense partial transpose and LAPACK's eigvalsh, on every
-    # side_one.  On an X-shaped state the value must also equal, bit for
-    # bit, the block solve of the dense partial transpose of the side
-    # without the last party (the same entries are read); off the X it
-    # must equal eigvalsh of that transpose bit for bit.
+    # side of every cut.  On an X-shaped state the value must also equal,
+    # bit for bit, the block solve of the dense partial transpose of the
+    # side without the last party (the same entries are read); off the X
+    # it must equal eigvalsh of that transpose bit for bit.
     rng = np.random.default_rng(seed)
     if kind in ("symmetric", "asymmetric"):
         system = qubits(*(f"Q{i}" for i in range(n)))
@@ -164,11 +159,13 @@ def test_ppt_check_matches_dense_partial_transpose(kind, off_x, n, dims, seed):
     assert rho.x_shaped is not off_x
     for size in range(1, system.num_parties):
         for side in itertools.combinations(system.labels, size):
-            cut = BipartiteCut.from_side(system, side)
-            pt = partial_transpose(rho, index_to_cut(cut_to_index(cut, system), system))
+            k = cut_number(system, side)
+            pt = partial_transpose(rho, index_side(k, system))
             dense = float(np.linalg.eigvalsh(pt)[0])
-            got = ppt_check(rho, cut).min_eigenvalue
+            got = ppt_check(rho, k).min_eigenvalue
             assert abs(got - dense) <= 1e-12, (side, got, dense)
+            named = float(np.linalg.eigvalsh(partial_transpose(rho, side))[0])
+            assert abs(got - named) <= 1e-12, (side, got, named)
             if rho.x_shaped:
                 assert got == linalg.min_eigenvalue(pt), side
             else:
@@ -178,8 +175,8 @@ def test_ppt_check_matches_dense_partial_transpose(kind, off_x, n, dims, seed):
 def with_inexact_anti_diagonal(rng, rho: MultipartiteState) -> MultipartiteState:
     """rho with m[x, d-1-x], x < d/2, off the conjugate of its partner by ~1e-13 relative.
 
-    Such a state still validates (HERMITICITY_TOL is 1e-10), but the two
-    side_one choices of a cut read different last bits.
+    Such a state still validates (HERMITICITY_TOL is 1e-10), but transposing
+    one side of a cut or the other reads different last bits.
     """
     m = rho.matrix.copy()
     d = m.shape[0]
@@ -190,25 +187,26 @@ def with_inexact_anti_diagonal(rng, rho: MultipartiteState) -> MultipartiteState
 
 def test_both_sides_of_a_cut_read_the_same_bits():
     # On states Hermitian only within HERMITICITY_TOL the two sides of a
-    # cut transpose to different last bits; ppt_check transposes the side
-    # without the last party whichever side is named, on the X route and
-    # (with one entry off the X) on the dense route.
+    # cut transpose to different last bits.  Either side gives the one cut
+    # number k, and ppt_check of k transposes the side without the last
+    # party, on the X route and (with one entry off the X) on the dense
+    # route.
     rng = np.random.default_rng(13)
     system = qubits(*(f"Q{i}" for i in range(5)))
     other_side_differs = 0
     for _ in range(5):
         rho = with_inexact_anti_diagonal(rng, random_ghz_diagonal_state(rng, system))
         dense = with_one_off_x_entry(rng, rho)
-        for j in all_cut_indices(5):
-            cut = index_to_cut(j, system)
-            flipped = BipartiteCut(cut.side_two, cut.side_one)
-            for state in (rho, dense):
-                want = ppt_check(state, j).min_eigenvalue
-                assert same_bits(ppt_check(state, cut).min_eigenvalue, want), j
-                assert same_bits(ppt_check(state, flipped).min_eigenvalue, want), j
-            want = cut_min_eigenvalues(rho)[int(j, 2) - 1]
-            assert same_bits(ppt_check(rho, flipped).min_eigenvalue, want), j
-            other_side_differs += not same_bits(flip_route_min_eigenvalue(rho, flipped), want)
+        for k in range(1, 16):
+            side = index_side(k, system)
+            other = complement(side, system)
+            assert cut_number(system, side) == cut_number(system, other) == k
+            want = cut_min_eigenvalues(rho)[k - 1]
+            assert same_bits(ppt_check(rho, k).min_eigenvalue, want), k
+            assert same_bits(flip_route_min_eigenvalue(rho, side), want), k
+            pt = partial_transpose(dense, side)
+            assert same_bits(ppt_check(dense, k).min_eigenvalue, linalg.min_eigenvalue(pt)), k
+            other_side_differs += not same_bits(flip_route_min_eigenvalue(rho, other), want)
     assert other_side_differs  # the other side's own transpose does read other bits
 
 
@@ -222,8 +220,8 @@ def test_both_sides_of_a_cut_read_the_same_bits():
 )
 def test_every_cut_from_one_gather(kind, n, inexact, batch_rows, seed):
     # Oracles: the per-cut flip route of the side without the last party,
-    # bit for bit whichever side_one the caller names, and the dense
-    # partial transpose with eigvalsh within 1e-12.
+    # bit for bit, and the dense partial transpose of either side with
+    # eigvalsh within 1e-12.
     rng = np.random.default_rng(seed)
     if kind == "dims-2-4-2":
         system = PartySystem(("P0", "P1", "P2"), (2, 4, 2))
@@ -239,15 +237,14 @@ def test_every_cut_from_one_gather(kind, n, inexact, batch_rows, seed):
     lows = cut_min_eigenvalues(rho)
     assert lows.shape == (2 ** (system.num_parties - 1) - 1,) and not lows.flags.writeable
     assert cut_min_eigenvalues(rho) is lows
-    for k, j in enumerate(all_cut_indices(system.num_parties)):
-        cut = index_to_cut(j, system)
-        assert same_bits(lows[k], flip_route_min_eigenvalue(rho, cut)), j
-        assert same_bits(ppt_check(rho, j).min_eigenvalue, lows[k]), j
-        for c in (cut, BipartiteCut(cut.side_two, cut.side_one)):
-            got = ppt_check(rho, c).min_eigenvalue
-            assert same_bits(got, lows[k]), (j, c.side_one)
-            dense = float(np.linalg.eigvalsh(partial_transpose(rho, c))[0])
-            assert abs(got - dense) <= 1e-12, (j, c.side_one)
+    for k in range(1, len(lows) + 1):
+        side = index_side(k, system)
+        assert same_bits(lows[k - 1], flip_route_min_eigenvalue(rho, side)), k
+        got = ppt_check(rho, k).min_eigenvalue
+        assert same_bits(got, lows[k - 1]), k
+        for s in (side, complement(side, system)):
+            dense = float(np.linalg.eigvalsh(partial_transpose(rho, s))[0])
+            assert abs(got - dense) <= 1e-12, (k, s)
     # A forced small batch (batch_rows cuts per gather) gives the same bits.
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(entanglement, "_GATHER_BATCH", batch_rows * system.total_dim)
@@ -276,8 +273,8 @@ class TestTwoQubitSeparability:
         rho = MultipartiteState(phi.system, m)
         assert not two_qubit_separability(rho)
         # brute-force oracle: the PT spectrum bottoms out at 1/8 - 1/4
-        cut = BipartiteCut.from_side(phi.system, ["A"])
-        assert abs(ppt_check(rho, cut).min_eigenvalue - (0.125 - 0.25)) < 1e-12
+        k = cut_number(phi.system, ["A"])
+        assert abs(ppt_check(rho, k).min_eigenvalue - (0.125 - 0.25)) < 1e-12
 
     def test_dimension_gate(self):
         rho = MultipartiteState(PartySystem(("A", "B"), (2, 3)), np.eye(6) / 6)
@@ -433,43 +430,58 @@ class TestFingerprintStaysInStep:
 
 class TestCutIndex:
     def test_scenario_conventions(self, four_qubits):
-        assert cut_to_index(BipartiteCut.from_side(four_qubits, ["A1", "A2"]), four_qubits) == "101"
-        assert cut_to_index(BipartiteCut.from_side(four_qubits, ["B"]), four_qubits) == "010"
-        assert cut_to_index(BipartiteCut.from_side(four_qubits, ["C"]), four_qubits) == "111"
+        assert cut_number(four_qubits, ["A1", "A2"]) == 0b101
+        assert cut_number(four_qubits, ["B"]) == 0b010
+        assert cut_number(four_qubits, ["C"]) == 0b111
 
     def test_bijection(self, four_qubits):
         seen = set()
-        for j in all_cut_indices(4):
-            cut = index_to_cut(j, four_qubits)
-            back = cut_to_index(cut, four_qubits)
-            assert back == j
+        for k, j in enumerate(all_cut_indices(4), start=1):
+            back = cut_number(four_qubits, index_side(k, four_qubits))
+            assert back == k == int(j, 2)
             seen.add(back)
         assert len(seen) == 7
 
-    @pytest.mark.parametrize("j", ["", "000", "0000", "012", "1_0", "0b1", " 01", "1 0"])
+    @pytest.mark.parametrize("j", ["", "000", "0000", "012", "1_0", "0b1", " 01", "1 0", "010", "1"])
     def test_rejects_strings_that_name_no_cut(self, scenario_states, four_qubits, j):
-        # only strings of N-1 zeros and ones, at least one a one, name a cut
-        with pytest.raises(UnknownParty):
-            index_to_cut(j, four_qubits)
+        # a cut is its number k, never a string, not even its index
         with pytest.raises(UnknownParty):
             ppt_check(scenario_states["mix"], j)
+        with pytest.raises(UnknownParty):
+            npt_criterion(ghz_diagonal_coefficients(scenario_states["mix"]), j)
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 6])
+    @pytest.mark.parametrize("k", ["zero", "minus-one", "one-past-last"])
+    def test_rejects_numbers_that_name_no_cut(self, n, k):
+        # only 1 <= k < 2^(N-1) numbers a cut; 0 would read entry -1
+        k = {"zero": 0, "minus-one": -1, "one-past-last": 1 << (n - 1)}[k]
+        system = qubits(*(f"Q{i}" for i in range(n)))
+        rho = random_ghz_diagonal_state(np.random.default_rng(n), system)
+        c = ghz_diagonal_coefficients(rho)
+        with pytest.raises(UnknownParty, match=f"no cut number {k}"):
+            ppt_check(rho, k)
+        with pytest.raises(UnknownParty, match=f"no cut number {k}"):
+            npt_criterion(c, k)
+        dense = with_one_off_x_entry(np.random.default_rng(n), rho)
+        with pytest.raises(UnknownParty, match=f"no cut number {k}"):
+            ppt_check(dense, k)
+        last = (1 << (n - 1)) - 1
+        assert ppt_check(rho, np.int64(last)) == ppt_check(rho, last)
 
     def test_side_agnostic(self, four_qubits):
-        cut = BipartiteCut.from_side(four_qubits, ["A1", "A2"])
-        flipped = BipartiteCut(cut.side_two, cut.side_one)
-        assert cut_to_index(cut, four_qubits) == cut_to_index(flipped, four_qubits)
+        assert cut_number(four_qubits, ["A1", "A2"]) == cut_number(four_qubits, ["B", "C"])
 
 
 class TestNptCriterion:
     def test_channel_one(self, scenario_states, four_qubits):
         c = ghz_diagonal_coefficients(scenario_states["E1"])
-        assert not npt_criterion(c, BipartiteCut.from_side(four_qubits, ["B"]))
-        assert npt_criterion(c, BipartiteCut.from_side(four_qubits, ["A1", "A2"]))
+        assert not npt_criterion(c, cut_number(four_qubits, ["B"]))
+        assert npt_criterion(c, cut_number(four_qubits, ["A1", "A2"]))
 
     def test_mixture_all_npt(self, scenario_states, four_qubits):
         c = ghz_diagonal_coefficients(scenario_states["mix"])
         for side in (["A1", "A2"], ["B"], ["C"]):
-            assert npt_criterion(c, BipartiteCut.from_side(four_qubits, side))
+            assert npt_criterion(c, cut_number(four_qubits, side))
 
     def test_rejects_non_ghz_diagonal(self, four_qubits):
         rng = np.random.default_rng(24)
@@ -478,7 +490,7 @@ class TestNptCriterion:
         assert c.offdiagonal_residual > 1e-8
         message = r"^off-diagonal residual \S+ exceeds 1\.0e-08$"
         with pytest.raises(DimensionMismatch, match=message):
-            npt_criterion(c, BipartiteCut.from_side(four_qubits, ["B"]))
+            npt_criterion(c, cut_number(four_qubits, ["B"]))
 
     def test_agrees_with_eigensolver(self, scenario_states, four_qubits):
         rng = np.random.default_rng(25)
@@ -486,9 +498,8 @@ class TestNptCriterion:
         states += [random_ghz_diagonal_state(rng, four_qubits) for _ in range(5)]
         for rho in states:
             c = ghz_diagonal_coefficients(rho)
-            for j in all_cut_indices(4):
-                cut = index_to_cut(j, four_qubits)
-                assert npt_criterion(c, cut) == (not ppt_check(rho, cut).is_ppt)
+            for k in range(1, 8):
+                assert npt_criterion(c, k) == (not ppt_check(rho, k).is_ppt)
 
     @settings(max_examples=60)
     @given(data=st.data())
@@ -517,12 +528,11 @@ class TestNptCriterion:
         system = qubits(*(f"Q{i}" for i in range(n)))
         rho = ghz_diagonal_state(system, weights)
         c = ghz_diagonal_coefficients(rho)
-        for j in indices:
-            cut = index_to_cut(j, system)
+        for k, j in enumerate(indices, start=1):
             for t in thresholds:
                 ppt = margins[j] >= t
-                assert ppt_check(rho, cut, t).is_ppt is ppt, (j, t)
-                assert npt_criterion(c, cut, t) is (not ppt), (j, t)
+                assert ppt_check(rho, k, t).is_ppt is ppt, (j, t)
+                assert npt_criterion(c, k, t) is (not ppt), (j, t)
 
 
 class TestPairwiseDistillability:
@@ -579,9 +589,9 @@ class TestPairwiseDistillability:
 
     def test_reads_cuts_by_bit_mask(self, scenario_states, monkeypatch):
         # separating cuts come from bit masks in index order, not from
-        # labels; at threshold -1 each of them blocks
+        # the labels of each cut's side; at threshold -1 each of them blocks
         def refuse(*args):
-            raise AssertionError("cut_to_index called")
+            raise AssertionError("cut_side called")
 
         c = ghz_diagonal_coefficients(scenario_states["mix"])
         expected = {
@@ -589,29 +599,12 @@ class TestPairwiseDistillability:
             (("C",), ("B",)): (0b010, 0b011, 0b110, 0b111),  # C with A1,A2 / A1 / A2 / none
         }
         walks = {pair: walk_blocking_cuts(c, *pair, -1) for pair in expected}
-        monkeypatch.setattr(entanglement, "cut_to_index", refuse)
+        monkeypatch.setattr(entanglement, "cut_side", refuse)
         assert pairwise_distillability(c, ("A1", "A2"), ("C",)).distillable
         for pair, ks in expected.items():
             verdict = pairwise_distillability(c, *pair, -1)
             assert verdict.blocking_cuts == ks
             assert list(verdict.blocking_cuts) == walks[pair]
-
-    def test_builds_no_cuts(self, scenario_states, monkeypatch):
-        built = []
-
-        class CountingCut(BipartiteCut):
-            def __post_init__(self):
-                built.append(self)
-                super().__post_init__()
-
-        monkeypatch.setattr(entanglement, "BipartiteCut", CountingCut)
-        monkeypatch.setattr(states, "BipartiteCut", CountingCut)
-        for key, blocking in (("E1", (0b010,)), ("mix", ())):
-            c = ghz_diagonal_coefficients(scenario_states[key])
-            built.clear()
-            verdict = pairwise_distillability(c, ("A1", "A2"), ("B",))
-            assert verdict.blocking_cuts == blocking
-            assert built == []
 
     def test_overlapping_groups(self, scenario_states):
         c = ghz_diagonal_coefficients(scenario_states["E1"])

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -7,7 +8,6 @@ from choilab import entanglement
 from choilab.entanglement import localize_entanglement
 from choilab.errors import NotSchmidtRank2, OverlappingGroups, UnknownParty
 from choilab.states import (
-    BipartiteCut,
     PartySystem,
     PureState,
     ghz_basis_state,
@@ -35,10 +35,7 @@ def random_orthonormal_pair(rng, dim):
 
 
 def assert_balanced(result, tol=1e-9):
-    sd = schmidt_decomposition(
-        result.final_state,
-        BipartiteCut.from_side(result.final_state.system, [result.sender_kept]),
-    )
+    sd = schmidt_decomposition(result.final_state, [result.sender_kept])
     assert sd.rank == 2
     assert abs(float(sd.coefficients[0]) - BALANCE) <= tol
     assert abs(float(sd.coefficients[1]) - BALANCE) <= tol
@@ -93,6 +90,16 @@ class TestInputValidation:
             localize_entanglement(ghz, ["A", "B1"], ["B1", "B2"])
         with pytest.raises(UnknownParty):
             localize_entanglement(ghz, ["A"], ["B1"])
+
+    def test_bare_string_group_rejected(self):
+        # a string is one label, never a group read letter by letter
+        ghz = ghz_basis_state(qubits("A", "B1", "B2"), "00", 1)
+        with pytest.raises(UnknownParty, match=re.escape("write ['A']")):
+            localize_entanglement(ghz, "A", ["B1", "B2"])
+        ghz = ghz_basis_state(qubits("BC", "B", "C"), "00", 1)
+        with pytest.raises(UnknownParty, match=re.escape("write ['BC']")):
+            localize_entanglement(ghz, "BC", ("B", "C"))
+        assert localize_entanglement(ghz, ["BC"], ("B", "C")).sender_kept == "BC"
 
 
 class TestEarlyTermination:

@@ -123,8 +123,9 @@ class TestReports:
         assert abs(MIX_NPT_EIGENVALUE + 1 / 48) < 1e-16
 
     def test_pt_table_work_counts(self, monkeypatch):
-        # The seven facts name their cuts as BipartiteCut objects; each of
-        # E1, E2 and mix solves all seven of its cuts in one stacked solve.
+        # The seven facts name their cuts by a side (cut_number gives k);
+        # each of E1, E2 and mix solves all seven of its cuts in one stacked
+        # solve.
         scenario = nonadditivity.build_scenario()
         solves, solve = [], linalg.x_min_eigenvalue
 
@@ -175,10 +176,10 @@ class TestReports:
         # the contrast in PT facts: the marginal is PPT while the full
         # state is NPT across the same single receiver
         from choilab.entanglement import ppt_check
-        from choilab.states import BipartiteCut
+        from choilab.states import cut_number
 
         rho = ghz3_state().density()
-        assert not ppt_check(rho, BipartiteCut.from_side(rho.system, ["B1"])).is_ppt
+        assert not ppt_check(rho, cut_number(rho.system, ["B1"])).is_ppt
         loc = report_entry(rep, "ghz-oneway-localization")
         assert loc.passed
         assert "(A,B1)" in loc.computed or "(A,B2)" in loc.computed

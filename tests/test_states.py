@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 from choilab import linalg
-from choilab.entanglement import _cut_number
 from choilab.errors import (
     DimensionMismatch,
     IndexOutOfRange,
@@ -15,12 +14,12 @@ from choilab.errors import (
     UnknownParty,
 )
 from choilab.states import (
-    BipartiteCut,
     MultipartiteState,
     PartySystem,
     PureState,
     basis_index,
     cut_name,
+    cut_number,
     cut_side,
     fidelity,
     ghz_basis_state,
@@ -32,8 +31,9 @@ from choilab.states import (
 )
 
 from conftest import (
+    complement,
     describe,
-    index_to_cut,
+    index_side,
     random_density_matrix,
     random_ghz_diagonal_state,
     random_pure_vector,
@@ -62,6 +62,21 @@ class TestPartySystem:
         with pytest.raises(UnknownParty):
             qubits("A", "B").require(["A", "X"])
 
+    def test_bare_string_is_not_a_label_list(self):
+        # "AB" is one party here, so reading the string letter by letter
+        # would name two others; the message shows the list to write
+        sys = qubits("AB", "A", "B")
+        with pytest.raises(UnknownParty, match=re.escape("write ['AB']")):
+            sys.require("AB")
+        rho = MultipartiteState(sys, np.eye(8) / 8)
+        with pytest.raises(UnknownParty, match=re.escape("['AB']")):
+            partial_trace(rho, "AB")
+        with pytest.raises(UnknownParty, match=re.escape("['AB']")):
+            partial_transpose(rho, "AB")
+        with pytest.raises(UnknownParty, match=re.escape("['AB']")):
+            cut_number(sys, "AB")
+        assert partial_trace(rho, ["AB"]).system.labels == ("A", "B")
+        assert cut_number(sys, ["AB"]) == 0b10
 
     @pytest.mark.parametrize("label", ["", "A,B", "A:B", " A", "A ", "\nA"])
     def test_label_the_cli_cannot_name(self, label):
@@ -72,35 +87,56 @@ class TestPartySystem:
 class TestCut:
     def test_validation(self):
         sys = qubits("A", "B", "C")
-        cut = BipartiteCut.from_side(sys, ["A"])
-        assert cut.side_two == {"B", "C"}
-        with pytest.raises(UnknownParty):
-            BipartiteCut(frozenset(), frozenset({"A"}))
-        with pytest.raises(UnknownParty):
-            BipartiteCut(frozenset({"A"}), frozenset({"A", "B"}))
-        with pytest.raises(UnknownParty):
-            BipartiteCut(frozenset({"A"}), frozenset({"B"})).validate(sys)
+        assert cut_number(sys, ["A"]) == cut_number(sys, ("C", "B")) == 0b10
+        assert cut_number(sys, frozenset({"A", "C"})) == cut_number(sys, iter(["B"])) == 0b01
+        for side in ([], ["A", "B", "C"], ["A", "X"], ["X"]):
+            with pytest.raises(UnknownParty):
+                cut_number(sys, side)
 
     def test_cut_name_ignores_side_order(self):
         sys = qubits("A1", "B", "A2", "C")
         for side in (["B"], ["A1", "A2"], ["A1", "C"], ["B", "A2", "C"]):
-            cut = BipartiteCut.from_side(sys, side)
-            swapped = BipartiteCut(cut.side_two, cut.side_one)
-            name = cut_name(sys, _cut_number(cut, sys))
-            assert name == describe(cut, sys) == describe(swapped, sys)
+            swapped = complement(side, sys)
+            name = cut_name(sys, cut_number(sys, side))
+            assert name == cut_name(sys, cut_number(sys, swapped))
+            assert name == describe(side, sys) == describe(swapped, sys)
             assert name.startswith("A1")
         assert cut_name(sys, 0b010) == "A1,A2,C | B"
 
     @pytest.mark.parametrize("n", range(2, 8))
     def test_cut_name_of_every_number(self, n):
-        # the name of cut k is the one read from either side of the cut object
+        # the name of cut k is the one read from either side of the cut
         dims = (2, 3, 2, 4, 2, 2, 3)[:n]
         sys = PartySystem(tuple(f"P{i}" for i in range(n)), dims)
         for k in range(1, 1 << (n - 1)):
-            cut = index_to_cut(format(k, f"0{n - 1}b"), sys)
-            assert cut_side(sys, k) == [l for l in sys.labels if l in cut.side_one]
-            swapped = BipartiteCut(cut.side_two, cut.side_one)
-            assert cut_name(sys, k) == describe(cut, sys) == describe(swapped, sys), k
+            side = index_side(k, sys)
+            assert cut_side(sys, k) == side
+            assert cut_name(sys, k) == describe(side, sys) == describe(complement(side, sys), sys), k
+
+    @pytest.mark.parametrize("n", range(2, 8))
+    def test_either_side_numbers_the_cut(self, n):
+        sys = PartySystem(tuple(f"P{i}" for i in range(n)), (2, 3, 2, 4, 2, 2, 3)[:n])
+        seen = set()
+        for k in range(1, 1 << (n - 1)):
+            side = cut_side(sys, k)
+            assert cut_number(sys, side) == k
+            assert cut_number(sys, complement(side, sys)) == k
+            assert cut_number(sys, side[::-1]) == k
+            seen.add(frozenset(side))
+        # every side without the last party, once
+        assert len(seen) == 2 ** (n - 1) - 1
+
+    @pytest.mark.parametrize("side", [[], ["A1", "B", "A2", "C"], ["X"], ["A1", "X"]])
+    def test_sides_that_name_no_cut(self, four_qubits, side):
+        # empty, every party, or an unknown label: no cut has that side
+        rho = random_state(np.random.default_rng(0), four_qubits)
+        phi = PureState(four_qubits, random_pure_vector(np.random.default_rng(1), 16))
+        with pytest.raises(UnknownParty):
+            cut_number(four_qubits, side)
+        with pytest.raises(UnknownParty):
+            partial_transpose(rho, side)
+        with pytest.raises(UnknownParty):
+            schmidt_decomposition(phi, side)
 
 
 class TestBasisProjector:
@@ -178,7 +214,7 @@ class TestMaxEntangled:
 
     def test_schmidt_rank_and_marginal(self):
         phi = max_entangled(4)
-        sd = schmidt_decomposition(phi, BipartiteCut.from_side(phi.system, ["A"]))
+        sd = schmidt_decomposition(phi, ["A"])
         assert sd.rank == 4
         assert np.allclose(sd.coefficients, [0.5] * 4, atol=1e-15)
         reduced = partial_trace(phi.density(), ["A"])
@@ -192,33 +228,29 @@ class TestPartialTranspose:
         rho = MultipartiteState(
             sys, np.kron(random_density_matrix(rng, 2), random_density_matrix(rng, 2))
         )
-        pt = partial_transpose(rho, BipartiteCut.from_side(sys, ["B"]))
+        pt = partial_transpose(rho, ["B"])
         assert np.allclose(
             np.linalg.eigvalsh(pt), np.linalg.eigvalsh(rho.matrix), atol=1e-12
         )
 
     def test_properties_on_random_states(self, four_qubits):
         rng = np.random.default_rng(42)
-        cuts = [
-            BipartiteCut.from_side(four_qubits, side)
-            for side in (["A1"], ["B"], ["A1", "A2"], ["A1", "B"], ["C"])
-        ]
+        sides = (["A1"], ["B"], ["A1", "A2"], ["A1", "B"], ["C"])
         for _ in range(50):
             rho = random_state(rng, four_qubits)
-            for cut in cuts:
-                pt = partial_transpose(rho, cut)
+            for side in sides:
+                pt = partial_transpose(rho, side)
                 assert np.linalg.norm(pt - pt.conj().T) < 1e-12
                 assert abs(np.trace(pt) - 1) < 1e-12
-                again = partial_transpose(MultipartiteState(four_qubits, rho.matrix), cut)
+                again = partial_transpose(MultipartiteState(four_qubits, rho.matrix), side)
                 # involution via raw transpose of the same axes
                 from choilab.states import transpose_parties
 
-                axes = [four_qubits.axis(l) for l in cut.side_one]
+                axes = [four_qubits.axis(l) for l in side]
                 assert np.allclose(
                     transpose_parties(pt, four_qubits.dims, axes), rho.matrix, atol=0
                 )
-                other = BipartiteCut(cut.side_two, cut.side_one)
-                pt2 = partial_transpose(rho, other)
+                pt2 = partial_transpose(rho, complement(side, four_qubits))
                 assert np.allclose(
                     np.linalg.eigvalsh(pt), np.linalg.eigvalsh(pt2), atol=1e-10
                 )
@@ -226,10 +258,7 @@ class TestPartialTranspose:
 
     def test_unknown_party(self, four_qubits):
         with pytest.raises(UnknownParty):
-            partial_transpose(
-                random_state(np.random.default_rng(0), four_qubits),
-                BipartiteCut(frozenset({"X"}), frozenset({"B", "A2", "C"})),
-            )
+            partial_transpose(random_state(np.random.default_rng(0), four_qubits), ["X"])
 
 
 class TestPartialTrace:
@@ -288,7 +317,7 @@ class TestFidelity:
 class TestSchmidt:
     def test_bell_pair(self):
         phi = max_entangled(2)
-        sd = schmidt_decomposition(phi, BipartiteCut.from_side(phi.system, ["A"]))
+        sd = schmidt_decomposition(phi, ["A"])
         assert sd.rank == 2
         assert np.allclose(sd.coefficients, [1 / math.sqrt(2)] * 2, atol=1e-15)
 
@@ -296,13 +325,13 @@ class TestSchmidt:
         sys = qubits("A", "B")
         v = np.kron(random_pure_vector(np.random.default_rng(2), 2),
                     random_pure_vector(np.random.default_rng(3), 2))
-        sd = schmidt_decomposition(PureState(sys, v), BipartiteCut.from_side(sys, ["A"]))
+        sd = schmidt_decomposition(PureState(sys, v), ["A"])
         assert sd.rank == 1
 
     def test_ghz_cut(self):
         sys = qubits("A", "B1", "B2")
         ghz = ghz_basis_state(sys, "00", 1)
-        sd = schmidt_decomposition(ghz, BipartiteCut.from_side(sys, ["A"]))
+        sd = schmidt_decomposition(ghz, ["A"])
         assert np.allclose(sd.coefficients[:2], [1 / math.sqrt(2)] * 2, atol=1e-15)
 
     def test_reconstruction_and_reduced_spectrum(self, four_qubits):
@@ -310,8 +339,8 @@ class TestSchmidt:
         for _ in range(5):
             phi = PureState(four_qubits, random_pure_vector(rng, 16))
             for side in (["A1"], ["A1", "A2"], ["B", "C"], ["A1", "B", "C"]):
-                cut = BipartiteCut.from_side(four_qubits, side)
-                sd = schmidt_decomposition(phi, cut)
+                sd = schmidt_decomposition(phi, side)
+                assert sd.left_labels == tuple(l for l in four_qubits.labels if l in side)
                 rebuilt = sum(
                     c * np.kron(sd.left_vectors[:, i], sd.right_vectors[i, :])
                     for i, c in enumerate(sd.coefficients)
