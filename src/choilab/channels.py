@@ -30,6 +30,7 @@ from .errors import BadWeights, DimensionMismatch, NotPSD
 from .states import (
     MultipartiteState,
     PartySystem,
+    label_tuple,
     permute_matrix_parties,
     permute_parties,
     trace_out_axes,
@@ -195,6 +196,8 @@ def choi(ch: KrausChannel, order: Sequence[str] | None = None) -> MultipartiteSt
     them, and into qubits when the input dimension is 2^k for k of them;
     any other count raises DimensionMismatch.
     """
+    if order is not None:
+        order = label_tuple(order)
     reference = _reference_system(ch, order)
     clash = set(reference.labels) & set(ch.output_system.labels)
     if clash:
@@ -270,8 +273,8 @@ def kraus_from_choi(
     eigenvalues at most CHOI_RANK_CUTOFF are dropped.
     """
     sys = choi_state.system
-    ref = tuple(reference)
-    out = tuple(outputs)
+    ref = label_tuple(reference)
+    out = label_tuple(outputs)
     if sorted(ref + out) != sorted(sys.labels):
         raise DimensionMismatch(
             f"reference {ref} + outputs {out} must partition {sys.labels}"

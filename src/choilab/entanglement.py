@@ -31,7 +31,11 @@ by a side, as states.schmidt_decomposition takes it.
 The localization procedure turns a Schmidt-rank-2 pure state shared by a
 sender group and a receiver group into a maximally entangled pair between
 one sender and one receiver, using one rank-1 local projector per
-factored-out party plus a final local filter.
+factored-out party plus a final local filter.  The state stays in the
+Schmidt form that the rank check's one SVD gives, sum_i x_i (x) y_i with
+two rows per side: a projector contracts a party out of its side's rows,
+probabilities and marginals are read from 2x2 Gram matrices, and no
+density matrix is built.
 """
 
 from __future__ import annotations
@@ -54,10 +58,9 @@ from .states import (
     PartySystem,
     PureState,
     cut_side,
+    label_tuple,
     partial_transpose,
-    permute_vector_parties,
     schmidt_decomposition,
-    trace_out_axes,
 )
 
 GHZ_RESIDUAL_TOL = 1e-8
@@ -391,26 +394,6 @@ def filter_to_maximally_entangled(phi: PureState) -> tuple[PureState, float]:
     return PureState(phi.system, vec / norm), norm**2
 
 
-def _project_vector(
-    vector: np.ndarray, dims: tuple[int, ...], axis: int, onto: np.ndarray
-) -> tuple[np.ndarray, float]:
-    """Project one party onto |onto><onto|; returns (renormalized vector, probability)."""
-    t = vector.reshape(math.prod(dims[:axis]), dims[axis], -1)
-    amp = np.einsum("k,ikj->ij", onto.conj(), t)  # <onto| on the party
-    norm = linalg.norm(amp)
-    prob = norm**2
-    if prob <= 0:
-        return vector, 0.0
-    collapsed = np.einsum("k,ij->ikj", onto, amp / norm).reshape(-1)
-    return collapsed, prob
-
-
-def _marginal(rho: np.ndarray, system: PartySystem, keep) -> np.ndarray:
-    """The reduced density matrix of the parties in ``keep``, in system order."""
-    axes = [i for i, l in enumerate(system.labels) if l not in keep]
-    return trace_out_axes(rho, system.dims, axes)
-
-
 def _candidate_projectors(dim: int, rng: list[np.random.Generator]):
     """Rank-1 projector candidates: the fixed qubit ones, then seeded random ones.
 
@@ -441,20 +424,6 @@ def _branches_distinct(b1: np.ndarray, b2: np.ndarray) -> bool:
     return gram_det > BRANCH_DISTINCT_TOL * (n1 * n2) ** 2
 
 
-def _side_branches(vector: np.ndarray, system: PartySystem, side: tuple[str, ...]):
-    """The two Schmidt branches of the current state on `side` (system order), as rows."""
-    phi = PureState(system, vector)
-    sd = schmidt_decomposition(phi, side)
-    if sd.rank != 2:
-        raise LocalizationFailed(f"intermediate state has Schmidt rank {sd.rank}")
-    return sd.left_vectors[:, :2].T, sd.left_labels
-
-
-def _purity(m: np.ndarray) -> float:
-    """tr(m m) of a density matrix."""
-    return float(np.real(np.trace(m @ m)))
-
-
 def _condition_i_holds(branches: np.ndarray) -> bool:
     """Both branches factor as (state of the party) x (one common state of the rest).
 
@@ -469,73 +438,89 @@ def _condition_i_holds(branches: np.ndarray) -> bool:
     return linalg.norm(m[0] - m[1]) <= BRANCH_DISTINCT_TOL
 
 
-def _factor_side(
-    vector: np.ndarray,
-    system: PartySystem,
-    side: tuple[str, ...],
-    rng: list[np.random.Generator],
-    log: list[Projection],
-) -> tuple[np.ndarray, str]:
-    """Project out parties of one side until a single one carries the branch pair."""
-    remaining = list(side)
+def _rows_at(rows: np.ndarray, dims: list[int], axis: int) -> np.ndarray:
+    """Both rows of a side as a (2, before, party, after) stack at one of its parties."""
+    return rows.reshape(2, math.prod(dims[:axis]), dims[axis], -1)
+
+
+def _weight(rows: np.ndarray, other_gram: np.ndarray) -> float:
+    """||sum_i x_i (x) y_i||^2 from one side's rows x and the 2x2 Gram matrix of the other's."""
+    return float((rows @ rows.conj().T * other_gram).sum().real)
+
+
+def _project(rows, labels, dims, party, onto, other_gram, log) -> np.ndarray:
+    """<onto| on ``party`` in both rows, whose axis it contracts away, logged with its probability.
+
+    The probability is ||sum_i x'_i (x) y_i||^2 / ||sum_i x_i (x) y_i||^2;
+    ``labels`` and ``dims`` lose the party in place.
+    """
+    axis = labels.index(party)
+    new = np.einsum("k,bikj->bij", onto.conj(), _rows_at(rows, dims, axis)).reshape(2, -1)
+    prob = _weight(new, other_gram) / _weight(rows, other_gram)
+    log.append(Projection(party=party, vector=onto, probability=prob))
+    del labels[axis], dims[axis]
+    return new
+
+
+def _factor_side(rows, system, labels, order, other, rng, log) -> tuple[np.ndarray, str]:
+    """Project out parties of one side, taken in ``order``, until one carries the branch pair.
+
+    ``rows`` are the side's two branch rows over ``labels`` (system order),
+    ``other`` the other side's; returns the rows on the kept party and its label.
+    """
+    labels = list(labels)
+    dims = [system.dim_of(l) for l in labels]
+    other_gram = other @ other.conj().T
+    remaining = list(order)
     while len(remaining) > 1:
         party = remaining[0]
-        rows, side_labels = _side_branches(vector, system, tuple(side))
-        side_system = system.subsystem(side_labels)
-        axis = side_system.axis(party)
-        dims = side_system.dims
-        branches = rows.reshape(2, math.prod(dims[:axis]), dims[axis], -1)
-        if _condition_i_holds(branches):
+        axis = labels.index(party)
+        # the tests read the rows at unit length, so each tolerance keeps its meaning
+        unit = _rows_at(rows / np.linalg.norm(rows, axis=1, keepdims=True), dims, axis)
+        if _condition_i_holds(unit):
             # `party` carries the whole branch distinction; every other
             # remaining party of this side is already factored as a group
-            # and can be projected onto its own (pure) marginal.
-            for other in remaining[1:]:
-                marginal = _marginal(np.outer(vector, vector.conj()), system, (other,))
-                vals, vecs = np.linalg.eigh(marginal)
-                onto = vecs[:, -1]
-                vector, prob = _project_vector(
-                    vector, system.dims, system.axis(other), onto
-                )
-                log.append(Projection(party=other, vector=onto, probability=prob))
-            return vector, party
+            # and can be projected onto its own (pure) marginal, read from
+            # the side's rows weighted by the other side's Gram matrix.
+            for other_party in remaining[1:]:
+                t = _rows_at(rows, dims, labels.index(other_party))
+                marginal = np.einsum("iapb,jaqb,ij->pq", t, t.conj(), other_gram)
+                onto = np.linalg.eigh(marginal)[1][:, -1]
+                rows = _project(rows, labels, dims, other_party, onto, other_gram, log)
+            return rows, party
         for onto in _candidate_projectors(dims[axis], rng):
-            # <onto| on `party` of both branches in one call
-            c1, c2 = np.einsum("k,bikj->bij", onto.conj(), branches)
-            if not _branches_distinct(c1, c2):
-                continue
-            vector, prob = _project_vector(vector, system.dims, system.axis(party), onto)
-            log.append(Projection(party=party, vector=onto, probability=prob))
-            remaining.remove(party)
-            break
+            # <onto| on `party` of both unit rows in one call
+            if _branches_distinct(*np.einsum("k,bikj->bij", onto.conj(), unit)):
+                rows = _project(rows, labels, dims, party, onto, other_gram, log)
+                remaining.remove(party)
+                break
         else:
-            raise LocalizationFailed(
-                f"no projector kept the branches of {party!r} distinct"
-            )
-    return vector, remaining[0]
+            raise LocalizationFailed(f"no projector kept the branches of {party!r} distinct")
+    return rows, remaining[0]
 
 
-def localize_entanglement(
-    phi: PureState,
-    sender_group,
-    receiver_group,
-) -> LocalizationResult:
+def localize_entanglement(phi: PureState, sender_group, receiver_group) -> LocalizationResult:
     """Concentrate a Schmidt-rank-2 state onto one sender/receiver pair.
 
-    Senders are processed first in declared order, then receivers; each
-    processed party is factored out by a rank-1 projector chosen so that the
-    two Schmidt branches stay distinct (deterministic qubit candidates first,
-    then seeded random ones).  When the branch distinction is carried
-    entirely by the party under consideration, the procedure stops early on
-    that side and the remaining parties are projected onto their already
-    factored marginals.  A final local filter balances the surviving pair.
+    The rank check's Schmidt decomposition across senders | receivers is
+    the state for the whole call: phi = sum_i x_i (x) y_i with sender rows
+    x_i = c_i u_i and receiver rows y_i = v_i.  Senders are processed first
+    in declared order, then receivers; each processed party is factored out
+    by a rank-1 projector chosen so that the two branches stay distinct
+    (deterministic qubit candidates first, then seeded random ones), which
+    contracts the party out of its side's rows.  When the branch
+    distinction is carried entirely by the party under consideration, the
+    procedure stops early on that side and the remaining parties are
+    projected onto their already factored marginals.  The surviving pair is
+    sum_i x_i (x) y_i on (sender, receiver), and a final local filter
+    balances it.  The groups list distinct parties, apart from each other,
+    and cover the system.
     """
     sys = phi.system
-    # a bare string reaches require whole, which refuses it
-    groups = (sender_group, receiver_group)
-    senders, receivers = (g if isinstance(g, str) else tuple(g) for g in groups)
-    s_set, r_set = sys.require(senders), sys.require(receivers)
-    if s_set & r_set:
-        raise OverlappingGroups(f"groups overlap: {sorted(s_set & r_set)}")
+    senders, receivers = label_tuple(sender_group), label_tuple(receiver_group)
+    s_set, r_set = disjoint_groups(sys, senders, receivers)
+    if len(s_set) < len(senders) or len(r_set) < len(receivers):
+        raise OverlappingGroups(f"a group lists a party twice: {senders}, {receivers}")
     if s_set | r_set != set(sys.labels):
         raise UnknownParty("sender and receiver groups must cover all parties")
     sd = schmidt_decomposition(phi, senders)
@@ -546,39 +531,25 @@ def localize_entanglement(
     # and shared by both sides, so the receivers continue the senders' draws
     rng: list[np.random.Generator] = []
     log: list[Projection] = []
-    vector = phi.vector.copy()
-    vector, sender_kept = _factor_side(vector, sys, senders, rng, log)
-    vector, receiver_kept = _factor_side(vector, sys, receivers, rng, log)
+    x = sd.left_vectors[:, :2].T * sd.coefficients[:2, None]
+    y = sd.right_vectors[:2]
+    x, sender_kept = _factor_side(x, sys, sd.left_labels, senders, y, rng, log)
+    y, receiver_kept = _factor_side(y, sys, sd.right_labels, receivers, x, rng, log)
 
-    kept = (sender_kept, receiver_kept)
-    rho = np.outer(vector, vector.conj())
-    purities = {l: _purity(_marginal(rho, sys, (l,))) for l in sys.labels if l not in kept}
-    vals, vecs = np.linalg.eigh(_marginal(rho, sys, kept))
-    if vals[-1] < 1 - FACTORED_PURITY_TOL or min(purities.values(), default=1.0) < 1 - FACTORED_PURITY_TOL:
+    # each bystander is left in the ket it was projected onto
+    kets = {p.party: p.vector for p in log}
+    purities = {l: linalg.norm(kets[l]) ** 4 for l in sys.labels if l in kets}
+    if min(purities.values(), default=1.0) < 1 - FACTORED_PURITY_TOL:
         raise LocalizationFailed("bystander parties did not factor out")
-    kept_in_order = [l for l in sys.labels if l in kept]
-    pair_system = sys.subsystem(kept_in_order)
-    pair = PureState(pair_system, vecs[:, -1])
-    if kept_in_order[0] != sender_kept:
-        # cosmetic: list the sender first in the final pair
-        perm = [1, 0]
-        pair = PureState(
-            PartySystem(
-                (sender_kept, receiver_kept),
-                (pair_system.dims[1], pair_system.dims[0]),
-            ),
-            permute_vector_parties(pair.vector, pair_system.dims, perm),
-        )
-    final, filter_prob = filter_to_maximally_entangled(pair)
-    total = filter_prob
-    for p in log:
-        total *= p.probability
+    pair = (x.T @ y).reshape(-1)  # sum_i x_i (x) y_i
+    kept = PartySystem((sender_kept, receiver_kept), (x.shape[1], y.shape[1]))
+    final, filter_prob = filter_to_maximally_entangled(PureState(kept, pair / linalg.norm(pair)))
     return LocalizationResult(
         projections=tuple(log),
         final_state=final,
         sender_kept=sender_kept,
         receiver_kept=receiver_kept,
         filter_probability=filter_prob,
-        success_probability=total,
+        success_probability=math.prod([filter_prob, *(p.probability for p in log)]),
         bystander_purities=purities,
     )

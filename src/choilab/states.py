@@ -77,11 +77,8 @@ class PartySystem:
         return self.dims[self.axis(label)]
 
     def require(self, labels: Iterable[str]) -> frozenset[str]:
-        if isinstance(labels, str):
-            # a bare string would be read as one label per character
-            raise UnknownParty(f"a list of labels is needed, not the string {labels!r}: "
-                               f"write {[labels]!r}")
-        got = frozenset(labels)
+        """The labels as a set, each a party of the system (a bare string is refused)."""
+        got = frozenset(label_tuple(labels))
         unknown = got - set(self.labels)
         if unknown:
             raise UnknownParty(f"unknown parties {sorted(unknown)}; have {self.labels}")
@@ -97,10 +94,19 @@ class PartySystem:
 
     def reordered(self, order: Sequence[str]) -> tuple["PartySystem", list[int]]:
         """The system with its parties listed in ``order``, and the old axis of each new slot."""
+        self.require(order)
         if sorted(order) != sorted(self.labels):
             raise UnknownParty(f"{tuple(order)} is not a permutation of {self.labels}")
         perm = [self.axis(l) for l in order]
         return PartySystem(tuple(order), tuple(self.dims[p] for p in perm)), perm
+
+
+def label_tuple(labels: Iterable[str]) -> tuple[str, ...]:
+    """A list of labels as a tuple; a bare string is refused, not read as one label per character."""
+    if isinstance(labels, str):
+        raise UnknownParty(f"a list of labels is needed, not the string {labels!r}: "
+                           f"write {[labels]!r}")
+    return tuple(labels)
 
 
 def cut_side(system: PartySystem, k: int) -> list[str]:

@@ -4,14 +4,17 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
-from choilab import linalg
+from choilab import entanglement, linalg
 from choilab.entanglement import all_cut_indices
-from choilab.errors import DimensionMismatch
+from choilab.errors import DimensionMismatch, LocalizationFailed, NotSchmidtRank2
 from choilab.nonadditivity import BELL_OUTCOME_FLOOR
 from choilab.states import (
     MultipartiteState,
     PartySystem,
+    PureState,
     ghz_basis_state,
+    permute_vector_parties,
+    schmidt_decomposition,
     trace_out_axes,
 )
 
@@ -107,6 +110,97 @@ def loop_teleport_fidelity(resource: MultipartiteState, input_state) -> float:
         out = corr @ out @ corr.conj().T
         fid += prob * float(np.real(psi.conj() @ out @ psi))
     return fid
+
+
+# The step-by-step localization that entanglement.localize_entanglement
+# replaced with its Schmidt form, kept as the oracle it must match: an SVD
+# of the whole vector at every step, marginals read from the density
+# matrix, and the kept pair read by eigh and reordered by hand.  It shares
+# the candidates and the two branch tests with the package.
+
+
+def _svd_side_branches(vector: np.ndarray, system: PartySystem, side):
+    sd = schmidt_decomposition(PureState(system, vector), side)
+    if sd.rank != 2:
+        raise LocalizationFailed(f"intermediate state has Schmidt rank {sd.rank}")
+    return sd.left_vectors[:, :2].T, sd.left_labels
+
+
+def _svd_project(vector: np.ndarray, dims, axis: int, onto: np.ndarray):
+    t = vector.reshape(math.prod(dims[:axis]), dims[axis], -1)
+    amp = np.einsum("k,ikj->ij", onto.conj(), t)
+    norm = np.linalg.norm(amp)
+    if norm == 0:
+        return vector, 0.0
+    return np.einsum("k,ij->ikj", onto, amp / norm).reshape(-1), norm**2
+
+
+def _svd_marginal(vector: np.ndarray, system: PartySystem, keep) -> np.ndarray:
+    axes = [i for i, l in enumerate(system.labels) if l not in keep]
+    return trace_out_axes(np.outer(vector, vector.conj()), system.dims, axes)
+
+
+def _svd_factor_side(vector, system: PartySystem, side, rng, log):
+    remaining = list(side)
+    while len(remaining) > 1:
+        party = remaining[0]
+        rows, side_labels = _svd_side_branches(vector, system, tuple(side))
+        side_system = system.subsystem(side_labels)
+        axis = side_system.axis(party)
+        dims = side_system.dims
+        branches = rows.reshape(2, math.prod(dims[:axis]), dims[axis], -1)
+        if entanglement._condition_i_holds(branches):
+            for other in remaining[1:]:
+                onto = np.linalg.eigh(_svd_marginal(vector, system, (other,)))[1][:, -1]
+                vector, prob = _svd_project(vector, system.dims, system.axis(other), onto)
+                log.append(entanglement.Projection(other, onto, prob))
+            return vector, party
+        for onto in entanglement._candidate_projectors(dims[axis], rng):
+            c1, c2 = np.einsum("k,bikj->bij", onto.conj(), branches)
+            if entanglement._branches_distinct(c1, c2):
+                vector, prob = _svd_project(vector, system.dims, system.axis(party), onto)
+                log.append(entanglement.Projection(party, onto, prob))
+                remaining.remove(party)
+                break
+        else:
+            raise LocalizationFailed(f"no projector kept the branches of {party!r} distinct")
+    return vector, remaining[0]
+
+
+def svd_localize(phi: PureState, senders, receivers) -> entanglement.LocalizationResult:
+    """localize_entanglement on valid groups, one SVD of the whole vector per step."""
+    sys = phi.system
+    if schmidt_decomposition(phi, senders).rank != 2:
+        raise NotSchmidtRank2("need Schmidt rank 2")
+    rng, log = [], []
+    vector, sender_kept = _svd_factor_side(phi.vector.copy(), sys, senders, rng, log)
+    vector, receiver_kept = _svd_factor_side(vector, sys, receivers, rng, log)
+    kept = (sender_kept, receiver_kept)
+    purities = {}
+    for l in sys.labels:
+        if l not in kept:
+            m = _svd_marginal(vector, sys, (l,))
+            purities[l] = float(np.real(np.trace(m @ m)))
+    vals, vecs = np.linalg.eigh(_svd_marginal(vector, sys, kept))
+    if vals[-1] < 1 - entanglement.FACTORED_PURITY_TOL:
+        raise LocalizationFailed("bystander parties did not factor out")
+    order = [l for l in sys.labels if l in kept]
+    pair = vecs[:, -1]
+    if order[0] != sender_kept:
+        pair = permute_vector_parties(pair, [sys.dim_of(l) for l in order], [1, 0])
+    dims = (sys.dim_of(sender_kept), sys.dim_of(receiver_kept))
+    final, filter_prob = entanglement.filter_to_maximally_entangled(
+        PureState(PartySystem(kept, dims), pair)
+    )
+    return entanglement.LocalizationResult(
+        projections=tuple(log),
+        final_state=final,
+        sender_kept=sender_kept,
+        receiver_kept=receiver_kept,
+        filter_probability=filter_prob,
+        success_probability=math.prod([filter_prob, *(p.probability for p in log)]),
+        bystander_purities=purities,
+    )
 
 
 def choi_apply(choi_state: MultipartiteState, reference, mat: np.ndarray) -> np.ndarray:

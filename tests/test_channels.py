@@ -190,6 +190,11 @@ class TestChoi:
         with pytest.raises(UnknownParty, match=f"^{re.escape(message)}$"):
             choi(binding_channel(1), ("A1", "B", "A2"))
 
+    def test_bare_string_order_refused(self):
+        # read letter by letter, the order would name the references A, 1, A, 2
+        with pytest.raises(UnknownParty, match=re.escape("write ['A1BA2C']")):
+            choi(binding_channel(1), "A1BA2C")
+
     def test_default_reference_must_not_collide(self):
         ch = identity_channel()
         clashing = KrausChannel("id", ch.input_system, PartySystem(("Q_ref",), (2,)), ch.kraus)
@@ -272,6 +277,11 @@ class TestKrausFromChoi:
             rebuilt = kraus_from_choi(state, ["A1", "A2"], ["B", "C"])
             assert channels_act_alike(rebuilt, build, tol=1e-9)
             assert verify_cptp(rebuilt).passed
+
+    def test_bare_string_reference_refused(self):
+        state = choi(binding_channel(1), CANONICAL_ORDER)
+        with pytest.raises(UnknownParty, match=re.escape("write ['A1']")):
+            kraus_from_choi(state, "A1", ["B", "A2", "C"])
 
     def test_choi_of_rebuilt_matches(self):
         ch = binding_channel(2)

@@ -3,17 +3,23 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from choilab import entanglement
 from choilab.entanglement import localize_entanglement
 from choilab.errors import NotSchmidtRank2, OverlappingGroups, UnknownParty
+from choilab.nonadditivity import full_report
 from choilab.states import (
     PartySystem,
     PureState,
     ghz_basis_state,
     max_entangled,
+    permute_vector_parties,
     schmidt_decomposition,
 )
+
+from conftest import svd_localize
 
 BALANCE = 1 / math.sqrt(2)
 
@@ -90,6 +96,20 @@ class TestInputValidation:
             localize_entanglement(ghz, ["A", "B1"], ["B1", "B2"])
         with pytest.raises(UnknownParty):
             localize_entanglement(ghz, ["A"], ["B1"])
+
+    def test_party_listed_twice_rejected(self):
+        # B1 would be projected twice, A would be projected out of its own group
+        ghz = ghz_basis_state(qubits("A", "B1", "B2"), "00", 1)
+        with pytest.raises(OverlappingGroups, match="twice"):
+            localize_entanglement(ghz, ["A"], ["B1", "B2", "B1"])
+        ghz = ghz_basis_state(qubits("A", "B"), "0", 1)
+        with pytest.raises(OverlappingGroups, match="twice"):
+            localize_entanglement(ghz, ["A", "A"], ["B"])
+
+    def test_empty_group_rejected(self):
+        ghz = ghz_basis_state(qubits("A", "B1", "B2"), "00", 1)
+        with pytest.raises(OverlappingGroups, match="nonempty"):
+            localize_entanglement(ghz, [], ["A", "B1", "B2"])
 
     def test_bare_string_group_rejected(self):
         # a string is one label, never a group read letter by letter
@@ -200,3 +220,72 @@ class TestRandomProjectorFallback:
             assert np.array_equal(projection.vector, vector)
         assert (result.sender_kept, result.receiver_kept) == ("A2", "B2")
         assert_balanced(result)
+
+
+@st.composite
+def rank2_cases(draw):
+    """A random Schmidt-rank-2 state and its groups, interleaved and listed in any order."""
+    dims = draw(st.lists(st.sampled_from((2, 3)), min_size=2, max_size=6))
+    n = len(dims)
+    labels = tuple(f"P{i}" for i in range(n))
+    sends = draw(
+        st.lists(st.booleans(), min_size=n, max_size=n).filter(lambda b: 0 < sum(b) < n)
+    )
+    senders = [l for l, s in zip(labels, sends) if s]
+    receivers = [l for l, s in zip(labels, sends) if not s]
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    theta = draw(st.floats(0.1, 0.7))
+    d = dict(zip(labels, dims))
+    chi = random_orthonormal_pair(rng, math.prod(d[l] for l in senders))
+    psi = random_orthonormal_pair(rng, math.prod(d[l] for l in receivers))
+    v = math.cos(theta) * np.kron(chi[:, 0], psi[:, 0])
+    v = v + math.sin(theta) * np.kron(chi[:, 1], psi[:, 1])
+    grouped = senders + receivers
+    v = permute_vector_parties(v, [d[l] for l in grouped], [grouped.index(l) for l in labels])
+    phi = PureState(PartySystem(labels, dims), v / np.linalg.norm(v))
+    return phi, draw(st.permutations(senders)), draw(st.permutations(receivers))
+
+
+class TestSchmidtFormMatchesStepwiseSvd:
+    @given(rank2_cases())
+    def test_same_projections_pair_and_state(self, case):
+        phi, senders, receivers = case
+        got = localize_entanglement(phi, senders, receivers)
+        want = svd_localize(phi, senders, receivers)
+        assert [p.party for p in got.projections] == [p.party for p in want.projections]
+        for p, q in zip(got.projections, want.projections):
+            assert np.array_equal(p.vector, q.vector)
+            assert abs(p.probability - q.probability) <= 1e-12
+        assert (got.sender_kept, got.receiver_kept) == (want.sender_kept, want.receiver_kept)
+        assert abs(got.filter_probability - want.filter_probability) <= 1e-12
+        assert abs(got.success_probability - want.success_probability) <= 1e-12
+        assert got.bystander_purities.keys() == want.bystander_purities.keys()
+        for l, purity in got.bystander_purities.items():
+            assert abs(purity - want.bystander_purities[l]) <= 1e-12
+        assert got.final_state.system == want.final_state.system
+        a, b = got.final_state.vector, want.final_state.vector
+        phase = np.vdot(b, a)
+        assert np.linalg.norm(a - phase / abs(phase) * b) <= 1e-12
+
+
+class TestWorkCount:
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        counts = {"svd": 0, "eigh": 0}
+        for name in counts:
+            def counted(*args, _name=name, _real=getattr(np.linalg, name), **kwargs):
+                counts[_name] += 1
+                return _real(*args, **kwargs)
+
+            monkeypatch.setattr(np.linalg, name, counted)
+        return counts
+
+    def test_one_decomposition_plus_the_filter(self, calls):
+        ghz = ghz_basis_state(qubits("A", "B1", "B2"), "00", 1)
+        localize_entanglement(ghz, ["A"], ["B1", "B2"])
+        # the rank check's SVD and the filter's; no density matrix is diagonalized
+        assert calls == {"svd": 2, "eigh": 0}
+
+    def test_full_report(self, calls):
+        full_report()
+        assert calls == {"svd": 5, "eigh": 0}

@@ -78,6 +78,12 @@ class TestPartySystem:
         assert partial_trace(rho, ["AB"]).system.labels == ("A", "B")
         assert cut_number(sys, ["AB"]) == 0b10
 
+    def test_permute_parties_refuses_a_bare_string(self):
+        # read letter by letter, "BA" would be the swap of parties A and B
+        rho = random_state(np.random.default_rng(8), qubits("A", "B"))
+        with pytest.raises(UnknownParty, match=re.escape("write ['BA']")):
+            permute_parties(rho, "BA")
+
     @pytest.mark.parametrize("label", ["", "A,B", "A:B", " A", "A ", "\nA"])
     def test_label_the_cli_cannot_name(self, label):
         with pytest.raises(UnknownParty, match="party label"):
