@@ -13,6 +13,8 @@ from __future__ import annotations
 import argparse
 import functools
 import math
+import os
+import stat
 import sys
 
 import numpy as np
@@ -39,7 +41,7 @@ from .entanglement import (
 from .errors import ChoilabError, ParseError
 from .linalg import PSD_THRESHOLD
 from .nonadditivity import full_report
-from .states import cut_name
+from .states import cut_names
 
 EXIT_PASS = 0
 EXIT_FAIL = 1
@@ -63,13 +65,38 @@ def _finish(args, entries: list[dict], artifact: dict | None = None) -> int:
     # The report is encoded only when it is printed or written.
     text = dumps(report) if args.format == "json" or (args.out and artifact is None) else None
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text if artifact is None else dumps(artifact))
+        _write_over(args.out, text if artifact is None else dumps(artifact))
     if args.format == "json":
         sys.stdout.write(text)
     else:
         _render_human(report)
     return EXIT_FAIL if failed else EXIT_PASS
+
+
+# The first byte of a file while _write_over rewrites it: no JSON text starts with it.
+_NOT_JSON = b"\0"
+
+
+def _write_over(path, text: str) -> None:
+    """Write ``text`` to ``path`` in place, without truncating the file first.
+
+    Truncating a file on open can block on some file systems.  The new
+    bytes go over the old ones behind a first byte that no JSON text
+    starts with, the stale tail is cut, and the real first byte is written
+    last: once that marker is written, an interrupted write leaves a file
+    that is not JSON until the whole new text is in place.  A device or
+    pipe, which has no old bytes to cut, gets the text as it is.
+    """
+    data = text.encode("utf-8")
+    with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "wb") as fh:
+        if not stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
+            fh.write(data)
+            return
+        fh.write(_NOT_JSON)
+        fh.write(memoryview(data)[1:])
+        fh.truncate(len(data))
+        fh.seek(0)
+        fh.write(data[:1])
 
 
 def _render_human(report: dict) -> None:
@@ -122,7 +149,8 @@ def _cmd_choi(args) -> int:
 def _parse_pairs(specs, system) -> list[tuple[tuple[str, ...], tuple[str, ...]]]:
     """The --pair group pairs, each checked against the system and listed once.
 
-    No group may list a party twice.  With no --pair, every pair of single parties.
+    No group or label may be empty, and no group may list a party twice.
+    With no --pair, every pair of single parties.
     """
     pairs = []
     if specs:
@@ -135,6 +163,8 @@ def _parse_pairs(specs, system) -> list[tuple[tuple[str, ...], tuple[str, ...]]]
                 tuple(s.strip() for s in one.split(",")),
                 tuple(s.strip() for s in two.split(",")),
             )
+            if "" in pair[0] + pair[1]:
+                raise ParseError(f"--pair has an empty group or label (got {spec!r})")
             if any(len(set(group)) < len(group) for group in pair):
                 raise ParseError(f"--pair lists a party twice within a group (got {spec!r})")
             disjoint_groups(system, *pair)
@@ -150,31 +180,33 @@ def _parse_pairs(specs, system) -> list[tuple[tuple[str, ...], tuple[str, ...]]]
 def _cmd_classify(args) -> int:
     """Rows for the GHZ fingerprint, every cut and every group pair.
 
-    Cut k's row makes one ppt_check call by its number, on an X-shaped
-    state an O(1) read of what entanglement.cut_min_eigenvalues solved for
-    all cuts at once; the calls stay so that the benchmark's per-cut
-    ppt_check count holds.  Cuts are numbers throughout: states.cut_name
-    names cut k in its row and in a pair's blocking list, which
-    entanglement.pair_verdicts gives as numbers.  The fingerprint's
-    bit-string names are made here: the lambda-j rows zip all_cut_indices
-    with the lambdas array.  The criterion column and the pair verdicts
-    each read one NPT vector.
+    The rows are made in one pass over the cuts: cut k, numbered as
+    all_cut_indices and the states.cut_names table are, gives its lambda-j
+    row (a GHZ-diagonal state only) and its cut-j row; then each group
+    pair's row names its blocking cuts from the same table.  The names are
+    made once per party system, however many rows and pairs use them.
+    Cut k's row still makes one ppt_check call by its number, on an
+    X-shaped state an O(1) read of what entanglement.cut_min_eigenvalues
+    solved for all cuts at once, so that the benchmark's per-cut ppt_check
+    count holds.  The criterion column and the pair verdicts each read one
+    NPT vector.
     """
     state = state_from_dict(load_path(args.state), psd_threshold=-args.tolerance)
     sys_ = state.system
     coeffs = ghz_diagonal_coefficients(state)  # rejects a state not on qubits
     pairs = _parse_pairs(args.pair, sys_)
     threshold = -args.tolerance
-    entries = []
+    names = cut_names(sys_)
     ghz_diagonal = coeffs.ghz_diagonal
-    entries.append(
+    entries = [
         {
             "id": "residual",
             "status": "info" if ghz_diagonal else "warn",
             "computed": f"off-diagonal residual = {coeffs.offdiagonal_residual:.3e}"
             + ("" if ghz_diagonal else " (not GHZ-diagonal: reporting PT facts only)"),
         }
-    )
+    ]
+    lambda_rows, cut_rows = [], []
     if ghz_diagonal:
         entries.append(
             {
@@ -187,8 +219,23 @@ def _cmd_classify(args) -> int:
                 "lambda0_minus": float(coeffs.minus[0]),
             }
         )
-        for j, lam in zip(all_cut_indices(sys_.num_parties), coeffs.lambdas.tolist()):
-            entries.append(
+        lambdas = coeffs.lambdas.tolist()
+        npt = npt_vector(coeffs, threshold).tolist()
+    for k, (j, name) in enumerate(zip(all_cut_indices(sys_.num_parties), names), start=1):
+        verdict = ppt_check(state, k, threshold=threshold)
+        low = verdict.min_eigenvalue
+        eigensolver = "PPT" if verdict.is_ppt else "NPT"
+        row = {
+            "id": f"cut-{j}",
+            "status": "info",
+            "cut": name,
+            "min_eigenvalue": low,
+            "eigensolver": eigensolver,
+        }
+        text = f"{name:<18} eigensolver {eigensolver}"
+        if ghz_diagonal:
+            lam = lambdas[k - 1]
+            lambda_rows.append(
                 {
                     "id": f"lambda-{j}",
                     "status": "info",
@@ -196,32 +243,22 @@ def _cmd_classify(args) -> int:
                     "value": lam,
                 }
             )
-        npt = npt_vector(coeffs, threshold).tolist()
-    for k, j in enumerate(all_cut_indices(sys_.num_parties), start=1):
-        verdict = ppt_check(state, k, threshold=threshold)
-        row = {
-            "id": f"cut-{j}",
-            "status": "info",
-            "cut": cut_name(sys_, k),
-            "min_eigenvalue": verdict.min_eigenvalue,
-            "eigensolver": "PPT" if verdict.is_ppt else "NPT",
-        }
-        text = f"{row['cut']:<18} eigensolver {row['eigensolver']}"
-        if ghz_diagonal:
-            crit = "NPT" if npt[k - 1] else "PPT"
-            row["criterion"] = crit
-            text += f", criterion {crit}"
-            if crit != row["eigensolver"]:
+            criterion = "NPT" if npt[k - 1] else "PPT"
+            row["criterion"] = criterion
+            text += f", criterion {criterion}"
+            if criterion != eigensolver:
                 row["status"] = "fail"
-        row["computed"] = text + f", min eig = {verdict.min_eigenvalue: .6e}"
-        entries.append(row)
+        row["computed"] = f"{text}, min eig = {low: .6e}"
+        cut_rows.append(row)
+    entries += lambda_rows + cut_rows
     if ghz_diagonal:
         for (one, two), verdict in zip(pairs, pair_verdicts(coeffs, pairs, threshold)):
             a, b = ",".join(one), ",".join(two)
-            blocking = "; ".join(cut_name(sys_, k) for k in verdict.blocking_cuts)
-            result = (
-                "distillable" if verdict.distillable else f"not distillable (blocking: {blocking})"
-            )
+            if verdict.distillable:
+                result = "distillable"
+            else:
+                blocking = "; ".join([names[k - 1] for k in verdict.blocking_cuts])
+                result = f"not distillable (blocking: {blocking})"
             entries.append(
                 {
                     "id": f"distill-{a}-vs-{b}",

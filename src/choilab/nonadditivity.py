@@ -40,7 +40,7 @@ from .states import (
     MultipartiteState,
     PartySystem,
     PureState,
-    cut_name,
+    cut_names,
     cut_number,
     ghz_basis_state,
     max_entangled,
@@ -368,6 +368,7 @@ def capacity_proxy_report(scenario: Scenario) -> ReproductionReport:
     targets = [("AB", ("B",)), ("AC", ("C",)), ("ABC", ("B", "C"))]
     entries = []
     proxies: dict[tuple[str, str], CapacityProxy] = {}
+    names = cut_names(CHOI_SYSTEM)
     for key, coeffs in scenario.coeffs.items():
         expect = key == "mix"
         # the joint proxy's witnesses serve every target: one pair_verdicts call
@@ -378,7 +379,7 @@ def capacity_proxy_report(scenario: Scenario) -> ReproductionReport:
             # a cut separating the senders from both receivers blocks
             # each witness; list it once, in first-seen order
             blocking = dict.fromkeys(
-                cut_name(CHOI_SYSTEM, k) for w in proxy.witnesses for k in w.blocking_cuts
+                names[k - 1] for w in proxy.witnesses for k in w.blocking_cuts
             )
             entries.append(
                 ClaimEntry(

@@ -6,15 +6,17 @@ computational-basis indices map big-endian (first party most significant).
 records whether it is X-shaped (see ``linalg``); ``PureState`` wraps a
 unit vector.  A cut is named two ways.  Where only the cut matters it is
 its number k, 1 <= k < 2^(N-1): the side without the last party is read
-from the bits of k (``cut_side``), and ``cut_name`` names it.  Where an
-orientation matters it is a side, a collection of labels holding some but
-not all parties: ``partial_transpose`` transposes those parties and
+from the bits of k (``cut_side``), ``cut_name`` names it, and
+``cut_names`` is the table of every cut's name, entry k-1 for cut k.
+Where an orientation matters it is a side, a collection of labels holding
+some but not all parties: ``partial_transpose`` transposes those parties and
 ``schmidt_decomposition`` puts them on the left.  ``cut_number`` gives the
 k of either side of a cut.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import InitVar, dataclass, field
 from typing import Iterable, NamedTuple, Sequence
@@ -146,6 +148,16 @@ def cut_name(system: PartySystem, k: int) -> str:
     one = [l for l in system.labels if (l in side) is first]
     two = [l for l in system.labels if (l in side) is not first]
     return f"{','.join(one)} | {','.join(two)}"
+
+
+@functools.lru_cache(maxsize=32)
+def cut_names(system: PartySystem) -> tuple[str, ...]:
+    """The name of every cut: entry k-1 is cut_name(system, k), as lambdas are indexed.
+
+    Made once per system and kept for the 32 most recent systems, so a
+    report that names a cut in its row and in blocking lists names it once.
+    """
+    return tuple(cut_name(system, k) for k in range(1, 1 << (system.num_parties - 1)))
 
 
 @dataclass(frozen=True, eq=False)

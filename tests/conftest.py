@@ -5,13 +5,20 @@ import pytest
 from hypothesis import settings
 
 from choilab import entanglement, linalg
-from choilab.entanglement import all_cut_indices
+from choilab.entanglement import (
+    all_cut_indices,
+    ghz_diagonal_coefficients,
+    npt_vector,
+    pair_verdicts,
+    ppt_check,
+)
 from choilab.errors import DimensionMismatch, LocalizationFailed, NotSchmidtRank2
 from choilab.nonadditivity import BELL_OUTCOME_FLOOR
 from choilab.states import (
     MultipartiteState,
     PartySystem,
     PureState,
+    cut_name,
     ghz_basis_state,
     permute_vector_parties,
     schmidt_decomposition,
@@ -110,6 +117,84 @@ def loop_teleport_fidelity(resource: MultipartiteState, input_state) -> float:
         out = corr @ out @ corr.conj().T
         fid += prob * float(np.real(psi.conj() @ out @ psi))
     return fid
+
+
+# The per-row loop of cli._cmd_classify before its rows were made in one
+# pass from a cut-name table, kept as the oracle whose entries its output
+# must match byte for byte: lambda rows, then cut rows, then pair rows,
+# each cut named by a fresh cut_name call.
+
+
+def loop_classify_entries(state: MultipartiteState, pairs, threshold: float) -> list[dict]:
+    """The classify report's entries for a state, its parsed group pairs and a threshold."""
+    sys_ = state.system
+    coeffs = ghz_diagonal_coefficients(state)
+    entries = []
+    ghz_diagonal = coeffs.ghz_diagonal
+    entries.append(
+        {
+            "id": "residual",
+            "status": "info" if ghz_diagonal else "warn",
+            "computed": f"off-diagonal residual = {coeffs.offdiagonal_residual:.3e}"
+            + ("" if ghz_diagonal else " (not GHZ-diagonal: reporting PT facts only)"),
+        }
+    )
+    if ghz_diagonal:
+        entries.append(
+            {
+                "id": "delta",
+                "status": "info",
+                "computed": f"delta = {coeffs.delta:.12g}"
+                + (" (asymmetric pair weights symmetrized)" if coeffs.asymmetry_flag else ""),
+                "delta": coeffs.delta,
+                "lambda0_plus": float(coeffs.plus[0]),
+                "lambda0_minus": float(coeffs.minus[0]),
+            }
+        )
+        for j, lam in zip(all_cut_indices(sys_.num_parties), coeffs.lambdas.tolist()):
+            entries.append(
+                {
+                    "id": f"lambda-{j}",
+                    "status": "info",
+                    "computed": f"lambda_{j} = {lam:.12g}",
+                    "value": lam,
+                }
+            )
+        npt = npt_vector(coeffs, threshold).tolist()
+    for k, j in enumerate(all_cut_indices(sys_.num_parties), start=1):
+        verdict = ppt_check(state, k, threshold=threshold)
+        row = {
+            "id": f"cut-{j}",
+            "status": "info",
+            "cut": cut_name(sys_, k),
+            "min_eigenvalue": verdict.min_eigenvalue,
+            "eigensolver": "PPT" if verdict.is_ppt else "NPT",
+        }
+        text = f"{row['cut']:<18} eigensolver {row['eigensolver']}"
+        if ghz_diagonal:
+            crit = "NPT" if npt[k - 1] else "PPT"
+            row["criterion"] = crit
+            text += f", criterion {crit}"
+            if crit != row["eigensolver"]:
+                row["status"] = "fail"
+        row["computed"] = text + f", min eig = {verdict.min_eigenvalue: .6e}"
+        entries.append(row)
+    if ghz_diagonal:
+        for (one, two), verdict in zip(pairs, pair_verdicts(coeffs, pairs, threshold)):
+            a, b = ",".join(one), ",".join(two)
+            blocking = "; ".join(cut_name(sys_, k) for k in verdict.blocking_cuts)
+            result = (
+                "distillable" if verdict.distillable else f"not distillable (blocking: {blocking})"
+            )
+            entries.append(
+                {
+                    "id": f"distill-{a}-vs-{b}",
+                    "status": "info",
+                    "computed": f"{a} vs {b}: {result}",
+                    "distillable": verdict.distillable,
+                }
+            )
+    return entries
 
 
 # The step-by-step localization that entanglement.localize_entanglement

@@ -1,4 +1,6 @@
+import contextlib
 import importlib.util
+import io
 import json
 import os
 import subprocess
@@ -7,6 +9,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import choilab
 from choilab import channels, cli, codec, linalg, states
@@ -34,6 +38,7 @@ from conftest import (
     describe,
     ghz_diagonal_state,
     index_side,
+    loop_classify_entries,
     random_ghz_diagonal_state,
     random_state,
     walk_blocking_cuts,
@@ -460,6 +465,88 @@ class TestClassify:
         assert err.startswith("error:")
         assert "Traceback" not in err
 
+    def test_cuts_named_once_per_system(self, tmp_path, capsys, monkeypatch):
+        # The cut rows and the blocking lists of every pair read one name
+        # table; a second file on an equal system makes no name at all.
+        system = PartySystem(("A1", "B", "A2", "C", "D"), (2,) * 5)
+        rng = np.random.default_rng(12)
+        paths = []
+        for i in range(2):
+            paths.append(tmp_path / f"ghz5-{i}.json")
+            paths[-1].write_text(dumps(state_to_dict(random_ghz_diagonal_state(rng, system))))
+        named = []
+        name = states.cut_name
+
+        def counting(system, k):
+            named.append(k)
+            return name(system, k)
+
+        monkeypatch.setattr(states, "cut_name", counting)
+        states.cut_names.cache_clear()
+        for path in paths:
+            code, out, _ = run(capsys, "--format", "json", "classify", str(path))
+            assert code == 0
+            assert " | " in out
+        assert named == list(range(1, 16))
+
+
+# A few labels of more than one character, from which an oracle case draws its system.
+ORACLE_LABELS = ("A1", "B", "A2", "C", "Bob", "D7", "E")
+
+
+@st.composite
+def classify_cases(draw):
+    """A qubit state of 1-7 parties, its kind, --pair specs (or none), --tolerance and --format."""
+    n = draw(st.integers(1, 7))
+    labels = tuple(draw(st.permutations(ORACLE_LABELS))[:n])
+    kind = draw(st.sampled_from(["symmetric", "asymmetric", "not-ghz-diagonal"]))
+    seed = draw(st.integers(0, 2**32 - 1))
+    specs = []
+    if n >= 2 and draw(st.booleans()):
+        for _ in range(draw(st.integers(1, 3))):
+            order = draw(st.permutations(labels))
+            a = draw(st.integers(1, n - 1))
+            b = draw(st.integers(1, n - a))
+            specs.append(f"{','.join(order[:a])}:{','.join(order[a:a + b])}")
+    tolerance = draw(st.sampled_from([None, 0.01]))
+    fmt = draw(st.sampled_from(["json", "human"]))
+    return labels, kind, seed, specs, tolerance, fmt
+
+
+class TestClassifyOracle:
+    """classify prints, byte for byte, what the per-row loop of conftest makes."""
+
+    @pytest.fixture(scope="class")
+    def oracle_dir(self, tmp_path_factory):
+        return tmp_path_factory.mktemp("classify-oracle")
+
+    @settings(max_examples=80)
+    @given(classify_cases())
+    def test_output_matches_the_loop(self, oracle_dir, case):
+        labels, kind, seed, specs, tolerance, fmt = case
+        system = PartySystem(labels, (2,) * len(labels))
+        rng = np.random.default_rng(seed)
+        if kind == "not-ghz-diagonal":
+            state = random_state(rng, system)
+        else:
+            state = random_ghz_diagonal_state(rng, system, symmetric=kind == "symmetric")
+        path = oracle_dir / "state.json"
+        path.write_text(dumps(state_to_dict(state)))
+        flags = ["--format", fmt] + ([] if tolerance is None else ["--tolerance", str(tolerance)])
+        argv = [*flags, "classify", str(path), *(f for spec in specs for f in ("--pair", spec))]
+        with contextlib.redirect_stdout(io.StringIO()) as got:
+            code = main(argv)
+
+        args = cli._parser().parse_args(argv)
+        read = state_from_dict(loads(path.read_text()), psd_threshold=-args.tolerance)
+        entries = loop_classify_entries(
+            read, cli._parse_pairs(args.pair, read.system), -args.tolerance
+        )
+        with contextlib.redirect_stdout(io.StringIO()) as want:
+            want_code = cli._finish(args, entries)
+        assert got.getvalue() == want.getvalue()
+        assert code == want_code
+
 
 def near_boundary_state() -> MultipartiteState:
     """3-qubit GHZ-diagonal state with delta = 0.3 and 2*lambda_01 = delta - 1e-10.
@@ -544,6 +631,15 @@ class TestClassifyPairs:
         assert out == ""
         assert err.startswith("error:") and "Traceback" not in err
         assert "twice" in err and repr(spec) in err
+
+    @pytest.mark.parametrize("kind", ["ghz-diagonal", "not-ghz-diagonal"])
+    @pytest.mark.parametrize("spec", ["A:", ":", "A,,B:C"])
+    def test_empty_group_or_label_is_usage_error(self, tmp_path, capsys, kind, spec):
+        path = self._state_file(tmp_path, kind)
+        code, out, err = run(capsys, "classify", str(path), "--pair", spec)
+        assert code == 2
+        assert out == ""
+        assert err == f"error: --pair has an empty group or label (got {spec!r})\n"
 
     def test_repeated_pair_reported_once(self, tmp_path, capsys):
         path = self._state_file(tmp_path, "ghz-diagonal")
@@ -860,6 +956,68 @@ class TestOutputContract:
             assert text == json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n"
         if channel_set == "binding":  # large and sparse enough for the array reader
             assert codec._read_pairs(mixed_path.read_text()) is not None
+
+    @pytest.mark.parametrize("old", ["longer", "shorter", "missing"])
+    def test_out_rewritten_in_place(self, fixture_dir, tmp_path, capsys, monkeypatch, old):
+        # the file is opened without truncation and ends up holding exactly the new bytes
+        argv = ["--format", "json", "classify", str(fixture_dir / "ghz3.json")]
+        _, report, _ = run(capsys, *argv)
+        path = tmp_path / "report.json"
+        if old != "missing":
+            path.write_text("x" * (3 * len(report)) if old == "longer" else "{}")
+        flags = []
+        real_open = os.open
+
+        def recording(file, flag, *rest, **kw):
+            flags.append(flag)
+            return real_open(file, flag, *rest, **kw)
+
+        monkeypatch.setattr(os, "open", recording)
+        assert run(capsys, *argv, "--out", str(path))[0] == 0
+        assert path.read_bytes() == report.encode()
+        assert len(flags) == 1 and not flags[0] & os.O_TRUNC
+
+    def test_out_to_a_device(self, fixture_dir, capsys):
+        # a device has no old bytes to cut: the text is written as it is
+        code, out, _ = run(capsys, "classify", str(fixture_dir / "ghz3.json"), "--out", os.devnull)
+        assert code == 0
+        assert out.splitlines()[-1] == "overall: pass"
+
+    @pytest.mark.parametrize("failing", [1, 2])
+    def test_interrupted_out_write_is_not_json(self, fixture_dir, tmp_path, capsys, monkeypatch, failing):
+        # the write of the body (1) or of the real first byte (2) raises after half of its bytes
+        path = tmp_path / "report.json"
+        assert run(capsys, "verify", str(fixture_dir / "e1.json"), "--out", str(path))[0] == 0
+        json.loads(path.read_text())  # an old, valid report
+        real_open = open
+
+        class Failing:
+            def __init__(self, fh):
+                self.fh, self.writes = fh, 0
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.fh.close()
+
+            def __getattr__(self, name):
+                return getattr(self.fh, name)
+
+            def write(self, data):
+                self.writes += 1
+                if self.writes - 1 == failing:
+                    self.fh.write(bytes(data[: len(data) // 2]))
+                    self.fh.flush()
+                    raise OSError(28, "No space left on device")
+                return self.fh.write(data)
+
+        monkeypatch.setattr(cli, "open", lambda *a, **kw: Failing(real_open(*a, **kw)), raising=False)
+        argv = ["classify", str(fixture_dir / "emix_choi.json"), "--out", str(path)]
+        code, _, err = run(capsys, *argv)
+        assert code == 2 and err.startswith("error:")
+        with pytest.raises(json.JSONDecodeError):
+            json.loads(path.read_text())
 
     @pytest.mark.parametrize(
         "tolerance, line",

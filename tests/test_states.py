@@ -19,6 +19,7 @@ from choilab.states import (
     PureState,
     basis_index,
     cut_name,
+    cut_names,
     cut_number,
     cut_side,
     fidelity,
@@ -118,6 +119,32 @@ class TestCut:
             side = index_side(k, sys)
             assert cut_side(sys, k) == side
             assert cut_name(sys, k) == describe(side, sys) == describe(complement(side, sys), sys), k
+
+    @pytest.mark.parametrize("n", range(1, 10))
+    def test_cut_names_is_the_table_of_cut_name(self, n):
+        labels = ("Alice", "B1", "Bob2", "C", "Dee", "E7", "Fox", "G", "Hal")[:n]
+        sys = PartySystem(labels, (2, 3, 2, 4, 2, 2, 3, 2, 2)[:n])
+        names = cut_names(sys)
+        assert type(names) is tuple
+        assert len(names) == (1 << (n - 1)) - 1
+        for k in range(1, 1 << (n - 1)):
+            assert names[k - 1] == cut_name(sys, k), k
+        if n == 1:
+            assert names == ()
+
+    def test_cut_names_kept_once_per_system(self):
+        # an equal system, built anew, gets the table already made
+        sys = PartySystem(("A1", "B", "A2"), (2, 2, 2))
+        assert cut_names(PartySystem(("A1", "B", "A2"), (2, 2, 2))) is cut_names(sys)
+        assert cut_names(PartySystem(("A1", "B", "A2"), (2, 3, 2))) is not cut_names(sys)
+
+    def test_cut_names_cache_is_bounded(self):
+        bound = cut_names.cache_info().maxsize
+        assert bound is not None
+        for i in range(bound + 5):
+            cut_names(PartySystem((f"P{i}", "Q", "R"), (2, 2, 2)))
+            assert cut_names.cache_info().currsize <= bound
+        assert cut_names.cache_info().currsize == bound
 
     @pytest.mark.parametrize("n", range(2, 8))
     def test_either_side_numbers_the_cut(self, n):
