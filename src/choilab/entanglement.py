@@ -121,8 +121,15 @@ def cut_min_eigenvalues(state: MultipartiteState) -> np.ndarray:
 
 
 def _cut(system: PartySystem, k: int) -> int:
-    """k itself if it numbers a cut of the system, 1 <= k < 2^(N-1); else UnknownParty."""
-    if not isinstance(k, (int, np.integer)) or not 0 < k < 1 << (system.num_parties - 1):
+    """k itself if it numbers a cut of the system, 1 <= k < 2^(N-1); else UnknownParty.
+
+    A bool is an int to Python but names no cut, so True is refused, not read as cut 1.
+    """
+    if (
+        isinstance(k, bool)
+        or not isinstance(k, (int, np.integer))
+        or not 0 < k < 1 << (system.num_parties - 1)
+    ):
         raise UnknownParty(f"no cut number {k!r} for {system.labels}")
     return k
 
@@ -291,9 +298,11 @@ class DistillabilityVerdict:
 def disjoint_groups(
     system: PartySystem, group_one, group_two
 ) -> tuple[frozenset[str], frozenset[str]]:
-    """The two groups as label sets; each must be nonempty, known and apart from the other."""
-    g1 = system.require(group_one)
-    g2 = system.require(group_two)
+    """The two groups as label sets; each nonempty, known, without repeats and apart from the other."""
+    groups = label_tuple(group_one), label_tuple(group_two)
+    g1, g2 = map(system.require, groups)
+    if len(g1) < len(groups[0]) or len(g2) < len(groups[1]):
+        raise OverlappingGroups(f"a group lists a party twice: {groups[0]}, {groups[1]}")
     if g1 & g2:
         raise OverlappingGroups(f"groups overlap: {sorted(g1 & g2)}")
     if not g1 or not g2:
@@ -308,32 +317,27 @@ def pair_verdicts(
 ) -> list[DistillabilityVerdict]:
     """pairwise_distillability of each (group_one, group_two) in ``pairs``.
 
-    Cut k (its bits, with the last party's bit 0 appended, as cut_side
-    reads them) separates two groups iff its bits agree within each group's
-    mask and differ between the two.  One (pairs, cuts) mask over the PPT
-    cuts gives each pair's blocking cut numbers in index order, with the
-    same dozen numpy calls for any number of pairs and parties and no cut
-    object built.
+    Every pair is checked (disjoint_groups) before the NPT vector is read.
+    A group is a mask with one bit per party, the first party most
+    significant; cut k's bits are k << 1, the last party's bit 0 appended,
+    as cut_side reads them.  The cut separates the groups (a, b) iff its
+    bits restricted to a | b are exactly a or exactly b.  Each pair's
+    blocking cuts are the PPT cuts that separate it, as numbers in index
+    order, with no cut object built.
     """
     sys = coeffs.system
     n = sys.num_parties
     bit = {l: 1 << (n - 1 - i) for i, l in enumerate(sys.labels)}
-    rows = []
+    masks = []
     for pair in pairs:
         g1, g2 = disjoint_groups(sys, *pair)
-        a, b = sum(map(bit.get, g1)), sum(map(bit.get, g2))
-        rows.append((a, b, a | b))
-    # (pairs, 1) columns: the two group masks and their union
-    m1, m2, both = np.array(rows, dtype=np.int64).reshape(-1, 3).T[:, :, None]
-    # cut k's bits are k << 1 (last party 0); an NPT cut reads as every
-    # bit set, whose restriction to a pair is both groups, so it blocks none
-    codes = np.where(npt_vector(coeffs, threshold), -1, np.arange(2, 1 << n, 2))
-    on = codes & both
-    where_pair, where_cut = np.nonzero((on == m1) | (on == m2))
-    found = [[] for _ in rows]
-    for p, col in zip(where_pair.tolist(), where_cut.tolist()):
-        found[p].append(col + 1)
-    return [DistillabilityVerdict(distillable=not f, blocking_cuts=tuple(f)) for f in found]
+        masks.append((sum(map(bit.get, g1)), sum(map(bit.get, g2))))
+    ppt = [k for k, npt in enumerate(npt_vector(coeffs, threshold).tolist(), start=1) if not npt]
+    verdicts = []
+    for a, b in masks:
+        blocking = tuple(k for k in ppt if (k << 1) & (a | b) in (a, b))
+        verdicts.append(DistillabilityVerdict(distillable=not blocking, blocking_cuts=blocking))
+    return verdicts
 
 
 def pairwise_distillability(
@@ -519,8 +523,6 @@ def localize_entanglement(phi: PureState, sender_group, receiver_group) -> Local
     sys = phi.system
     senders, receivers = label_tuple(sender_group), label_tuple(receiver_group)
     s_set, r_set = disjoint_groups(sys, senders, receivers)
-    if len(s_set) < len(senders) or len(r_set) < len(receivers):
-        raise OverlappingGroups(f"a group lists a party twice: {senders}, {receivers}")
     if s_set | r_set != set(sys.labels):
         raise UnknownParty("sender and receiver groups must cover all parties")
     sd = schmidt_decomposition(phi, senders)

@@ -68,8 +68,8 @@ BELL_OUTCOME_FLOOR = 1e-15
 
 # Each channel is GHZ-diagonal with exactly one vanished pair weight; the
 # computational-basis projectors removed by its closed form sit at these
-# indices (party order A1, B, A2, C).
-_REMOVED_PROJECTORS = {1: ("1010", "0101"), 2: ("0100", "1011"), 3: ("0001", "1110")}
+# big-endian indices (party order A1, B, A2, C).
+_REMOVED_PROJECTORS = {1: (0b1010, 0b0101), 2: (0b0100, 0b1011), 3: (0b0001, 0b1110)}
 
 _SWAP = np.array(
     [[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]], dtype=np.complex128
@@ -151,7 +151,7 @@ def choi_state(ch: KrausChannel) -> MultipartiteState:
     return choi(ch, CANONICAL_ORDER)
 
 
-def _formula_matrix(removed: dict[str, float]) -> np.ndarray:
+def _formula_matrix(removed: dict[int, float]) -> np.ndarray:
     """(2|GHZ><GHZ| + 1 - sum_b w_b |b><b|)/16, written entry by entry.
 
     |GHZ> = (|0000> + |1111>)/sqrt(2) has h = 1/sqrt(2) at its two ends,
@@ -163,7 +163,7 @@ def _formula_matrix(removed: dict[str, float]) -> np.ndarray:
     m = linalg.identity(16)
     m[0, 0] = m[15, 15] = corner + 1
     m[0, 15] = m[15, 0] = corner
-    idx = [int(bits, 2) for bits in removed]  # |bits> on qubits, big-endian
+    idx = list(removed)
     m[idx, idx] = [1 - w for w in removed.values()]
     return m / 16
 
@@ -432,7 +432,7 @@ GHZ3_SYSTEM = PartySystem(("A", "B1", "B2"), (2, 2, 2))
 
 
 def ghz3_state() -> PureState:
-    return ghz_basis_state(GHZ3_SYSTEM, "00", 1)
+    return ghz_basis_state(GHZ3_SYSTEM, 0, 1)
 
 
 def _w_state() -> MultipartiteState:
@@ -604,11 +604,7 @@ def teleport_report() -> ReproductionReport:
         ),
     )
     localized = localize_entanglement(skew, ["A"], ["B1", "B2"])
-    resource = MultipartiteState(
-        localized.final_state.system,
-        np.outer(localized.final_state.vector, localized.final_state.vector.conj()),
-    )
-    f_localized = teleport_fidelity(resource, tilted)
+    f_localized = teleport_fidelity(localized.final_state.density(), tilted)
     entries = [
         _fidelity_claim(
             "teleport-ideal",

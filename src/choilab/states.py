@@ -11,7 +11,9 @@ from the bits of k (``cut_side``), ``cut_name`` names it, and
 Where an orientation matters it is a side, a collection of labels holding
 some but not all parties: ``partial_transpose`` transposes those parties and
 ``schmidt_decomposition`` puts them on the left.  ``cut_number`` gives the
-k of either side of a cut.
+k of either side of a cut.  A GHZ basis element (``ghz_basis_state``) is
+indexed the same way, by its (N-1)-bit string j read as the number k,
+0 <= k < 2^(N-1), so no index is ever parsed from a string.
 """
 
 from __future__ import annotations
@@ -275,40 +277,30 @@ def trace_out_axes(matrix: np.ndarray, dims: Sequence[int], axes: Iterable[int])
 # ---------------------------------------------------------------------------
 
 
-def basis_index(system: PartySystem, bits: str) -> int:
-    """Big-endian computational-basis index of |bits> (first party most significant)."""
-    if len(bits) != system.num_parties:
-        raise IndexOutOfRange(
-            f"index string {bits!r} has length {len(bits)}, expected {system.num_parties}"
-        )
-    idx = 0
-    for ch, d in zip(bits, system.dims):
-        k = int(ch)
-        if k >= d:
-            raise IndexOutOfRange(f"index {k} out of range for local dimension {d}")
-        idx = idx * d + k
-    return idx
+def ghz_basis_state(system: PartySystem, k: int, sign: int) -> PureState:
+    """GHZ-basis element (|j,0> + sign |jbar,1>)/sqrt(2) on an all-qubit system.
 
-
-def ghz_basis_state(system: PartySystem, j: str, sign: int | str) -> PureState:
-    """GHZ-basis element (|j,0> +/- |jbar,1>)/sqrt(2) on an all-qubit system.
-
-    The last party carries the reference bit; j indexes the first N-1 parties
-    and jbar is its bitwise complement.  Over all (j, sign) the family is an
+    The last party carries the reference bit; j indexes the first N-1
+    parties and is given as the number k, 0 <= k < 2^(N-1), as
+    GhzDiagonalCoefficients.plus and minus are indexed, and jbar is its
+    bitwise complement.  So |j,0> sits at index 2k and |jbar,1> at
+    2^N - 1 - 2k.  sign is 1 or -1.  Over all (k, sign) the family is an
     orthonormal basis of the N-qubit space.
     """
     if not system.is_qubits():
         raise DimensionMismatch("GHZ basis is defined for qubit systems only")
     n = system.num_parties
-    if len(j) != n - 1 or any(c not in "01" for c in j):
-        raise IndexOutOfRange(f"j must be a {n - 1}-bit string, got {j!r}")
-    s = {"+": 1, "-": -1, 1: 1, -1: -1}.get(sign)
-    if s is None:
-        raise IndexOutOfRange(f"sign must be +/-, got {sign!r}")
-    jbar = "".join("1" if c == "0" else "0" for c in j)
+    if isinstance(k, str):
+        literal = f"0b{k}" if k and set(k) <= {"0", "1"} else "a number such as 0b010"
+        raise IndexOutOfRange(f"the GHZ index is the number k, not the string {k!r}: "
+                              f"write {literal}")
+    if isinstance(k, bool) or not isinstance(k, (int, np.integer)) or not 0 <= k < 1 << (n - 1):
+        raise IndexOutOfRange(f"no GHZ index {k!r} for {n} qubits: need 0 <= k < {1 << (n - 1)}")
+    if isinstance(sign, bool) or sign not in (1, -1):
+        raise IndexOutOfRange(f"sign must be 1 or -1, got {sign!r}")
     v = np.zeros(system.total_dim, dtype=np.complex128)
-    v[basis_index(system, j + "0")] = 1 / math.sqrt(2)
-    v[basis_index(system, jbar + "1")] = s / math.sqrt(2)
+    v[2 * k] = 1 / math.sqrt(2)
+    v[system.total_dim - 1 - 2 * k] = sign / math.sqrt(2)
     return PureState(system, v)
 
 

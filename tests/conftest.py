@@ -374,13 +374,17 @@ def random_ghz_diagonal_state(
     else:
         raw = rng.random(2 + 2 * len(indices))
     weights = raw / raw.sum()
-    keys = [(j, s) for j in ("0" * (n - 1), *indices) for s in (1, -1)]
+    keys = [(k, s) for k in range(1 << (n - 1)) for s in (1, -1)]
     return ghz_diagonal_state(system, dict(zip(keys, weights)))
 
 
 def ghz_diagonal_state(system: PartySystem, weights: dict) -> MultipartiteState:
-    """sum of w |Psi_j^s><Psi_j^s| over the {(j, s): w} weights, from the GHZ vectors."""
-    m = sum(w * _proj(ghz_basis_state(system, j, s).vector) for (j, s), w in weights.items())
+    """sum of w |Psi_k^s><Psi_k^s| over the {(k, s): w} weights, from the GHZ vectors.
+
+    k is the index j read as a number, as ghz_basis_state takes it; a
+    bit-string fixture j is keyed by int(j, 2).
+    """
+    m = sum(w * _proj(ghz_basis_state(system, k, s).vector) for (k, s), w in weights.items())
     return MultipartiteState(system, m)
 
 

@@ -360,8 +360,8 @@ class TestClassify:
         system = PartySystem(tuple(f"Q{i}" for i in range(6)), (2,) * 6)
         lambdas = dict.fromkeys(all_cut_indices(6), 0.005)
         lambdas.update({"01000": 0.06, "00010": 0.045})
-        weights = {("00000", 1): 0.3, ("00000", -1): 0.2}
-        weights.update({(j, s): lam for j, lam in lambdas.items() for s in (1, -1)})
+        weights = {(0, 1): 0.3, (0, -1): 0.2}
+        weights.update({(int(j, 2), s): lam for j, lam in lambdas.items() for s in (1, -1)})
         path = tmp_path / "ghz6.json"
         path.write_text(dumps(state_to_dict(ghz_diagonal_state(system, weights))))
 
@@ -429,9 +429,9 @@ class TestClassify:
         delta = 0.005
         assert np.abs(lambdas - delta / 2).min() > 1e-7  # no verdict sits on the threshold
         rest = 1 - 2 * lambdas.sum()
-        weights = {("0" * (n - 1), 1): (rest + delta) / 2, ("0" * (n - 1), -1): (rest - delta) / 2}
-        for j, lam in zip(all_cut_indices(n), lambdas):
-            weights[(j, 1)] = weights[(j, -1)] = lam
+        weights = {(0, 1): (rest + delta) / 2, (0, -1): (rest - delta) / 2}
+        for k, lam in enumerate(lambdas, start=1):
+            weights[(k, 1)] = weights[(k, -1)] = lam
         state = ghz_diagonal_state(system, weights)
         path = tmp_path / "ghz8_many_ppt.json"
         path.write_text(dumps(state_to_dict(state)))
@@ -564,7 +564,7 @@ def near_boundary_state() -> MultipartiteState:
         weights[(j, 1)] = weights[(j, -1)] = value
     m = np.zeros((8, 8), dtype=complex)
     for (j, sign), w in weights.items():
-        v = ghz_basis_state(system, j, sign).vector
+        v = ghz_basis_state(system, int(j, 2), sign).vector
         m += w * np.outer(v, v.conj())
     return MultipartiteState(system, m)
 
@@ -672,7 +672,7 @@ class TestBadLabelFiles:
     @pytest.mark.parametrize("label", ["", "A,B", "A:B", " A", "A\t"])
     def test_usage_error_without_traceback(self, tmp_path, capsys, label):
         state = tmp_path / "state.json"
-        doc = state_to_dict(ghz_basis_state(PartySystem(("A", "B"), (2, 2)), "1", 1).density())
+        doc = state_to_dict(ghz_basis_state(PartySystem(("A", "B"), (2, 2)), 1, 1).density())
         state.write_text(dumps(doc | {"labels": [label, "B"]}))
         code, out, err = run(capsys, "classify", str(state))
         assert (code, out) == (2, "")

@@ -17,6 +17,7 @@ from choilab.entanglement import (
     ghz_diagonal_coefficients,
     npt_criterion,
     npt_vector,
+    pair_verdicts,
     pairwise_distillability,
     ppt_check,
     two_qubit_separability,
@@ -305,7 +306,7 @@ class TestClassifier:
     def test_pure_reference_state(self, four_qubits):
         from choilab.states import ghz_basis_state
 
-        rho = ghz_basis_state(four_qubits, "000", 1).density()
+        rho = ghz_basis_state(four_qubits, 0, 1).density()
         c = ghz_diagonal_coefficients(rho)
         assert abs(c.plus[0] - 1) < 1e-14
         assert abs(c.delta - 1) < 1e-14
@@ -324,8 +325,8 @@ class TestClassifier:
     def test_asymmetry_flag(self, four_qubits):
         from choilab.states import ghz_basis_state
 
-        plus = ghz_basis_state(four_qubits, "011", 1).vector
-        minus = ghz_basis_state(four_qubits, "011", -1).vector
+        plus = ghz_basis_state(four_qubits, 0b011, 1).vector
+        minus = ghz_basis_state(four_qubits, 0b011, -1).vector
         m = 0.75 * np.outer(plus, plus.conj()) + 0.25 * np.outer(minus, minus.conj())
         c = ghz_diagonal_coefficients(MultipartiteState(four_qubits, m))
         assert c.asymmetry_flag
@@ -343,14 +344,12 @@ def dense_ghz_diagonal_coefficients(state: MultipartiteState) -> GhzDiagonalCoef
     n = sys.num_parties
     diag = np.zeros_like(state.matrix)
     raw = {}
-    for bits in itertools.product("01", repeat=n - 1):
-        j = "".join(bits)
+    for k in range(1 << (n - 1)):
         for sign in (1, -1):
-            v = ghz_basis_state(sys, j, sign).vector
+            v = ghz_basis_state(sys, k, sign).vector
             val = float(np.real(v.conj() @ state.matrix @ v))
-            raw[(j, sign)] = val
+            raw[(k, sign)] = val
             diag += val * np.outer(v, v.conj())
-    # itertools.product lists the strings j in the order of k
     return GhzDiagonalCoefficients(
         system=sys,
         plus=np.array([raw[key] for key in raw if key[1] == 1]),
@@ -451,10 +450,11 @@ class TestCutIndex:
             npt_criterion(ghz_diagonal_coefficients(scenario_states["mix"]), j)
 
     @pytest.mark.parametrize("n", [2, 3, 4, 6])
-    @pytest.mark.parametrize("k", ["zero", "minus-one", "one-past-last"])
+    @pytest.mark.parametrize("k", ["zero", "minus-one", "one-past-last", "true", "false"])
     def test_rejects_numbers_that_name_no_cut(self, n, k):
-        # only 1 <= k < 2^(N-1) numbers a cut; 0 would read entry -1
-        k = {"zero": 0, "minus-one": -1, "one-past-last": 1 << (n - 1)}[k]
+        # only 1 <= k < 2^(N-1) numbers a cut; 0 would read entry -1, and a
+        # bool is an int to Python, so True would read cut 1
+        k = {"zero": 0, "minus-one": -1, "one-past-last": 1 << (n - 1), "true": True, "false": False}[k]
         system = qubits(*(f"Q{i}" for i in range(n)))
         rho = random_ghz_diagonal_state(np.random.default_rng(n), system)
         c = ghz_diagonal_coefficients(rho)
@@ -521,10 +521,9 @@ class TestNptCriterion:
         assume(all(abs(m - t) >= 1e-12 for m in margins.values() for t in thresholds))
         lambdas = {j: delta / 2 + m for j, m in margins.items()}
         rest = 1 - 2 * sum(lambdas.values())
-        zero = "0" * (n - 1)
-        weights = {(zero, 1): (rest + delta) / 2, (zero, -1): (rest - delta) / 2}
+        weights = {(0, 1): (rest + delta) / 2, (0, -1): (rest - delta) / 2}
         for j, lam in lambdas.items():
-            weights[j, 1] = weights[j, -1] = lam
+            weights[int(j, 2), 1] = weights[int(j, 2), -1] = lam
         system = qubits(*(f"Q{i}" for i in range(n)))
         rho = ghz_diagonal_state(system, weights)
         c = ghz_diagonal_coefficients(rho)
@@ -610,6 +609,23 @@ class TestPairwiseDistillability:
         c = ghz_diagonal_coefficients(scenario_states["E1"])
         with pytest.raises(OverlappingGroups):
             pairwise_distillability(c, ("A1",), ("A1", "B"))
+
+    def test_party_listed_twice_in_a_group(self, scenario_states, monkeypatch):
+        # ["A1", "A1", "A2"] is refused, as --pair A1,A1:B is, not read as
+        # ["A1", "A2"]; every pair is checked before the NPT vector is read
+        def refuse(*args):
+            raise AssertionError("npt_vector read before the pairs were checked")
+
+        c = ghz_diagonal_coefficients(scenario_states["E1"])
+        with pytest.raises(OverlappingGroups, match="twice"):
+            pairwise_distillability(c, ["A1", "A1", "A2"], ["B"])
+        monkeypatch.setattr(entanglement, "npt_vector", refuse)
+        for pairs in (
+            [(("A1", "A2"), ("B",)), (("A1",), ("C", "C"))],
+            [(("A1", "A1"), ("A1", "B"))],
+        ):
+            with pytest.raises(OverlappingGroups, match="twice"):
+                pair_verdicts(c, pairs)
 
 
 class TestFilter:

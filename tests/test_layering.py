@@ -6,7 +6,7 @@ entanglement.cut_min_eigenvalues call, and JSON one module, codec.
 The GHZ fingerprint has one stored form, the weight vectors plus and
 minus, and only the CLI names its entries by cut-index strings.  Every
 name the benchmark's tracer wraps still exists, and the CLI reads every
-input file through codec.load_path."""
+input file through codec.load_path.  No index is parsed from a bit string."""
 
 import ast
 import dataclasses
@@ -192,3 +192,23 @@ def test_cli_opens_no_file_for_reading():
                 else:
                     calls.append((name, "r" if mode is None else ast.literal_eval(mode)))
     assert calls == [("open", "wb"), ("os.open", os.O_WRONLY | os.O_CREAT)]
+
+
+def test_no_index_is_parsed_from_a_bit_string():
+    # every index is its number k (a cut, a GHZ weight, a GHZ basis state,
+    # a removed projector), so no module reads one with int(text, base)
+    # and the per-character parser basis_index is gone.
+    package = Path(choilab.__file__).resolve().parent
+    parses, named = [], []
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if (
+                isinstance(node, ast.Call)
+                and getattr(node.func, "id", None) == "int"
+                and (len(node.args) > 1 or any(k.arg == "base" for k in node.keywords))
+            ):
+                parses.append(f"{path.name}:{node.lineno}")
+            if "basis_index" in (getattr(node, key, None) for key in ("attr", "id", "name")):
+                named.append(f"{path.name}:{node.lineno}")
+    assert parses == [] and named == []
+    assert not hasattr(importlib.import_module("choilab.states"), "basis_index")

@@ -50,7 +50,7 @@ def assert_balanced(result, tol=1e-9):
 class TestGhzLocalization:
     def test_plus_projection(self):
         sys = qubits("A", "B1", "B2")
-        ghz = ghz_basis_state(sys, "00", 1)
+        ghz = ghz_basis_state(sys, 0, 1)
         result = localize_entanglement(ghz, ["A"], ["B1", "B2"])
         assert result.sender_kept == "A"
         assert len(result.projections) == 1
@@ -67,7 +67,7 @@ class TestGhzLocalization:
 
     def test_final_state_is_bell_pair(self):
         sys = qubits("A", "B1", "B2")
-        ghz = ghz_basis_state(sys, "00", 1)
+        ghz = ghz_basis_state(sys, 0, 1)
         result = localize_entanglement(ghz, ["A"], ["B1", "B2"])
         target = max_entangled(2, ("A", "B2")).vector
         overlap = abs(np.vdot(result.final_state.vector, target))
@@ -91,7 +91,7 @@ class TestInputValidation:
 
     def test_group_errors(self):
         sys = qubits("A", "B1", "B2")
-        ghz = ghz_basis_state(sys, "00", 1)
+        ghz = ghz_basis_state(sys, 0, 1)
         with pytest.raises(OverlappingGroups):
             localize_entanglement(ghz, ["A", "B1"], ["B1", "B2"])
         with pytest.raises(UnknownParty):
@@ -99,24 +99,24 @@ class TestInputValidation:
 
     def test_party_listed_twice_rejected(self):
         # B1 would be projected twice, A would be projected out of its own group
-        ghz = ghz_basis_state(qubits("A", "B1", "B2"), "00", 1)
+        ghz = ghz_basis_state(qubits("A", "B1", "B2"), 0, 1)
         with pytest.raises(OverlappingGroups, match="twice"):
             localize_entanglement(ghz, ["A"], ["B1", "B2", "B1"])
-        ghz = ghz_basis_state(qubits("A", "B"), "0", 1)
+        ghz = ghz_basis_state(qubits("A", "B"), 0, 1)
         with pytest.raises(OverlappingGroups, match="twice"):
             localize_entanglement(ghz, ["A", "A"], ["B"])
 
     def test_empty_group_rejected(self):
-        ghz = ghz_basis_state(qubits("A", "B1", "B2"), "00", 1)
+        ghz = ghz_basis_state(qubits("A", "B1", "B2"), 0, 1)
         with pytest.raises(OverlappingGroups, match="nonempty"):
             localize_entanglement(ghz, [], ["A", "B1", "B2"])
 
     def test_bare_string_group_rejected(self):
         # a string is one label, never a group read letter by letter
-        ghz = ghz_basis_state(qubits("A", "B1", "B2"), "00", 1)
+        ghz = ghz_basis_state(qubits("A", "B1", "B2"), 0, 1)
         with pytest.raises(UnknownParty, match=re.escape("write ['A']")):
             localize_entanglement(ghz, "A", ["B1", "B2"])
-        ghz = ghz_basis_state(qubits("BC", "B", "C"), "00", 1)
+        ghz = ghz_basis_state(qubits("BC", "B", "C"), 0, 1)
         with pytest.raises(UnknownParty, match=re.escape("write ['BC']")):
             localize_entanglement(ghz, "BC", ("B", "C"))
         assert localize_entanglement(ghz, ["BC"], ("B", "C")).sender_kept == "BC"
@@ -281,7 +281,7 @@ class TestWorkCount:
         return counts
 
     def test_one_decomposition_plus_the_filter(self, calls):
-        ghz = ghz_basis_state(qubits("A", "B1", "B2"), "00", 1)
+        ghz = ghz_basis_state(qubits("A", "B1", "B2"), 0, 1)
         localize_entanglement(ghz, ["A"], ["B1", "B2"])
         # the rank check's SVD and the filter's; no density matrix is diagonalized
         assert calls == {"svd": 2, "eigh": 0}

@@ -91,7 +91,7 @@ class TestBuilders:
 
     def test_reference_overlap_is_three_sixteenths(self):
         # brute-force quadratic form on the closed form
-        psi = ghz_basis_state(CHOI_SYSTEM, "000", 1)
+        psi = ghz_basis_state(CHOI_SYSTEM, 0, 1)
         state = choi_closed_form(1)
         direct = float(np.real(psi.vector.conj() @ state.matrix @ psi.vector))
         assert abs(direct - 3 / 16) < 1e-14

@@ -1,12 +1,14 @@
 import dataclasses
-import itertools
 import math
 import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from choilab import linalg
+from choilab.entanglement import ghz_diagonal_coefficients
 from choilab.errors import (
     DimensionMismatch,
     IndexOutOfRange,
@@ -17,7 +19,6 @@ from choilab.states import (
     MultipartiteState,
     PartySystem,
     PureState,
-    basis_index,
     cut_name,
     cut_names,
     cut_number,
@@ -172,52 +173,26 @@ class TestCut:
             schmidt_decomposition(phi, side)
 
 
-class TestBasisProjector:
-    """|bits><bits| is the diagonal entry at basis_index(system, bits)."""
-
-    def test_corner(self):
-        sys = qubits("A1", "B", "A2", "C")
-        assert basis_index(sys, "0000") == 0
-        assert basis_index(sys, "1111") == 15
-
-    def test_big_endian_index(self):
-        # 1*8 + 0*4 + 1*2 + 0 = 10
-        sys = qubits("A1", "B", "A2", "C")
-        assert basis_index(sys, "1010") == 10
-
-    def test_trace_and_errors(self):
-        # the projectors on all basis strings sum to the identity: each index once
-        sys = qubits("A", "B")
-        assert sorted(basis_index(sys, bits) for bits in ("00", "01", "10", "11")) == [0, 1, 2, 3]
-        with pytest.raises(IndexOutOfRange):
-            basis_index(sys, "012")
-        with pytest.raises(IndexOutOfRange):
-            basis_index(sys, "02")
-
-
 class TestGhzBasis:
     def test_reference_element(self):
         sys = qubits("A1", "B", "A2", "C")
-        v = ghz_basis_state(sys, "000", "+").vector
+        v = ghz_basis_state(sys, 0, 1).vector
         expected = np.zeros(16)
         expected[0] = expected[15] = 1 / math.sqrt(2)
         assert np.allclose(v, expected, atol=0)
 
     def test_general_element(self):
-        # j=101, sign=-: (|1010> - |0101>)/sqrt(2), complement jbar=010
+        # j=101 is k = 0b101, sign=-: (|1010> - |0101>)/sqrt(2), complement
+        # jbar=010; big-endian on (A1, B, A2, C), |1010> is 1*8 + 0*4 + 1*2 + 0 = 10
         sys = qubits("A1", "B", "A2", "C")
-        v = ghz_basis_state(sys, "101", -1).vector
+        v = ghz_basis_state(sys, 0b101, -1).vector
         assert abs(v[10] - 1 / math.sqrt(2)) < 1e-15
         assert abs(v[5] + 1 / math.sqrt(2)) < 1e-15
         assert np.count_nonzero(v) == 2
 
     def test_orthonormal_complete(self):
         sys = qubits("A", "B", "C")
-        family = [
-            ghz_basis_state(sys, "".join(bits), s).vector
-            for bits in itertools.product("01", repeat=2)
-            for s in (1, -1)
-        ]
+        family = [ghz_basis_state(sys, k, s).vector for k in range(4) for s in (1, -1)]
         gram = np.array([[np.vdot(a, b) for b in family] for a in family])
         assert np.linalg.norm(gram - np.eye(8)) < 1e-14
         total = sum(np.outer(v, v.conj()) for v in family)
@@ -228,16 +203,54 @@ class TestGhzBasis:
         sys = qubits("A1", "B", "A2", "C")
         lhs = np.zeros((16, 16))
         lhs[10, 10] = lhs[5, 5] = 1
-        plus = ghz_basis_state(sys, "101", 1).vector
-        minus = ghz_basis_state(sys, "101", -1).vector
+        plus = ghz_basis_state(sys, 0b101, 1).vector
+        minus = ghz_basis_state(sys, 0b101, -1).vector
         rhs = np.outer(plus, plus.conj()) + np.outer(minus, minus.conj())
         assert np.linalg.norm(lhs - rhs) < 1e-15
 
+    def test_numpy_integer_index(self):
+        sys = qubits("A", "B", "C")
+        assert np.array_equal(ghz_basis_state(sys, np.int64(3), -1).vector,
+                              ghz_basis_state(sys, 3, -1).vector)
+
     def test_errors(self):
         with pytest.raises(DimensionMismatch):
-            ghz_basis_state(PartySystem(("A", "B"), (3, 3)), "0", 1)
-        with pytest.raises(IndexOutOfRange):
-            ghz_basis_state(qubits("A", "B"), "00", 1)
+            ghz_basis_state(PartySystem(("A", "B"), (3, 3)), 0, 1)
+        sys = qubits("A", "B", "C")
+        for k in (-1, 4, 1.0, None, True, False):
+            with pytest.raises(IndexOutOfRange, match="no GHZ index"):
+                ghz_basis_state(sys, k, 1)
+        for sign in ("+", "-", 0, 2, -2, True, None):
+            with pytest.raises(IndexOutOfRange, match="sign must be 1 or -1"):
+                ghz_basis_state(sys, 0, sign)
+
+    @pytest.mark.parametrize(
+        ("j", "hint"), [("10", "write 0b10"), ("00", "write 0b00"), ("", "0b010"), ("012", "0b010")]
+    )
+    def test_string_index_refused(self, j, hint):
+        # the GHZ index is the number k, as plus[k] and minus[k] are indexed
+        with pytest.raises(IndexOutOfRange, match=hint):
+            ghz_basis_state(qubits("A", "B", "C"), j, 1)
+
+    @settings(max_examples=40)
+    @given(n=st.integers(1, 7), sign=st.sampled_from((1, -1)))
+    def test_unit_vector_in_the_coefficients(self, n, sign):
+        # the state built at (k, sign) reads back as the unit vector at k in
+        # plus (sign 1) or minus (sign -1), with no residual: both index j as k
+        system = qubits(*(f"Q{i}" for i in range(n)))
+        for k in range(1 << (n - 1)):
+            psi = ghz_basis_state(system, k, sign)
+            v = np.zeros(1 << n, dtype=complex)
+            v[2 * k] = 1 / math.sqrt(2)
+            v[(1 << n) - 1 - 2 * k] = sign / math.sqrt(2)
+            assert np.array_equal(psi.vector, v)
+            c = ghz_diagonal_coefficients(psi.density())
+            unit = np.zeros(1 << (n - 1))
+            unit[k] = 1.0
+            hit, miss = (c.plus, c.minus) if sign == 1 else (c.minus, c.plus)
+            assert np.abs(hit - unit).max() < 1e-15, k
+            assert np.abs(miss).max() < 1e-15, k
+            assert c.offdiagonal_residual == 0.0, k
 
 
 class TestMaxEntangled:
@@ -297,7 +310,7 @@ class TestPartialTranspose:
 class TestPartialTrace:
     def test_ghz_marginal(self):
         sys = qubits("A", "B1", "B2")
-        ghz = ghz_basis_state(sys, "00", 1)
+        ghz = ghz_basis_state(sys, 0, 1)
         reduced = partial_trace(ghz.density(), ["B2"])
         expected = np.zeros((4, 4))
         expected[0, 0] = expected[3, 3] = 0.5
@@ -363,7 +376,7 @@ class TestSchmidt:
 
     def test_ghz_cut(self):
         sys = qubits("A", "B1", "B2")
-        ghz = ghz_basis_state(sys, "00", 1)
+        ghz = ghz_basis_state(sys, 0, 1)
         sd = schmidt_decomposition(ghz, ["A"])
         assert np.allclose(sd.coefficients[:2], [1 / math.sqrt(2)] * 2, atol=1e-15)
 
