@@ -303,7 +303,7 @@ def _cmd_reproduce(args) -> int:
             f"reproduce checks its claims at the fixed threshold -{DEFAULT_TOLERANCE:g}; "
             f"--tolerance {args.tolerance:g} is not supported"
         )
-    entries = report_to_dict(full_report())["entries"]
+    entries = report_to_dict(full_report())
     if args.claims:
         wanted = {s.strip() for spec in args.claims for s in spec.split(",")}
         unknown = wanted - {e["id"] for e in entries}

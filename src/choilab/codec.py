@@ -2,7 +2,9 @@
 
 Matrix entries are always [re, im] pairs (even for real values); numbers go
 through Python's shortest-round-trip float encoding, so parse(emit(x)) is
-bit-exact at double precision.
+bit-exact at double precision.  ``report_to_dict`` reads claims by their
+attributes (``claim_id``, ``passed``, ...) and names no report type, so
+the codec imports nothing from the report layer above it.
 
 ``dumps`` writes the bytes of ``json.dumps(obj, indent=2, sort_keys=True)``
 plus a newline, without the pure-Python encoder that ``indent`` selects in
@@ -37,7 +39,7 @@ import math
 import re
 from itertools import chain
 from json.encoder import encode_basestring_ascii
-from typing import TYPE_CHECKING, Any
+from typing import Any
 
 import numpy as np
 
@@ -45,9 +47,6 @@ from . import linalg
 from .channels import KrausChannel
 from .errors import ChoilabError, ParseError
 from .states import MultipartiteState, PartySystem
-
-if TYPE_CHECKING:  # the report layer sits above the codec
-    from .nonadditivity import ReproductionReport
 
 
 def encode_matrix(m: np.ndarray) -> np.ndarray:
@@ -170,22 +169,20 @@ def channel_from_dict(obj: Any) -> KrausChannel:
         raise ParseError(f"channel: {exc}") from exc
 
 
-def report_to_dict(report: ReproductionReport) -> dict:
-    """The report's entries, each claim's status decided here; the CLI adds the run envelope."""
-    return {
-        "entries": [
-            {
-                "id": e.claim_id,
-                "description": e.description,
-                "expected": e.expected,
-                "computed": e.computed,
-                "tolerance": e.tolerance,
-                "status": "pass" if e.passed else "fail",
-                "control": e.control,
-            }
-            for e in report.entries
-        ],
-    }
+def report_to_dict(claims) -> list[dict]:
+    """One row per claim, its status decided here; the CLI adds the run envelope."""
+    return [
+        {
+            "id": e.claim_id,
+            "description": e.description,
+            "expected": e.expected,
+            "computed": e.computed,
+            "tolerance": e.tolerance,
+            "status": "pass" if e.passed else "fail",
+            "control": e.control,
+        }
+        for e in claims
+    ]
 
 
 def dumps(obj: Any) -> str:

@@ -374,7 +374,6 @@ class LocalizationResult:
     receiver_kept: str
     filter_probability: float
     success_probability: float  # projections and filter combined
-    bystander_purities: dict[str, float]
 
 
 def filter_to_maximally_entangled(phi: PureState) -> tuple[PureState, float]:
@@ -538,11 +537,6 @@ def localize_entanglement(phi: PureState, sender_group, receiver_group) -> Local
     x, sender_kept = _factor_side(x, sys, sd.left_labels, senders, y, rng, log)
     y, receiver_kept = _factor_side(y, sys, sd.right_labels, receivers, x, rng, log)
 
-    # each bystander is left in the ket it was projected onto
-    kets = {p.party: p.vector for p in log}
-    purities = {l: linalg.norm(kets[l]) ** 4 for l in sys.labels if l in kets}
-    if min(purities.values(), default=1.0) < 1 - FACTORED_PURITY_TOL:
-        raise LocalizationFailed("bystander parties did not factor out")
     pair = (x.T @ y).reshape(-1)  # sum_i x_i (x) y_i
     kept = PartySystem((sender_kept, receiver_kept), (x.shape[1], y.shape[1]))
     final, filter_prob = filter_to_maximally_entangled(PureState(kept, pair / linalg.norm(pair)))
@@ -553,5 +547,4 @@ def localize_entanglement(phi: PureState, sender_group, receiver_group) -> Local
         receiver_kept=receiver_kept,
         filter_probability=filter_prob,
         success_probability=math.prod([filter_prob, *(p.probability for p in log)]),
-        bystander_purities=purities,
     )

@@ -8,7 +8,10 @@ of the three has every capacity proxy positive.  The report operations
 check the closed-form Choi states, the partial-transpose sign table (by
 eigensolver and by the GHZ-diagonal coefficient criterion), the capacity
 proxies, the GHZ one-way example, and teleportation fidelities, each with
-a deliberately corrupted negative control.
+a deliberately corrupted negative control.  A report is its claims: each
+section returns a tuple of ``ClaimEntry`` in build order, ``full_report``
+returns every claim ordered by claim id, and ``capacity_proxy`` returns a
+bool.
 
 Party conventions: the Choi states live on qubits (A1, B, A2, C), where
 (A1, A2) is the reference pair for the four-level input read big-endian as
@@ -26,7 +29,6 @@ import numpy as np
 from . import linalg
 from .channels import KrausChannel, choi, completeness_defect, mix
 from .entanglement import (
-    DistillabilityVerdict,
     GhzDiagonalCoefficients,
     ghz_diagonal_coefficients,
     localize_entanglement,
@@ -203,30 +205,16 @@ class ClaimEntry:
     control: bool = False
 
 
-@dataclass(frozen=True)
-class ReproductionReport:
-    """Checked claims: a section's in build order, full_report's by claim id."""
-
-    entries: tuple[ClaimEntry, ...]
-
-
-@dataclass(frozen=True)
-class CapacityProxy:
-    witnesses: tuple[DistillabilityVerdict, ...]  # sender group vs each receiver
-
-    @property
-    def positive(self) -> bool:
-        return any(w.distillable for w in self.witnesses)
-
-
-def capacity_proxy(coeffs: GhzDiagonalCoefficients, receivers: tuple[str, ...]) -> CapacityProxy:
+def capacity_proxy(coeffs: GhzDiagonalCoefficients, receivers: tuple[str, ...]) -> bool:
     """Boolean stand-in for the channel capacity toward the given receivers.
 
     The proxy is positive iff the Choi state is distillable between the
     sender group and at least one individual receiver, which also settles
     the joint-receiver case.
     """
-    return CapacityProxy(tuple(pair_verdicts(coeffs, [(SENDER_GROUP, (r,)) for r in receivers])))
+    return any(
+        w.distillable for w in pair_verdicts(coeffs, [(SENDER_GROUP, (r,)) for r in receivers])
+    )
 
 
 @dataclass(frozen=True)
@@ -268,7 +256,7 @@ def _choi_distance_claim(
     )
 
 
-def reproduce_choi_claims(scenario: Scenario) -> ReproductionReport:
+def reproduce_choi_claims(scenario: Scenario) -> tuple[ClaimEntry, ...]:
     """Choi states from the Kraus lists against their closed forms."""
     states = scenario.states
     closed = {f"E{a}": choi_closed_form(a) for a in (1, 2, 3)}
@@ -298,7 +286,7 @@ def reproduce_choi_claims(scenario: Scenario) -> ReproductionReport:
             control=True,
         )
     )
-    return ReproductionReport(tuple(entries))
+    return tuple(entries)
 
 
 _PT_FACTS = (
@@ -316,7 +304,7 @@ _PT_FACTS = (
 MIX_NPT_EIGENVALUE = -1 / 48
 
 
-def reproduce_pt_table(scenario: Scenario) -> ReproductionReport:
+def reproduce_pt_table(scenario: Scenario) -> tuple[ClaimEntry, ...]:
     """The seven partial-transpose sign facts, by eigensolver and by criterion."""
     states, coeffs = scenario.states, scenario.coeffs
     # both routes decide at linalg.PSD_THRESHOLD; each claim reports that
@@ -360,44 +348,40 @@ def reproduce_pt_table(scenario: Scenario) -> ReproductionReport:
             control=True,
         )
     )
-    return ReproductionReport(tuple(entries))
+    return tuple(entries)
 
 
-def capacity_proxy_report(scenario: Scenario) -> ReproductionReport:
+def capacity_proxy_report(scenario: Scenario) -> tuple[ClaimEntry, ...]:
     """Capacity proxies for the three channels (all negative) and the mixture (positive)."""
     targets = [("AB", ("B",)), ("AC", ("C",)), ("ABC", ("B", "C"))]
     entries = []
-    proxies: dict[tuple[str, str], CapacityProxy] = {}
+    positive: dict[tuple[str, str], bool] = {}
     names = cut_names(CHOI_SYSTEM)
+    receivers_all = ("B", "C")
+    pairs = [(SENDER_GROUP, (r,)) for r in receivers_all]
     for key, coeffs in scenario.coeffs.items():
         expect = key == "mix"
-        # the joint proxy's witnesses serve every target: one pair_verdicts call
-        witness = dict(zip(("B", "C"), capacity_proxy(coeffs, ("B", "C")).witnesses))
+        # the sender group against each receiver serves every target: one pair_verdicts call
+        witness = dict(zip(receivers_all, pair_verdicts(coeffs, pairs)))
         for tag, receivers in targets:
-            proxy = CapacityProxy(tuple(witness[r] for r in receivers))
-            proxies[(key, tag)] = proxy
+            witnesses = [witness[r] for r in receivers]
+            proxy = positive[key, tag] = any(w.distillable for w in witnesses)
             # a cut separating the senders from both receivers blocks
             # each witness; list it once, in first-seen order
-            blocking = dict.fromkeys(
-                names[k - 1] for w in proxy.witnesses for k in w.blocking_cuts
-            )
+            blocking = dict.fromkeys(names[k - 1] for w in witnesses for k in w.blocking_cuts)
             entries.append(
                 ClaimEntry(
                     claim_id=f"proxy-{key}-{tag}",
                     description=f"capacity proxy of {key} toward {tag[1:]}",
                     expected="positive" if expect else "zero",
                     computed=(
-                        "positive"
-                        if proxy.positive
-                        else f"zero (blocking cuts: {'; '.join(blocking)})"
+                        "positive" if proxy else f"zero (blocking cuts: {'; '.join(blocking)})"
                     ),
                     tolerance=None,
-                    passed=proxy.positive == expect,
+                    passed=proxy == expect,
                 )
             )
-    headline_ok = all(
-        not proxies[(f"E{a}", tag)].positive for a in (1, 2, 3) for tag, _ in targets
-    ) and all(proxies[("mix", tag)].positive for tag, _ in targets)
+    headline_ok = all(proxy == (key == "mix") for (key, _), proxy in positive.items())
     entries.append(
         ClaimEntry(
             claim_id="nonadditivity-headline",
@@ -419,13 +403,13 @@ def capacity_proxy_report(scenario: Scenario) -> ReproductionReport:
             claim_id="proxy-control-corrupted-E1",
             description="corrupting the blocking coefficient must flip the E1 proxy",
             expected="positive after corruption",
-            computed="positive" if flipped.positive else "still zero",
+            computed="positive" if flipped else "still zero",
             tolerance=None,
-            passed=flipped.positive,
+            passed=flipped,
             control=True,
         )
     )
-    return ReproductionReport(tuple(entries))
+    return tuple(entries)
 
 
 GHZ3_SYSTEM = PartySystem(("A", "B1", "B2"), (2, 2, 2))
@@ -441,7 +425,7 @@ def _w_state() -> MultipartiteState:
     return PureState(GHZ3_SYSTEM, v).density()
 
 
-def ghz_oneway_example() -> ReproductionReport:
+def ghz_oneway_example() -> tuple[ClaimEntry, ...]:
     """The three-qubit contrast: separable two-party marginals, localizable triple."""
     ghz = ghz3_state()
     rho = ghz.density()
@@ -498,7 +482,7 @@ def ghz_oneway_example() -> ReproductionReport:
             control=True,
         )
     )
-    return ReproductionReport(tuple(entries))
+    return tuple(entries)
 
 
 # ---------------------------------------------------------------------------
@@ -584,7 +568,7 @@ def _fidelity_claim(
     )
 
 
-def teleport_report() -> ReproductionReport:
+def teleport_report() -> tuple[ClaimEntry, ...]:
     """Teleportation fidelities for ideal, useless and localized resources."""
     plus = max_entangled(2, ("A", "B"))
     ident = MultipartiteState(plus.system, linalg.identity(4) / 4)
@@ -640,19 +624,17 @@ def teleport_report() -> ReproductionReport:
             control=True,
         ),
     ]
-    return ReproductionReport(tuple(entries))
+    return tuple(entries)
 
 
-def full_report() -> ReproductionReport:
-    """Every claim of the scenario in one report, ordered by claim id."""
+def full_report() -> tuple[ClaimEntry, ...]:
+    """Every claim of the scenario, ordered by claim id."""
     scenario = build_scenario()
-    entries = []
-    for rep in (
-        reproduce_choi_claims(scenario),
-        reproduce_pt_table(scenario),
-        capacity_proxy_report(scenario),
-        ghz_oneway_example(),
-        teleport_report(),
-    ):
-        entries.extend(rep.entries)
-    return ReproductionReport(tuple(sorted(entries, key=lambda e: e.claim_id)))
+    entries = [
+        *reproduce_choi_claims(scenario),
+        *reproduce_pt_table(scenario),
+        *capacity_proxy_report(scenario),
+        *ghz_oneway_example(),
+        *teleport_report(),
+    ]
+    return tuple(sorted(entries, key=lambda e: e.claim_id))

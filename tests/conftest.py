@@ -261,11 +261,12 @@ def svd_localize(phi: PureState, senders, receivers) -> entanglement.Localizatio
     vector, sender_kept = _svd_factor_side(phi.vector.copy(), sys, senders, rng, log)
     vector, receiver_kept = _svd_factor_side(vector, sys, receivers, rng, log)
     kept = (sender_kept, receiver_kept)
-    purities = {}
+    # every bystander is factored out: its marginal of the whole vector is pure
     for l in sys.labels:
         if l not in kept:
             m = _svd_marginal(vector, sys, (l,))
-            purities[l] = float(np.real(np.trace(m @ m)))
+            purity = float(np.real(np.trace(m @ m)))
+            assert purity >= 1 - entanglement.FACTORED_PURITY_TOL, (l, purity)
     vals, vecs = np.linalg.eigh(_svd_marginal(vector, sys, kept))
     if vals[-1] < 1 - entanglement.FACTORED_PURITY_TOL:
         raise LocalizationFailed("bystander parties did not factor out")
@@ -284,7 +285,6 @@ def svd_localize(phi: PureState, senders, receivers) -> entanglement.Localizatio
         receiver_kept=receiver_kept,
         filter_probability=filter_prob,
         success_probability=math.prod([filter_prob, *(p.probability for p in log)]),
-        bystander_purities=purities,
     )
 
 
@@ -437,17 +437,17 @@ def walk_blocking_cuts(c, one, two, threshold: float) -> list[int]:
     return found
 
 
-def report_entry(report, claim_id: str):
-    """The ClaimEntry of a ReproductionReport with this claim id."""
-    for e in report.entries:
+def report_entry(claims, claim_id: str):
+    """The ClaimEntry with this claim id among a report's claims."""
+    for e in claims:
         if e.claim_id == claim_id:
             return e
     raise KeyError(claim_id)
 
 
-def report_passed(report) -> bool:
-    """Whether every claim of a ReproductionReport passed."""
-    return all(e.passed for e in report.entries)
+def report_passed(claims) -> bool:
+    """Whether every claim of a report passed."""
+    return all(e.passed for e in claims)
 
 
 @pytest.fixture(scope="session")

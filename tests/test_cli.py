@@ -1048,6 +1048,34 @@ class TestOutputContract:
             assert lines[-1] == "overall: pass"
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--format", "json", "reproduce"],
+        ["--format", "human", "reproduce"],
+        ["--format", "json", "classify", "e1_choi.json", "--pair", "A1,A2:B", "--pair", "A1,A2:C"],
+    ],
+    ids=["reproduce-json", "reproduce-human", "classify-pairs"],
+)
+def test_output_bytes_do_not_depend_on_the_hash_seed(fixture_dir, argv):
+    # groups pass through frozensets in disjoint_groups, and set order
+    # follows the string hash, which each interpreter seeds afresh
+    argv = [str(fixture_dir / a) if a.endswith(".json") else a for a in argv]
+    outs = []
+    for seed in ("1", "2"):
+        env = dict(
+            os.environ,
+            PYTHONHASHSEED=seed,
+            PYTHONPATH=os.pathsep.join([SRC, os.environ.get("PYTHONPATH", "")]),
+        )
+        out = subprocess.run(
+            [sys.executable, "-m", "choilab", *argv], env=env, capture_output=True, check=True
+        )
+        outs.append(out.stdout)
+    assert outs[0] == outs[1]
+    assert outs[0]
+
+
 class TestHugeEntries:
     """A 1e300 entry overflows the checks' sums: the verdicts stand, with no numpy warning."""
 

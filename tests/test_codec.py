@@ -83,11 +83,13 @@ def test_encode_matrix_bytes_match_per_cell_encoding():
 
 
 def test_report_schema():
-    doc = report_to_dict(full_report())
-    assert set(doc) == {"entries"}
-    assert {e["status"] for e in doc["entries"]} == {"pass"}
+    claims = full_report()
+    doc = report_to_dict(claims)
+    assert isinstance(doc, list)
+    assert [e["id"] for e in doc] == [c.claim_id for c in claims]
+    assert {e["status"] for e in doc} == {"pass"}
     assert loads(dumps(doc)) == doc
-    for entry in doc["entries"]:
+    for entry in doc:
         assert set(entry) == {
             "id",
             "description",
@@ -97,7 +99,7 @@ def test_report_schema():
             "status",
             "control",
         }
-    assert any(e["control"] for e in doc["entries"])
+    assert any(e["control"] for e in doc)
 
 
 @pytest.mark.parametrize(

@@ -1,5 +1,6 @@
 """Import direction: the bottom layer (linalg) needs only errors, and the codec
-loads states and channels without the report layer (nonadditivity).  The
+loads states and channels without the report layer (nonadditivity), whose
+types it does not name, not even for type checking.  The
 smallest eigenvalue has one path, linalg.min_eigenvalue, the X-block
 solve one copy, linalg.x_min_eigenvalue, which only min_eigenvalue and
 entanglement.cut_min_eigenvalues call, and JSON one module, codec.
@@ -43,6 +44,21 @@ def test_codec_does_not_import_the_report_layer():
     loaded = loaded_after_import("choilab.codec")
     assert "choilab.codec" in loaded
     assert "choilab.nonadditivity" not in loaded
+
+
+def test_codec_names_no_report_type():
+    # report_to_dict reads claims by attribute; an import from the report
+    # layer, even one under TYPE_CHECKING, would point the layers the wrong way.
+    path = Path(choilab.__file__).resolve().parent / "codec.py"
+    text = path.read_text(encoding="utf-8")
+    imported = []  # every dotted name an import statement reads, at any depth
+    for node in ast.walk(ast.parse(text)):
+        if isinstance(node, ast.ImportFrom):
+            imported += [f"{node.module or ''}.{a.name}" for a in node.names]
+        elif isinstance(node, ast.Import):
+            imported += [a.name for a in node.names]
+    assert [n for n in imported if "nonadditivity" in n.split(".")] == []
+    assert "ReproductionReport" not in text
 
 
 def test_reproduce_builds_no_random_generator():

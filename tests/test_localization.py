@@ -47,6 +47,12 @@ def assert_balanced(result, tol=1e-9):
     assert abs(float(sd.coefficients[1]) - BALANCE) <= tol
 
 
+def assert_unit_projections(result, tol=1e-12):
+    """Each bystander is left in the ket it was projected onto, a unit vector."""
+    for p in result.projections:
+        assert abs(np.linalg.norm(p.vector) - 1) <= tol, p.party
+
+
 class TestGhzLocalization:
     def test_plus_projection(self):
         sys = qubits("A", "B1", "B2")
@@ -63,7 +69,7 @@ class TestGhzLocalization:
         assert abs(result.success_probability - 0.5) < 1e-12
         assert result.receiver_kept == "B2"
         assert_balanced(result)
-        assert result.bystander_purities["B1"] >= 1 - 1e-10
+        assert_unit_projections(result)
 
     def test_final_state_is_bell_pair(self):
         sys = qubits("A", "B1", "B2")
@@ -154,8 +160,7 @@ class TestEarlyTermination:
         assert result.sender_kept == "A1"
         assert {p.party for p in result.projections} == {"A2", "A3"}
         assert_balanced(result)
-        for purity in result.bystander_purities.values():
-            assert purity >= 1 - 1e-10
+        assert_unit_projections(result)
 
 
 class TestRandomRank2Suite:
@@ -176,8 +181,7 @@ class TestRandomRank2Suite:
             assert result.sender_kept in senders
             assert result.receiver_kept in receivers
             assert len(result.projections) == 4
-            for purity in result.bystander_purities.values():
-                assert purity >= 1 - 1e-10
+            assert_unit_projections(result)
             assert 0 < result.success_probability <= 1 + 1e-12
             combined = result.filter_probability
             for p in result.projections:
@@ -259,9 +263,7 @@ class TestSchmidtFormMatchesStepwiseSvd:
         assert (got.sender_kept, got.receiver_kept) == (want.sender_kept, want.receiver_kept)
         assert abs(got.filter_probability - want.filter_probability) <= 1e-12
         assert abs(got.success_probability - want.success_probability) <= 1e-12
-        assert got.bystander_purities.keys() == want.bystander_purities.keys()
-        for l, purity in got.bystander_purities.items():
-            assert abs(purity - want.bystander_purities[l]) <= 1e-12
+        assert_unit_projections(got)
         assert got.final_state.system == want.final_state.system
         a, b = got.final_state.vector, want.final_state.vector
         phase = np.vdot(b, a)

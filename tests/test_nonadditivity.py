@@ -13,6 +13,7 @@ from choilab.nonadditivity import (
     CANONICAL_ORDER,
     CHOI_SYSTEM,
     MIX_NPT_EIGENVALUE,
+    SENDER_GROUP,
     binding_channel,
     capacity_proxy,
     capacity_proxy_report,
@@ -28,7 +29,7 @@ from choilab.nonadditivity import (
     teleport_fidelity,
     teleport_report,
 )
-from choilab.entanglement import ghz_diagonal_coefficients
+from choilab.entanglement import ghz_diagonal_coefficients, pairwise_distillability
 from choilab.states import (
     MultipartiteState,
     PartySystem,
@@ -40,6 +41,7 @@ from choilab.states import (
 
 from conftest import (
     loop_teleport_fidelity,
+    random_ghz_diagonal_state,
     random_pure_vector,
     random_state,
     report_entry,
@@ -105,7 +107,7 @@ class TestReports:
     def test_choi_claims(self):
         rep = reproduce_choi_claims(nonadditivity.build_scenario())
         assert report_passed(rep)
-        ids = {e.claim_id for e in rep.entries}
+        ids = {e.claim_id for e in rep}
         assert {"choi-E1", "choi-E2", "choi-E3", "choi-E3-swap", "choi-mix"} <= ids
         control = report_entry(rep, "choi-control-perturbed-E1")
         assert control.control and control.passed
@@ -113,7 +115,7 @@ class TestReports:
     def test_pt_table(self, scenario_states):
         rep = reproduce_pt_table(nonadditivity.build_scenario())
         assert report_passed(rep)
-        assert len([e for e in rep.entries if not e.control]) == 7
+        assert len([e for e in rep if not e.control]) == 7
         for key in ("pt-mix-A1A2", "pt-mix-B", "pt-mix-C"):
             assert report_entry(rep, key).passed
         assert report_entry(rep, "pt-control-wrong-state").passed
@@ -165,7 +167,18 @@ class TestReports:
         joint = capacity_proxy(c, ("B", "C"))
         single_b = capacity_proxy(c, ("B",))
         single_c = capacity_proxy(c, ("C",))
-        assert joint.positive == (single_b.positive or single_c.positive)
+        assert all(isinstance(p, bool) for p in (joint, single_b, single_c))
+        assert joint == (single_b or single_c)
+
+    @given(st.integers(0, 2**32 - 1))
+    def test_proxy_is_any_receiver_pair_on_random_states(self, seed):
+        # random GHZ-diagonal Choi states with symmetric pair weights, not
+        # only the four of the scenario
+        state = random_ghz_diagonal_state(np.random.default_rng(seed), CHOI_SYSTEM)
+        c = ghz_diagonal_coefficients(state)
+        for rs in (("B",), ("C",), ("B", "C")):
+            want = any(pairwise_distillability(c, SENDER_GROUP, (r,)).distillable for r in rs)
+            assert capacity_proxy(c, rs) == want
 
     def test_ghz_oneway(self):
         rep = ghz_oneway_example()
@@ -188,15 +201,15 @@ class TestReports:
     def test_full_report_sorted_and_green(self):
         rep = full_report()
         assert report_passed(rep)
-        ids = [e.claim_id for e in rep.entries]
+        ids = [e.claim_id for e in rep]
         assert ids == sorted(ids)
-        assert sum(1 for e in rep.entries if e.control) >= 5
+        assert sum(1 for e in rep if e.control) >= 5
 
     def test_determinism(self):
         a = full_report()
         b = full_report()
-        assert [(e.claim_id, e.computed, e.passed) for e in a.entries] == [
-            (e.claim_id, e.computed, e.passed) for e in b.entries
+        assert [(e.claim_id, e.computed, e.passed) for e in a] == [
+            (e.claim_id, e.computed, e.passed) for e in b
         ]
 
     def test_blocking_cuts_listed_once(self):
@@ -207,7 +220,7 @@ class TestReports:
         assert report_entry(rep, "proxy-E3-ABC").computed == (
             "zero (blocking cuts: A1,A2,C | B; A1,A2 | B,C)"
         )
-        for e in rep.entries:
+        for e in rep:
             if e.computed.startswith("zero (blocking cuts: "):
                 cuts = e.computed[len("zero (blocking cuts: ") : -1].split("; ")
                 assert len(cuts) == len(set(cuts)), e.claim_id
@@ -261,11 +274,11 @@ class TestReports:
 
     def test_reports_accept_a_shared_scenario(self):
         scenario = nonadditivity.build_scenario()
-        full = {e.claim_id: e.computed for e in full_report().entries}
+        full = {e.claim_id: e.computed for e in full_report()}
         for report in (reproduce_choi_claims, reproduce_pt_table, capacity_proxy_report):
             shared = report(scenario)
             assert report_passed(shared)
-            assert all(full[e.claim_id] == e.computed for e in shared.entries)
+            assert all(full[e.claim_id] == e.computed for e in shared)
 
 
 class TestTeleportation:
