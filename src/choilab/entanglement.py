@@ -20,10 +20,12 @@ facts are reported, never verdicts.
 ppt_check and npt_criterion take a cut as its number k (the cut index j
 read in binary, 1 <= k < 2^(N-1)); states.cut_number gives the k of a
 side, states.cut_side the parties on its side without the last one, and
-the pair verdicts report their blocking cuts as numbers.  No partial
-transpose of an X-shaped state (GHZ-diagonal ones included) is built:
-cut_min_eigenvalues solves every cut from one gather of the anti-diagonal
-and keeps the values with the state, and ppt_check reads cut k there.
+the pair verdicts report their blocking cuts as numbers.
+cut_min_eigenvalues solves every cut of an X-shaped state (GHZ-diagonal
+ones included) on first use and keeps the values with the state, and
+ppt_check reads cut k there.  On qubits all cuts are one gather of the
+anti-diagonal, with no partial transpose built; on other dims each cut's
+partial transpose is X-shaped and linalg.min_eigenvalue solves its blocks.
 The coefficient rule is one vector over the cuts (npt_vector), which
 npt_criterion and pair_verdicts read.  The localization code names a cut
 by a side, as states.schmidt_decomposition takes it.
@@ -78,43 +80,31 @@ class PtVerdict:
     is_ppt: bool
 
 
-# Entries cut_min_eigenvalues gathers at once, as channels._OUTER_BATCH.
-_GATHER_BATCH = 1 << 22
-
-
-def _flip_map(dims: tuple[int, ...], axes) -> np.ndarray:
-    """Where each flat index goes when the given axes of a dims-shaped array are reversed."""
-    return np.flip(np.arange(math.prod(dims)).reshape(dims), tuple(axes)).ravel()
-
-
 def cut_min_eigenvalues(state: MultipartiteState) -> np.ndarray:
     """Smallest partial-transpose eigenvalue of every cut of an X-shaped state.
 
     Entry k-1 is cut k with its side without the last party (cut_side)
     transposed.  Transposing the parties T moves entry (a, b) to
     ((b_T, a_R), (a_T, b_R)): the diagonal stays put and the anti-diagonal
-    flips along the T axes, x -> x xor (k << 1) for qubits.  So all cuts
-    are one gather and one stacked block solve (in batches of
-    _GATHER_BATCH entries) that reads the entries of each dense partial
-    transpose, bit for bit.  The read-only result is kept with the state.
+    flips along the T axes, x -> x xor (k << 1) for qubits.  So on qubits
+    all cuts are one gather and one stacked block solve that reads the
+    entries of each dense partial transpose, bit for bit.  Any other
+    X-shaped state is transposed cut by cut; the transpose is X-shaped, so
+    linalg.min_eigenvalue solves the same blocks from the same entries.
+    The read-only result is kept with the state.
     """
     if not state.x_shaped:
         raise DimensionMismatch("the cut spectra are read only from an X-shaped state")
     lows = state._cut_lows
     if lows is None:
-        m, dims = state.matrix, state.system.dims
-        n, d = len(dims), m.shape[0]
-        anti = m[:, ::-1].diagonal()
-        lows = np.empty((1 << (n - 1)) - 1)
-        step = max(1, _GATHER_BATCH // d)
-        for lo in range(0, len(lows), step):
-            ks = np.arange(lo + 1, min(lo + step, len(lows)) + 1)
-            if state.system.is_qubits():
-                maps = np.arange(d) ^ (ks[:, None] << 1)
-            else:
-                sides = (map(state.system.axis, cut_side(state.system, k)) for k in ks.tolist())
-                maps = np.stack([_flip_map(dims, side) for side in sides])
-            lows[lo : lo + len(ks)] = linalg.x_min_eigenvalue(m.diagonal(), anti[maps])
+        system, m = state.system, state.matrix
+        ks = np.arange(1, 1 << (system.num_parties - 1))
+        if system.is_qubits():
+            anti = m[:, ::-1].diagonal()[np.arange(m.shape[0]) ^ (ks[:, None] << 1)]
+            lows = linalg.x_min_eigenvalue(m.diagonal(), anti)
+        else:
+            pts = (partial_transpose(state, cut_side(system, k)) for k in ks.tolist())
+            lows = np.array([linalg.min_eigenvalue(pt) for pt in pts])
         lows.setflags(write=False)
         object.__setattr__(state, "_cut_lows", lows)
     return lows
@@ -420,11 +410,7 @@ def _branches_distinct(b1: np.ndarray, b2: np.ndarray) -> bool:
     n1, n2 = linalg.norm(b1), linalg.norm(b2)
     if n1 < BRANCH_NORM_TOL or n2 < BRANCH_NORM_TOL:
         return False
-    overlap = abs(np.vdot(b1, b2))
-    if overlap / (n1 * n2) >= 1 - BRANCH_DISTINCT_TOL:
-        return False
-    gram_det = (n1 * n2) ** 2 - overlap**2
-    return gram_det > BRANCH_DISTINCT_TOL * (n1 * n2) ** 2
+    return abs(np.vdot(b1, b2)) / (n1 * n2) < 1 - BRANCH_DISTINCT_TOL
 
 
 def _condition_i_holds(branches: np.ndarray) -> bool:

@@ -284,8 +284,9 @@ def ghz_basis_state(system: PartySystem, k: int, sign: int) -> PureState:
     parties and is given as the number k, 0 <= k < 2^(N-1), as
     GhzDiagonalCoefficients.plus and minus are indexed, and jbar is its
     bitwise complement.  So |j,0> sits at index 2k and |jbar,1> at
-    2^N - 1 - 2k.  sign is 1 or -1.  Over all (k, sign) the family is an
-    orthonormal basis of the N-qubit space.
+    2^N - 1 - 2k.  sign is 1 or -1, an int as k is (a bool or a float is
+    refused).  Over all (k, sign) the family is an orthonormal basis of
+    the N-qubit space.
     """
     if not system.is_qubits():
         raise DimensionMismatch("GHZ basis is defined for qubit systems only")
@@ -296,7 +297,7 @@ def ghz_basis_state(system: PartySystem, k: int, sign: int) -> PureState:
                               f"write {literal}")
     if isinstance(k, bool) or not isinstance(k, (int, np.integer)) or not 0 <= k < 1 << (n - 1):
         raise IndexOutOfRange(f"no GHZ index {k!r} for {n} qubits: need 0 <= k < {1 << (n - 1)}")
-    if isinstance(sign, bool) or sign not in (1, -1):
+    if isinstance(sign, bool) or not isinstance(sign, (int, np.integer)) or sign not in (1, -1):
         raise IndexOutOfRange(f"sign must be 1 or -1, got {sign!r}")
     v = np.zeros(system.total_dim, dtype=np.complex128)
     v[2 * k] = 1 / math.sqrt(2)

@@ -252,6 +252,23 @@ def _svd_factor_side(vector, system: PartySystem, side, rng, log):
     return vector, remaining[0]
 
 
+def two_test_branches_distinct(b1: np.ndarray, b2: np.ndarray) -> bool:
+    """Whether two branches stay distinct, by the overlap rule and then the Gram determinant.
+
+    The oracle of entanglement._branches_distinct, which reads the overlap
+    rule alone: with r = |<b1|b2>|/(n1 n2) < 1 - t the determinant
+    (n1 n2)^2 (1 - r)(1 + r) exceeds t (n1 n2)^2 by about t.
+    """
+    n1, n2 = linalg.norm(b1), linalg.norm(b2)
+    if n1 < entanglement.BRANCH_NORM_TOL or n2 < entanglement.BRANCH_NORM_TOL:
+        return False
+    overlap = abs(np.vdot(b1, b2))
+    if overlap / (n1 * n2) >= 1 - entanglement.BRANCH_DISTINCT_TOL:
+        return False
+    gram_det = (n1 * n2) ** 2 - overlap**2
+    return gram_det > entanglement.BRANCH_DISTINCT_TOL * (n1 * n2) ** 2
+
+
 def svd_localize(phi: PureState, senders, receivers) -> entanglement.LocalizationResult:
     """localize_entanglement on valid groups, one SVD of the whole vector per step."""
     sys = phi.system
@@ -310,8 +327,9 @@ def flip_route_min_eigenvalue(state: MultipartiteState, side) -> float:
 
     The anti-diagonal is flipped along the axes of the parties in ``side``,
     and q is read reversed from one row.  entanglement.cut_min_eigenvalues,
-    which solves every cut from one gather and one stacked solve, must
-    match it bit for bit on the side without the last party.
+    which solves qubit cuts from one gather and one stacked solve and any
+    other cut from its own partial transpose, must match it bit for bit on
+    the side without the last party.
     """
     axes = tuple(state.system.axis(l) for l in side)
     m = state.matrix

@@ -3,7 +3,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from choilab import entanglement
@@ -19,7 +19,7 @@ from choilab.states import (
     schmidt_decomposition,
 )
 
-from conftest import svd_localize
+from conftest import svd_localize, two_test_branches_distinct
 
 BALANCE = 1 / math.sqrt(2)
 
@@ -291,3 +291,34 @@ class TestWorkCount:
     def test_full_report(self, calls):
         full_report()
         assert calls == {"svd": 5, "eigh": 0}
+
+
+def unit(v):
+    return v / np.linalg.norm(v)
+
+
+@settings(max_examples=50)
+@given(dim=st.integers(1, 4), seed=st.integers(0, 2**32 - 1))
+def test_branch_test_is_the_overlap_rule(dim, seed):
+    # Oracle: the overlap rule followed by the Gram-determinant test, on
+    # random pairs and on pairs whose overlap or norms sit at their thresholds.
+    rng = np.random.default_rng(seed)
+    t = entanglement.BRANCH_DISTINCT_TOL
+    answers = set()
+    for _ in range(400):
+        b1, b2 = (unit(rng.standard_normal(dim) + 1j * rng.standard_normal(dim)) for _ in "12")
+        kind = rng.integers(3)
+        if kind == 1 and dim > 1:
+            # the overlap cos(theta) within a few per cent of t below 1
+            w = unit(b2 - np.vdot(b1, b2) * b1)
+            theta = math.sqrt(2 * t * rng.uniform(0.95, 1.05))
+            b2 = math.cos(theta) * b1 + math.sin(theta) * w * np.exp(2j * np.pi * rng.random())
+        if kind == 2:
+            scales = entanglement.BRANCH_NORM_TOL * rng.uniform(0.9, 1.1, 2)
+        else:
+            scales = 10.0 ** rng.uniform(-3, 3, 2)
+        c1, c2 = b1 * scales[0], b2 * scales[1]
+        got = entanglement._branches_distinct(c1, c2)
+        assert got == two_test_branches_distinct(c1, c2), (c1, c2)
+        answers.add(bool(got))
+    assert answers == ({True, False} if dim > 1 else {False})

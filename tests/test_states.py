@@ -210,7 +210,7 @@ class TestGhzBasis:
 
     def test_numpy_integer_index(self):
         sys = qubits("A", "B", "C")
-        assert np.array_equal(ghz_basis_state(sys, np.int64(3), -1).vector,
+        assert np.array_equal(ghz_basis_state(sys, np.int64(3), np.int64(-1)).vector,
                               ghz_basis_state(sys, 3, -1).vector)
 
     def test_errors(self):
@@ -220,7 +220,7 @@ class TestGhzBasis:
         for k in (-1, 4, 1.0, None, True, False):
             with pytest.raises(IndexOutOfRange, match="no GHZ index"):
                 ghz_basis_state(sys, k, 1)
-        for sign in ("+", "-", 0, 2, -2, True, None):
+        for sign in ("+", "-", 0, 2, -2, True, None, 1.0, np.float64(-1.0), np.True_):
             with pytest.raises(IndexOutOfRange, match="sign must be 1 or -1"):
                 ghz_basis_state(sys, 0, sign)
 
