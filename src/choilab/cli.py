@@ -185,11 +185,11 @@ def _cmd_classify(args) -> int:
     row (a GHZ-diagonal state only) and its cut-j row; then each group
     pair's row names its blocking cuts from the same table.  The names are
     made once per party system, however many rows and pairs use them.
-    Cut k's row still makes one ppt_check call by its number, on an
-    X-shaped state an O(1) read of what entanglement.cut_min_eigenvalues
-    solved for all cuts at once, so that the benchmark's per-cut ppt_check
-    count holds.  The criterion column and the pair verdicts each read one
-    NPT vector.
+    Cut k's row still makes one ppt_check call by its number, an O(1)
+    read of entanglement.cut_min_eigenvalues, one table per state of any
+    shape, solved for all cuts at once, so that the benchmark's per-cut
+    ppt_check count holds.  The criterion column and the pair verdicts
+    each read one NPT vector.
     """
     state = state_from_dict(load_path(args.state), psd_threshold=-args.tolerance)
     sys_ = state.system

@@ -21,11 +21,13 @@ ppt_check and npt_criterion take a cut as its number k (the cut index j
 read in binary, 1 <= k < 2^(N-1)); states.cut_number gives the k of a
 side, states.cut_side the parties on its side without the last one, and
 the pair verdicts report their blocking cuts as numbers.
-cut_min_eigenvalues solves every cut of an X-shaped state (GHZ-diagonal
-ones included) on first use and keeps the values with the state, and
-ppt_check reads cut k there.  On qubits all cuts are one gather of the
-anti-diagonal, with no partial transpose built; on other dims each cut's
-partial transpose is X-shaped and linalg.min_eigenvalue solves its blocks.
+cut_min_eigenvalues keeps one table per state, any shape: it solves
+every cut on first use and keeps the values with the state, and
+ppt_check reads cut k there.  On a qubit X-shaped state (GHZ-diagonal
+ones included) all cuts are one gather of the anti-diagonal, with no
+partial transpose built; on any other state each cut's partial transpose
+is built, X-shaped exactly when the state is, and linalg.min_eigenvalue
+solves it by blocks or densely.
 The coefficient rule is one vector over the cuts (npt_vector), which
 npt_criterion and pair_verdicts read.  The localization code names a cut
 by a side, as states.schmidt_decomposition takes it.
@@ -62,6 +64,7 @@ from .states import (
     cut_side,
     label_tuple,
     partial_transpose,
+    require_cut,
     schmidt_decomposition,
 )
 
@@ -81,47 +84,33 @@ class PtVerdict:
 
 
 def cut_min_eigenvalues(state: MultipartiteState) -> np.ndarray:
-    """Smallest partial-transpose eigenvalue of every cut of an X-shaped state.
+    """Smallest partial-transpose eigenvalue of every cut: one table per state, any shape.
 
     Entry k-1 is cut k with its side without the last party (cut_side)
     transposed.  Transposing the parties T moves entry (a, b) to
-    ((b_T, a_R), (a_T, b_R)): the diagonal stays put and the anti-diagonal
-    flips along the T axes, x -> x xor (k << 1) for qubits.  So on qubits
-    all cuts are one gather and one stacked block solve that reads the
-    entries of each dense partial transpose, bit for bit.  Any other
-    X-shaped state is transposed cut by cut; the transpose is X-shaped, so
-    linalg.min_eigenvalue solves the same blocks from the same entries.
-    The read-only result is kept with the state.
+    ((b_T, a_R), (a_T, b_R)) and nothing else: the diagonal stays put and
+    the anti-diagonal (b the digit-wise complement of a) maps to itself,
+    x -> x xor (k << 1) for qubits.  So each cut's transpose is X-shaped
+    exactly when the state is, and the state's flag stands for it.  On a
+    qubit X-shaped state all cuts are one gather and one stacked block
+    solve that reads the entries of each dense partial transpose, bit for
+    bit.  Any other state is transposed cut by cut and linalg.min_eigenvalue
+    solves each transpose, by its 2x2 blocks or densely.  The read-only
+    result is kept with the state.
     """
-    if not state.x_shaped:
-        raise DimensionMismatch("the cut spectra are read only from an X-shaped state")
     lows = state._cut_lows
     if lows is None:
         system, m = state.system, state.matrix
         ks = np.arange(1, 1 << (system.num_parties - 1))
-        if system.is_qubits():
+        if state.x_shaped and system.is_qubits():
             anti = m[:, ::-1].diagonal()[np.arange(m.shape[0]) ^ (ks[:, None] << 1)]
             lows = linalg.x_min_eigenvalue(m.diagonal(), anti)
         else:
             pts = (partial_transpose(state, cut_side(system, k)) for k in ks.tolist())
-            lows = np.array([linalg.min_eigenvalue(pt) for pt in pts])
+            lows = np.array([linalg.min_eigenvalue(pt, state.x_shaped) for pt in pts])
         lows.setflags(write=False)
         object.__setattr__(state, "_cut_lows", lows)
     return lows
-
-
-def _cut(system: PartySystem, k: int) -> int:
-    """k itself if it numbers a cut of the system, 1 <= k < 2^(N-1); else UnknownParty.
-
-    A bool is an int to Python but names no cut, so True is refused, not read as cut 1.
-    """
-    if (
-        isinstance(k, bool)
-        or not isinstance(k, (int, np.integer))
-        or not 0 < k < 1 << (system.num_parties - 1)
-    ):
-        raise UnknownParty(f"no cut number {k!r} for {system.labels}")
-    return k
 
 
 def ppt_check(
@@ -134,19 +123,13 @@ def ppt_check(
     cut_side(system, k), the side without the last party, is the one
     transposed.  The other side has the same spectrum, but on a state
     Hermitian only within HERMITICITY_TOL not the same last bits, so one
-    side per cut keeps both routes on the same bits.  An X-shaped state
-    reads cut_min_eigenvalues, which solves all of its cuts on first use;
-    any other state is transposed and solved densely.  The route reads
-    matrix entries, never the GHZ coefficients, so it checks
-    npt_criterion.
+    side per cut keeps both routes on the same bits.  The value is read
+    from cut_min_eigenvalues, one table per state of any shape, solved for
+    all cuts on first use.  The route reads matrix entries, never the GHZ
+    coefficients, so it checks npt_criterion.
     """
-    system = state.system
-    k = _cut(system, k)
-    if state.x_shaped:
-        low = float(cut_min_eigenvalues(state)[k - 1])
-    else:
-        pt = partial_transpose(state, cut_side(system, k))
-        low = linalg.min_eigenvalue(pt, x_shaped=False)
+    k = require_cut(state.system, k)
+    low = float(cut_min_eigenvalues(state)[k - 1])
     return PtVerdict(min_eigenvalue=low, is_ppt=low >= threshold)
 
 
@@ -269,7 +252,7 @@ def npt_criterion(
     from coeffs.plus and coeffs.minus on every call (npt_vector).  Requires
     the state to actually be GHZ-diagonal.
     """
-    k = _cut(coeffs.system, k)
+    k = require_cut(coeffs.system, k)
     return bool(npt_vector(coeffs, threshold)[k - 1])
 
 

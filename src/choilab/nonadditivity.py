@@ -121,6 +121,13 @@ def _kraus_list_two() -> tuple[np.ndarray, ...]:
     return tuple(ops)
 
 
+def _channel_index(a) -> int:
+    """a as an int if it is a Python or numpy int 1, 2 or 3, not a bool; else DimensionMismatch."""
+    if isinstance(a, bool) or not isinstance(a, (int, np.integer)) or a not in (1, 2, 3):
+        raise DimensionMismatch(f"channel index must be 1, 2 or 3, got {a}")
+    return int(a)
+
+
 def binding_channel(a: int) -> KrausChannel:
     """One of the three binding-entanglement channels (a in {1, 2, 3}).
 
@@ -128,14 +135,13 @@ def binding_channel(a: int) -> KrausChannel:
     exchanged (swap conjugation of every Kraus operator, one matmul pair
     over the stacked list).
     """
+    a = _channel_index(a)
     if a == 1:
         ops = _kraus_list_one()
     elif a == 2:
         ops = _kraus_list_two()
-    elif a == 3:
-        ops = _SWAP @ np.stack(_kraus_list_two()) @ _SWAP
     else:
-        raise DimensionMismatch(f"channel index must be 1, 2 or 3, got {a}")
+        ops = _SWAP @ np.stack(_kraus_list_two()) @ _SWAP
     ch = KrausChannel(f"E{a}", INPUT_SYSTEM, OUTPUT_SYSTEM, ops)
     defect = completeness_defect(ch)
     if defect > BUILD_DEFECT_TOL:
@@ -171,11 +177,11 @@ def _formula_matrix(removed: dict[int, float]) -> np.ndarray:
 
 
 def choi_closed_form(which: int | str) -> MultipartiteState:
-    """Closed-form Choi matrices, built directly from basis projectors."""
-    if which == "mix":
+    """Closed-form Choi matrix of binding_channel(which), or of their mixture for "mix"."""
+    if isinstance(which, str) and which == "mix":
         removed = {b: 1 / 3 for pair in _REMOVED_PROJECTORS.values() for b in pair}
     else:
-        removed = {b: 1.0 for b in _REMOVED_PROJECTORS[int(which)]}
+        removed = {b: 1.0 for b in _REMOVED_PROJECTORS[_channel_index(which)]}
     return MultipartiteState(CHOI_SYSTEM, _formula_matrix(removed))
 
 

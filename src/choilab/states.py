@@ -5,9 +5,9 @@ computational-basis indices map big-endian (first party most significant).
 ``MultipartiteState`` wraps a validated, read-only density operator and
 records whether it is X-shaped (see ``linalg``); ``PureState`` wraps a
 unit vector.  A cut is named two ways.  Where only the cut matters it is
-its number k, 1 <= k < 2^(N-1): the side without the last party is read
-from the bits of k (``cut_side``), ``cut_name`` names it, and
-``cut_names`` is the table of every cut's name, entry k-1 for cut k.
+its number k, 1 <= k < 2^(N-1) (``require_cut``): the side without the
+last party is read from the bits of k (``cut_side``), ``cut_name`` names
+it, and ``cut_names`` is the table of every cut's name, entry k-1 for cut k.
 Where an orientation matters it is a side, a collection of labels holding
 some but not all parties: ``partial_transpose`` transposes those parties and
 ``schmidt_decomposition`` puts them on the left.  ``cut_number`` gives the
@@ -113,8 +113,17 @@ def label_tuple(labels: Iterable[str]) -> tuple[str, ...]:
     return tuple(labels)
 
 
+def require_cut(system: PartySystem, k: int) -> int:
+    """k itself if it numbers a cut, 1 <= k < 2^(N-1), and is no bool; else UnknownParty."""
+    n = system.num_parties
+    if isinstance(k, bool) or not isinstance(k, (int, np.integer)) or not 0 < k < 1 << (n - 1):
+        raise UnknownParty(f"no cut number {k!r} for {system.labels}")
+    return k
+
+
 def cut_side(system: PartySystem, k: int) -> list[str]:
     """The side of cut k without the last party: party i < N-1 iff bit N-2-i of k is set."""
+    k = require_cut(system, k)
     n = system.num_parties
     return [l for i, l in enumerate(system.labels[:-1]) if k >> (n - 2 - i) & 1]
 

@@ -1,6 +1,7 @@
 import itertools
 import math
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -33,7 +34,9 @@ from choilab.states import (
     MultipartiteState,
     PartySystem,
     PureState,
+    cut_name,
     cut_number,
+    cut_side,
     ghz_basis_state,
     max_entangled,
     partial_transpose,
@@ -211,13 +214,23 @@ def test_both_sides_of_a_cut_read_the_same_bits():
     assert other_side_differs  # the other side's own transpose does read other bits
 
 
-# X-shaped states on fixed dims: one party (no cut at all), qudits among qubits.
-GATHER_DIMS = {"dims-2": (2,), "dims-4": (4,), "dims-2-4-2": (2, 4, 2), "dims-2-3-2-2": (2, 3, 2, 2)}
+# States on fixed dims: one party (no cut at all), qudits among qubits,
+# odd local dims.  Each is drawn X-shaped, and all but (2,) also dense (a
+# 2x2 matrix is always X-shaped).
+GATHER_DIMS = {
+    "dims-2": (2,),
+    "dims-4": (4,),
+    "dims-2-4-2": (2, 4, 2),
+    "dims-2-3-2-2": (2, 3, 2, 2),
+    "dims-2-3-2": (2, 3, 2),
+    "dims-3-2": (3, 2),
+}
+DENSE_DIMS = {f"dense-{kind}": dims for kind, dims in GATHER_DIMS.items() if dims != (2,)}
 
 
-@settings(max_examples=40)
+@settings(max_examples=60)
 @given(
-    kind=st.sampled_from(("symmetric", "asymmetric", "x-shaped", *GATHER_DIMS)),
+    kind=st.sampled_from(("symmetric", "asymmetric", "x-shaped", "dense", *GATHER_DIMS, *DENSE_DIMS)),
     n=st.integers(2, 7),
     inexact=st.booleans(),
     seed=st.integers(0, 2**32 - 1),
@@ -226,43 +239,83 @@ GATHER_DIMS = {"dims-2": (2,), "dims-4": (4,), "dims-2-4-2": (2, 4, 2), "dims-2-
 @example(kind="dims-4", n=2, inexact=True, seed=2)
 @example(kind="dims-2-3-2-2", n=2, inexact=False, seed=3)
 @example(kind="dims-2-3-2-2", n=2, inexact=True, seed=4)
+@example(kind="dense", n=5, inexact=True, seed=5)
+@example(kind="dense-dims-2-3-2", n=2, inexact=False, seed=6)
+@example(kind="dense-dims-3-2", n=2, inexact=True, seed=7)
 def test_every_cut_from_one_gather(kind, n, inexact, seed):
-    # Oracles: the per-cut flip route of the side without the last party,
-    # bit for bit, and the dense partial transpose of either side with
-    # eigvalsh within 1e-12.  One party has no cut: its spectra are empty.
+    # Oracles, bit for bit on the side without the last party: the per-cut
+    # flip route on an X-shaped state, and on any other state the dense
+    # solve of its own partial transpose (ppt_check's former dense branch).
+    # Then the dense partial transpose of either side with eigvalsh within
+    # 1e-12.  One party has no cut: its spectra are empty.  Dense qubit
+    # states have N = 2-5 parties.
     rng = np.random.default_rng(seed)
-    if kind in GATHER_DIMS:
-        dims = GATHER_DIMS[kind]
-        system = PartySystem(tuple(f"P{i}" for i in range(len(dims))), dims)
-        rho = random_x_state(rng, system)
+    dense = kind.startswith("dense")
+    dims = GATHER_DIMS.get(kind) or DENSE_DIMS.get(kind) or (2,) * (min(n, 5) if dense else n)
+    system = PartySystem(tuple(f"P{i}" for i in range(len(dims))), dims)
+    if dense:
+        rho = random_state(rng, system)
+    elif kind in ("symmetric", "asymmetric"):
+        rho = random_ghz_diagonal_state(rng, system, symmetric=kind == "symmetric")
     else:
-        system = qubits(*(f"Q{i}" for i in range(n)))
-        if kind == "x-shaped":
-            rho = random_x_state(rng, system)
-        else:
-            rho = random_ghz_diagonal_state(rng, system, symmetric=kind == "symmetric")
+        rho = random_x_state(rng, system)
     if inexact:
         rho = with_inexact_anti_diagonal(rng, rho)
+    assert rho.x_shaped is not dense
     lows = cut_min_eigenvalues(rho)
     assert lows.shape == (2 ** (system.num_parties - 1) - 1,) and not lows.flags.writeable
     assert lows.dtype == np.float64
-    assert cut_min_eigenvalues(rho) is lows
     if system.num_parties == 1:
         with pytest.raises(UnknownParty):
             ppt_check(rho, 1)
-    for k in range(1, len(lows) + 1):
-        side = index_side(k, system)
-        assert same_bits(lows[k - 1], flip_route_min_eigenvalue(rho, side)), k
-        got = ppt_check(rho, k).min_eigenvalue
-        assert same_bits(got, lows[k - 1]), k
+    sides = [index_side(k, system) for k in range(1, len(lows) + 1)]
+    for k, side in enumerate(sides, start=1):
+        if dense:
+            want = linalg.min_eigenvalue(partial_transpose(rho, side), x_shaped=False)
+        else:
+            want = flip_route_min_eigenvalue(rho, side)
+        assert same_bits(lows[k - 1], want), k
+    # Solved once: every later read, by either function, is of the kept table.
+    unused = AssertionError("a cut was solved again")
+    with (
+        mock.patch.object(entanglement, "partial_transpose", side_effect=unused),
+        mock.patch.object(linalg, "min_eigenvalue", side_effect=unused),
+        mock.patch.object(linalg, "x_min_eigenvalue", side_effect=unused),
+    ):
+        assert cut_min_eigenvalues(rho) is lows
+        got = [ppt_check(rho, k).min_eigenvalue for k in range(1, len(lows) + 1)]
+    for k, side in enumerate(sides, start=1):
+        assert same_bits(got[k - 1], lows[k - 1]), k
         for s in (side, complement(side, system)):
-            dense = float(np.linalg.eigvalsh(partial_transpose(rho, s))[0])
-            assert abs(got - dense) <= 1e-12, (k, s)
+            eig = float(np.linalg.eigvalsh(partial_transpose(rho, s))[0])
+            assert abs(got[k - 1] - eig) <= 1e-12, (k, s)
 
 
-def test_cut_spectra_need_an_x_shaped_state(four_qubits):
-    with pytest.raises(DimensionMismatch):
-        cut_min_eigenvalues(random_state(np.random.default_rng(5), four_qubits))
+@settings(max_examples=60)
+@given(
+    dims=st.lists(st.integers(2, 4), min_size=2, max_size=4).filter(lambda d: math.prod(d) <= 64),
+    kind=st.sampled_from(("x-shaped", "one-off-x", "dense")),
+    data=st.data(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_partial_transpose_keeps_the_x_shape(dims, kind, data, seed):
+    # cut_min_eigenvalues hands every cut's transpose the state's own flag:
+    # a partial transpose moves the diagonal and the anti-diagonal onto
+    # themselves, so it is X-shaped exactly when the state is (an odd
+    # dimension is never X-shaped).
+    rng = np.random.default_rng(seed)
+    system = PartySystem(tuple(f"P{i}" for i in range(len(dims))), dims)
+    if kind == "dense":
+        rho = random_state(rng, system)
+    else:
+        rho = random_x_state(rng, system)
+        if kind == "one-off-x":
+            rho = with_one_off_x_entry(rng, rho)
+    side = data.draw(
+        st.lists(st.sampled_from(system.labels), min_size=1, max_size=len(dims) - 1, unique=True)
+    )
+    assert linalg.is_x_shaped(partial_transpose(rho, side)) == rho.x_shaped
+    assert rho.x_shaped is (kind == "x-shaped" and system.total_dim % 2 == 0)
 
 
 class TestTwoQubitSeparability:
@@ -472,8 +525,14 @@ class TestCutIndex:
         dense = with_one_off_x_entry(np.random.default_rng(n), rho)
         with pytest.raises(UnknownParty, match=f"no cut number {k}"):
             ppt_check(dense, k)
+        # the rule lives where cuts are defined: a side or a name is not read from k either
+        for named in (cut_side, cut_name):
+            with pytest.raises(UnknownParty, match=f"no cut number {k}"):
+                named(system, k)
         last = (1 << (n - 1)) - 1
         assert ppt_check(rho, np.int64(last)) == ppt_check(rho, last)
+        assert cut_side(system, np.int64(last)) == cut_side(system, last)
+        assert cut_name(system, np.int64(last)) == cut_name(system, last)
 
     def test_side_agnostic(self, four_qubits):
         assert cut_number(four_qubits, ["A1", "A2"]) == cut_number(four_qubits, ["B", "C"])

@@ -62,8 +62,24 @@ class TestBuilders:
         assert completeness_defect(mixed) <= 1e-12
 
     def test_bad_index(self):
-        with pytest.raises(DimensionMismatch):
-            binding_channel(4)
+        # one rule for both builders: a Python or numpy int 1, 2 or 3, never a
+        # bool, a float or a string; choi_closed_form also takes "mix" alone
+        for a in (0, 4, -1, np.int64(4), True, np.True_, 1.0, np.float64(2.0), "1", None):
+            message = f"channel index must be 1, 2 or 3, got {a}"
+            with pytest.raises(DimensionMismatch, match=message):
+                binding_channel(a)
+            with pytest.raises(DimensionMismatch, match=message):
+                choi_closed_form(a)
+        for which in ("MIX", "Mix", " mix", "E1"):
+            with pytest.raises(DimensionMismatch, match=f"channel index must be 1, 2 or 3, got {which}"):
+                choi_closed_form(which)
+
+    def test_numpy_index(self):
+        for a in (1, 2, 3):
+            ch = binding_channel(np.int64(a))
+            assert ch.name == f"E{a}"
+            assert np.array_equal(ch.kraus, binding_channel(a).kraus)
+            assert np.array_equal(choi_closed_form(np.int32(a)).matrix, choi_closed_form(a).matrix)
 
     def test_choi_matches_closed_forms(self):
         for a in (1, 2, 3):
