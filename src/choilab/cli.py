@@ -19,7 +19,7 @@ import sys
 
 import numpy as np
 
-from . import __version__
+from . import __version__, linalg
 from .channels import MIX_LINEARITY_TOL, choi, choi_matrix, mix, mix_weights, verify_cptp
 from .codec import (
     channel_from_dict,
@@ -31,7 +31,6 @@ from .codec import (
     state_to_dict,
 )
 from .entanglement import (
-    all_cut_indices,
     disjoint_groups,
     ghz_diagonal_coefficients,
     npt_vector,
@@ -180,11 +179,11 @@ def _parse_pairs(specs, system) -> list[tuple[tuple[str, ...], tuple[str, ...]]]
 def _cmd_classify(args) -> int:
     """Rows for the GHZ fingerprint, every cut and every group pair.
 
-    The rows are made in one pass over the cuts: cut k, numbered as
-    all_cut_indices and the states.cut_names table are, gives its lambda-j
-    row (a GHZ-diagonal state only) and its cut-j row; then each group
-    pair's row names its blocking cuts from the same table.  The names are
-    made once per party system, however many rows and pairs use them.
+    The rows are made in one pass over the states.cut_names table: cut k,
+    with j its number written in N-1 bits, gives its lambda-j row (a
+    GHZ-diagonal state only) and its cut-j row; then each group pair's
+    row names its blocking cuts from the same table.  The names are made
+    once per party system, however many rows and pairs use them.
     Cut k's row still makes one ppt_check call by its number, an O(1)
     read of entanglement.cut_min_eigenvalues, one table per state of any
     shape, solved for all cuts at once, so that the benchmark's per-cut
@@ -221,7 +220,8 @@ def _cmd_classify(args) -> int:
         )
         lambdas = coeffs.lambdas.tolist()
         npt = npt_vector(coeffs, threshold).tolist()
-    for k, (j, name) in enumerate(zip(all_cut_indices(sys_.num_parties), names), start=1):
+    for k, name in enumerate(names, start=1):
+        j = f"{k:0{sys_.num_parties - 1}b}"
         verdict = ppt_check(state, k, threshold=threshold)
         low = verdict.min_eigenvalue
         eigensolver = "PPT" if verdict.is_ppt else "NPT"
@@ -280,7 +280,7 @@ def _cmd_mix(args) -> int:
     # A huge entry overflows to inf and nan here, which fails the row.
     with np.errstate(over="ignore", invalid="ignore"):
         combo = sum(x * choi_matrix(ch) for x, ch in zip(w, channels))
-        linearity = float(np.linalg.norm(rep.choi_matrix - combo))
+        linearity = linalg.norm(rep.choi_matrix - combo)
     entries = [
         {
             "id": "mix-choi-linearity",
@@ -337,7 +337,9 @@ def _add_global_flags(parser: argparse.ArgumentParser, top: bool) -> None:
     )
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser, built on the first call and reused: parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="choilab",
         description="Kraus channels, Choi states and multipartite distillability checks.",
@@ -383,15 +385,9 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-@functools.cache
-def _parser() -> argparse.ArgumentParser:
-    """The parser, built on the first call and reused: parsing leaves it unchanged."""
-    return build_parser()
-
-
 def main(argv=None) -> int:
     try:
-        args = _parser().parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else 0
     try:

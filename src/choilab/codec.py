@@ -107,7 +107,7 @@ def _decode_system(obj: Any, what: str) -> PartySystem:
     dims = obj.get("dims")
     if not isinstance(labels, list) or not all(isinstance(l, str) for l in labels):
         raise ParseError(f"{what}: labels must be an array of strings")
-    if not isinstance(dims, list) or not all(isinstance(d, int) for d in dims):
+    if not isinstance(dims, list) or not all(type(d) is int for d in dims):
         raise ParseError(f"{what}: dims must be an array of integers")
     try:
         return PartySystem(tuple(labels), tuple(dims))

@@ -175,19 +175,6 @@ class GhzDiagonalCoefficients:
         return self.offdiagonal_residual <= GHZ_RESIDUAL_TOL
 
 
-# num_parties -> all_cut_indices(num_parties), built once.
-_CUT_INDICES: dict[int, tuple[str, ...]] = {}
-
-
-def all_cut_indices(num_parties: int) -> tuple[str, ...]:
-    """All nonzero (N-1)-bit strings in index order, one per bipartition of N parties."""
-    js = _CUT_INDICES.get(num_parties)
-    if js is None:
-        n = num_parties - 1
-        js = _CUT_INDICES[num_parties] = tuple(format(k, f"0{n}b") for k in range(1, 1 << n))
-    return js
-
-
 def ghz_diagonal_coefficients(state: MultipartiteState) -> GhzDiagonalCoefficients:
     """Read the GHZ-basis diagonal of an N-qubit state.
 

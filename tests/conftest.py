@@ -6,7 +6,6 @@ from hypothesis import settings
 
 from choilab import entanglement, linalg
 from choilab.entanglement import (
-    all_cut_indices,
     ghz_diagonal_coefficients,
     npt_vector,
     pair_verdicts,
@@ -31,6 +30,11 @@ from choilab.states import (
 # turns a slow example into a failure.
 settings.register_profile("repeatable", deadline=None, database=None, derandomize=True)
 settings.load_profile("repeatable")
+
+
+def cut_bits(num_parties: int) -> list[str]:
+    """Cut k's number written in N-1 bits, as classify names its rows, for k = 1 .. 2^(N-1)-1."""
+    return [f"{k:0{num_parties - 1}b}" for k in range(1, 1 << (num_parties - 1))]
 
 
 # Matrix fields that the codec rejects with ParseError.
@@ -151,7 +155,7 @@ def loop_classify_entries(state: MultipartiteState, pairs, threshold: float) -> 
                 "lambda0_minus": float(coeffs.minus[0]),
             }
         )
-        for j, lam in zip(all_cut_indices(sys_.num_parties), coeffs.lambdas.tolist()):
+        for j, lam in zip(cut_bits(sys_.num_parties), coeffs.lambdas.tolist()):
             entries.append(
                 {
                     "id": f"lambda-{j}",
@@ -161,7 +165,7 @@ def loop_classify_entries(state: MultipartiteState, pairs, threshold: float) -> 
                 }
             )
         npt = npt_vector(coeffs, threshold).tolist()
-    for k, j in enumerate(all_cut_indices(sys_.num_parties), start=1):
+    for k, j in enumerate(cut_bits(sys_.num_parties), start=1):
         verdict = ppt_check(state, k, threshold=threshold)
         row = {
             "id": f"cut-{j}",
@@ -385,7 +389,7 @@ def random_ghz_diagonal_state(
     otherwise every GHZ-basis weight is drawn independently.
     """
     n = system.num_parties
-    indices = all_cut_indices(n)
+    indices = cut_bits(n)
     if symmetric:
         raw = rng.random(2 + len(indices))
         raw = np.concatenate([raw[:2], np.repeat(raw[2:], 2)])

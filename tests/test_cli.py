@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 import choilab
 from choilab import channels, cli, codec, linalg, states
 from choilab.cli import main
-from choilab.entanglement import all_cut_indices, ghz_diagonal_coefficients, ppt_check
+from choilab.entanglement import ghz_diagonal_coefficients, ppt_check
 from choilab.codec import (
     channel_from_dict,
     channel_to_dict,
@@ -35,6 +35,7 @@ from choilab.states import MultipartiteState, PartySystem, ghz_basis_state
 
 from conftest import (
     REJECTED_MATRICES,
+    cut_bits,
     describe,
     ghz_diagonal_state,
     index_side,
@@ -280,7 +281,7 @@ class TestClassify:
     )
     def test_fingerprint_rows(self, tmp_path, capsys, key, delta, lambda0, weights):
         # The bit-string names of the fingerprint are made only here, at
-        # the CLI edge: the lambda-j rows come in all_cut_indices order, and
+        # the CLI edge: the lambda-j rows come in cut number order, and
         # every weight not listed is 1/16.
         parts = [binding_channel(a) for a in (1, 2, 3)]
         channel = parts[0] if key == "E1" else mixed_binding_channel(parts)
@@ -297,8 +298,8 @@ class TestClassify:
             assert abs(numbers[1] - lambda0[0]) < 1e-14
             assert abs(numbers[2] - lambda0[1]) < 1e-14
         ids = [e["id"] for e in entries if e["id"].startswith("lambda-")]
-        assert ids == [f"lambda-{j}" for j in all_cut_indices(4)]
-        for j in all_cut_indices(4):
+        assert ids == [f"lambda-{j}" for j in cut_bits(4)]
+        for j in cut_bits(4):
             value = rows[f"lambda-{j}"]["value"]
             assert type(value) in (int, float)
             assert abs(value - weights.get(j, 1 / 16)) < 1e-14, j
@@ -358,7 +359,7 @@ class TestClassify:
         # margin 0.01), and {Q3} (lambda 0.045, margin -0.005) turns PPT at
         # --tolerance 0.01.  Only the pairs holding Q1 (and then Q3) block.
         system = PartySystem(tuple(f"Q{i}" for i in range(6)), (2,) * 6)
-        lambdas = dict.fromkeys(all_cut_indices(6), 0.005)
+        lambdas = dict.fromkeys(cut_bits(6), 0.005)
         lambdas.update({"01000": 0.06, "00010": 0.045})
         weights = {(0, 1): 0.3, (0, -1): 0.2}
         weights.update({(int(j, 2), s): lam for j, lam in lambdas.items() for s in (1, -1)})
@@ -416,7 +417,7 @@ class TestClassify:
             names = {e["id"]: e["cut"] for e in json.loads(out)["entries"] if "cut" in e}
             assert names == {
                 f"cut-{j}": describe(index_side(k, system), system)
-                for k, j in enumerate(all_cut_indices(len(dims)), start=1)
+                for k, j in enumerate(cut_bits(len(dims)), start=1)
             }
 
     def test_pair_rows_name_the_brute_force_blocking_cuts(self, tmp_path, capsys):
@@ -537,7 +538,7 @@ class TestClassifyOracle:
         with contextlib.redirect_stdout(io.StringIO()) as got:
             code = main(argv)
 
-        args = cli._parser().parse_args(argv)
+        args = cli.build_parser().parse_args(argv)
         read = state_from_dict(loads(path.read_text()), psd_threshold=-args.tolerance)
         entries = loop_classify_entries(
             read, cli._parse_pairs(args.pair, read.system), -args.tolerance
@@ -1163,11 +1164,11 @@ class TestUsage:
         ]
         fresh = []
         for argv in calls:
-            cli._parser.cache_clear()
+            cli.build_parser.cache_clear()
             fresh.append(run(capsys, *argv))
-        cli._parser.cache_clear()
+        cli.build_parser.cache_clear()
         shared = [run(capsys, *argv) for argv in calls]
-        assert cli._parser.cache_info().misses == 1
+        assert cli.build_parser.cache_info().misses == 1
         assert shared == fresh
         assert [r[0] for r in shared] == [0, 0, 0, 2, 2, 1, 0, 0, 0]
 

@@ -139,6 +139,28 @@ def test_channel_parse_errors():
         loads('{"truncated": ')
 
 
+# Party systems, as JSON text, that the codec refuses, with the reason it gives.
+REJECTED_SYSTEMS = {
+    "labels-not-array": ('{"labels": "AB", "dims": [2, 2]}', "labels must be an array of strings"),
+    "label-not-string": ('{"labels": ["A", 1], "dims": [2, 2]}', "labels must be an array of strings"),
+    "dims-not-array": ('{"labels": ["A", "B"], "dims": 2}', "dims must be an array of integers"),
+    "float-dim": ('{"labels": ["A", "B"], "dims": [2.0, 2]}', "dims must be an array of integers"),
+    "bool-dim": ('{"labels": ["A", "B"], "dims": [true, 2]}', "dims must be an array of integers"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(REJECTED_SYSTEMS))
+def test_system_refusals_name_the_field(name):
+    text, reason = REJECTED_SYSTEMS[name]
+    state = dict(loads(text), matrix=encode_matrix(np.eye(4) / 4))
+    with pytest.raises(ParseError, match=f"^{re.escape(f'state: {reason}')}$"):
+        state_from_dict(state)
+    for field in ("input", "output"):
+        channel = dict(channel_to_dict(binding_channel(1)), **{field: loads(text)})
+        with pytest.raises(ParseError, match=f"^{re.escape(f'channel.{field}: {reason}')}$"):
+            channel_from_dict(channel)
+
+
 def test_loads_rejects_bad_json():
     with pytest.raises(ParseError):
         loads("not json at all {{{")

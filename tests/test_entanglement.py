@@ -12,7 +12,6 @@ from choilab import entanglement, linalg
 from choilab.entanglement import (
     ASYMMETRY_TOL,
     GhzDiagonalCoefficients,
-    all_cut_indices,
     cut_min_eigenvalues,
     filter_to_maximally_entangled,
     ghz_diagonal_coefficients,
@@ -44,6 +43,7 @@ from choilab.states import (
 
 from conftest import (
     complement,
+    cut_bits,
     flip_route_min_eigenvalue,
     ghz_diagonal_state,
     index_side,
@@ -472,7 +472,7 @@ class TestFingerprintStaysInStep:
         # c keeps E1's fingerprint: delta 1/8, symmetric pairs, only cut 101 NPT
         assert abs(c.delta - 1 / 8) < 1e-14 and abs(weight(c, "010") - 1 / 16) < 1e-14
         assert not c.asymmetry_flag
-        assert npt_vector(c).tolist() == [j == "101" for j in all_cut_indices(4)]
+        assert npt_vector(c).tolist() == [j == "101" for j in cut_bits(4)]
         # d reads every value from its own vectors
         assert d.delta == 0.25
         assert d.lambdas[0b010 - 1] == 0.1
@@ -495,7 +495,7 @@ class TestCutIndex:
 
     def test_bijection(self, four_qubits):
         seen = set()
-        for k, j in enumerate(all_cut_indices(4), start=1):
+        for k, j in enumerate(cut_bits(4), start=1):
             back = cut_number(four_qubits, index_side(k, four_qubits))
             assert back == k == int(j, 2)
             seen.add(back)
@@ -576,7 +576,7 @@ class TestNptCriterion:
         n = data.draw(st.integers(3, 6), label="n")
         other = -(10 ** data.draw(st.floats(-8, -4), label="log10(-other)"))
         thresholds = (PSD_THRESHOLD, other)
-        indices = all_cut_indices(n)
+        indices = cut_bits(n)
         delta = data.draw(st.floats(0.2, 0.5), label="delta * cuts") / len(indices)
         margins = {}
         for j in indices:

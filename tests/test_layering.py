@@ -140,22 +140,41 @@ def test_x_blocks_solved_from_two_callers():
     assert readers == {("linalg", "min_eigenvalue"), ("entanglement", "cut_min_eigenvalues")}
 
 
+def _binary_spec(spec) -> bool:
+    """Whether a format spec, a string or an f-string, ends in the binary type b."""
+    if isinstance(spec, ast.JoinedStr):
+        spec = spec.values[-1]
+    return isinstance(spec, ast.Constant) and str(spec.value).endswith("b")
+
+
+def _writes_binary(node: ast.AST) -> bool:
+    """Whether the node writes a number in binary: bin(x), format(x, "...b") or f"{x:...b}"."""
+    if isinstance(node, ast.FormattedValue):
+        return node.format_spec is not None and _binary_spec(node.format_spec)
+    if isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
+        return node.func.id == "bin" or (
+            node.func.id == "format" and len(node.args) == 2 and _binary_spec(node.args[1])
+        )
+    return False
+
+
 def test_fingerprint_has_one_stored_form():
     # delta, the lambda_j and the NPT vector are read from plus and minus,
     # so no stored copy can fall out of step with them; the cut-index
-    # strings that name the lambda_j are made at the CLI edge only.
+    # strings that name the lambda_j are made at the CLI edge only, where
+    # classify prints them, and no module keeps a table of them.
     fields = [f.name for f in dataclasses.fields(GhzDiagonalCoefficients)]
     assert fields == ["system", "plus", "minus", "offdiagonal_residual"]
     package = Path(choilab.__file__).resolve().parent
-    defined, readers = [], set()
+    tables, writers = [], set()
     for path in sorted(package.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
             if isinstance(node, ast.FunctionDef) and node.name == "all_cut_indices":
-                defined.append(path.name)
-            elif "all_cut_indices" in (getattr(node, key, None) for key in ("attr", "id", "name")):
-                readers.add(path.name)
-    assert defined == ["entanglement.py"]
-    assert readers == {"cli.py"}
+                tables.append(path.name)
+            elif _writes_binary(node):
+                writers.add(path.name)
+    assert tables == []
+    assert writers == {"cli.py"}
 
 
 def test_only_codec_imports_json():

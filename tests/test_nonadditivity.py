@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -65,13 +66,14 @@ class TestBuilders:
         # one rule for both builders: a Python or numpy int 1, 2 or 3, never a
         # bool, a float or a string; choi_closed_form also takes "mix" alone
         for a in (0, 4, -1, np.int64(4), True, np.True_, 1.0, np.float64(2.0), "1", None):
-            message = f"channel index must be 1, 2 or 3, got {a}"
+            message = re.escape(f"channel index must be 1, 2 or 3, got {a!r}")
             with pytest.raises(DimensionMismatch, match=message):
                 binding_channel(a)
             with pytest.raises(DimensionMismatch, match=message):
                 choi_closed_form(a)
         for which in ("MIX", "Mix", " mix", "E1"):
-            with pytest.raises(DimensionMismatch, match=f"channel index must be 1, 2 or 3, got {which}"):
+            message = re.escape(f"channel index must be 1, 2 or 3, got {which!r}")
+            with pytest.raises(DimensionMismatch, match=message):
                 choi_closed_form(which)
 
     def test_numpy_index(self):
@@ -166,6 +168,20 @@ class TestReports:
             assert report_entry(rep, f"proxy-mix-{tag}").computed == "positive"
         assert report_entry(rep, "nonadditivity-headline").computed == "non-additivity witnessed"
         assert report_entry(rep, "proxy-control-corrupted-E1").passed
+
+    def test_headline_fails_with_a_proxy(self):
+        # E1 given the mixture's fingerprint has positive proxies, so its
+        # proxy claims fail and the headline reads the failure from them.
+        scenario = nonadditivity.build_scenario()
+        coeffs = dict(scenario.coeffs, E1=scenario.coeffs["mix"])
+        rep = capacity_proxy_report(nonadditivity.Scenario(states=scenario.states, coeffs=coeffs))
+        for tag in ("AB", "AC", "ABC"):
+            entry = report_entry(rep, f"proxy-E1-{tag}")
+            assert not entry.passed and entry.computed == "positive"
+        for key in ("E2", "E3", "mix"):
+            assert all(report_entry(rep, f"proxy-{key}-{tag}").passed for tag in ("AB", "AC", "ABC"))
+        headline = report_entry(rep, "nonadditivity-headline")
+        assert headline.computed == "witness failed" and headline.passed is False
 
     def test_corrupted_control_leaves_the_scenario_alone(self):
         # The control zeroes pair 010 in copies of E1's weight vectors.

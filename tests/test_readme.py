@@ -51,7 +51,9 @@ def test_working_with_files(tmp_path):
             block_after("Working with files", "sh"),
         ]
     )
+    # every warning is an error, so a file the snippet leaves open shows in stderr
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([SRC, os.environ.get("PYTHONPATH", "")]))
+    env["PYTHONWARNINGS"] = "error"
     done = subprocess.run(
         ["bash", "-e", "-c", script], cwd=tmp_path, env=env, capture_output=True, text=True
     )
