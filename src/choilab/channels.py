@@ -26,7 +26,7 @@ from typing import Sequence
 import numpy as np
 
 from . import linalg
-from .errors import BadWeights, DimensionMismatch, NotPSD
+from .errors import ChoilabError
 from .states import (
     MultipartiteState,
     PartySystem,
@@ -82,10 +82,10 @@ def _checked_one_by_one(kraus, shape: tuple[int, int]) -> list[np.ndarray]:
     """Each operator coerced and checked alone, so the first bad one names the error."""
     ops = [linalg.as_matrix(a) for a in kraus]
     if not ops:
-        raise DimensionMismatch("a channel needs at least one Kraus operator")
+        raise ChoilabError("a channel needs at least one Kraus operator")
     for a in ops:
         if a.shape != shape:
-            raise DimensionMismatch(f"Kraus operator shape {a.shape}, expected {shape}")
+            raise ChoilabError(f"Kraus operator shape {a.shape}, expected {shape}")
     return ops
 
 
@@ -164,7 +164,7 @@ def apply_matrix(ch: KrausChannel, mat: np.ndarray) -> np.ndarray:
     """Action of the channel on a raw input-space matrix (no state validation)."""
     mat = linalg.as_matrix(mat)
     if mat.shape != (ch.dim_in, ch.dim_in):
-        raise DimensionMismatch(f"matrix shape {mat.shape}, channel input dim {ch.dim_in}")
+        raise ChoilabError(f"matrix shape {mat.shape}, channel input dim {ch.dim_in}")
     terms = ch.kraus @ mat @ ch.kraus.conj().transpose(0, 2, 1)
     return np.add.reduce(terms, axis=0, initial=0)  # in order, as in completeness_defect
 
@@ -180,7 +180,7 @@ def _reference_system(ch: KrausChannel, order: Sequence[str] | None) -> PartySys
         return PartySystem(labels, inputs.dims)
     if ch.dim_in == 2 ** len(labels):
         return PartySystem(labels, (2,) * len(labels))
-    raise DimensionMismatch(
+    raise ChoilabError(
         f"cannot split input dimension {ch.dim_in} over reference labels {labels}"
     )
 
@@ -194,14 +194,14 @@ def choi(ch: KrausChannel, order: Sequence[str] | None = None) -> MultipartiteSt
     its labels that are not outputs name the reference parties.  They split
     the input dimension like the input parties when there are as many of
     them, and into qubits when the input dimension is 2^k for k of them;
-    any other count raises DimensionMismatch.
+    any other count raises ChoilabError.
     """
     if order is not None:
         order = label_tuple(order)
     reference = _reference_system(ch, order)
     clash = set(reference.labels) & set(ch.output_system.labels)
     if clash:
-        raise DimensionMismatch(f"reference labels collide with output labels: {sorted(clash)}")
+        raise ChoilabError(f"reference labels collide with output labels: {sorted(clash)}")
     system = PartySystem(
         reference.labels + ch.output_system.labels, reference.dims + ch.output_system.dims
     )
@@ -221,14 +221,14 @@ def mix_weights(n: int, weights: Sequence[float] | None = None) -> list[float]:
     if weights is None:
         weights = [1.0 / n] * n
     if len(weights) != n:
-        raise BadWeights(f"{len(weights)} weights for {n} channels")
+        raise ChoilabError(f"{len(weights)} weights for {n} channels")
     w = [float(x) for x in weights]
     if not all(math.isfinite(x) for x in w):
-        raise BadWeights(f"non-finite weight in {w}")
+        raise ChoilabError(f"non-finite weight in {w}")
     if any(x < 0 for x in w):
-        raise BadWeights(f"negative weight in {w}")
+        raise ChoilabError(f"negative weight in {w}")
     if abs(sum(w) - 1.0) > WEIGHT_SUM_TOL:
-        raise BadWeights(f"weights sum to {sum(w)!r}, expected 1")
+        raise ChoilabError(f"weights sum to {sum(w)!r}, expected 1")
     return w
 
 
@@ -244,14 +244,14 @@ def mix(
     input and output systems.
     """
     if not channels:
-        raise BadWeights("mix needs at least one channel")
+        raise ChoilabError("mix needs at least one channel")
     first = channels[0]
     for ch in channels[1:]:
         if (
             ch.input_system != first.input_system
             or ch.output_system != first.output_system
         ):
-            raise DimensionMismatch(f"channel {ch.name!r} has a different input/output system")
+            raise ChoilabError(f"channel {ch.name!r} has a different input/output system")
     w = mix_weights(len(channels), weights)
     ops = np.concatenate([math.sqrt(x) * ch.kraus for ch, x in zip(channels, w)])
     if name is None:
@@ -276,7 +276,7 @@ def kraus_from_choi(
     ref = label_tuple(reference)
     out = label_tuple(outputs)
     if sorted(ref + out) != sorted(sys.labels):
-        raise DimensionMismatch(
+        raise ChoilabError(
             f"reference {ref} + outputs {out} must partition {sys.labels}"
         )
     ordered = permute_parties(choi_state, ref + out)
@@ -284,10 +284,10 @@ def kraus_from_choi(
     d_out = math.prod(sys.dim_of(l) for l in out)
     vals, vecs = np.linalg.eigh(ordered.matrix)
     if vals[0] < linalg.PSD_THRESHOLD:
-        raise NotPSD(f"Choi min eigenvalue {vals[0]:.3e}")
+        raise ChoilabError(f"Choi min eigenvalue {vals[0]:.3e}")
     marginal = trace_out_axes(ordered.matrix, (d_ref, d_out), [1])
     if linalg.norm(marginal - linalg.identity(d_ref) / d_ref) > REF_MARGINAL_TOL:
-        raise DimensionMismatch("reference marginal of the Choi state is not maximally mixed")
+        raise ChoilabError("reference marginal of the Choi state is not maximally mixed")
     keep = vals > CHOI_RANK_CUTOFF
     # Eigenvector v of the (reference, output) matrix is the operator A[o, i] = v[(i, o)].
     ops = vecs.T[keep].reshape(-1, d_ref, d_out).transpose(0, 2, 1)

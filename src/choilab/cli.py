@@ -37,7 +37,7 @@ from .entanglement import (
     pair_verdicts,
     ppt_check,
 )
-from .errors import ChoilabError, ParseError
+from .errors import ChoilabError
 from .linalg import PSD_THRESHOLD
 from .nonadditivity import full_report
 from .states import cut_names
@@ -129,7 +129,7 @@ def _cmd_verify(args) -> int:
 
 def _cmd_choi(args) -> int:
     ch = channel_from_dict(load_path(args.channel))
-    order = [s.strip() for s in args.order.split(",")] if args.order else None
+    order = [s.strip() for s in args.order.split(",")] if args.order is not None else None
     # choi() rejects a Choi matrix without unit trace (a channel that is
     # not trace preserving) as bad input; its validation solved the
     # smallest eigenvalue this report reads.
@@ -157,15 +157,15 @@ def _parse_pairs(specs, system) -> list[tuple[tuple[str, ...], tuple[str, ...]]]
             try:
                 one, two = spec.split(":")
             except ValueError:
-                raise ParseError(f"--pair must look like L1,L2:L3 (got {spec!r})") from None
+                raise ChoilabError(f"--pair must look like L1,L2:L3 (got {spec!r})") from None
             pair = (
                 tuple(s.strip() for s in one.split(",")),
                 tuple(s.strip() for s in two.split(",")),
             )
             if "" in pair[0] + pair[1]:
-                raise ParseError(f"--pair has an empty group or label (got {spec!r})")
+                raise ChoilabError(f"--pair has an empty group or label (got {spec!r})")
             if any(len(set(group)) < len(group) for group in pair):
-                raise ParseError(f"--pair lists a party twice within a group (got {spec!r})")
+                raise ChoilabError(f"--pair lists a party twice within a group (got {spec!r})")
             disjoint_groups(system, *pair)
             pairs.append(pair)
     else:
@@ -299,7 +299,7 @@ def _cmd_mix(args) -> int:
 
 def _cmd_reproduce(args) -> int:
     if args.tolerance != DEFAULT_TOLERANCE:
-        raise ParseError(
+        raise ChoilabError(
             f"reproduce checks its claims at the fixed threshold -{DEFAULT_TOLERANCE:g}; "
             f"--tolerance {args.tolerance:g} is not supported"
         )
@@ -308,7 +308,7 @@ def _cmd_reproduce(args) -> int:
         wanted = {s.strip() for spec in args.claims for s in spec.split(",")}
         unknown = wanted - {e["id"] for e in entries}
         if unknown:
-            raise ParseError(f"unknown claim ids: {sorted(unknown)}")
+            raise ChoilabError(f"unknown claim ids: {sorted(unknown)}")
         entries = [e for e in entries if e["id"] in wanted]
     return _finish(args, entries)
 

@@ -45,7 +45,7 @@ import numpy as np
 
 from . import linalg
 from .channels import KrausChannel
-from .errors import ChoilabError, ParseError
+from .errors import ChoilabError
 from .states import MultipartiteState, PartySystem
 
 
@@ -65,7 +65,7 @@ def decode_matrix(obj: Any, what: str = "matrix") -> np.ndarray:
     """
     arr = _number_pairs(obj)
     if arr is None or arr.ndim != 3:
-        raise ParseError(f"{what}: expected a nonempty array of rows of [re, im] number pairs")
+        raise ChoilabError(f"{what}: expected a nonempty array of rows of [re, im] number pairs")
     return _complex(arr)
 
 
@@ -102,17 +102,17 @@ def _decode_kraus(obj: list | np.ndarray) -> np.ndarray | list[np.ndarray]:
 
 def _decode_system(obj: Any, what: str) -> PartySystem:
     if not isinstance(obj, dict):
-        raise ParseError(f"{what}: expected an object with labels and dims")
+        raise ChoilabError(f"{what}: expected an object with labels and dims")
     labels = obj.get("labels")
     dims = obj.get("dims")
     if not isinstance(labels, list) or not all(isinstance(l, str) for l in labels):
-        raise ParseError(f"{what}: labels must be an array of strings")
+        raise ChoilabError(f"{what}: labels must be an array of strings")
     if not isinstance(dims, list) or not all(type(d) is int for d in dims):
-        raise ParseError(f"{what}: dims must be an array of integers")
+        raise ChoilabError(f"{what}: dims must be an array of integers")
     try:
         return PartySystem(tuple(labels), tuple(dims))
     except ChoilabError as exc:
-        raise ParseError(f"{what}: {exc}") from exc
+        raise ChoilabError(f"{what}: {exc}") from exc
 
 
 def state_to_dict(state: MultipartiteState) -> dict:
@@ -125,13 +125,13 @@ def state_to_dict(state: MultipartiteState) -> dict:
 
 def state_from_dict(obj: Any, psd_threshold: float = linalg.PSD_THRESHOLD) -> MultipartiteState:
     if not isinstance(obj, dict):
-        raise ParseError("state: expected a JSON object")
+        raise ChoilabError("state: expected a JSON object")
     system = _decode_system({"labels": obj.get("labels"), "dims": obj.get("dims")}, "state")
     matrix = decode_matrix(obj.get("matrix"), "state.matrix")
     try:
         return MultipartiteState(system, matrix, psd_threshold=psd_threshold)
     except ChoilabError as exc:
-        raise ParseError(f"state: {exc}") from exc
+        raise ChoilabError(f"state: {exc}") from exc
 
 
 def channel_to_dict(ch: KrausChannel) -> dict:
@@ -144,7 +144,7 @@ def channel_to_dict(ch: KrausChannel) -> dict:
 
 
 def channel_from_dict(obj: Any) -> KrausChannel:
-    """The channel a JSON object describes; any defect in it is a ParseError.
+    """The channel a JSON object describes; any defect in it is a ChoilabError.
 
     The ``kraus`` list (or the array ``load_path`` reads) is decoded with
     one numpy call into the channel's (K, rows, cols) array when it stacks;
@@ -153,20 +153,20 @@ def channel_from_dict(obj: Any) -> KrausChannel:
     and values are those of ``decode_matrix``.
     """
     if not isinstance(obj, dict):
-        raise ParseError("channel: expected a JSON object")
+        raise ChoilabError("channel: expected a JSON object")
     name = obj.get("name")
     if not isinstance(name, str):
-        raise ParseError("channel: name must be a string")
+        raise ChoilabError("channel: name must be a string")
     input_system = _decode_system(obj.get("input"), "channel.input")
     output_system = _decode_system(obj.get("output"), "channel.output")
     kraus_obj = obj.get("kraus")
     if not isinstance(kraus_obj, np.ndarray) and not (isinstance(kraus_obj, list) and kraus_obj):
-        raise ParseError("channel: kraus must be a nonempty array of matrices")
+        raise ChoilabError("channel: kraus must be a nonempty array of matrices")
     kraus = _decode_kraus(kraus_obj)
     try:
         return KrausChannel(name, input_system, output_system, kraus)
     except ChoilabError as exc:
-        raise ParseError(f"channel: {exc}") from exc
+        raise ChoilabError(f"channel: {exc}") from exc
 
 
 def report_to_dict(claims) -> list[dict]:
@@ -298,13 +298,13 @@ def loads(text: str) -> Any:
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:
-        raise ParseError(f"invalid JSON: {exc}") from exc
+        raise ChoilabError(f"invalid JSON: {exc}") from exc
     except RecursionError:
-        raise ParseError("invalid JSON: nested too deeply") from None
+        raise ChoilabError("invalid JSON: nested too deeply") from None
 
 
 def load_path(path) -> Any:
-    """The JSON document in a UTF-8 file; an unreadable file is a ParseError.
+    """The JSON document in a UTF-8 file; an unreadable file is a ChoilabError.
 
     A state's ``matrix`` or a channel's ``kraus`` that ``_read_pairs``
     proves equal to json's reading comes back as one float64 array of
@@ -314,7 +314,7 @@ def load_path(path) -> Any:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
     except (OSError, UnicodeDecodeError) as exc:
-        raise ParseError(f"cannot read {path}: {exc}") from exc
+        raise ChoilabError(f"cannot read {path}: {exc}") from exc
     return _read_pairs(text) or loads(text)
 
 

@@ -50,13 +50,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .errors import (
-    DimensionMismatch,
-    LocalizationFailed,
-    NotSchmidtRank2,
-    OverlappingGroups,
-    UnknownParty,
-)
+from .errors import ChoilabError
 from .states import (
     MultipartiteState,
     PartySystem,
@@ -136,7 +130,7 @@ def ppt_check(
 def two_qubit_separability(state: MultipartiteState) -> bool:
     """Separability of a two-qubit state (PPT is necessary and sufficient in 2x2)."""
     if state.system.dims != (2, 2):
-        raise DimensionMismatch(f"need a 2x2-qubit state, got dims {state.system.dims}")
+        raise ChoilabError(f"need a 2x2-qubit state, got dims {state.system.dims}")
     return ppt_check(state, 1).is_ppt
 
 
@@ -191,7 +185,7 @@ def ghz_diagonal_coefficients(state: MultipartiteState) -> GhzDiagonalCoefficien
     """
     sys = state.system
     if not sys.is_qubits():
-        raise DimensionMismatch(f"classifier needs qubits, got dims {sys.dims}")
+        raise ChoilabError(f"classifier needs qubits, got dims {sys.dims}")
     n = sys.num_parties
     rho = state.matrix
     # with j read as the integer k, |j,0> sits at index 2k and |jbar,1>,
@@ -218,7 +212,7 @@ def npt_vector(
 ) -> np.ndarray:
     """The coefficient rule lambda_j - delta/2 < threshold on every cut, in index order."""
     if not coeffs.ghz_diagonal:
-        raise DimensionMismatch(
+        raise ChoilabError(
             f"off-diagonal residual {coeffs.offdiagonal_residual:.3e} exceeds "
             f"{GHZ_RESIDUAL_TOL:.1e}"
         )
@@ -262,11 +256,11 @@ def disjoint_groups(
     groups = label_tuple(group_one), label_tuple(group_two)
     g1, g2 = map(system.require, groups)
     if len(g1) < len(groups[0]) or len(g2) < len(groups[1]):
-        raise OverlappingGroups(f"a group lists a party twice: {groups[0]}, {groups[1]}")
+        raise ChoilabError(f"a group lists a party twice: {groups[0]}, {groups[1]}")
     if g1 & g2:
-        raise OverlappingGroups(f"groups overlap: {sorted(g1 & g2)}")
+        raise ChoilabError(f"groups overlap: {sorted(g1 & g2)}")
     if not g1 or not g2:
-        raise OverlappingGroups("both groups must be nonempty")
+        raise ChoilabError("both groups must be nonempty")
     return g1, g2
 
 
@@ -344,10 +338,10 @@ def filter_to_maximally_entangled(phi: PureState) -> tuple[PureState, float]:
     1/sqrt(2)) with success probability 2*c2**2.
     """
     if phi.system.num_parties != 2:
-        raise DimensionMismatch("filtering needs a two-party state")
+        raise ChoilabError("filtering needs a two-party state")
     sd = schmidt_decomposition(phi, phi.system.labels[:1])
     if sd.rank != 2:
-        raise NotSchmidtRank2(f"Schmidt rank {sd.rank}, need exactly 2")
+        raise ChoilabError(f"Schmidt rank {sd.rank}, need exactly 2")
     c1, c2 = float(sd.coefficients[0]), float(sd.coefficients[1])
     u1, u2 = sd.left_vectors[:, 0], sd.left_vectors[:, 1]
     filt = (c2 / c1) * np.outer(u1, u1.conj()) + np.outer(u2, u2.conj())
@@ -454,7 +448,7 @@ def _factor_side(rows, system, labels, order, other, rng, log) -> tuple[np.ndarr
                 remaining.remove(party)
                 break
         else:
-            raise LocalizationFailed(f"no projector kept the branches of {party!r} distinct")
+            raise ChoilabError(f"no projector kept the branches of {party!r} distinct")
     return rows, remaining[0]
 
 
@@ -479,10 +473,10 @@ def localize_entanglement(phi: PureState, sender_group, receiver_group) -> Local
     senders, receivers = label_tuple(sender_group), label_tuple(receiver_group)
     s_set, r_set = disjoint_groups(sys, senders, receivers)
     if s_set | r_set != set(sys.labels):
-        raise UnknownParty("sender and receiver groups must cover all parties")
+        raise ChoilabError("sender and receiver groups must cover all parties")
     sd = schmidt_decomposition(phi, senders)
     if sd.rank != 2:
-        raise NotSchmidtRank2(f"Schmidt rank {sd.rank}, need exactly 2")
+        raise ChoilabError(f"Schmidt rank {sd.rank}, need exactly 2")
 
     # one seeded generator per call, built at its first random candidate
     # and shared by both sides, so the receivers continue the senders' draws

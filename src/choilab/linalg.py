@@ -27,7 +27,7 @@ import math
 
 import numpy as np
 
-from .errors import DimensionMismatch
+from .errors import ChoilabError
 
 # Absolute Frobenius tolerance for "is Hermitian".
 HERMITICITY_TOL = 1e-10
@@ -39,9 +39,9 @@ def as_matrix(entries) -> np.ndarray:
     """Coerce to a finite 2-D complex128 array (no NaN/Inf admitted)."""
     m = np.asarray(entries, dtype=np.complex128)
     if m.ndim != 2:
-        raise DimensionMismatch(f"expected a 2-D matrix, got ndim={m.ndim}")
+        raise ChoilabError(f"expected a 2-D matrix, got ndim={m.ndim}")
     if not np.isfinite(m).all():
-        raise DimensionMismatch("matrix contains non-finite entries")
+        raise ChoilabError("matrix contains non-finite entries")
     return m
 
 
@@ -49,9 +49,9 @@ def as_vector(entries) -> np.ndarray:
     """Coerce to a finite 1-D complex128 array."""
     v = np.asarray(entries, dtype=np.complex128)
     if v.ndim != 1:
-        raise DimensionMismatch(f"expected a 1-D vector, got ndim={v.ndim}")
+        raise ChoilabError(f"expected a 1-D vector, got ndim={v.ndim}")
     if not np.isfinite(v).all():
-        raise DimensionMismatch("vector contains non-finite entries")
+        raise ChoilabError("vector contains non-finite entries")
     return v
 
 

@@ -37,7 +37,7 @@ from .entanglement import (
     ppt_check,
     two_qubit_separability,
 )
-from .errors import DimensionMismatch
+from .errors import ChoilabError
 from .states import (
     MultipartiteState,
     PartySystem,
@@ -122,9 +122,9 @@ def _kraus_list_two() -> tuple[np.ndarray, ...]:
 
 
 def _channel_index(a) -> int:
-    """a as an int if it is a Python or numpy int 1, 2 or 3, not a bool; else DimensionMismatch."""
+    """a as an int if it is a Python or numpy int 1, 2 or 3, not a bool; else ChoilabError."""
     if isinstance(a, bool) or not isinstance(a, (int, np.integer)) or a not in (1, 2, 3):
-        raise DimensionMismatch(f"channel index must be 1, 2 or 3, got {a!r}")
+        raise ChoilabError(f"channel index must be 1, 2 or 3, got {a!r}")
     return int(a)
 
 
@@ -188,7 +188,7 @@ def choi_closed_form(which: int | str) -> MultipartiteState:
 def swap_image(state: MultipartiteState) -> MultipartiteState:
     """Image of a canonical-order Choi state under exchanging (A1,B) with (A2,C)."""
     if state.system != CHOI_SYSTEM:
-        raise DimensionMismatch("swap_image expects the canonical 4-qubit Choi system")
+        raise ChoilabError("swap_image expects the canonical 4-qubit Choi system")
     m = permute_matrix_parties(state.matrix, state.system.dims, (2, 3, 0, 1))
     return MultipartiteState(CHOI_SYSTEM, m)
 
@@ -526,9 +526,9 @@ def teleport_fidelity(resource: MultipartiteState, input_state: PureState) -> fl
     added in outcome order.
     """
     if resource.system.dims != (2, 2):
-        raise DimensionMismatch(f"resource must be two qubits, got {resource.system.dims}")
+        raise ChoilabError(f"resource must be two qubits, got {resource.system.dims}")
     if input_state.system.total_dim != 2:
-        raise DimensionMismatch("teleportation input must be a single qubit")
+        raise ChoilabError("teleportation input must be a single qubit")
     psi = input_state.vector
     rho_in = np.outer(psi, psi.conj())
     # input (x) resource, each entry the one product np.kron forms

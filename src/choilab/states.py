@@ -26,7 +26,7 @@ from typing import Iterable, NamedTuple, Sequence
 import numpy as np
 
 from . import linalg
-from .errors import DimensionMismatch, IndexOutOfRange, NotPSD, UnknownParty
+from .errors import ChoilabError
 
 TRACE_TOL = 1e-10
 PURE_NORM_TOL = 1e-12
@@ -48,17 +48,17 @@ class PartySystem:
         object.__setattr__(self, "labels", tuple(self.labels))
         object.__setattr__(self, "dims", tuple(int(d) for d in self.dims))
         if len(self.labels) != len(set(self.labels)):
-            raise UnknownParty(f"duplicate party labels in {self.labels}")
+            raise ChoilabError(f"duplicate party labels in {self.labels}")
         if len(self.labels) != len(self.dims):
-            raise DimensionMismatch("labels and dims must have equal length")
+            raise ChoilabError("labels and dims must have equal length")
         if not self.labels:
-            raise DimensionMismatch("a system needs at least one party")
+            raise ChoilabError("a system needs at least one party")
         if any(d < 2 for d in self.dims):
-            raise DimensionMismatch(f"local dimensions must be >= 2, got {self.dims}")
+            raise ChoilabError(f"local dimensions must be >= 2, got {self.dims}")
         for label in self.labels:
             # The CLI splits party lists on "," and group pairs on ":", and strips blanks.
             if not label or label != label.strip() or "," in label or ":" in label:
-                raise UnknownParty(
+                raise ChoilabError(
                     f"party label {label!r} must be nonempty, without ',' or ':' "
                     "and without surrounding whitespace"
                 )
@@ -75,7 +75,7 @@ class PartySystem:
         try:
             return self.labels.index(label)
         except ValueError:
-            raise UnknownParty(f"no party {label!r} in {self.labels}") from None
+            raise ChoilabError(f"no party {label!r} in {self.labels}") from None
 
     def dim_of(self, label: str) -> int:
         return self.dims[self.axis(label)]
@@ -85,7 +85,7 @@ class PartySystem:
         got = frozenset(label_tuple(labels))
         unknown = got - set(self.labels)
         if unknown:
-            raise UnknownParty(f"unknown parties {sorted(unknown)}; have {self.labels}")
+            raise ChoilabError(f"unknown parties {sorted(unknown)}; have {self.labels}")
         return got
 
     def subsystem(self, keep: Iterable[str]) -> "PartySystem":
@@ -100,7 +100,7 @@ class PartySystem:
         """The system with its parties listed in ``order``, and the old axis of each new slot."""
         self.require(order)
         if sorted(order) != sorted(self.labels):
-            raise UnknownParty(f"{tuple(order)} is not a permutation of {self.labels}")
+            raise ChoilabError(f"{tuple(order)} is not a permutation of {self.labels}")
         perm = [self.axis(l) for l in order]
         return PartySystem(tuple(order), tuple(self.dims[p] for p in perm)), perm
 
@@ -108,16 +108,16 @@ class PartySystem:
 def label_tuple(labels: Iterable[str]) -> tuple[str, ...]:
     """A list of labels as a tuple; a bare string is refused, not read as one label per character."""
     if isinstance(labels, str):
-        raise UnknownParty(f"a list of labels is needed, not the string {labels!r}: "
+        raise ChoilabError(f"a list of labels is needed, not the string {labels!r}: "
                            f"write {[labels]!r}")
     return tuple(labels)
 
 
 def require_cut(system: PartySystem, k: int) -> int:
-    """k itself if it numbers a cut, 1 <= k < 2^(N-1), and is no bool; else UnknownParty."""
+    """k itself if it numbers a cut, 1 <= k < 2^(N-1), and is no bool; else ChoilabError."""
     n = system.num_parties
     if isinstance(k, bool) or not isinstance(k, (int, np.integer)) or not 0 < k < 1 << (n - 1):
-        raise UnknownParty(f"no cut number {k!r} for {system.labels}")
+        raise ChoilabError(f"no cut number {k!r} for {system.labels}")
     return k
 
 
@@ -132,7 +132,7 @@ def _side(system: PartySystem, side: Iterable[str]) -> frozenset[str]:
     """The labels of one side of a cut: known parties, some but not all of them."""
     got = system.require(side)
     if not got or len(got) == system.num_parties:
-        raise UnknownParty(f"a cut side holds some but not all of {system.labels}, "
+        raise ChoilabError(f"a cut side holds some but not all of {system.labels}, "
                            f"got {sorted(got)}")
     return got
 
@@ -195,19 +195,19 @@ class MultipartiteState:
         object.__setattr__(self, "matrix", m)
         d = self.system.total_dim
         if m.shape != (d, d):
-            raise DimensionMismatch(f"matrix shape {m.shape} != system dimension {d}")
+            raise ChoilabError(f"matrix shape {m.shape} != system dimension {d}")
         with np.errstate(over="ignore", invalid="ignore"):  # a huge entry reads as an inf defect
             defect = linalg.norm(m - m.conj().T)
         if defect > linalg.HERMITICITY_TOL:
-            raise DimensionMismatch(f"hermiticity defect {defect:.3e}")
+            raise ChoilabError(f"hermiticity defect {defect:.3e}")
         tr = complex(m.trace())
         if abs(tr - 1.0) > TRACE_TOL:
-            raise DimensionMismatch(f"trace {tr} is not 1 within {TRACE_TOL}")
+            raise ChoilabError(f"trace {tr} is not 1 within {TRACE_TOL}")
         object.__setattr__(self, "x_shaped", linalg.is_x_shaped(m))
         low = linalg.min_eigenvalue(m, self.x_shaped)
         object.__setattr__(self, "min_eigenvalue", low)
         if low < psd_threshold:
-            raise NotPSD(f"min eigenvalue {low:.3e} below threshold {psd_threshold:.1e}")
+            raise ChoilabError(f"min eigenvalue {low:.3e} below threshold {psd_threshold:.1e}")
 
 
 @dataclass(eq=False)
@@ -220,13 +220,13 @@ class PureState:
     def __post_init__(self):
         self.vector = linalg.as_vector(self.vector)
         if self.vector.shape != (self.system.total_dim,):
-            raise DimensionMismatch(
+            raise ChoilabError(
                 f"vector length {self.vector.shape[0]} != system dimension "
                 f"{self.system.total_dim}"
             )
         norm = linalg.norm(self.vector)
         if abs(norm - 1.0) > PURE_NORM_TOL:
-            raise DimensionMismatch(f"vector norm {norm} is not 1 within {PURE_NORM_TOL}")
+            raise ChoilabError(f"vector norm {norm} is not 1 within {PURE_NORM_TOL}")
 
     def density(self) -> MultipartiteState:
         return MultipartiteState(self.system, np.outer(self.vector, self.vector.conj()))
@@ -298,16 +298,16 @@ def ghz_basis_state(system: PartySystem, k: int, sign: int) -> PureState:
     the N-qubit space.
     """
     if not system.is_qubits():
-        raise DimensionMismatch("GHZ basis is defined for qubit systems only")
+        raise ChoilabError("GHZ basis is defined for qubit systems only")
     n = system.num_parties
     if isinstance(k, str):
         literal = f"0b{k}" if k and set(k) <= {"0", "1"} else "a number such as 0b010"
-        raise IndexOutOfRange(f"the GHZ index is the number k, not the string {k!r}: "
-                              f"write {literal}")
+        raise ChoilabError(f"the GHZ index is the number k, not the string {k!r}: "
+                           f"write {literal}")
     if isinstance(k, bool) or not isinstance(k, (int, np.integer)) or not 0 <= k < 1 << (n - 1):
-        raise IndexOutOfRange(f"no GHZ index {k!r} for {n} qubits: need 0 <= k < {1 << (n - 1)}")
+        raise ChoilabError(f"no GHZ index {k!r} for {n} qubits: need 0 <= k < {1 << (n - 1)}")
     if isinstance(sign, bool) or not isinstance(sign, (int, np.integer)) or sign not in (1, -1):
-        raise IndexOutOfRange(f"sign must be 1 or -1, got {sign!r}")
+        raise ChoilabError(f"sign must be 1 or -1, got {sign!r}")
     v = np.zeros(system.total_dim, dtype=np.complex128)
     v[2 * k] = 1 / math.sqrt(2)
     v[system.total_dim - 1 - 2 * k] = sign / math.sqrt(2)
@@ -317,7 +317,7 @@ def ghz_basis_state(system: PartySystem, k: int, sign: int) -> PureState:
 def max_entangled(d: int, labels: tuple[str, str] = ("A", "B")) -> PureState:
     """Maximally entangled pair (1/sqrt(d)) sum_k |k>|k> on two d-level parties."""
     if d < 2:
-        raise DimensionMismatch("maximally entangled state needs dimension >= 2")
+        raise ChoilabError("maximally entangled state needs dimension >= 2")
     v = np.zeros(d * d, dtype=np.complex128)
     for k in range(d):
         v[k * d + k] = 1 / math.sqrt(d)
@@ -343,7 +343,7 @@ def partial_trace(state: MultipartiteState, traced: Iterable[str]) -> Multiparti
     """Trace out the given parties, keeping the remaining ones in order."""
     traced = state.system.require(traced)
     if traced == set(state.system.labels):
-        raise UnknownParty("cannot trace out every party")
+        raise ChoilabError("cannot trace out every party")
     axes = [state.system.axis(l) for l in traced]
     reduced = trace_out_axes(state.matrix, state.system.dims, axes)
     keep = [l for l in state.system.labels if l not in traced]
@@ -359,7 +359,7 @@ def permute_parties(state: MultipartiteState, order: Sequence[str]) -> Multipart
 def fidelity(phi: PureState, rho: MultipartiteState) -> float:
     """Quadratic form <phi|rho|phi>."""
     if phi.system.total_dim != rho.system.total_dim:
-        raise DimensionMismatch(
+        raise ChoilabError(
             f"pure state dimension {phi.system.total_dim} != state dimension "
             f"{rho.system.total_dim}"
         )

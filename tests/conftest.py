@@ -11,7 +11,7 @@ from choilab.entanglement import (
     pair_verdicts,
     ppt_check,
 )
-from choilab.errors import DimensionMismatch, LocalizationFailed, NotSchmidtRank2
+from choilab.errors import ChoilabError
 from choilab.nonadditivity import BELL_OUTCOME_FLOOR
 from choilab.states import (
     MultipartiteState,
@@ -37,7 +37,7 @@ def cut_bits(num_parties: int) -> list[str]:
     return [f"{k:0{num_parties - 1}b}" for k in range(1, 1 << (num_parties - 1))]
 
 
-# Matrix fields that the codec rejects with ParseError.
+# Matrix fields that the codec rejects with ChoilabError.
 REJECTED_MATRICES = {
     "string": [[["1", 0]]],
     "null-cell": [[[None, 0]]],
@@ -211,7 +211,7 @@ def loop_classify_entries(state: MultipartiteState, pairs, threshold: float) -> 
 def _svd_side_branches(vector: np.ndarray, system: PartySystem, side):
     sd = schmidt_decomposition(PureState(system, vector), side)
     if sd.rank != 2:
-        raise LocalizationFailed(f"intermediate state has Schmidt rank {sd.rank}")
+        raise ChoilabError(f"intermediate state has Schmidt rank {sd.rank}")
     return sd.left_vectors[:, :2].T, sd.left_labels
 
 
@@ -252,7 +252,7 @@ def _svd_factor_side(vector, system: PartySystem, side, rng, log):
                 remaining.remove(party)
                 break
         else:
-            raise LocalizationFailed(f"no projector kept the branches of {party!r} distinct")
+            raise ChoilabError(f"no projector kept the branches of {party!r} distinct")
     return vector, remaining[0]
 
 
@@ -277,7 +277,7 @@ def svd_localize(phi: PureState, senders, receivers) -> entanglement.Localizatio
     """localize_entanglement on valid groups, one SVD of the whole vector per step."""
     sys = phi.system
     if schmidt_decomposition(phi, senders).rank != 2:
-        raise NotSchmidtRank2("need Schmidt rank 2")
+        raise ChoilabError("need Schmidt rank 2")
     rng, log = [], []
     vector, sender_kept = _svd_factor_side(phi.vector.copy(), sys, senders, rng, log)
     vector, receiver_kept = _svd_factor_side(vector, sys, receivers, rng, log)
@@ -290,7 +290,7 @@ def svd_localize(phi: PureState, senders, receivers) -> entanglement.Localizatio
             assert purity >= 1 - entanglement.FACTORED_PURITY_TOL, (l, purity)
     vals, vecs = np.linalg.eigh(_svd_marginal(vector, sys, kept))
     if vals[-1] < 1 - entanglement.FACTORED_PURITY_TOL:
-        raise LocalizationFailed("bystander parties did not factor out")
+        raise ChoilabError("bystander parties did not factor out")
     order = [l for l in sys.labels if l in kept]
     pair = vecs[:, -1]
     if order[0] != sender_kept:
@@ -318,7 +318,7 @@ def choi_apply(choi_state: MultipartiteState, reference, mat: np.ndarray) -> np.
     sys = choi_state.system
     ref = list(reference)
     if list(sys.labels[: len(ref)]) != ref:
-        raise DimensionMismatch("choi_apply expects reference parties first")
+        raise ChoilabError("choi_apply expects reference parties first")
     d_ref = math.prod(sys.dim_of(l) for l in ref)
     d_out = sys.total_dim // d_ref
     big = np.kron(mat.T, linalg.identity(d_out)) @ choi_state.matrix

@@ -19,7 +19,7 @@ from choilab.channels import (
     verify_cptp,
 )
 from choilab.codec import channel_from_dict, channel_to_dict, dumps, encode_matrix, loads
-from choilab.errors import BadWeights, DimensionMismatch, NotPSD, UnknownParty
+from choilab.errors import ChoilabError
 from choilab.linalg import PAULIS, identity, sigma1
 from choilab.nonadditivity import (
     CANONICAL_ORDER,
@@ -110,7 +110,7 @@ class TestVerifyCptp:
 
     def test_dimension_mismatch(self):
         sys = qubit_system("Q")
-        with pytest.raises(DimensionMismatch):
+        with pytest.raises(ChoilabError, match=r"^Kraus operator shape \(3, 3\), expected \(2, 2\)$"):
             KrausChannel("bad", sys, sys, (np.eye(3),))
 
 
@@ -147,7 +147,7 @@ class TestApply:
 
     def test_dimension_mismatch(self):
         ch = binding_channel(1)
-        with pytest.raises(DimensionMismatch):
+        with pytest.raises(ChoilabError, match=r"^matrix shape \(2, 2\), channel input dim 4$"):
             apply_matrix(ch, random_state(np.random.default_rng(3), qubit_system("Q")).matrix)
 
 
@@ -182,23 +182,23 @@ class TestChoi:
         qubits = choi(ch, ("A1", "B", "A2", "C"))
         assert qubits.system == qubit_system("A1", "B", "A2", "C")
         assert np.array_equal(qubits.matrix, choi_state(ch).matrix)
-        with pytest.raises(DimensionMismatch, match="cannot split input dimension 4"):
+        with pytest.raises(ChoilabError, match="cannot split input dimension 4"):
             choi(ch, ("R1", "R2", "R3", "B", "C"))
 
     def test_order_must_list_every_party(self):
         message = "('A1', 'B', 'A2') is not a permutation of ('A1', 'A2', 'B', 'C')"
-        with pytest.raises(UnknownParty, match=f"^{re.escape(message)}$"):
+        with pytest.raises(ChoilabError, match=f"^{re.escape(message)}$"):
             choi(binding_channel(1), ("A1", "B", "A2"))
 
     def test_bare_string_order_refused(self):
         # read letter by letter, the order would name the references A, 1, A, 2
-        with pytest.raises(UnknownParty, match=re.escape("write ['A1BA2C']")):
+        with pytest.raises(ChoilabError, match=re.escape("write ['A1BA2C']")):
             choi(binding_channel(1), "A1BA2C")
 
     def test_default_reference_must_not_collide(self):
         ch = identity_channel()
         clashing = KrausChannel("id", ch.input_system, PartySystem(("Q_ref",), (2,)), ch.kraus)
-        with pytest.raises(DimensionMismatch, match="collide"):
+        with pytest.raises(ChoilabError, match="collide"):
             choi(clashing)
 
     def test_swap_relation_between_e2_and_e3(self):
@@ -233,23 +233,25 @@ class TestMix:
 
     def test_bad_weights(self):
         chans = [identity_channel(), depolarizing_channel()]
-        with pytest.raises(BadWeights):
+        with pytest.raises(ChoilabError, match="^weights sum to 1.1, expected 1$"):
             mix(chans, [0.5, 0.6])
-        with pytest.raises(BadWeights):
+        with pytest.raises(ChoilabError, match=r"^negative weight in \[1.5, -0.5\]$"):
             mix(chans, [1.5, -0.5])
-        with pytest.raises(BadWeights):
+        with pytest.raises(ChoilabError, match="^1 weights for 2 channels$"):
             mix(chans, [1.0])
+        with pytest.raises(ChoilabError, match="^mix needs at least one channel$"):
+            mix([])
 
     @pytest.mark.parametrize("weights", [[math.nan, 1.0], [0.5, math.nan]])
     def test_nan_weight_is_bad_weights(self, weights):
         # every comparison with NaN is False, so neither the sign nor the
         # sum check alone catches it
-        with pytest.raises(BadWeights, match="non-finite"):
+        with pytest.raises(ChoilabError, match="non-finite"):
             mix([identity_channel(), depolarizing_channel()], weights)
 
     def test_system_mismatch(self):
         message = "channel 'id' has a different input/output system"
-        with pytest.raises(DimensionMismatch, match=f"^{re.escape(message)}$"):
+        with pytest.raises(ChoilabError, match=f"^{re.escape(message)}$"):
             mix([identity_channel("Q"), identity_channel("R")])
 
     def test_mixture_is_cptp(self):
@@ -280,8 +282,14 @@ class TestKrausFromChoi:
 
     def test_bare_string_reference_refused(self):
         state = choi(binding_channel(1), CANONICAL_ORDER)
-        with pytest.raises(UnknownParty, match=re.escape("write ['A1']")):
+        with pytest.raises(ChoilabError, match=re.escape("write ['A1']")):
             kraus_from_choi(state, "A1", ["B", "A2", "C"])
+
+    def test_split_must_partition_the_parties(self):
+        state = choi(binding_channel(1), CANONICAL_ORDER)
+        message = "reference ('A1',) + outputs ('B', 'C') must partition ('A1', 'B', 'A2', 'C')"
+        with pytest.raises(ChoilabError, match=f"^{re.escape(message)}$"):
+            kraus_from_choi(state, ["A1"], ["B", "C"])
 
     def test_choi_of_rebuilt_matches(self):
         ch = binding_channel(2)
@@ -295,15 +303,27 @@ class TestKrausFromChoi:
         phi = max_entangled(2, ("R", "Q"))
         pt = partial_transpose(phi.density(), ["Q"])
         bad = MultipartiteState(phi.system, pt, psd_threshold=-1.0)
-        with pytest.raises(NotPSD):
+        # the reordered copy is validated again, at the default threshold
+        with pytest.raises(ChoilabError, match="^min eigenvalue -5.000e-01 below threshold -1.0e-09$"):
             kraus_from_choi(bad, ["R"], ["Q"])
+
+    def test_not_psd_by_the_dense_solve(self):
+        # Just below the threshold: the block solve that validates this
+        # diagonal state reads its smallest eigenvalue just above it, and
+        # the dense solve that the Kraus operators come from reads it exactly.
+        low = -1.000000001e-09
+        rest = (0.01 - low) / 2
+        m = np.diag([low, rest, rest, 0.99]).astype(complex)
+        assert linalg.min_eigenvalue(m) >= linalg.PSD_THRESHOLD > np.linalg.eigvalsh(m)[0]
+        with pytest.raises(ChoilabError, match="^Choi min eigenvalue -1.000e-09$"):
+            kraus_from_choi(MultipartiteState(qubit_system("R", "Q"), m), ["R"], ["Q"])
 
     def test_not_trace_preserving(self):
         sys = qubit_system("R", "Q")
         m = np.zeros((4, 4), dtype=complex)
         m[0, 0] = 1.0
         with pytest.raises(
-            DimensionMismatch, match="^reference marginal of the Choi state is not maximally mixed$"
+            ChoilabError, match="^reference marginal of the Choi state is not maximally mixed$"
         ):
             kraus_from_choi(MultipartiteState(sys, m), ["R"], ["Q"])
 
@@ -334,15 +354,15 @@ class TestKrausArray:
     @pytest.mark.parametrize(
         "ops, error, message",
         [
-            ((), DimensionMismatch, "a channel needs at least one Kraus operator"),
-            ((np.eye(2), np.ones(2)), DimensionMismatch, "expected a 2-D matrix, got ndim=1"),
-            ((np.eye(2), np.ones((1, 2, 2))), DimensionMismatch, "expected a 2-D matrix, got ndim=3"),
-            ((np.eye(2), [[0, math.nan], [0, 0]]), DimensionMismatch, "matrix contains non-finite entries"),
+            ((), ChoilabError, "a channel needs at least one Kraus operator"),
+            ((np.eye(2), np.ones(2)), ChoilabError, "expected a 2-D matrix, got ndim=1"),
+            ((np.eye(2), np.ones((1, 2, 2))), ChoilabError, "expected a 2-D matrix, got ndim=3"),
+            ((np.eye(2), [[0, math.nan], [0, 0]]), ChoilabError, "matrix contains non-finite entries"),
             # every operator is coerced before any shape is compared
-            ((np.eye(3), [[math.inf, 0], [0, 0]]), DimensionMismatch, "matrix contains non-finite entries"),
-            ((np.eye(2), np.eye(3)), DimensionMismatch, "Kraus operator shape (3, 3), expected (2, 2)"),
-            ((np.eye(2), [[1, 0]]), DimensionMismatch, "Kraus operator shape (1, 2), expected (2, 2)"),
-            (np.eye(2), DimensionMismatch, "expected a 2-D matrix, got ndim=1"),
+            ((np.eye(3), [[math.inf, 0], [0, 0]]), ChoilabError, "matrix contains non-finite entries"),
+            ((np.eye(2), np.eye(3)), ChoilabError, "Kraus operator shape (3, 3), expected (2, 2)"),
+            ((np.eye(2), [[1, 0]]), ChoilabError, "Kraus operator shape (1, 2), expected (2, 2)"),
+            (np.eye(2), ChoilabError, "expected a 2-D matrix, got ndim=1"),
             ((np.eye(2), [["a", "b"], ["c", "d"]]), ValueError, "complex() arg is a malformed string"),
             ((np.eye(2), [[2**2000, 0], [0, 0]]), OverflowError, "int too large to convert to float"),
         ],

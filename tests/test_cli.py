@@ -192,7 +192,7 @@ class TestChoi:
         )
         assert code == 2
 
-    @pytest.mark.parametrize("order", ["A1,,B,C", "A1,B,C,", "A1, B,C,A:2"])
+    @pytest.mark.parametrize("order", ["A1,,B,C", "A1,B,C,", "A1, B,C,A:2", ""])
     def test_order_label_the_cli_cannot_name(self, fixture_dir, tmp_path, capsys, order):
         out_path = tmp_path / "choi.json"
         code, out, err = run(
@@ -692,6 +692,37 @@ class TestUnreadableFiles:
         assert code == 2
         assert out == ""
         assert err.startswith("error:") and "Traceback" not in err
+
+
+_E1 = channel_to_dict(binding_channel(1))
+_HALF = [[[0.5, 0], [0, 0]], [[0, 0], [0.5, 0]]]
+# One exception class carries every refusal, so its one stderr line is what
+# tells them apart: each file here, with the command that reads it and the
+# line it must print.
+REFUSED_FILES = {
+    "channel-not-object": ("verify", [1, 2], "channel: expected a JSON object"),
+    "input-not-object": (
+        "verify", _E1 | {"input": 5}, "channel.input: expected an object with labels and dims"
+    ),
+    "name-not-string": ("verify", _E1 | {"name": 7}, "channel: name must be a string"),
+    "no-parties": (
+        "classify", {"labels": [], "dims": [], "matrix": [[[1, 0]]]}, "state: a system needs at least one party"
+    ),
+    "matrix-not-dims": (
+        "classify",
+        {"labels": ["A", "B"], "dims": [2, 2], "matrix": _HALF},
+        "state: matrix shape (2, 2) != system dimension 4",
+    ),
+}
+
+
+class TestRefusedFiles:
+    @pytest.mark.parametrize("name", sorted(REFUSED_FILES))
+    def test_exact_error_line(self, tmp_path, capsys, name):
+        command, doc, message = REFUSED_FILES[name]
+        path = tmp_path / "refused.json"
+        path.write_text(dumps(doc))
+        assert run(capsys, command, str(path)) == (2, "", f"error: {message}\n")
 
 
 class TestMix:

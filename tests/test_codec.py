@@ -21,7 +21,7 @@ from choilab.codec import (
     state_from_dict,
     state_to_dict,
 )
-from choilab.errors import ParseError
+from choilab.errors import ChoilabError
 from choilab.nonadditivity import binding_channel, choi_state, full_report, mixed_binding_channel
 from choilab.states import PartySystem
 
@@ -102,21 +102,27 @@ def test_report_schema():
     assert any(e["control"] for e in doc)
 
 
-@pytest.mark.parametrize(
-    "mutate",
-    [
-        lambda d: d.pop("labels"),
-        lambda d: d.update(labels="A"),
-        lambda d: d.update(dims=[2, 2, 2]),
-        lambda d: d.update(matrix=[[1.0]]),
-        lambda d: d.update(matrix=[[[1.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]]),
-    ],
-)
+_NOT_PAIRS = "expected a nonempty array of rows of [re, im] number pairs"
+
+
+# Edits to a valid state document, each with the refusal it draws.
+STATE_DEFECTS = {
+    lambda d: d.pop("labels"): "state: labels must be an array of strings",
+    lambda d: d.update(labels="A"): "state: labels must be an array of strings",
+    lambda d: d.update(dims=[2, 2, 2]): "state: labels and dims must have equal length",
+    lambda d: d.update(matrix=[[1.0]]): f"state.matrix: {_NOT_PAIRS}",
+    lambda d: d.update(matrix=[[[1.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]]): (
+        f"state.matrix: {_NOT_PAIRS}"
+    ),
+}
+
+
+@pytest.mark.parametrize("mutate", list(STATE_DEFECTS))
 def test_state_parse_errors(four_qubits, mutate):
     rng = np.random.default_rng(32)
     doc = state_to_dict(random_state(rng, four_qubits))
     mutate(doc)
-    with pytest.raises(ParseError):
+    with pytest.raises(ChoilabError, match=f"^{re.escape(STATE_DEFECTS[mutate])}$"):
         state_from_dict(doc)
 
 
@@ -126,16 +132,16 @@ def test_invalid_density_matrix_is_parse_error():
         "dims": [2],
         "matrix": [[[0.9, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]],
     }
-    with pytest.raises(ParseError):
+    with pytest.raises(ChoilabError, match=r"^state: trace \(0\.9\+0j\) is not 1 within 1e-10$"):
         state_from_dict(doc)
 
 
 def test_channel_parse_errors():
     doc = channel_to_dict(binding_channel(1))
     del doc["kraus"]
-    with pytest.raises(ParseError):
+    with pytest.raises(ChoilabError, match="^channel: kraus must be a nonempty array of matrices$"):
         channel_from_dict(doc)
-    with pytest.raises(ParseError):
+    with pytest.raises(ChoilabError, match="^invalid JSON: Expecting value: "):
         loads('{"truncated": ')
 
 
@@ -153,16 +159,16 @@ REJECTED_SYSTEMS = {
 def test_system_refusals_name_the_field(name):
     text, reason = REJECTED_SYSTEMS[name]
     state = dict(loads(text), matrix=encode_matrix(np.eye(4) / 4))
-    with pytest.raises(ParseError, match=f"^{re.escape(f'state: {reason}')}$"):
+    with pytest.raises(ChoilabError, match=f"^{re.escape(f'state: {reason}')}$"):
         state_from_dict(state)
     for field in ("input", "output"):
         channel = dict(channel_to_dict(binding_channel(1)), **{field: loads(text)})
-        with pytest.raises(ParseError, match=f"^{re.escape(f'channel.{field}: {reason}')}$"):
+        with pytest.raises(ChoilabError, match=f"^{re.escape(f'channel.{field}: {reason}')}$"):
             channel_from_dict(channel)
 
 
 def test_loads_rejects_bad_json():
-    with pytest.raises(ParseError):
+    with pytest.raises(ChoilabError, match="^invalid JSON: Expecting value: "):
         loads("not json at all {{{")
 
 
@@ -204,26 +210,26 @@ def test_decode_matrix_keeps_signed_zeros():
 def test_bad_matrix_is_parse_error(name):
     obj = REJECTED_MATRICES[name]
     if name != "empty-row":  # the per-cell loop let [[]] through to the state check
-        with pytest.raises(ParseError):
+        with pytest.raises(ChoilabError, match=f"^{re.escape(f'matrix: {_NOT_PAIRS}')}$"):
             decode_matrix(obj)
-    with pytest.raises(ParseError):
+    with pytest.raises(ChoilabError, match=f"^{re.escape(f'state.matrix: {_NOT_PAIRS}')}$"):
         state_from_dict({"labels": ["A"], "dims": [2], "matrix": obj})
     doc = channel_to_dict(binding_channel(1))
     doc["kraus"] = doc["kraus"].tolist()
     doc["kraus"][0] = obj
-    with pytest.raises(ParseError):
+    with pytest.raises(ChoilabError, match=f"^{re.escape(f'channel.kraus[0]: {_NOT_PAIRS}')}$"):
         channel_from_dict(doc)
 
 
 _F = [[[0.5, 0.0], [0.0, -0.0]], [[0.0, 0.0], [0.5, 0.0]]]
 _ONES = [[[1, 0], [0, 0]], [[0, 0], [1, 0]]]
-_NOT_PAIRS = "channel.kraus[1]: expected a nonempty array of rows of [re, im] number pairs"
+_KRAUS_1 = f"channel.kraus[1]: {_NOT_PAIRS}"
 # Kraus lists numpy may read differently as one array than one operator at a
 # time, with what per-operator decoding gives: an error, or None to accept.
 KRAUS_LISTS = {
-    "string-cell": ([_F, [[["1", 0], [0, 0]], [[0, 0], [1, 0]]]], _NOT_PAIRS),
-    "null-cell": ([_F, [[[None, 0], [0, 0]], [[0, 0], [1, 0]]]], _NOT_PAIRS),
-    "triple-cell": ([_F, [[[1, 0, 0], [0, 0]], [[0, 0], [1, 0]]]], _NOT_PAIRS),
+    "string-cell": ([_F, [[["1", 0], [0, 0]], [[0, 0], [1, 0]]]], _KRAUS_1),
+    "null-cell": ([_F, [[[None, 0], [0, 0]], [[0, 0], [1, 0]]]], _KRAUS_1),
+    "triple-cell": ([_F, [[[1, 0, 0], [0, 0]], [[0, 0], [1, 0]]]], _KRAUS_1),
     "shapes-differ": ([_F, [[[1, 0]]]], "channel: Kraus operator shape (1, 1), expected (2, 2)"),
     "inf": ([_F, [[[1e400, 0], [0, 0]], [[0, 0], [1, 0]]]], "channel: matrix contains non-finite entries"),
     "nan": ([_F, [[[0, math.nan], [0, 0]], [[0, 0], [1, 0]]]], "channel: matrix contains non-finite entries"),
@@ -231,7 +237,7 @@ KRAUS_LISTS = {
     "2**63-beside--1": ([_F, [[[2**63, 0], [-1, 0]], [[0, 0], [1, 0]]]], None),
     "2**63-and--1-apart": ([[[[2**63, 0], [0, 0]], [[0, 0], [1, 0]]], [[[-1, 0], [0, 0]], _ONES[1]]], None),
     # alone the int-only operator is not numeric to numpy (2**64 fits no int type)
-    "2**64-beside-floats": ([_F, [[[2**64, 0], [0, 0]], [[0, 0], [1, 0]]]], _NOT_PAIRS),
+    "2**64-beside-floats": ([_F, [[[2**64, 0], [0, 0]], [[0, 0], [1, 0]]]], _KRAUS_1),
 }
 
 
@@ -241,7 +247,7 @@ def test_kraus_list_decoded_like_each_operator_alone(name):
     qubit = {"labels": ["Q"], "dims": [2]}
     doc = {"name": "t", "input": qubit, "output": qubit, "kraus": kraus}
     if error is not None:
-        with pytest.raises(ParseError, match=f"^{re.escape(error)}$"):
+        with pytest.raises(ChoilabError, match=f"^{re.escape(error)}$"):
             channel_from_dict(doc)
     else:
         assert same_bits(channel_from_dict(doc).kraus, np.stack(loop_decode_kraus(kraus)))

@@ -7,7 +7,8 @@ entanglement.cut_min_eigenvalues call, and JSON one module, codec.
 The GHZ fingerprint has one stored form, the weight vectors plus and
 minus, and only the CLI names its entries by cut-index strings.  Every
 name the benchmark's tracer wraps still exists, and the CLI reads every
-input file through codec.load_path.  No index is parsed from a bit string."""
+input file through codec.load_path.  No index is parsed from a bit string.
+Every refusal is one class, errors.ChoilabError, told apart by its message."""
 
 import ast
 import dataclasses
@@ -247,3 +248,31 @@ def test_no_index_is_parsed_from_a_bit_string():
                 named.append(f"{path.name}:{node.lineno}")
     assert parses == [] and named == []
     assert not hasattr(importlib.import_module("choilab.states"), "basis_index")
+
+
+def test_every_refusal_is_a_choilab_error():
+    # The CLI prints a refusal's message and exits 2, and no code reads its
+    # class, so errors.py defines one.  The other raises are not refusals:
+    # an internal invariant, argparse's bad flag value and a missing module
+    # attribute.  With one class, a test tells refusals apart by message.
+    package = Path(choilab.__file__).resolve().parent
+    errors = ast.parse((package / "errors.py").read_text(encoding="utf-8"))
+    assert [n.name for n in ast.walk(errors) if isinstance(n, ast.ClassDef)] == ["ChoilabError"]
+    raised = set()
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                raised.add(ast.unparse(exc))
+    assert raised == {"ChoilabError", "AssertionError", "argparse.ArgumentTypeError", "AttributeError"}
+    unpinned = []
+    for path in sorted(Path(__file__).resolve().parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if (
+                isinstance(node, ast.Call)
+                and ast.unparse(node.func) == "pytest.raises"
+                and ast.unparse(node.args[0]) == "ChoilabError"
+                and not any(k.arg == "match" for k in node.keywords)
+            ):
+                unpinned.append(f"{path.name}:{node.lineno}")
+    assert unpinned == []

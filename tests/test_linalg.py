@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from choilab import linalg
-from choilab.errors import DimensionMismatch
+from choilab.errors import ChoilabError
 from choilab.linalg import min_eigenvalue, sigma1, sigma2, sigma_minus, sigma_plus
 
 
@@ -45,10 +45,14 @@ def test_min_eigenvalue_random(dim):
 
 
 def test_nonfinite_entries_rejected():
-    with pytest.raises(DimensionMismatch):
+    with pytest.raises(ChoilabError, match="^matrix contains non-finite entries$"):
         linalg.as_matrix([[np.nan, 0], [0, 1]])
-    with pytest.raises(DimensionMismatch):
+    with pytest.raises(ChoilabError, match="^matrix contains non-finite entries$"):
         linalg.as_matrix([[np.inf * 1j, 0], [0, 1]])
+    with pytest.raises(ChoilabError, match="^vector contains non-finite entries$"):
+        linalg.as_vector([1, np.nan])
+    with pytest.raises(ChoilabError, match="^expected a 1-D vector, got ndim=2$"):
+        linalg.as_vector([[1, 0]])
 
 
 def x_shaped(rng: np.random.Generator, d: int) -> np.ndarray:

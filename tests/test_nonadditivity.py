@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from choilab import entanglement, linalg, nonadditivity
 from choilab.channels import completeness_defect, verify_cptp
-from choilab.errors import DimensionMismatch
+from choilab.errors import ChoilabError
 from choilab.linalg import identity
 from choilab.nonadditivity import (
     CANONICAL_ORDER,
@@ -38,6 +38,7 @@ from choilab.states import (
     fidelity,
     ghz_basis_state,
     max_entangled,
+    permute_parties,
 )
 
 from conftest import (
@@ -67,13 +68,13 @@ class TestBuilders:
         # bool, a float or a string; choi_closed_form also takes "mix" alone
         for a in (0, 4, -1, np.int64(4), True, np.True_, 1.0, np.float64(2.0), "1", None):
             message = re.escape(f"channel index must be 1, 2 or 3, got {a!r}")
-            with pytest.raises(DimensionMismatch, match=message):
+            with pytest.raises(ChoilabError, match=message):
                 binding_channel(a)
-            with pytest.raises(DimensionMismatch, match=message):
+            with pytest.raises(ChoilabError, match=message):
                 choi_closed_form(a)
         for which in ("MIX", "Mix", " mix", "E1"):
             message = re.escape(f"channel index must be 1, 2 or 3, got {which!r}")
-            with pytest.raises(DimensionMismatch, match=message):
+            with pytest.raises(ChoilabError, match=message):
                 choi_closed_form(which)
 
     def test_numpy_index(self):
@@ -95,6 +96,10 @@ class TestBuilders:
     def test_third_channel_is_swapped_second(self):
         e3 = choi_state(binding_channel(3))
         assert np.linalg.norm(e3.matrix - swap_image(choi_closed_form(2)).matrix) <= 1e-12
+        # the swap is defined on the canonical order only, not on a relabelled copy
+        moved = permute_parties(choi_closed_form(2), ("B", "A1", "A2", "C"))
+        with pytest.raises(ChoilabError, match="^swap_image expects the canonical 4-qubit Choi system$"):
+            swap_image(moved)
 
     def test_closed_form_trace_one(self):
         # (2 + 16 - 1 - 1)/16 normalization
@@ -375,10 +380,10 @@ class TestTeleportation:
 
     def test_dimension_gates(self):
         resource = max_entangled(2, ("A", "B")).density()
-        with pytest.raises(DimensionMismatch):
+        with pytest.raises(ChoilabError, match=r"^resource must be two qubits, got \(2, 3\)$"):
             teleport_fidelity(
                 MultipartiteState(PartySystem(("A", "B"), (2, 3)), identity(6) / 6),
                 PureState(PartySystem(("M",), (2,)), np.array([1, 0], dtype=complex)),
             )
-        with pytest.raises(DimensionMismatch):
+        with pytest.raises(ChoilabError, match="^teleportation input must be a single qubit$"):
             teleport_fidelity(resource, ghz3_state())

@@ -2,7 +2,7 @@
 file text as one array of [re, im] pairs, when it can prove that json would
 read the same numbers.  The oracle is the same file through ``loads`` (plain
 json.loads) with the reader switched off: every file must decode to the same
-bits, or fail with the same ParseError text and exit code."""
+bits, or fail with the same ChoilabError text and exit code."""
 
 import contextlib
 
@@ -23,7 +23,7 @@ from choilab.codec import (
     state_from_dict,
     state_to_dict,
 )
-from choilab.errors import ParseError
+from choilab.errors import ChoilabError
 from choilab.states import PartySystem
 
 from conftest import random_state, random_x_state
@@ -47,7 +47,7 @@ def decoded(decode, read):
         # 1e300 entries overflow the validation's norms alike on both routes
         with np.errstate(over="ignore", invalid="ignore"):
             obj = decode(read())
-    except ParseError as exc:
+    except ChoilabError as exc:
         return "error", str(exc)
     m = obj.kraus if hasattr(obj, "kraus") else obj.matrix
     return m.shape, m.tobytes(), getattr(obj, "system", None)

@@ -9,12 +9,7 @@ from hypothesis import strategies as st
 
 from choilab import linalg
 from choilab.entanglement import ghz_diagonal_coefficients
-from choilab.errors import (
-    DimensionMismatch,
-    IndexOutOfRange,
-    NotPSD,
-    UnknownParty,
-)
+from choilab.errors import ChoilabError
 from choilab.states import (
     MultipartiteState,
     PartySystem,
@@ -55,27 +50,29 @@ class TestPartySystem:
         assert sys.dim_of("C") == 2
 
     def test_validation(self):
-        with pytest.raises(UnknownParty):
+        with pytest.raises(ChoilabError, match=r"^duplicate party labels in \('A', 'A'\)$"):
             PartySystem(("A", "A"), (2, 2))
-        with pytest.raises(DimensionMismatch):
+        with pytest.raises(ChoilabError, match="^labels and dims must have equal length$"):
             PartySystem(("A", "B"), (2,))
-        with pytest.raises(DimensionMismatch):
+        with pytest.raises(ChoilabError, match=r"^local dimensions must be >= 2, got \(1,\)$"):
             PartySystem(("A",), (1,))
-        with pytest.raises(UnknownParty):
+        with pytest.raises(ChoilabError, match=r"^unknown parties \['X'\]; have \('A', 'B'\)$"):
             qubits("A", "B").require(["A", "X"])
+        with pytest.raises(ChoilabError, match=r"^no party 'X' in \('A', 'B'\)$"):
+            qubits("A", "B").axis("X")
 
     def test_bare_string_is_not_a_label_list(self):
         # "AB" is one party here, so reading the string letter by letter
         # would name two others; the message shows the list to write
         sys = qubits("AB", "A", "B")
-        with pytest.raises(UnknownParty, match=re.escape("write ['AB']")):
+        with pytest.raises(ChoilabError, match=re.escape("write ['AB']")):
             sys.require("AB")
         rho = MultipartiteState(sys, np.eye(8) / 8)
-        with pytest.raises(UnknownParty, match=re.escape("['AB']")):
+        with pytest.raises(ChoilabError, match=re.escape("['AB']")):
             partial_trace(rho, "AB")
-        with pytest.raises(UnknownParty, match=re.escape("['AB']")):
+        with pytest.raises(ChoilabError, match=re.escape("['AB']")):
             partial_transpose(rho, "AB")
-        with pytest.raises(UnknownParty, match=re.escape("['AB']")):
+        with pytest.raises(ChoilabError, match=re.escape("['AB']")):
             cut_number(sys, "AB")
         assert partial_trace(rho, ["AB"]).system.labels == ("A", "B")
         assert cut_number(sys, ["AB"]) == 0b10
@@ -83,12 +80,12 @@ class TestPartySystem:
     def test_permute_parties_refuses_a_bare_string(self):
         # read letter by letter, "BA" would be the swap of parties A and B
         rho = random_state(np.random.default_rng(8), qubits("A", "B"))
-        with pytest.raises(UnknownParty, match=re.escape("write ['BA']")):
+        with pytest.raises(ChoilabError, match=re.escape("write ['BA']")):
             permute_parties(rho, "BA")
 
     @pytest.mark.parametrize("label", ["", "A,B", "A:B", " A", "A ", "\nA"])
     def test_label_the_cli_cannot_name(self, label):
-        with pytest.raises(UnknownParty, match="party label"):
+        with pytest.raises(ChoilabError, match="party label"):
             PartySystem(("B", label), (2, 2))
 
 
@@ -97,8 +94,10 @@ class TestCut:
         sys = qubits("A", "B", "C")
         assert cut_number(sys, ["A"]) == cut_number(sys, ("C", "B")) == 0b10
         assert cut_number(sys, frozenset({"A", "C"})) == cut_number(sys, iter(["B"])) == 0b01
-        for side in ([], ["A", "B", "C"], ["A", "X"], ["X"]):
-            with pytest.raises(UnknownParty):
+        some = "a cut side holds some but not all"
+        unknown = re.escape("unknown parties ['X']")
+        for side, message in (([], some), (["A", "B", "C"], some), (["A", "X"], unknown), (["X"], unknown)):
+            with pytest.raises(ChoilabError, match=f"^{message}"):
                 cut_number(sys, side)
 
     def test_cut_name_ignores_side_order(self):
@@ -163,13 +162,18 @@ class TestCut:
     @pytest.mark.parametrize("side", [[], ["A1", "B", "A2", "C"], ["X"], ["A1", "X"]])
     def test_sides_that_name_no_cut(self, four_qubits, side):
         # empty, every party, or an unknown label: no cut has that side
+        labels = "('A1', 'B', 'A2', 'C')"
+        if "X" in side:
+            message = re.escape(f"unknown parties ['X']; have {labels}")
+        else:
+            message = re.escape(f"a cut side holds some but not all of {labels}, got {sorted(side)}")
         rho = random_state(np.random.default_rng(0), four_qubits)
         phi = PureState(four_qubits, random_pure_vector(np.random.default_rng(1), 16))
-        with pytest.raises(UnknownParty):
+        with pytest.raises(ChoilabError, match=f"^{message}$"):
             cut_number(four_qubits, side)
-        with pytest.raises(UnknownParty):
+        with pytest.raises(ChoilabError, match=f"^{message}$"):
             partial_transpose(rho, side)
-        with pytest.raises(UnknownParty):
+        with pytest.raises(ChoilabError, match=f"^{message}$"):
             schmidt_decomposition(phi, side)
 
 
@@ -214,14 +218,14 @@ class TestGhzBasis:
                               ghz_basis_state(sys, 3, -1).vector)
 
     def test_errors(self):
-        with pytest.raises(DimensionMismatch):
+        with pytest.raises(ChoilabError, match="^GHZ basis is defined for qubit systems only$"):
             ghz_basis_state(PartySystem(("A", "B"), (3, 3)), 0, 1)
         sys = qubits("A", "B", "C")
         for k in (-1, 4, 1.0, None, True, False):
-            with pytest.raises(IndexOutOfRange, match="no GHZ index"):
+            with pytest.raises(ChoilabError, match="no GHZ index"):
                 ghz_basis_state(sys, k, 1)
         for sign in ("+", "-", 0, 2, -2, True, None, 1.0, np.float64(-1.0), np.True_):
-            with pytest.raises(IndexOutOfRange, match="sign must be 1 or -1"):
+            with pytest.raises(ChoilabError, match="sign must be 1 or -1"):
                 ghz_basis_state(sys, 0, sign)
 
     @pytest.mark.parametrize(
@@ -229,7 +233,7 @@ class TestGhzBasis:
     )
     def test_string_index_refused(self, j, hint):
         # the GHZ index is the number k, as plus[k] and minus[k] are indexed
-        with pytest.raises(IndexOutOfRange, match=hint):
+        with pytest.raises(ChoilabError, match=hint):
             ghz_basis_state(qubits("A", "B", "C"), j, 1)
 
     @settings(max_examples=40)
@@ -265,6 +269,10 @@ class TestMaxEntangled:
         assert np.allclose(sd.coefficients, [0.5] * 4, atol=1e-15)
         reduced = partial_trace(phi.density(), ["A"])
         assert np.linalg.norm(reduced.matrix - np.eye(4) / 4) < 1e-14
+
+    def test_dimension_below_two_refused(self):
+        with pytest.raises(ChoilabError, match="^maximally entangled state needs dimension >= 2$"):
+            max_entangled(1)
 
 
 class TestPartialTranspose:
@@ -303,7 +311,7 @@ class TestPartialTranspose:
                 assert np.allclose(again, pt, atol=0)
 
     def test_unknown_party(self, four_qubits):
-        with pytest.raises(UnknownParty):
+        with pytest.raises(ChoilabError, match=r"^unknown parties \['X'\]; "):
             partial_transpose(random_state(np.random.default_rng(0), four_qubits), ["X"])
 
 
@@ -337,9 +345,9 @@ class TestPartialTrace:
 
     def test_errors(self, four_qubits):
         rho = random_state(np.random.default_rng(1), four_qubits)
-        with pytest.raises(UnknownParty, match="^cannot trace out every party$"):
+        with pytest.raises(ChoilabError, match="^cannot trace out every party$"):
             partial_trace(rho, ["A1", "B", "A2", "C"])
-        with pytest.raises(UnknownParty):
+        with pytest.raises(ChoilabError, match=r"^unknown parties \['Z'\]; "):
             partial_trace(rho, ["Z"])
 
 
@@ -356,7 +364,7 @@ class TestFidelity:
     def test_dimension_mismatch(self):
         phi = max_entangled(2)
         rho = MultipartiteState(qubits("A"), np.eye(2) / 2)
-        with pytest.raises(DimensionMismatch):
+        with pytest.raises(ChoilabError, match="^pure state dimension 4 != state dimension 2$"):
             fidelity(phi, rho)
 
 
@@ -410,16 +418,16 @@ class TestValidation:
         back = permute_parties(silly, ("A1", "B", "A2", "C"))
         assert np.allclose(back.matrix, rho.matrix, atol=0)
         message = "('A1', 'B', 'A2') is not a permutation of ('A1', 'B', 'A2', 'C')"
-        with pytest.raises(UnknownParty, match=f"^{re.escape(message)}$"):
+        with pytest.raises(ChoilabError, match=f"^{re.escape(message)}$"):
             permute_parties(rho, ("A1", "B", "A2"))
 
     def test_density_gates(self):
         sys = qubits("A")
-        with pytest.raises(DimensionMismatch, match=r"^hermiticity defect 1\.414e\+00$"):
+        with pytest.raises(ChoilabError, match=r"^hermiticity defect 1\.414e\+00$"):
             MultipartiteState(sys, np.array([[0.5, 1], [0, 0.5]]))
-        with pytest.raises(DimensionMismatch):
+        with pytest.raises(ChoilabError, match=r"^trace \(2\+0j\) is not 1 within 1e-10$"):
             MultipartiteState(sys, np.eye(2))
-        with pytest.raises(NotPSD):
+        with pytest.raises(ChoilabError, match="^min eigenvalue -5.000e-01 below threshold -1.0e-09$"):
             MultipartiteState(sys, np.diag([1.5, -0.5]))
         # a loosened threshold admits the same matrix
         MultipartiteState(sys, np.diag([1.5, -0.5]), psd_threshold=-1.0)
@@ -452,5 +460,7 @@ class TestValidation:
             assert rho.min_eigenvalue == linalg.min_eigenvalue(rho.matrix)
 
     def test_pure_norm_gate(self):
-        with pytest.raises(DimensionMismatch):
+        with pytest.raises(ChoilabError, match="^vector norm 1.4142135623730951 is not 1 within 1e-12$"):
             PureState(qubits("A"), np.array([1.0, 1.0]))
+        with pytest.raises(ChoilabError, match="^vector length 3 != system dimension 2$"):
+            PureState(qubits("A"), np.array([1.0, 0.0, 0.0]))
