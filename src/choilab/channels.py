@@ -32,7 +32,6 @@ from .states import (
     PartySystem,
     label_tuple,
     permute_matrix_parties,
-    permute_parties,
     trace_out_axes,
 )
 
@@ -279,19 +278,19 @@ def kraus_from_choi(
         raise ChoilabError(
             f"reference {ref} + outputs {out} must partition {sys.labels}"
         )
-    ordered = permute_parties(choi_state, ref + out)
-    d_ref = math.prod(sys.dim_of(l) for l in ref)
-    d_out = math.prod(sys.dim_of(l) for l in out)
-    vals, vecs = np.linalg.eigh(ordered.matrix)
+    ordered, perm = sys.reordered(ref + out)
+    matrix = permute_matrix_parties(choi_state.matrix, sys.dims, perm)
+    input_system = ordered.subsystem(ref)
+    output_system = ordered.subsystem(out)
+    d_ref, d_out = input_system.total_dim, output_system.total_dim
+    vals, vecs = np.linalg.eigh(matrix)
     if vals[0] < linalg.PSD_THRESHOLD:
         raise ChoilabError(f"Choi min eigenvalue {vals[0]:.3e}")
-    marginal = trace_out_axes(ordered.matrix, (d_ref, d_out), [1])
+    marginal = trace_out_axes(matrix, (d_ref, d_out), [1])
     if linalg.norm(marginal - linalg.identity(d_ref) / d_ref) > REF_MARGINAL_TOL:
         raise ChoilabError("reference marginal of the Choi state is not maximally mixed")
     keep = vals > CHOI_RANK_CUTOFF
     # Eigenvector v of the (reference, output) matrix is the operator A[o, i] = v[(i, o)].
     ops = vecs.T[keep].reshape(-1, d_ref, d_out).transpose(0, 2, 1)
     ops = np.sqrt(vals[keep] * d_ref)[:, None, None] * ops
-    input_system = PartySystem(ref, tuple(sys.dim_of(l) for l in ref))
-    output_system = PartySystem(out, tuple(sys.dim_of(l) for l in out))
     return KrausChannel("from_choi", input_system, output_system, ops)

@@ -126,6 +126,8 @@ def state_to_dict(state: MultipartiteState) -> dict:
 def state_from_dict(obj: Any, psd_threshold: float = linalg.PSD_THRESHOLD) -> MultipartiteState:
     if not isinstance(obj, dict):
         raise ChoilabError("state: expected a JSON object")
+    if "kraus" in obj and "matrix" not in obj:
+        raise ChoilabError("state: the file holds a channel (kraus), not a state")
     system = _decode_system({"labels": obj.get("labels"), "dims": obj.get("dims")}, "state")
     matrix = decode_matrix(obj.get("matrix"), "state.matrix")
     try:
@@ -154,6 +156,8 @@ def channel_from_dict(obj: Any) -> KrausChannel:
     """
     if not isinstance(obj, dict):
         raise ChoilabError("channel: expected a JSON object")
+    if "matrix" in obj and "kraus" not in obj:
+        raise ChoilabError("channel: the file holds a state (matrix), not a channel")
     name = obj.get("name")
     if not isinstance(name, str):
         raise ChoilabError("channel: name must be a string")

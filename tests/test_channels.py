@@ -303,8 +303,7 @@ class TestKrausFromChoi:
         phi = max_entangled(2, ("R", "Q"))
         pt = partial_transpose(phi.density(), ["Q"])
         bad = MultipartiteState(phi.system, pt, psd_threshold=-1.0)
-        # the reordered copy is validated again, at the default threshold
-        with pytest.raises(ChoilabError, match="^min eigenvalue -5.000e-01 below threshold -1.0e-09$"):
+        with pytest.raises(ChoilabError, match="^Choi min eigenvalue -5.000e-01$"):
             kraus_from_choi(bad, ["R"], ["Q"])
 
     def test_not_psd_by_the_dense_solve(self):
@@ -317,6 +316,19 @@ class TestKrausFromChoi:
         assert linalg.min_eigenvalue(m) >= linalg.PSD_THRESHOLD > np.linalg.eigvalsh(m)[0]
         with pytest.raises(ChoilabError, match="^Choi min eigenvalue -1.000e-09$"):
             kraus_from_choi(MultipartiteState(qubit_system("R", "Q"), m), ["R"], ["Q"])
+
+    def test_builds_no_state(self, monkeypatch):
+        state = choi(binding_channel(1), CANONICAL_ORDER)  # parties A1, B, A2, C
+        built = []
+        post_init = MultipartiteState.__post_init__
+
+        def counting(self, psd_threshold):
+            built.append(1)
+            post_init(self, psd_threshold)
+
+        monkeypatch.setattr(MultipartiteState, "__post_init__", counting)
+        kraus_from_choi(state, ["A1", "A2"], ["B", "C"])
+        assert built == []
 
     def test_not_trace_preserving(self):
         sys = qubit_system("R", "Q")
@@ -336,6 +348,18 @@ def _random_kraus(rng, k: int, d_out: int, d_in: int) -> list[np.ndarray]:
         part[rng.random(shape) < 0.1] = -0.0
         part[rng.random(shape) < 0.1] = 0.0
     return [np.array(a) for a in ops / math.sqrt(k * d_out)]
+
+
+@st.composite
+def cptp_channels(draw):
+    """A CPTP map on one party: K Kraus operators cut from a random isometry made by QR."""
+    d_in, d_out = draw(st.sampled_from([2, 4])), draw(st.sampled_from([2, 4]))
+    k = draw(st.integers(max(1, d_in // d_out), 6))  # the isometry needs K * d_out >= d_in
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    g = rng.standard_normal((k * d_out, d_in)) + 1j * rng.standard_normal((k * d_out, d_in))
+    isometry = np.linalg.qr(g)[0]
+    sys_in, sys_out = PartySystem(("I",), (d_in,)), PartySystem(("O",), (d_out,))
+    return KrausChannel(f"V{k}", sys_in, sys_out, isometry.reshape(k, d_out, d_in))
 
 
 class TestKrausArray:
@@ -409,12 +433,24 @@ class TestKrausArray:
         assert same_bits(back.kraus, mixed.kraus)
         assert same_bits(back.kraus, np.stack(loop_decode_kraus(loads(text)["kraus"])))
 
-    def test_kraus_from_choi_matches_per_operator_loop(self):
-        for ch in (binding_channel(2), two_qubit_depolarizing(), identity_channel()):
-            state = choi(ch)
-            got = kraus_from_choi(state, state.system.labels[:1], state.system.labels[1:])
-            want = loop_kraus_from_choi(state.matrix, ch.dim_in, ch.dim_out, CHOI_RANK_CUTOFF)
-            assert same_bits(got.kraus, np.stack(want))
+    @given(
+        ch=st.one_of(
+            st.sampled_from([lambda: binding_channel(2), two_qubit_depolarizing, identity_channel])
+            .map(lambda build: build()),
+            cptp_channels(),
+        )
+    )
+    def test_kraus_from_choi_matches_per_operator_loop(self, ch):
+        state = choi(ch)
+        ref, out = state.system.labels[:1], state.system.labels[1:]
+        want = np.stack(loop_kraus_from_choi(state.matrix, ch.dim_in, ch.dim_out, CHOI_RANK_CUTOFF))
+        rebuilt = kraus_from_choi(state, ref, out)
+        assert same_bits(rebuilt.kraus, want)
+        # the same state with its parties listed the other way round
+        moved = permute_parties(state, out + ref)
+        assert same_bits(kraus_from_choi(moved, ref, out).kraus, want)
+        assert channels_act_alike(rebuilt, ch, tol=1e-9)
+        assert verify_cptp(rebuilt).passed
 
     def test_mixture_coerces_no_operator_alone(self, monkeypatch):
         coerced = []

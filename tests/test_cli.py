@@ -725,6 +725,34 @@ class TestRefusedFiles:
         assert run(capsys, command, str(path)) == (2, "", f"error: {message}\n")
 
 
+_STATE_NOT_CHANNEL = "channel: the file holds a state (matrix), not a channel"
+
+
+class TestWrongKindFiles:
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            ("classify e1.json", "state: the file holds a channel (kraus), not a state"),
+            ("verify e1_choi.json", _STATE_NOT_CHANNEL),
+            ("choi e1_choi.json", _STATE_NOT_CHANNEL),
+            ("mix e1_choi.json e1_choi.json", _STATE_NOT_CHANNEL),
+        ],
+        ids=["classify", "verify", "choi", "mix"],
+    )
+    def test_exact_error_line(self, fixture_dir, capsys, argv, message):
+        command, *names = argv.split()
+        paths = [str(fixture_dir / n) for n in names]
+        assert run(capsys, command, *paths) == (2, "", f"error: {message}\n")
+
+
+class TestHelp:
+    @pytest.mark.parametrize("command", [[], ["verify"], ["choi"], ["classify"], ["mix"], ["reproduce"]])
+    def test_usage_on_stdout(self, capsys, command):
+        code, out, err = run(capsys, *command, "--help")
+        assert (code, err) == (0, "")
+        assert out.startswith("usage: choilab")
+
+
 class TestMix:
     def test_uniform_mixture_matches_closed_form(self, fixture_dir, tmp_path, capsys):
         mixed_path = tmp_path / "mixed.json"
