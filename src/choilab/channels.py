@@ -61,10 +61,10 @@ class KrausChannel:
     def __post_init__(self):
         shape = (self.output_system.total_dim, self.input_system.total_dim)
         try:
-            ops = np.array(self.kraus, dtype=np.complex128, order="C")
-        except (TypeError, ValueError, OverflowError):  # ragged, or not numbers
+            ops = linalg.as_array(self.kraus, 3, "Kraus stack")
+        except ChoilabError:  # ragged, not numbers, not finite or not a stack
             ops = None
-        if ops is None or ops.shape[1:] != shape or not len(ops) or not np.isfinite(ops).all():
+        if ops is None or ops.shape[1:] != shape or not len(ops):
             ops = np.array(_checked_one_by_one(self.kraus, shape))
         self.kraus = ops
 

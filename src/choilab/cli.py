@@ -395,7 +395,3 @@ def main(argv=None) -> int:
     except (ChoilabError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-
-
-def console_main() -> None:
-    sys.exit(main())

@@ -2,10 +2,11 @@
 
 All matrices in this package are plain ``numpy.ndarray`` objects of dtype
 ``complex128``.  The helpers here add the conventions everything downstream
-relies on: finiteness validation, the Hermiticity and positivity
-tolerances, the Frobenius norm (``norm``: the bits of ``np.linalg.norm``
-without its per-call dispatch), the smallest eigenvalue, and the standard
-Pauli constructors (sigma1 = X, sigma2 = Y, sigma3 = Z, sigma_pm =
+relies on: the one coercion of caller numbers (``as_array``: a fresh,
+finite copy, or a ChoilabError), the Hermiticity and positivity tolerances,
+the Frobenius norm (``norm``: the bits of ``np.linalg.norm`` without its
+per-call dispatch), the smallest eigenvalue, and the standard Pauli
+constructors (sigma1 = X, sigma2 = Y, sigma3 = Z, sigma_pm =
 (sigma1 -/+ i*sigma2)/2).
 
 The smallest eigenvalue takes one of two exact routes.  An X-shaped matrix
@@ -35,24 +36,21 @@ HERMITICITY_TOL = 1e-10
 PSD_THRESHOLD = -1e-9
 
 
+def as_array(entries, ndim: int, what: str) -> np.ndarray:
+    """A fresh C-contiguous complex128 copy of a finite ndim-D array; anything else is refused."""
+    try:
+        a = np.array(entries, dtype=np.complex128, order="C")
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ChoilabError(f"{what} is not an array of numbers: {exc}") from None
+    if a.ndim != ndim:
+        raise ChoilabError(f"expected a {ndim}-D {what}, got ndim={a.ndim}")
+    if not np.isfinite(a).all():
+        raise ChoilabError(f"{what} contains non-finite entries")
+    return a
+
+
 def as_matrix(entries) -> np.ndarray:
-    """Coerce to a finite 2-D complex128 array (no NaN/Inf admitted)."""
-    m = np.asarray(entries, dtype=np.complex128)
-    if m.ndim != 2:
-        raise ChoilabError(f"expected a 2-D matrix, got ndim={m.ndim}")
-    if not np.isfinite(m).all():
-        raise ChoilabError("matrix contains non-finite entries")
-    return m
-
-
-def as_vector(entries) -> np.ndarray:
-    """Coerce to a finite 1-D complex128 array."""
-    v = np.asarray(entries, dtype=np.complex128)
-    if v.ndim != 1:
-        raise ChoilabError(f"expected a 1-D vector, got ndim={v.ndim}")
-    if not np.isfinite(v).all():
-        raise ChoilabError("vector contains non-finite entries")
-    return v
+    return as_array(entries, 2, "matrix")
 
 
 def norm(x: np.ndarray) -> float:

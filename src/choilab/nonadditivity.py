@@ -49,6 +49,7 @@ from .states import (
     partial_trace,
     permute_matrix_parties,
     schmidt_decomposition,
+    trace_out_axes,
 )
 
 INPUT_SYSTEM = PartySystem(("A",), (4,))
@@ -68,10 +69,10 @@ LOCALIZED_PAIR_TOL = 1e-9
 # teleport_fidelity skips Bell outcomes at most this likely.
 BELL_OUTCOME_FLOOR = 1e-15
 
-# Each channel is GHZ-diagonal with exactly one vanished pair weight; the
-# computational-basis projectors removed by its closed form sit at these
-# big-endian indices (party order A1, B, A2, C).
-_REMOVED_PROJECTORS = {1: (0b1010, 0b0101), 2: (0b0100, 0b1011), 3: (0b0001, 0b1110)}
+# Each channel is GHZ-diagonal with exactly one vanished pair weight: the
+# GHZ pair k named here (party order A1, B, A2, C), whose two kets 2k and
+# 15 - 2k its closed form removes.
+_REMOVED_PAIRS = {1: 0b101, 2: 0b010, 3: 0b111}
 
 _SWAP = np.array(
     [[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]], dtype=np.complex128
@@ -160,7 +161,9 @@ def choi_state(ch: KrausChannel) -> MultipartiteState:
 
 
 def _formula_matrix(removed: dict[int, float]) -> np.ndarray:
-    """(2|GHZ><GHZ| + 1 - sum_b w_b |b><b|)/16, written entry by entry.
+    """(2|GHZ><GHZ| + 1 - sum_k w_k P_k)/16, written entry by entry.
+
+    P_k projects on kets 2k and 15 - 2k, the two ``ghz_basis_state`` writes for GHZ pair k.
 
     |GHZ> = (|0000> + |1111>)/sqrt(2) has h = 1/sqrt(2) at its two ends,
     so 2|GHZ><GHZ| is 2*(h*h) at the four corners and zero elsewhere; each
@@ -171,17 +174,17 @@ def _formula_matrix(removed: dict[int, float]) -> np.ndarray:
     m = linalg.identity(16)
     m[0, 0] = m[15, 15] = corner + 1
     m[0, 15] = m[15, 0] = corner
-    idx = list(removed)
-    m[idx, idx] = [1 - w for w in removed.values()]
+    for k, w in removed.items():
+        m[2 * k, 2 * k] = m[15 - 2 * k, 15 - 2 * k] = 1 - w
     return m / 16
 
 
 def choi_closed_form(which: int | str) -> MultipartiteState:
     """Closed-form Choi matrix of binding_channel(which), or of their mixture for "mix"."""
     if isinstance(which, str) and which == "mix":
-        removed = {b: 1 / 3 for pair in _REMOVED_PROJECTORS.values() for b in pair}
+        removed = {k: 1 / 3 for k in _REMOVED_PAIRS.values()}
     else:
-        removed = {b: 1.0 for b in _REMOVED_PROJECTORS[_channel_index(which)]}
+        removed = {_REMOVED_PAIRS[_channel_index(which)]: 1.0}
     return MultipartiteState(CHOI_SYSTEM, _formula_matrix(removed))
 
 
@@ -537,9 +540,8 @@ def teleport_fidelity(resource: MultipartiteState, input_state: PureState) -> fl
     probs = sub.trace(axis1=1, axis2=2).real
     kept = probs > BELL_OUTCOME_FLOOR
     probs = probs[kept]
-    # trace out the first resource qubit, then the input, as trace_out_axes does
-    t = sub[kept].reshape(-1, 2, 2, 2, 2, 2, 2).trace(axis1=2, axis2=5)
-    out = t.trace(axis1=1, axis2=3) / probs[:, None, None]
+    # trace out the input and the first resource qubit
+    out = trace_out_axes(sub[kept], (2, 2, 2), (0, 1)) / probs[:, None, None]
     out = _CORRECTIONS[kept] @ out @ _CORRECTIONS_H[kept]
     # one (1, 2) @ (2,) dot per outcome, as the loop's: a (k, 2) @ (2,)
     # product runs a matrix-vector kernel whose last bits differ
@@ -576,21 +578,14 @@ def teleport_report() -> tuple[ClaimEntry, ...]:
     """Teleportation fidelities for ideal, useless and localized resources."""
     plus = max_entangled(2, ("A", "B"))
     ident = MultipartiteState(plus.system, linalg.identity(4) / 4)
-    zero = PureState(PartySystem(("M",), (2,)), np.array([1, 0], dtype=np.complex128))
-    tilted = PureState(
-        PartySystem(("M",), (2,)),
-        np.array([math.sqrt(0.3), math.sqrt(0.7) * 1j], dtype=np.complex128),
-    )
+    qubit = PartySystem(("M",), (2,))
+    zero = PureState(qubit, [1, 0])
+    tilted = PureState(qubit, [math.sqrt(0.3), math.sqrt(0.7) * 1j])
     ideal = plus.density()
     f_ideal = min(teleport_fidelity(ideal, zero), teleport_fidelity(ideal, tilted))
     f_mixed = teleport_fidelity(ident, tilted)
     # resource produced by the localization pipeline on a skewed rank-2 state
-    skew = PureState(
-        GHZ3_SYSTEM,
-        np.array(
-            [math.sqrt(0.75), 0, 0, 0, 0, 0, 0, math.sqrt(0.25)], dtype=np.complex128
-        ),
-    )
+    skew = PureState(GHZ3_SYSTEM, [math.sqrt(0.75), 0, 0, 0, 0, 0, 0, math.sqrt(0.25)])
     localized = localize_entanglement(skew, ["A"], ["B1", "B2"])
     f_localized = teleport_fidelity(localized.final_state.density(), tilted)
     entries = [

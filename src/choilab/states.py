@@ -190,7 +190,7 @@ class MultipartiteState:
     _cut_lows: np.ndarray | None = field(init=False, default=None, repr=False)
 
     def __post_init__(self, psd_threshold):
-        m = linalg.as_matrix(np.array(self.matrix, dtype=np.complex128))
+        m = linalg.as_matrix(self.matrix)
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
         d = self.system.total_dim
@@ -210,21 +210,22 @@ class MultipartiteState:
             raise ChoilabError(f"min eigenvalue {low:.3e} below threshold {psd_threshold:.1e}")
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class PureState:
-    """Unit vector with its party system."""
+    """Unit vector with its party system; holds a read-only copy of the vector it was given."""
 
     system: PartySystem
     vector: np.ndarray
 
     def __post_init__(self):
-        self.vector = linalg.as_vector(self.vector)
-        if self.vector.shape != (self.system.total_dim,):
+        v = linalg.as_array(self.vector, 1, "vector")
+        v.setflags(write=False)
+        object.__setattr__(self, "vector", v)
+        if v.shape != (self.system.total_dim,):
             raise ChoilabError(
-                f"vector length {self.vector.shape[0]} != system dimension "
-                f"{self.system.total_dim}"
+                f"vector length {v.shape[0]} != system dimension {self.system.total_dim}"
             )
-        norm = linalg.norm(self.vector)
+        norm = linalg.norm(v)
         if abs(norm - 1.0) > PURE_NORM_TOL:
             raise ChoilabError(f"vector norm {norm} is not 1 within {PURE_NORM_TOL}")
 
@@ -268,15 +269,16 @@ def transpose_parties(matrix: np.ndarray, dims: Sequence[int], axes: Iterable[in
 
 
 def trace_out_axes(matrix: np.ndarray, dims: Sequence[int], axes: Iterable[int]) -> np.ndarray:
-    """Partial trace over the given tensor factors of a (D x D) matrix."""
+    """Partial trace over the given tensor factors of a (D x D) matrix, or of each in a stack."""
     dims = list(dims)
+    lead = matrix.shape[:-2]
     out = matrix
     for ax in sorted(axes, reverse=True):
         pre = math.prod(dims[:ax])
         d = dims[ax]
         post = math.prod(dims[ax + 1 :])
-        out = out.reshape(pre, d, post, pre, d, post).trace(axis1=1, axis2=4)
-        out = out.reshape(pre * post, pre * post)
+        out = out.reshape(*lead, pre, d, post, pre, d, post).trace(axis1=-5, axis2=-2)
+        out = out.reshape(*lead, pre * post, pre * post)
         del dims[ax]
     return out
 

@@ -387,8 +387,10 @@ class TestKrausArray:
             ((np.eye(2), np.eye(3)), ChoilabError, "Kraus operator shape (3, 3), expected (2, 2)"),
             ((np.eye(2), [[1, 0]]), ChoilabError, "Kraus operator shape (1, 2), expected (2, 2)"),
             (np.eye(2), ChoilabError, "expected a 2-D matrix, got ndim=1"),
-            ((np.eye(2), [["a", "b"], ["c", "d"]]), ValueError, "complex() arg is a malformed string"),
-            ((np.eye(2), [[2**2000, 0], [0, 0]]), OverflowError, "int too large to convert to float"),
+            ((np.eye(2), [["a", "b"], ["c", "d"]]), ChoilabError,
+             "matrix is not an array of numbers: complex() arg is a malformed string"),
+            ((np.eye(2), [[2**2000, 0], [0, 0]]), ChoilabError,
+             "matrix is not an array of numbers: int too large to convert to float"),
         ],
         ids=[
             "empty", "vector", "stack", "nan", "inf-before-shape", "shape", "ragged",

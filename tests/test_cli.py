@@ -600,6 +600,33 @@ class TestClassifyNearBoundary:
         assert all(rows[f"distill-{p}"]["distillable"] for p in ("A-vs-B", "A-vs-C", "B-vs-C"))
 
 
+class TestClassifyBytes:
+    """classify's exact bytes on a state whose every printed number is exact in binary."""
+
+    DATA = Path(__file__).resolve().parent / "data"
+
+    @staticmethod
+    def exact_state() -> MultipartiteState:
+        # GHZ pair k: mean (4, 1, 2, 1)/16 on its kets 2k and 7-2k, cross (2, 0, 0, 0)/16
+        # between them.  Cut 10 is PPT at exactly 0, cuts 01 and 11 NPT at -1/16.
+        m = np.zeros((8, 8), dtype=complex)
+        for k, (mean, cross) in enumerate(zip((4, 1, 2, 1), (2, 0, 0, 0))):
+            a, b = 2 * k, 7 - 2 * k
+            m[a, a] = m[b, b] = mean / 16
+            m[a, b] = m[b, a] = cross / 16
+        return MultipartiteState(qubits("ABC"), m)
+
+    @pytest.mark.parametrize(
+        "fmt, expected", [("human", "classify_exact.txt"), ("json", "classify_exact.json")]
+    )
+    def test_output_bytes(self, tmp_path, capsys, fmt, expected):
+        path = tmp_path / "exact.json"
+        path.write_text(dumps(state_to_dict(self.exact_state())))
+        code, out, err = run(capsys, "--format", fmt, "classify", str(path))
+        assert (code, err) == (0, "")
+        assert out == (self.DATA / expected).read_text()
+
+
 class TestClassifyPairs:
     """--pair is checked on every state, GHZ-diagonal or not, and listed once."""
 

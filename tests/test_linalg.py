@@ -1,11 +1,15 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from choilab import linalg
+from choilab.channels import KrausChannel
 from choilab.errors import ChoilabError
 from choilab.linalg import min_eigenvalue, sigma1, sigma2, sigma_minus, sigma_plus
+from choilab.states import MultipartiteState, PartySystem, PureState
 
 
 def test_kron_sigma1_sigma2_hand_expansion():
@@ -50,9 +54,43 @@ def test_nonfinite_entries_rejected():
     with pytest.raises(ChoilabError, match="^matrix contains non-finite entries$"):
         linalg.as_matrix([[np.inf * 1j, 0], [0, 1]])
     with pytest.raises(ChoilabError, match="^vector contains non-finite entries$"):
-        linalg.as_vector([1, np.nan])
+        linalg.as_array([1, np.nan], 1, "vector")
     with pytest.raises(ChoilabError, match="^expected a 1-D vector, got ndim=2$"):
-        linalg.as_vector([[1, 0]])
+        linalg.as_array([[1, 0]], 1, "vector")
+
+
+_QUBIT = PartySystem(("A",), (2,))
+# Each builder takes one bad matrix (its first row where it wants a vector).
+_BUILDERS = {
+    "as_matrix": (linalg.as_matrix, "matrix"),
+    "MultipartiteState": (lambda rows: MultipartiteState(_QUBIT, rows), "matrix"),
+    "PureState": (lambda rows: PureState(_QUBIT, rows[0]), "vector"),
+    "KrausChannel": (lambda rows: KrausChannel("t", _QUBIT, _QUBIT, [rows]), "matrix"),
+}
+
+
+@pytest.mark.parametrize("builder", sorted(_BUILDERS))
+@pytest.mark.parametrize(
+    "rows, reason",
+    [
+        ([[10**400, 0], [0, 1]], "int too large to convert to float"),
+        ([["a", 0], [0, 1]], "complex() arg is a malformed string"),
+        ([[1, [0]], [0]], "setting an array element with a sequence"),
+    ],
+    ids=["huge-int", "string", "ragged"],
+)
+def test_numbers_numpy_cannot_read_are_refused(builder, rows, reason):
+    build, what = _BUILDERS[builder]
+    with pytest.raises(ChoilabError, match=f"^{what} is not an array of numbers: {re.escape(reason)}"):
+        build(rows)
+
+
+def test_as_array_copies_into_c_order():
+    given = np.asfortranarray(np.arange(6, dtype=np.complex128).reshape(2, 3))
+    m = linalg.as_matrix(given)
+    assert m.flags.c_contiguous and m.flags.writeable and np.array_equal(m, given)
+    given[0, 0] = 9
+    assert m[0, 0] == 0
 
 
 def x_shaped(rng: np.random.Generator, d: int) -> np.ndarray:

@@ -93,6 +93,19 @@ class TestBuilders:
         got = choi_state(mixed_binding_channel([binding_channel(a) for a in (1, 2, 3)]))
         assert np.linalg.norm(got.matrix - choi_closed_form("mix").matrix) <= 1e-12
 
+    def test_each_channel_loses_the_ghz_pair_its_closed_form_names(self):
+        # E1, E2 and E3 lose GHZ pairs 5, 2 and 7: both their weights vanish,
+        # and the cut of the same number is the one NPT cut, at -1/16
+        assert nonadditivity._REMOVED_PAIRS == {1: 0b101, 2: 0b010, 3: 0b111}
+        for a, k in nonadditivity._REMOVED_PAIRS.items():
+            state = choi_state(binding_channel(a))
+            c = ghz_diagonal_coefficients(state)
+            assert c.plus[k] == c.minus[k] == 0
+            assert all(c.plus[j] > 0 and c.minus[j] > 0 for j in range(8) if j != k)
+            lows = entanglement.cut_min_eigenvalues(state)
+            assert [j + 1 for j in np.flatnonzero(lows < linalg.PSD_THRESHOLD)] == [k]
+            assert abs(lows[k - 1] + 1 / 16) <= 1e-15
+
     def test_third_channel_is_swapped_second(self):
         e3 = choi_state(binding_channel(3))
         assert np.linalg.norm(e3.matrix - swap_image(choi_closed_form(2)).matrix) <= 1e-12

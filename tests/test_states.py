@@ -25,6 +25,7 @@ from choilab.states import (
     partial_transpose,
     permute_parties,
     schmidt_decomposition,
+    trace_out_axes,
 )
 
 from conftest import (
@@ -35,6 +36,7 @@ from conftest import (
     random_ghz_diagonal_state,
     random_pure_vector,
     random_state,
+    same_bits,
 )
 
 
@@ -351,6 +353,22 @@ class TestPartialTrace:
             partial_trace(rho, ["Z"])
 
 
+    @given(
+        dims=st.lists(st.integers(1, 3), min_size=1, max_size=3),
+        lead=st.lists(st.integers(1, 3), max_size=2),
+        data=st.data(),
+    )
+    def test_stack_traces_each_slice(self, dims, lead, data):
+        axes = data.draw(st.sets(st.integers(0, len(dims) - 1)))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        d = math.prod(dims)
+        stack = rng.standard_normal((*lead, d, d)) + 1j * rng.standard_normal((*lead, d, d))
+        got = trace_out_axes(stack, dims, axes)
+        assert got.shape[:-2] == tuple(lead)
+        for idx in np.ndindex(*lead):
+            assert same_bits(got[idx], trace_out_axes(stack[idx], dims, axes))
+
+
 class TestFidelity:
     def test_pure_matches(self):
         phi = max_entangled(2)
@@ -458,6 +476,17 @@ class TestValidation:
         assert x.x_shaped and not dense.x_shaped
         for rho in (x, dense):
             assert rho.min_eigenvalue == linalg.min_eigenvalue(rho.matrix)
+
+    def test_vector_is_a_read_only_copy(self):
+        given = np.array([1, 0], dtype=complex)
+        psi = PureState(qubits("A"), given)
+        with pytest.raises(ValueError):
+            psi.vector[0] = 0.5
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            psi.vector = np.array([3, 4])
+        # the caller's array stays writable and the state does not follow it
+        given[0] = 5
+        assert psi.vector[0] == 1 and linalg.norm(psi.vector) == 1
 
     def test_pure_norm_gate(self):
         with pytest.raises(ChoilabError, match="^vector norm 1.4142135623730951 is not 1 within 1e-12$"):
