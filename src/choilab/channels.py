@@ -217,11 +217,18 @@ def mix_weights(n: int, weights: Sequence[float] | None = None) -> list[float]:
 
     Given weights must number n, be finite and nonnegative, and sum to 1.
     """
+    if n < 1:
+        raise ChoilabError(f"mix weights need n >= 1 channels, got {n!r}")
     if weights is None:
         weights = [1.0 / n] * n
     if len(weights) != n:
         raise ChoilabError(f"{len(weights)} weights for {n} channels")
-    w = [float(x) for x in weights]
+    w = []
+    for x in weights:
+        try:
+            w.append(float(x))
+        except (TypeError, ValueError, OverflowError):
+            raise ChoilabError(f"weight {x!r} does not convert to a float") from None
     if not all(math.isfinite(x) for x in w):
         raise ChoilabError(f"non-finite weight in {w}")
     if any(x < 0 for x in w):

@@ -327,8 +327,8 @@ _PAIRS_KEY = re.compile(r'"(matrix|kraus)": \[\n')
 _PAIRS_DEPTH = {"matrix": 3, "kraus": 4}
 # Which files _read_pairs reads, from what it sees in the text: at least
 # _MIN_PAIRS_TEXT characters, with at most _MAX_NONZERO_SHARE of the
-# array's numbers other than 0.0.  Elsewhere json and numpy read the pairs
-# as fast or faster.
+# array's numbers other than 0.0.  Below that size a scan saves a sparse
+# file less than it costs the dense files it turns back.
 _MIN_PAIRS_TEXT = 1 << 15
 _MAX_NONZERO_SHARE = 1 / 8
 

@@ -1,17 +1,18 @@
 """The capacity non-additivity witness scenario.
 
 Three channels from one four-level sender A to two qubit receivers B and C
-are built from fixed Pauli-product Kraus lists.  Each channel alone can
-create no distillable entanglement between the sender group and either
-receiver (all its capacity proxies are zero), yet the uniform mixture
-of the three has every capacity proxy positive.  The report operations
-check the closed-form Choi states, the partial-transpose sign table (by
-eigensolver and by the GHZ-diagonal coefficient criterion), the capacity
-proxies, the GHZ one-way example, and teleportation fidelities, each with
-a deliberately corrupted negative control.  A report is its claims: each
-section returns a tuple of ``ClaimEntry`` in build order, ``full_report``
-returns every claim ordered by claim id, and ``capacity_proxy`` returns a
-bool.
+are constants, read-only Kraus stacks of Pauli products built once (E3's is
+E2's under the swap of the two input and the two output qubits).  Each
+channel alone can create no distillable entanglement between the sender
+group and either receiver (all its capacity proxies are zero), yet the
+uniform mixture of the three has every capacity proxy positive.  The report
+operations check the closed-form Choi states, the partial-transpose sign
+table (by eigensolver and by the GHZ-diagonal coefficient criterion), the
+capacity proxies, the GHZ one-way example, and teleportation fidelities,
+each with a deliberately corrupted negative control.  A report is its
+claims: each section returns a tuple of ``ClaimEntry`` in build order,
+``full_report`` returns every claim ordered by claim id, and
+``capacity_proxy`` returns a bool.
 
 Party conventions: the Choi states live on qubits (A1, B, A2, C), where
 (A1, A2) is the reference pair for the four-level input read big-endian as
@@ -27,7 +28,7 @@ from typing import Sequence
 import numpy as np
 
 from . import linalg
-from .channels import KrausChannel, choi, completeness_defect, mix
+from .channels import KrausChannel, choi, mix
 from .entanglement import (
     GhzDiagonalCoefficients,
     ghz_diagonal_coefficients,
@@ -61,7 +62,6 @@ SENDER_GROUP = ("A1", "A2")
 CHOI_IDENTITY_TOL = 1e-12
 # Size of the error planted in the E1 closed form by the Choi negative control.
 CHOI_CONTROL_ERROR = 1e-6
-BUILD_DEFECT_TOL = 1e-12
 TELEPORT_FIDELITY_TOL = 1e-12
 # A localized pair is balanced and teleports exactly within this: its
 # Schmidt coefficients sit this close to 1/sqrt(2), its fidelity to 1.
@@ -74,52 +74,39 @@ BELL_OUTCOME_FLOOR = 1e-15
 # 15 - 2k its closed form removes.
 _REMOVED_PAIRS = {1: 0b101, 2: 0b010, 3: 0b111}
 
-_SWAP = np.array(
-    [[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]], dtype=np.complex128
-)
+def _kraus_stacks() -> dict[int, np.ndarray]:
+    """Each channel's read-only (15, 4, 4) Kraus stack, keyed by channel index.
 
-
-def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    m = np.kron(a, b)
-    m.setflags(write=False)
-    return m
-
-
-# The sixteen two-qubit Pauli products sigma_a (x) sigma_b, keyed by (a, b).
-_PP = {(a, b): _kron(linalg.PAULIS[a], linalg.PAULIS[b]) for a in range(4) for b in range(4)}
-# The two ladder products of the second list.
-_LADDER = (
-    _kron(linalg.sigma_minus, linalg.sigma0 + linalg.sigma3),
-    _kron(linalg.sigma_plus, linalg.sigma0 - linalg.sigma3),
-)
-
-
-def _kraus_list_one() -> tuple[np.ndarray, ...]:
-    singles = [
+    E1 and E2 are fixed lists of two-qubit Pauli products sigma_a (x) sigma_b
+    (E2 with two ladder products); E3 is E2 with the two input and the two
+    output qubits exchanged, one swap-conjugation matmul pair over the stack.
+    """
+    pp = {(a, b): np.kron(linalg.PAULIS[a], linalg.PAULIS[b]) for a in range(4) for b in range(4)}
+    swap = linalg.identity(4)[[0, 2, 1, 3]]
+    one = [
+        (pp[0, 0] + pp[3, 3]) / 4,
+        (pp[1, 1] + pp[2, 2]) / math.sqrt(32),
+        (pp[2, 1] - pp[1, 2]) / math.sqrt(32),
+    ] + [pp[a, b] / 4 for a, b in (
         (0, 0), (3, 3), (1, 0), (2, 0), (3, 0), (0, 1),
         (0, 2), (0, 3), (3, 1), (1, 3), (3, 2), (2, 3),
-    ]
-    ops = [
-        (_PP[0, 0] + _PP[3, 3]) / 4,
-        (_PP[1, 1] + _PP[2, 2]) / math.sqrt(32),
-        (_PP[2, 1] - _PP[1, 2]) / math.sqrt(32),
-    ]
-    ops.extend(_PP[a, b] / 4 for a, b in singles)
-    return tuple(ops)
-
-
-def _kraus_list_two() -> tuple[np.ndarray, ...]:
-    singles = [
+    )]
+    two = [
+        (pp[0, 0] + pp[3, 3]) / 4,
+        np.kron(linalg.sigma_minus, linalg.sigma0 + linalg.sigma3) / 4,
+        np.kron(linalg.sigma_plus, linalg.sigma0 - linalg.sigma3) / 4,
+    ] + [pp[a, b] / 4 for a, b in (
         (0, 0), (3, 3), (3, 0), (0, 1), (1, 1), (2, 1),
         (3, 1), (0, 2), (1, 2), (2, 2), (3, 2), (0, 3),
-    ]
-    ops = [
-        (_PP[0, 0] + _PP[3, 3]) / 4,
-        _LADDER[0] / 4,
-        _LADDER[1] / 4,
-    ]
-    ops.extend(_PP[a, b] / 4 for a, b in singles)
-    return tuple(ops)
+    )]
+    stacks = {1: np.stack(one), 2: np.stack(two)}
+    stacks[3] = swap @ stacks[2] @ swap
+    for ops in stacks.values():
+        ops.setflags(write=False)
+    return stacks
+
+
+_KRAUS = _kraus_stacks()
 
 
 def _channel_index(a) -> int:
@@ -130,24 +117,9 @@ def _channel_index(a) -> int:
 
 
 def binding_channel(a: int) -> KrausChannel:
-    """One of the three binding-entanglement channels (a in {1, 2, 3}).
-
-    The third is the second with the two input and the two output qubits
-    exchanged (swap conjugation of every Kraus operator, one matmul pair
-    over the stacked list).
-    """
+    """Binding channel E{a}, a in {1, 2, 3}, holding a fresh, writable copy of ``_KRAUS[a]``."""
     a = _channel_index(a)
-    if a == 1:
-        ops = _kraus_list_one()
-    elif a == 2:
-        ops = _kraus_list_two()
-    else:
-        ops = _SWAP @ np.stack(_kraus_list_two()) @ _SWAP
-    ch = KrausChannel(f"E{a}", INPUT_SYSTEM, OUTPUT_SYSTEM, ops)
-    defect = completeness_defect(ch)
-    if defect > BUILD_DEFECT_TOL:
-        raise AssertionError(f"E{a} build is broken: completeness defect {defect:.3e}")
-    return ch
+    return KrausChannel(f"E{a}", INPUT_SYSTEM, OUTPUT_SYSTEM, _KRAUS[a])
 
 
 def mixed_binding_channel(parts: Sequence[KrausChannel]) -> KrausChannel:

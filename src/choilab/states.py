@@ -38,7 +38,8 @@ class PartySystem:
     """Ordered party labels with matching local dimensions.
 
     A label is a nonempty string with no ',' or ':' and no surrounding
-    whitespace, so the CLI can name every party of a system.
+    whitespace, so the CLI can name every party of a system.  A dimension is
+    a Python or numpy int >= 2, never a bool, a float or a string.
     """
 
     labels: tuple[str, ...]
@@ -46,6 +47,18 @@ class PartySystem:
 
     def __post_init__(self):
         object.__setattr__(self, "labels", tuple(self.labels))
+        for label in self.labels:
+            if not isinstance(label, str):
+                raise ChoilabError(f"party label {label!r} must be a string")
+            # The CLI splits party lists on "," and group pairs on ":", and strips blanks.
+            if not label or label != label.strip() or "," in label or ":" in label:
+                raise ChoilabError(
+                    f"party label {label!r} must be nonempty, without ',' or ':' "
+                    "and without surrounding whitespace"
+                )
+        for d in self.dims:
+            if isinstance(d, bool) or not isinstance(d, (int, np.integer)):
+                raise ChoilabError(f"local dimension {d!r} must be an int")
         object.__setattr__(self, "dims", tuple(int(d) for d in self.dims))
         if len(self.labels) != len(set(self.labels)):
             raise ChoilabError(f"duplicate party labels in {self.labels}")
@@ -55,13 +68,6 @@ class PartySystem:
             raise ChoilabError("a system needs at least one party")
         if any(d < 2 for d in self.dims):
             raise ChoilabError(f"local dimensions must be >= 2, got {self.dims}")
-        for label in self.labels:
-            # The CLI splits party lists on "," and group pairs on ":", and strips blanks.
-            if not label or label != label.strip() or "," in label or ":" in label:
-                raise ChoilabError(
-                    f"party label {label!r} must be nonempty, without ',' or ':' "
-                    "and without surrounding whitespace"
-                )
 
     @property
     def total_dim(self) -> int:
@@ -238,34 +244,32 @@ class PureState:
 # ---------------------------------------------------------------------------
 
 
+def _reorder(a: np.ndarray, shape: tuple[int, ...], axes: Sequence[int]) -> np.ndarray:
+    """a read as a tensor of ``shape`` with its axes put in ``axes`` order: a fresh array of a's shape."""
+    return np.ascontiguousarray(a.reshape(shape).transpose(axes)).reshape(a.shape)
+
+
 def permute_matrix_parties(
     matrix: np.ndarray, dims: Sequence[int], perm: Sequence[int]
 ) -> np.ndarray:
     """Reorder the tensor factors of a (D x D) matrix; perm[i] = old axis of new slot i."""
     n = len(dims)
-    d = math.prod(dims)
-    t = matrix.reshape(tuple(dims) * 2)
-    axes = tuple(perm) + tuple(p + n for p in perm)
-    return np.ascontiguousarray(t.transpose(axes)).reshape(d, d)
+    return _reorder(matrix, tuple(dims) * 2, tuple(perm) + tuple(p + n for p in perm))
 
 
 def permute_vector_parties(
     vector: np.ndarray, dims: Sequence[int], perm: Sequence[int]
 ) -> np.ndarray:
-    return np.ascontiguousarray(
-        vector.reshape(tuple(dims)).transpose(tuple(perm))
-    ).reshape(-1)
+    return _reorder(vector, tuple(dims), tuple(perm))
 
 
 def transpose_parties(matrix: np.ndarray, dims: Sequence[int], axes: Iterable[int]) -> np.ndarray:
     """Transpose the row/column indices of the given tensor factors only."""
     n = len(dims)
-    d = math.prod(dims)
-    t = matrix.reshape(tuple(dims) * 2)
     order = list(range(2 * n))
     for ax in axes:
         order[ax], order[ax + n] = order[ax + n], order[ax]
-    return np.ascontiguousarray(t.transpose(order)).reshape(d, d)
+    return _reorder(matrix, tuple(dims) * 2, order)
 
 
 def trace_out_axes(matrix: np.ndarray, dims: Sequence[int], axes: Iterable[int]) -> np.ndarray:

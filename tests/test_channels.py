@@ -249,6 +249,24 @@ class TestMix:
         with pytest.raises(ChoilabError, match="non-finite"):
             mix([identity_channel(), depolarizing_channel()], weights)
 
+    @pytest.mark.parametrize(
+        "weights, message",
+        [
+            (["x"], "weight 'x' does not convert to a float"),
+            ([[1.0]], "weight [1.0] does not convert to a float"),
+            ([None], "weight None does not convert to a float"),
+            ([1j], "weight 1j does not convert to a float"),
+        ],
+    )
+    def test_weight_that_is_no_float(self, weights, message):
+        with pytest.raises(ChoilabError, match=f"^{re.escape(message)}$"):
+            mix([identity_channel()], weights=weights)
+
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_weights_for_no_channel(self, n):
+        with pytest.raises(ChoilabError, match=f"^mix weights need n >= 1 channels, got {n}$"):
+            channels.mix_weights(n)
+
     def test_system_mismatch(self):
         message = "channel 'id' has a different input/output system"
         with pytest.raises(ChoilabError, match=f"^{re.escape(message)}$"):

@@ -3,6 +3,7 @@ import importlib.util
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -933,6 +934,35 @@ class TestReproduce:
         _, first, _ = run(capsys, "--format", "json", "reproduce")
         _, second, _ = run(capsys, "--format", "json", "reproduce")
         assert first == second
+
+    def test_json_report_is_pinned(self, capsys):
+        # tests/data/reproduce.json is `choilab --format json reproduce` as
+        # committed.  Every field of every row must match it, except the
+        # computed text of the non-control Choi distances and the teleport
+        # fidelities, whose last digits come from BLAS sums: those are
+        # pinned by their form.
+        expected = json.loads((TestClassifyBytes.DATA / "reproduce.json").read_text())
+        code, out, err = run(capsys, "--format", "json", "reproduce")
+        assert (code, err) == (0, "")
+        doc = json.loads(out)
+        assert sorted(doc) == ["command", "entries", "overall", "tolerance", "version"]
+        for key in ("version", "command", "tolerance", "overall"):
+            assert doc[key] == expected[key], key
+        assert [e["id"] for e in doc["entries"]] == [e["id"] for e in expected["entries"]]
+        free = 0
+        for got, want in zip(doc["entries"], expected["entries"]):
+            if want["id"].startswith("choi-") and not want["control"]:
+                form = r"distance = \d\.\d{3}e-\d\d"
+            elif want["id"].startswith("teleport-"):
+                form = r"fidelity = \d\.\d{15}"
+            else:
+                form = None
+            if form is not None:
+                free += 1
+                assert re.fullmatch(form, got["computed"]), got
+                got, want = dict(got, computed=None), dict(want, computed=None)
+            assert got == want
+        assert free == 9
 
     @pytest.mark.parametrize("place", ["global", "subcommand"])
     def test_other_tolerance_rejected(self, capsys, place):

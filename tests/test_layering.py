@@ -253,8 +253,8 @@ def test_no_index_is_parsed_from_a_bit_string():
 def test_every_refusal_is_a_choilab_error():
     # The CLI prints a refusal's message and exits 2, and no code reads its
     # class, so errors.py defines one.  The other raises are not refusals:
-    # an internal invariant, argparse's bad flag value and a missing module
-    # attribute.  With one class, a test tells refusals apart by message.
+    # argparse's bad flag value and a missing module attribute.  With one
+    # class, a test tells refusals apart by message.
     package = Path(choilab.__file__).resolve().parent
     errors = ast.parse((package / "errors.py").read_text(encoding="utf-8"))
     assert [n.name for n in ast.walk(errors) if isinstance(n, ast.ClassDef)] == ["ChoilabError"]
@@ -264,7 +264,7 @@ def test_every_refusal_is_a_choilab_error():
             if isinstance(node, ast.Raise) and node.exc is not None:
                 exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
                 raised.add(ast.unparse(exc))
-    assert raised == {"ChoilabError", "AssertionError", "argparse.ArgumentTypeError", "AttributeError"}
+    assert raised == {"ChoilabError", "argparse.ArgumentTypeError", "AttributeError"}
     unpinned = []
     for path in sorted(Path(__file__).resolve().parent.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):

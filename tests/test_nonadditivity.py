@@ -77,6 +77,20 @@ class TestBuilders:
             with pytest.raises(ChoilabError, match=message):
                 choi_closed_form(which)
 
+    def test_kraus_stacks_are_read_only_constants(self):
+        # built once at import; each call hands out its own writable copy
+        assert sorted(nonadditivity._KRAUS) == [1, 2, 3]
+        for a, stack in nonadditivity._KRAUS.items():
+            assert stack.shape == (15, 4, 4) and not stack.flags.writeable
+            with pytest.raises(ValueError):
+                stack[0, 0, 0] = 5
+            ch = binding_channel(a)
+            assert ch.kraus.flags.writeable and ch.kraus.flags.c_contiguous
+            assert not np.shares_memory(ch.kraus, stack)
+            assert same_bits(ch.kraus, stack)
+            ch.kraus[:] = 0
+            assert same_bits(binding_channel(a).kraus, stack)
+
     def test_numpy_index(self):
         for a in (1, 2, 3):
             ch = binding_channel(np.int64(a))

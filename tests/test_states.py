@@ -85,6 +85,25 @@ class TestPartySystem:
         with pytest.raises(ChoilabError, match=re.escape("write ['BA']")):
             permute_parties(rho, "BA")
 
+    @pytest.mark.parametrize("d", [2.5, np.float64(3.7), 2.0, "2", None, True, np.True_])
+    def test_dimension_that_is_no_int(self, d):
+        # no float is truncated and no bool read as 1, the rule of require_cut
+        message = f"^local dimension {re.escape(repr(d))} must be an int$"
+        with pytest.raises(ChoilabError, match=message):
+            PartySystem(("A",), (d,))
+        with pytest.raises(ChoilabError, match=message):
+            PartySystem(("A", "B"), (d, 2))
+
+    def test_numpy_int_dimension(self):
+        sys = PartySystem(("A", "B"), (np.int64(3), np.int32(2)))
+        assert sys.dims == (3, 2) and all(type(d) is int for d in sys.dims)
+
+    @pytest.mark.parametrize("label", [1, b"A", None, ("A",)])
+    def test_label_that_is_no_string(self, label):
+        message = f"^party label {re.escape(repr(label))} must be a string$"
+        with pytest.raises(ChoilabError, match=message):
+            PartySystem(("B", label), (2, 2))
+
     @pytest.mark.parametrize("label", ["", "A,B", "A:B", " A", "A ", "\nA"])
     def test_label_the_cli_cannot_name(self, label):
         with pytest.raises(ChoilabError, match="party label"):
