@@ -198,9 +198,6 @@ def choi(ch: KrausChannel, order: Sequence[str] | None = None) -> MultipartiteSt
     if order is not None:
         order = label_tuple(order)
     reference = _reference_system(ch, order)
-    clash = set(reference.labels) & set(ch.output_system.labels)
-    if clash:
-        raise ChoilabError(f"reference labels collide with output labels: {sorted(clash)}")
     system = PartySystem(
         reference.labels + ch.output_system.labels, reference.dims + ch.output_system.dims
     )
@@ -217,12 +214,16 @@ def mix_weights(n: int, weights: Sequence[float] | None = None) -> list[float]:
 
     Given weights must number n, be finite and nonnegative, and sum to 1.
     """
-    if n < 1:
+    if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
         raise ChoilabError(f"mix weights need n >= 1 channels, got {n!r}")
     if weights is None:
         weights = [1.0 / n] * n
-    if len(weights) != n:
-        raise ChoilabError(f"{len(weights)} weights for {n} channels")
+    try:
+        count = len(weights)
+    except TypeError:
+        raise ChoilabError(f"weights {weights!r} must be a list of {n} numbers") from None
+    if count != n:
+        raise ChoilabError(f"{count} weights for {n} channels")
     w = []
     for x in weights:
         try:
@@ -249,8 +250,7 @@ def mix(
     states, with the weights of ``mix_weights``; all channels must share
     input and output systems.
     """
-    if not channels:
-        raise ChoilabError("mix needs at least one channel")
+    w = mix_weights(len(channels), weights)
     first = channels[0]
     for ch in channels[1:]:
         if (
@@ -258,7 +258,6 @@ def mix(
             or ch.output_system != first.output_system
         ):
             raise ChoilabError(f"channel {ch.name!r} has a different input/output system")
-    w = mix_weights(len(channels), weights)
     ops = np.concatenate([math.sqrt(x) * ch.kraus for ch, x in zip(channels, w)])
     if name is None:
         name = "mix(" + "+".join(ch.name for ch in channels) + ")"
@@ -281,10 +280,6 @@ def kraus_from_choi(
     sys = choi_state.system
     ref = label_tuple(reference)
     out = label_tuple(outputs)
-    if sorted(ref + out) != sorted(sys.labels):
-        raise ChoilabError(
-            f"reference {ref} + outputs {out} must partition {sys.labels}"
-        )
     ordered, perm = sys.reordered(ref + out)
     matrix = permute_matrix_parties(choi_state.matrix, sys.dims, perm)
     input_system = ordered.subsystem(ref)

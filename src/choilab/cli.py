@@ -164,8 +164,6 @@ def _parse_pairs(specs, system) -> list[tuple[tuple[str, ...], tuple[str, ...]]]
             )
             if "" in pair[0] + pair[1]:
                 raise ChoilabError(f"--pair has an empty group or label (got {spec!r})")
-            if any(len(set(group)) < len(group) for group in pair):
-                raise ChoilabError(f"--pair lists a party twice within a group (got {spec!r})")
             disjoint_groups(system, *pair)
             pairs.append(pair)
     else:

@@ -105,12 +105,12 @@ def _decode_system(obj: Any, what: str) -> PartySystem:
         raise ChoilabError(f"{what}: expected an object with labels and dims")
     labels = obj.get("labels")
     dims = obj.get("dims")
-    if not isinstance(labels, list) or not all(isinstance(l, str) for l in labels):
+    if not isinstance(labels, list):
         raise ChoilabError(f"{what}: labels must be an array of strings")
-    if not isinstance(dims, list) or not all(type(d) is int for d in dims):
+    if not isinstance(dims, list):
         raise ChoilabError(f"{what}: dims must be an array of integers")
     try:
-        return PartySystem(tuple(labels), tuple(dims))
+        return PartySystem(labels, dims)
     except ChoilabError as exc:
         raise ChoilabError(f"{what}: {exc}") from exc
 

@@ -46,20 +46,22 @@ class PartySystem:
     dims: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "labels", tuple(self.labels))
+        object.__setattr__(self, "labels", label_tuple(self.labels))
         for label in self.labels:
-            if not isinstance(label, str):
-                raise ChoilabError(f"party label {label!r} must be a string")
             # The CLI splits party lists on "," and group pairs on ":", and strips blanks.
             if not label or label != label.strip() or "," in label or ":" in label:
                 raise ChoilabError(
                     f"party label {label!r} must be nonempty, without ',' or ':' "
                     "and without surrounding whitespace"
                 )
-        for d in self.dims:
+        try:
+            dims = tuple(self.dims)
+        except TypeError:
+            raise ChoilabError(f"dims {self.dims!r} must be a list of ints") from None
+        for d in dims:
             if isinstance(d, bool) or not isinstance(d, (int, np.integer)):
                 raise ChoilabError(f"local dimension {d!r} must be an int")
-        object.__setattr__(self, "dims", tuple(int(d) for d in self.dims))
+        object.__setattr__(self, "dims", tuple(int(d) for d in dims))
         if len(self.labels) != len(set(self.labels)):
             raise ChoilabError(f"duplicate party labels in {self.labels}")
         if len(self.labels) != len(self.dims):
@@ -112,11 +114,18 @@ class PartySystem:
 
 
 def label_tuple(labels: Iterable[str]) -> tuple[str, ...]:
-    """A list of labels as a tuple; a bare string is refused, not read as one label per character."""
+    """A list of labels as a tuple, each a str; a bare string is refused, not read per character."""
     if isinstance(labels, str):
         raise ChoilabError(f"a list of labels is needed, not the string {labels!r}: "
                            f"write {[labels]!r}")
-    return tuple(labels)
+    try:
+        got = tuple(labels)
+    except TypeError:
+        raise ChoilabError(f"a list of labels is needed, not {labels!r}") from None
+    for label in got:
+        if not isinstance(label, str):
+            raise ChoilabError(f"party label {label!r} must be a string")
+    return got
 
 
 def require_cut(system: PartySystem, k: int) -> int:
@@ -322,12 +331,10 @@ def ghz_basis_state(system: PartySystem, k: int, sign: int) -> PureState:
 
 def max_entangled(d: int, labels: tuple[str, str] = ("A", "B")) -> PureState:
     """Maximally entangled pair (1/sqrt(d)) sum_k |k>|k> on two d-level parties."""
-    if d < 2:
-        raise ChoilabError("maximally entangled state needs dimension >= 2")
+    system = PartySystem(labels, (d, d))
     v = np.zeros(d * d, dtype=np.complex128)
-    for k in range(d):
-        v[k * d + k] = 1 / math.sqrt(d)
-    return PureState(PartySystem(labels, (d, d)), v)
+    v[:: d + 1] = 1 / math.sqrt(d)
+    return PureState(system, v)
 
 
 # ---------------------------------------------------------------------------

@@ -198,7 +198,8 @@ class TestChoi:
     def test_default_reference_must_not_collide(self):
         ch = identity_channel()
         clashing = KrausChannel("id", ch.input_system, PartySystem(("Q_ref",), (2,)), ch.kraus)
-        with pytest.raises(ChoilabError, match="collide"):
+        message = "duplicate party labels in ('Q_ref', 'Q_ref')"
+        with pytest.raises(ChoilabError, match=f"^{re.escape(message)}$"):
             choi(clashing)
 
     def test_swap_relation_between_e2_and_e3(self):
@@ -239,7 +240,7 @@ class TestMix:
             mix(chans, [1.5, -0.5])
         with pytest.raises(ChoilabError, match="^1 weights for 2 channels$"):
             mix(chans, [1.0])
-        with pytest.raises(ChoilabError, match="^mix needs at least one channel$"):
+        with pytest.raises(ChoilabError, match="^mix weights need n >= 1 channels, got 0$"):
             mix([])
 
     @pytest.mark.parametrize("weights", [[math.nan, 1.0], [0.5, math.nan]])
@@ -266,6 +267,23 @@ class TestMix:
     def test_weights_for_no_channel(self, n):
         with pytest.raises(ChoilabError, match=f"^mix weights need n >= 1 channels, got {n}$"):
             channels.mix_weights(n)
+
+    @pytest.mark.parametrize("n", [2.0, "2", None, True])
+    def test_count_that_is_no_int(self, n):
+        # a bool counts no channels, as it is no dimension of a PartySystem
+        message = f"^mix weights need n >= 1 channels, got {re.escape(repr(n))}$"
+        with pytest.raises(ChoilabError, match=message):
+            channels.mix_weights(n)
+
+    @pytest.mark.parametrize("weights", [1.0, 1, True])
+    def test_weights_with_no_length(self, weights):
+        message = f"^weights {re.escape(repr(weights))} must be a list of 2 numbers$"
+        with pytest.raises(ChoilabError, match=message):
+            channels.mix_weights(2, weights)
+        with pytest.raises(ChoilabError, match=message):
+            mix([identity_channel(), depolarizing_channel()], weights=weights)
+        assert channels.mix_weights(2, np.array([0.25, 0.75])) == [0.25, 0.75]
+        assert channels.mix_weights(np.int64(2)) == [0.5, 0.5]
 
     def test_system_mismatch(self):
         message = "channel 'id' has a different input/output system"
@@ -305,7 +323,7 @@ class TestKrausFromChoi:
 
     def test_split_must_partition_the_parties(self):
         state = choi(binding_channel(1), CANONICAL_ORDER)
-        message = "reference ('A1',) + outputs ('B', 'C') must partition ('A1', 'B', 'A2', 'C')"
+        message = "('A1', 'B', 'C') is not a permutation of ('A1', 'B', 'A2', 'C')"
         with pytest.raises(ChoilabError, match=f"^{re.escape(message)}$"):
             kraus_from_choi(state, ["A1"], ["B", "C"])
 

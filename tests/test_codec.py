@@ -148,10 +148,10 @@ def test_channel_parse_errors():
 # Party systems, as JSON text, that the codec refuses, with the reason it gives.
 REJECTED_SYSTEMS = {
     "labels-not-array": ('{"labels": "AB", "dims": [2, 2]}', "labels must be an array of strings"),
-    "label-not-string": ('{"labels": ["A", 1], "dims": [2, 2]}', "labels must be an array of strings"),
+    "label-not-string": ('{"labels": ["A", 1], "dims": [2, 2]}', "party label 1 must be a string"),
     "dims-not-array": ('{"labels": ["A", "B"], "dims": 2}', "dims must be an array of integers"),
-    "float-dim": ('{"labels": ["A", "B"], "dims": [2.0, 2]}', "dims must be an array of integers"),
-    "bool-dim": ('{"labels": ["A", "B"], "dims": [true, 2]}', "dims must be an array of integers"),
+    "float-dim": ('{"labels": ["A", "B"], "dims": [2.0, 2]}', "local dimension 2.0 must be an int"),
+    "bool-dim": ('{"labels": ["A", "B"], "dims": [true, 2]}', "local dimension True must be an int"),
 }
 
 

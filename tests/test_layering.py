@@ -8,7 +8,9 @@ The GHZ fingerprint has one stored form, the weight vectors plus and
 minus, and only the CLI names its entries by cut-index strings.  Every
 name the benchmark's tracer wraps still exists, and the CLI reads every
 input file through codec.load_path.  No index is parsed from a bit string.
-Every refusal is one class, errors.ChoilabError, told apart by its message."""
+Every refusal is one class, errors.ChoilabError, told apart by its message,
+and every entry point that takes parties, dims, an index or weights refuses
+a value of the wrong kind with it, quoting the value."""
 
 import ast
 import dataclasses
@@ -21,8 +23,15 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
+import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
 import choilab
+from choilab import channels, entanglement, nonadditivity, states
 from choilab.entanglement import GhzDiagonalCoefficients
+from choilab.errors import ChoilabError
 
 SRC = str(Path(choilab.__file__).resolve().parents[1])
 LAYERTRACE = Path(__file__).resolve().parents[1] / "perfbench" / "layertrace.py"
@@ -276,3 +285,82 @@ def test_every_refusal_is_a_choilab_error():
             ):
                 unpinned.append(f"{path.name}:{node.lineno}")
     assert unpinned == []
+
+
+# Bad values of each kind, each drawn with the value a refusal must quote:
+# the value itself, or for a list of labels the element that is no str.
+def _whole(values):
+    return values.map(lambda v: (v, v))
+
+
+@st.composite
+def _labels_holding_one_bad(draw):
+    labels = draw(st.lists(st.text(max_size=3), max_size=3))
+    bad = draw(st.integers() | st.none() | st.lists(st.text(max_size=2), max_size=2))
+    labels.insert(draw(st.integers(0, len(labels))), bad)
+    return labels, bad
+
+
+BAD_VALUES = {
+    "labels": _whole(st.integers() | st.floats() | st.none() | st.booleans() | st.text())
+    | _labels_holding_one_bad(),
+    "dims": _whole(st.integers() | st.floats() | st.none() | st.booleans()),
+    "number": _whole(st.floats() | st.none() | st.booleans() | st.text()),
+    "weights": _whole(st.integers() | st.floats() | st.booleans()),
+}
+
+_SYSTEM = states.PartySystem(("A", "B", "C"), (2, 2, 2))
+_RHO = states.MultipartiteState(_SYSTEM, np.eye(8) / 8)
+_PHI = states.ghz_basis_state(_SYSTEM, 0, 1)
+_CHANNEL = nonadditivity.binding_channel(1)
+_CHOI = channels.choi(_CHANNEL)
+_REF, _OUT = _CHOI.system.labels[:1], _CHOI.system.labels[1:]
+_PAIR = [_CHANNEL, nonadditivity.binding_channel(2)]
+
+# (kind, call) for every entry point that reads parties, dims, a number or weights.
+ENTRY_POINTS = {
+    "label_tuple": ("labels", states.label_tuple),
+    "PartySystem-labels": ("labels", lambda v: states.PartySystem(v, (2, 2))),
+    "PartySystem-dims": ("dims", lambda v: states.PartySystem(("A",), v)),
+    "require": ("labels", _SYSTEM.require),
+    "subsystem": ("labels", _SYSTEM.subsystem),
+    "partial_trace": ("labels", lambda v: states.partial_trace(_RHO, v)),
+    "partial_transpose": ("labels", lambda v: states.partial_transpose(_RHO, v)),
+    "permute_parties": ("labels", lambda v: states.permute_parties(_RHO, v)),
+    "schmidt_decomposition": ("labels", lambda v: states.schmidt_decomposition(_PHI, v)),
+    "cut_number": ("labels", lambda v: states.cut_number(_SYSTEM, v)),
+    "max_entangled-labels": ("labels", lambda v: states.max_entangled(2, v)),
+    "max_entangled-d": ("number", states.max_entangled),
+    "cut_name": ("number", lambda v: states.cut_name(_SYSTEM, v)),
+    "ghz_basis_state-k": ("number", lambda v: states.ghz_basis_state(_SYSTEM, v, 1)),
+    "ghz_basis_state-sign": ("number", lambda v: states.ghz_basis_state(_SYSTEM, 0, v)),
+    "disjoint_groups-one": ("labels", lambda v: entanglement.disjoint_groups(_SYSTEM, v, ["C"])),
+    "disjoint_groups-two": ("labels", lambda v: entanglement.disjoint_groups(_SYSTEM, ["A"], v)),
+    "ppt_check": ("number", lambda v: entanglement.ppt_check(_RHO, v)),
+    "localize_entanglement-senders": (
+        "labels", lambda v: entanglement.localize_entanglement(_PHI, v, ["C"])
+    ),
+    "localize_entanglement-receivers": (
+        "labels", lambda v: entanglement.localize_entanglement(_PHI, ["A", "B"], v)
+    ),
+    "choi-order": ("labels", lambda v: channels.choi(_CHANNEL, order=v)),
+    "kraus_from_choi-reference": ("labels", lambda v: channels.kraus_from_choi(_CHOI, v, _OUT)),
+    "kraus_from_choi-outputs": ("labels", lambda v: channels.kraus_from_choi(_CHOI, _REF, v)),
+    "mix_weights-n": ("number", channels.mix_weights),
+    "mix_weights-weights": ("weights", lambda v: channels.mix_weights(2, v)),
+    "mix-weights": ("weights", lambda v: channels.mix(_PAIR, weights=v)),
+    "binding_channel": ("number", nonadditivity.binding_channel),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ENTRY_POINTS))
+@settings(max_examples=40)
+@given(data=st.data())
+def test_every_bad_kind_is_refused_by_value(name, data):
+    # A TypeError, AttributeError or numpy error escaping here is a hole in a gate.
+    kind, call = ENTRY_POINTS[name]
+    value, quoted = data.draw(BAD_VALUES[kind])
+    assume(not (name == "choi-order" and value is None))  # order=None is the default order
+    with pytest.raises(ChoilabError, match=re.escape(repr(quoted))) as refused:
+        call(value)
+    assert refused.type is ChoilabError

@@ -20,6 +20,7 @@ from choilab.states import (
     cut_side,
     fidelity,
     ghz_basis_state,
+    label_tuple,
     max_entangled,
     partial_trace,
     partial_transpose,
@@ -108,6 +109,41 @@ class TestPartySystem:
     def test_label_the_cli_cannot_name(self, label):
         with pytest.raises(ChoilabError, match="party label"):
             PartySystem(("B", label), (2, 2))
+
+    @pytest.mark.parametrize("labels", [5, None, 2.5, True])
+    def test_label_list_that_is_no_list(self, labels):
+        message = f"^a list of labels is needed, not {re.escape(repr(labels))}$"
+        with pytest.raises(ChoilabError, match=message):
+            label_tuple(labels)
+        with pytest.raises(ChoilabError, match=message):
+            PartySystem(labels, (2,))
+        with pytest.raises(ChoilabError, match=message):
+            qubits("A", "B").require(labels)
+
+    @pytest.mark.parametrize(
+        "labels, bad",
+        [([1, "X"], 1), ([["A"]], ["A"]), (("A", None), None)],
+        ids=["int", "nested-list", "None"],
+    )
+    def test_label_list_holding_no_string(self, labels, bad):
+        # the element is named before any rule that would sort or hash it
+        message = f"^party label {re.escape(repr(bad))} must be a string$"
+        with pytest.raises(ChoilabError, match=message):
+            label_tuple(labels)
+        with pytest.raises(ChoilabError, match=message):
+            qubits("A", "B").require(labels)
+
+    @pytest.mark.parametrize("dims", [2, None, 2.5])
+    def test_dims_that_are_no_list(self, dims):
+        with pytest.raises(ChoilabError, match=f"^dims {re.escape(repr(dims))} must be a list of ints$"):
+            PartySystem(("A",), dims)
+
+    def test_bare_string_is_no_label_list_of_a_system(self):
+        # read letter by letter, "AB" would be the parties A and B
+        with pytest.raises(ChoilabError, match=re.escape("not the string 'AB': write ['AB']")):
+            PartySystem("AB", (2, 2))
+        with pytest.raises(ChoilabError, match=re.escape("not the string 'AB': write ['AB']")):
+            max_entangled(3, "AB")
 
 
 class TestCut:
@@ -292,8 +328,21 @@ class TestMaxEntangled:
         assert np.linalg.norm(reduced.matrix - np.eye(4) / 4) < 1e-14
 
     def test_dimension_below_two_refused(self):
-        with pytest.raises(ChoilabError, match="^maximally entangled state needs dimension >= 2$"):
+        with pytest.raises(ChoilabError, match=r"^local dimensions must be >= 2, got \(1, 1\)$"):
             max_entangled(1)
+
+    @pytest.mark.parametrize("d", [2.5, "3", None, True])
+    def test_dimension_that_is_no_int(self, d):
+        with pytest.raises(ChoilabError, match=f"^local dimension {re.escape(repr(d))} must be an int$"):
+            max_entangled(d)
+
+    @pytest.mark.parametrize("d", [2, 3, 5, np.int64(4)])
+    def test_diagonal_entries(self, d):
+        v = max_entangled(d).vector
+        expected = np.zeros(d * d, dtype=np.complex128)
+        for k in range(d):
+            expected[k * d + k] = 1 / math.sqrt(d)
+        assert same_bits(v, expected)
 
 
 class TestPartialTranspose:
