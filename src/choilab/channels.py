@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -240,16 +240,24 @@ def mix_weights(n: int, weights: Sequence[float] | None = None) -> list[float]:
 
 
 def mix(
-    channels: Sequence[KrausChannel],
+    channels: Iterable[KrausChannel],
     weights: Sequence[float] | None = None,
     name: str | None = None,
 ) -> KrausChannel:
     """Classical mixture: concatenated Kraus lists scaled by sqrt(weight).
 
-    The Choi state of the mixture is the weighted sum of the input Choi
-    states, with the weights of ``mix_weights``; all channels must share
-    input and output systems.
+    ``channels`` is any iterable of ``KrausChannel``, read once.  The Choi
+    state of the mixture is the weighted sum of the input Choi states, with
+    the weights of ``mix_weights``; all channels must share input and
+    output systems.
     """
+    try:
+        channels = tuple(channels)
+    except TypeError:
+        raise ChoilabError(f"a list of channels is needed, not {channels!r}") from None
+    for ch in channels:
+        if not isinstance(ch, KrausChannel):
+            raise ChoilabError(f"{ch!r} is not a KrausChannel")
     w = mix_weights(len(channels), weights)
     first = channels[0]
     for ch in channels[1:]:

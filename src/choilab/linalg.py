@@ -37,11 +37,22 @@ PSD_THRESHOLD = -1e-9
 
 
 def as_array(entries, ndim: int, what: str) -> np.ndarray:
-    """A fresh C-contiguous complex128 copy of a finite ndim-D array; anything else is refused."""
+    """A fresh C-contiguous complex128 copy of a finite ndim-D array; anything else is refused.
+
+    numpy reads numeric text ("1", b"1+2j") as numbers, so entries it read
+    are looked at once more and a str or bytes among them is refused,
+    whatever it spells; an ndarray of a numeric dtype holds none and is not.
+    """
     try:
         a = np.array(entries, dtype=np.complex128, order="C")
     except (TypeError, ValueError, OverflowError) as exc:
         raise ChoilabError(f"{what} is not an array of numbers: {exc}") from None
+    if not (isinstance(entries, np.ndarray) and entries.dtype.kind in "biufc"):
+        read = np.asarray(entries)
+        if read.dtype.kind in "SU" or (
+            read.dtype.kind == "O" and any(isinstance(x, (str, bytes)) for x in read.flat)
+        ):
+            raise ChoilabError(f"{what} is not an array of numbers: it holds a str or bytes entry")
     if a.ndim != ndim:
         raise ChoilabError(f"expected a {ndim}-D {what}, got ndim={a.ndim}")
     if not np.isfinite(a).all():

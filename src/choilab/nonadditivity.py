@@ -12,7 +12,13 @@ capacity proxies, the GHZ one-way example, and teleportation fidelities,
 each with a deliberately corrupted negative control.  A report is its
 claims: each section returns a tuple of ``ClaimEntry`` in build order,
 ``full_report`` returns every claim ordered by claim id, and
-``capacity_proxy`` returns a bool.
+``capacity_proxy`` returns a bool.  Each kind of claim has one rule.  The
+Choi-distance and teleportation-fidelity sections are tables of rows, each
+row a value, its target and tolerance, read by one within-tolerance rule
+under which a control passes when its value is farther.  The proxy rule's
+witnesses, the sender group's verdict toward each receiver, come from one
+``pair_verdicts`` call per coefficient set, which ``capacity_proxy`` and
+the proxy section both read.
 
 Party conventions: the Choi states live on qubits (A1, B, A2, C), where
 (A1, A2) is the reference pair for the four-level input read big-endian as
@@ -23,13 +29,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Sequence
+from typing import Iterable
 
 import numpy as np
 
 from . import linalg
 from .channels import KrausChannel, choi, mix
 from .entanglement import (
+    DistillabilityVerdict,
     GhzDiagonalCoefficients,
     ghz_diagonal_coefficients,
     localize_entanglement,
@@ -122,7 +129,7 @@ def binding_channel(a: int) -> KrausChannel:
     return KrausChannel(f"E{a}", INPUT_SYSTEM, OUTPUT_SYSTEM, _KRAUS[a])
 
 
-def mixed_binding_channel(parts: Sequence[KrausChannel]) -> KrausChannel:
+def mixed_binding_channel(parts: Iterable[KrausChannel]) -> KrausChannel:
     """Uniform classical mixture of the three binding channels ``parts`` (E1, E2, E3)."""
     return mix(parts, name="Emix")
 
@@ -186,16 +193,28 @@ class ClaimEntry:
     control: bool = False
 
 
-def capacity_proxy(coeffs: GhzDiagonalCoefficients, receivers: tuple[str, ...]) -> bool:
+def _proxy_witnesses(coeffs: GhzDiagonalCoefficients) -> dict[str, DistillabilityVerdict]:
+    """The proxy rule's witnesses: the sender group's verdict toward each receiver.
+
+    One ``pair_verdicts`` call per coefficient set serves every target, the
+    single receivers and the joint one alike.
+    """
+    receivers = OUTPUT_SYSTEM.labels
+    verdicts = pair_verdicts(coeffs, [(SENDER_GROUP, (r,)) for r in receivers])
+    return dict(zip(receivers, verdicts))
+
+
+def capacity_proxy(coeffs: GhzDiagonalCoefficients, receivers: Iterable[str]) -> bool:
     """Boolean stand-in for the channel capacity toward the given receivers.
 
     The proxy is positive iff the Choi state is distillable between the
     sender group and at least one individual receiver, which also settles
-    the joint-receiver case.
+    the joint-receiver case.  ``receivers`` is a list of labels of
+    OUTPUT_SYSTEM.
     """
-    return any(
-        w.distillable for w in pair_verdicts(coeffs, [(SENDER_GROUP, (r,)) for r in receivers])
-    )
+    receivers = OUTPUT_SYSTEM.require(receivers)
+    witness = _proxy_witnesses(coeffs)
+    return any(witness[r].distillable for r in receivers)
 
 
 @dataclass(frozen=True)
@@ -214,60 +233,62 @@ class Scenario:
 def build_scenario() -> Scenario:
     """Build the three channels once, mix them, and read every Choi state once."""
     channels = {f"E{a}": binding_channel(a) for a in (1, 2, 3)}
-    channels["mix"] = mixed_binding_channel(list(channels.values()))
+    channels["mix"] = mixed_binding_channel(channels.values())
     states = {key: choi_state(ch) for key, ch in channels.items()}
     coeffs = {key: ghz_diagonal_coefficients(s) for key, s in states.items()}
     return Scenario(states=states, coeffs=coeffs)
 
 
-def _choi_distance_claim(
-    claim_id: str, description: str, distance: float, control: bool = False
-) -> ClaimEntry:
-    """A Frobenius distance held within CHOI_IDENTITY_TOL; a control passes above it."""
-    distance = float(distance)
-    near = distance <= CHOI_IDENTITY_TOL
-    return ClaimEntry(
-        claim_id=claim_id,
-        description=description,
-        expected=f"distance {'>' if control else '<='} {CHOI_IDENTITY_TOL:.0e}",
-        computed=f"distance = {distance:.3e}",
-        tolerance=CHOI_IDENTITY_TOL,
-        passed=not near if control else near,
-        control=control,
-    )
+def _tolerance_claims(rows, computed: str) -> tuple[ClaimEntry, ...]:
+    """The within-tolerance rule: one claim per table row, in row order.
+
+    A row is (id, description, expected, value, target, tol, control).  A
+    claim holds when |value - target| <= tol; a control, whose value carries
+    a planted corruption, passes when the value is farther.  ``computed``
+    is the format string that shows the value.
+    """
+    entries = []
+    for claim_id, description, expected, value, target, tol, control in rows:
+        near = abs(value - target) <= tol
+        entries.append(
+            ClaimEntry(
+                claim_id=claim_id,
+                description=description,
+                expected=expected,
+                computed=computed.format(value),
+                tolerance=tol,
+                passed=not near if control else near,
+                control=control,
+            )
+        )
+    return tuple(entries)
 
 
 def reproduce_choi_claims(scenario: Scenario) -> tuple[ClaimEntry, ...]:
-    """Choi states from the Kraus lists against their closed forms."""
-    states = scenario.states
+    """Choi states from the Kraus lists against their closed forms, one table row each."""
     closed = {f"E{a}": choi_closed_form(a) for a in (1, 2, 3)}
     closed["mix"] = choi_closed_form("mix")
-    entries = [
-        _choi_distance_claim(
-            f"choi-{key}",
-            f"Choi({key}) matches its closed form",
-            linalg.norm(states[key].matrix - reference.matrix),
-        )
-        for key, reference in closed.items()
-    ]
-    entries.append(
-        _choi_distance_claim(
-            "choi-E3-swap",
-            "Choi(E3) equals the pair-swapped closed form of E2",
-            linalg.norm(states["E3"].matrix - swap_image(closed["E2"]).matrix),
-        )
-    )
     corrupted = closed["E1"].matrix.copy()
     corrupted[0, 0] += CHOI_CONTROL_ERROR
-    entries.append(
-        _choi_distance_claim(
-            "choi-control-perturbed-E1",
-            "a perturbed closed form must be caught by the distance check",
-            linalg.norm(states["E1"].matrix - corrupted),
-            control=True,
-        )
+    # (id, description, Choi state checked, reference matrix, control)
+    table = [
+        (f"choi-{key}", f"Choi({key}) matches its closed form", key, form.matrix, False)
+        for key, form in closed.items()
+    ] + [
+        ("choi-E3-swap", "Choi(E3) equals the pair-swapped closed form of E2",
+         "E3", swap_image(closed["E2"]).matrix, False),
+        ("choi-control-perturbed-E1",
+         "a perturbed closed form must be caught by the distance check", "E1", corrupted, True),
+    ]
+    tol = CHOI_IDENTITY_TOL
+    return _tolerance_claims(
+        [
+            (claim_id, description, f"distance {'>' if control else '<='} {tol:.0e}",
+             linalg.norm(scenario.states[key].matrix - reference), 0.0, tol, control)
+            for claim_id, description, key, reference, control in table
+        ],
+        "distance = {:.3e}",
     )
-    return tuple(entries)
 
 
 _PT_FACTS = (
@@ -337,12 +358,9 @@ def capacity_proxy_report(scenario: Scenario) -> tuple[ClaimEntry, ...]:
     targets = [("AB", ("B",)), ("AC", ("C",)), ("ABC", ("B", "C"))]
     entries = []
     names = cut_names(CHOI_SYSTEM)
-    receivers_all = ("B", "C")
-    pairs = [(SENDER_GROUP, (r,)) for r in receivers_all]
     for key, coeffs in scenario.coeffs.items():
         expect = key == "mix"
-        # the sender group against each receiver serves every target: one pair_verdicts call
-        witness = dict(zip(receivers_all, pair_verdicts(coeffs, pairs)))
+        witness = _proxy_witnesses(coeffs)
         for tag, receivers in targets:
             witnesses = [witness[r] for r in receivers]
             proxy = any(w.distillable for w in witnesses)
@@ -372,7 +390,8 @@ def capacity_proxy_report(scenario: Scenario) -> tuple[ClaimEntry, ...]:
             passed=headline_ok,
         )
     )
-    # control: zeroing the blocking pair weight of E1 must flip its A-B proxy
+    # control: zeroing E1's pair weight 0b010, fixed here and not read from
+    # any verdict, must flip its A-B proxy
     coeffs_e1 = scenario.coeffs["E1"]
     plus, minus = coeffs_e1.plus.copy(), coeffs_e1.minus.copy()
     plus[0b010] = minus[0b010] = 0.0
@@ -524,30 +543,8 @@ def teleport_fidelity(resource: MultipartiteState, input_state: PureState) -> fl
     return fid
 
 
-def _fidelity_claim(
-    claim_id: str,
-    description: str,
-    expected: str,
-    fidelity: float,
-    target: float,
-    tol: float,
-    control: bool = False,
-) -> ClaimEntry:
-    """A fidelity held within tol of its target; a control passes when it is farther."""
-    near = abs(fidelity - target) <= tol
-    return ClaimEntry(
-        claim_id=claim_id,
-        description=description,
-        expected=expected,
-        computed=f"fidelity = {fidelity:.15f}",
-        tolerance=tol,
-        passed=not near if control else near,
-        control=control,
-    )
-
-
 def teleport_report() -> tuple[ClaimEntry, ...]:
-    """Teleportation fidelities for ideal, useless and localized resources."""
+    """Teleportation fidelities for ideal, useless and localized resources, one row each."""
     plus = max_entangled(2, ("A", "B"))
     ident = MultipartiteState(plus.system, linalg.identity(4) / 4)
     qubit = PartySystem(("M",), (2,))
@@ -560,42 +557,21 @@ def teleport_report() -> tuple[ClaimEntry, ...]:
     skew = PureState(GHZ3_SYSTEM, [math.sqrt(0.75), 0, 0, 0, 0, 0, 0, math.sqrt(0.25)])
     localized = localize_entanglement(skew, ["A"], ["B1", "B2"])
     f_localized = teleport_fidelity(localized.final_state.density(), tilted)
-    entries = [
-        _fidelity_claim(
-            "teleport-ideal",
-            "maximally entangled resource teleports exactly",
-            "fidelity 1",
-            f_ideal,
-            1.0,
-            TELEPORT_FIDELITY_TOL,
-        ),
-        _fidelity_claim(
-            "teleport-useless",
-            "maximally mixed resource gives fidelity 1/2",
-            "fidelity 1/2",
-            f_mixed,
-            0.5,
-            TELEPORT_FIDELITY_TOL,
-        ),
-        _fidelity_claim(
-            "teleport-localized",
-            "a localized and filtered pair teleports exactly",
-            "fidelity 1",
-            f_localized,
-            1.0,
-            LOCALIZED_PAIR_TOL,
-        ),
-        _fidelity_claim(
-            "teleport-control-useless-resource",
-            "the exact-teleportation claim must fail on the mixed resource",
-            "fidelity far from 1",
-            f_mixed,
-            1.0,
-            TELEPORT_FIDELITY_TOL,
-            control=True,
-        ),
-    ]
-    return tuple(entries)
+    tol = TELEPORT_FIDELITY_TOL
+    return _tolerance_claims(
+        [
+            ("teleport-ideal", "maximally entangled resource teleports exactly",
+             "fidelity 1", f_ideal, 1.0, tol, False),
+            ("teleport-useless", "maximally mixed resource gives fidelity 1/2",
+             "fidelity 1/2", f_mixed, 0.5, tol, False),
+            ("teleport-localized", "a localized and filtered pair teleports exactly",
+             "fidelity 1", f_localized, 1.0, LOCALIZED_PAIR_TOL, False),
+            ("teleport-control-useless-resource",
+             "the exact-teleportation claim must fail on the mixed resource",
+             "fidelity far from 1", f_mixed, 1.0, tol, True),
+        ],
+        "fidelity = {:.15f}",
+    )
 
 
 def full_report() -> tuple[ClaimEntry, ...]:

@@ -104,13 +104,17 @@ class PartySystem:
     def is_qubits(self) -> bool:
         return all(d == 2 for d in self.dims)
 
-    def reordered(self, order: Sequence[str]) -> tuple["PartySystem", list[int]]:
-        """The system with its parties listed in ``order``, and the old axis of each new slot."""
+    def reordered(self, order: Iterable[str]) -> tuple["PartySystem", list[int]]:
+        """The system with its parties listed in ``order``, and the old axis of each new slot.
+
+        ``order`` is any iterable of labels, read once.
+        """
+        order = label_tuple(order)
         self.require(order)
         if sorted(order) != sorted(self.labels):
-            raise ChoilabError(f"{tuple(order)} is not a permutation of {self.labels}")
+            raise ChoilabError(f"{order} is not a permutation of {self.labels}")
         perm = [self.axis(l) for l in order]
-        return PartySystem(tuple(order), tuple(self.dims[p] for p in perm)), perm
+        return PartySystem(order, tuple(self.dims[p] for p in perm)), perm
 
 
 def label_tuple(labels: Iterable[str]) -> tuple[str, ...]:
@@ -363,7 +367,7 @@ def partial_trace(state: MultipartiteState, traced: Iterable[str]) -> Multiparti
     return MultipartiteState(state.system.subsystem(keep), reduced)
 
 
-def permute_parties(state: MultipartiteState, order: Sequence[str]) -> MultipartiteState:
+def permute_parties(state: MultipartiteState, order: Iterable[str]) -> MultipartiteState:
     """Return the same state with parties listed in the requested order."""
     system, perm = state.system.reordered(order)
     return MultipartiteState(system, permute_matrix_parties(state.matrix, state.system.dims, perm))

@@ -9,8 +9,8 @@ minus, and only the CLI names its entries by cut-index strings.  Every
 name the benchmark's tracer wraps still exists, and the CLI reads every
 input file through codec.load_path.  No index is parsed from a bit string.
 Every refusal is one class, errors.ChoilabError, told apart by its message,
-and every entry point that takes parties, dims, an index or weights refuses
-a value of the wrong kind with it, quoting the value."""
+and every entry point that takes parties, dims, an index, weights or a list
+of channels refuses a value of the wrong kind with it, quoting the value."""
 
 import ast
 import dataclasses
@@ -288,7 +288,8 @@ def test_every_refusal_is_a_choilab_error():
 
 
 # Bad values of each kind, each drawn with the value a refusal must quote:
-# the value itself, or for a list of labels the element that is no str.
+# the value itself, or for a list of labels (of channels) the element that
+# is no str (no channel).
 def _whole(values):
     return values.map(lambda v: (v, v))
 
@@ -301,12 +302,22 @@ def _labels_holding_one_bad(draw):
     return labels, bad
 
 
+@st.composite
+def _channels_holding_one_bad(draw):
+    chans = draw(st.lists(st.sampled_from(_PAIR), max_size=2))
+    bad = draw(st.integers() | st.none() | st.text() | st.lists(st.integers(), max_size=2))
+    chans.insert(draw(st.integers(0, len(chans))), bad)
+    return chans, bad
+
+
 BAD_VALUES = {
     "labels": _whole(st.integers() | st.floats() | st.none() | st.booleans() | st.text())
     | _labels_holding_one_bad(),
     "dims": _whole(st.integers() | st.floats() | st.none() | st.booleans()),
     "number": _whole(st.floats() | st.none() | st.booleans() | st.text()),
     "weights": _whole(st.integers() | st.floats() | st.booleans()),
+    "channels": _whole(st.integers() | st.floats() | st.none() | st.booleans())
+    | _channels_holding_one_bad(),
 }
 
 _SYSTEM = states.PartySystem(("A", "B", "C"), (2, 2, 2))
@@ -316,8 +327,9 @@ _CHANNEL = nonadditivity.binding_channel(1)
 _CHOI = channels.choi(_CHANNEL)
 _REF, _OUT = _CHOI.system.labels[:1], _CHOI.system.labels[1:]
 _PAIR = [_CHANNEL, nonadditivity.binding_channel(2)]
+_E1_COEFFS = entanglement.ghz_diagonal_coefficients(nonadditivity.choi_state(_CHANNEL))
 
-# (kind, call) for every entry point that reads parties, dims, a number or weights.
+# (kind, call) for every entry point that reads parties, dims, a number, weights or channels.
 ENTRY_POINTS = {
     "label_tuple": ("labels", states.label_tuple),
     "PartySystem-labels": ("labels", lambda v: states.PartySystem(v, (2, 2))),
@@ -349,7 +361,9 @@ ENTRY_POINTS = {
     "mix_weights-n": ("number", channels.mix_weights),
     "mix_weights-weights": ("weights", lambda v: channels.mix_weights(2, v)),
     "mix-weights": ("weights", lambda v: channels.mix(_PAIR, weights=v)),
+    "mix-channels": ("channels", channels.mix),
     "binding_channel": ("number", nonadditivity.binding_channel),
+    "capacity_proxy": ("labels", lambda v: nonadditivity.capacity_proxy(_E1_COEFFS, v)),
 }
 
 

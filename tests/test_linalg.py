@@ -76,8 +76,12 @@ _BUILDERS = {
         ([[10**400, 0], [0, 1]], "int too large to convert to float"),
         ([["a", 0], [0, 1]], "complex() arg is a malformed string"),
         ([[1, [0]], [0]], "setting an array element with a sequence"),
+        # numpy would read these three as numbers
+        ([["1", "0"], ["0", "1"]], "it holds a str or bytes entry"),
+        ([[b"1", 0], [0, 1]], "it holds a str or bytes entry"),
+        ([[2**70, "1"], [0, 1]], "it holds a str or bytes entry"),
     ],
-    ids=["huge-int", "string", "ragged"],
+    ids=["huge-int", "string", "ragged", "numeric-string", "bytes", "string-beside-huge-int"],
 )
 def test_numbers_numpy_cannot_read_are_refused(builder, rows, reason):
     build, what = _BUILDERS[builder]

@@ -507,6 +507,16 @@ class TestValidation:
         with pytest.raises(ChoilabError, match=f"^{re.escape(message)}$"):
             permute_parties(rho, ("A1", "B", "A2"))
 
+    def test_permute_parties_reads_an_iterator_once(self, four_qubits):
+        rho = random_state(np.random.default_rng(4), four_qubits)
+        order = ("C", "A1", "B", "A2")
+        moved = permute_parties(rho, iter(order))
+        assert moved.system.labels == order
+        assert np.array_equal(moved.matrix, permute_parties(rho, order).matrix)
+        message = "('A1', 'A1', 'B', 'A2') is not a permutation of ('A1', 'B', 'A2', 'C')"
+        with pytest.raises(ChoilabError, match=f"^{re.escape(message)}$"):
+            permute_parties(rho, iter(("A1", "A1", "B", "A2")))
+
     def test_density_gates(self):
         sys = qubits("A")
         with pytest.raises(ChoilabError, match=r"^hermiticity defect 1\.414e\+00$"):
