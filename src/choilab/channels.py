@@ -146,6 +146,7 @@ def verify_cptp(ch: KrausChannel, psd_threshold: float = linalg.PSD_THRESHOLD) -
     Complete positivity is automatic for genuine Kraus lists; the Choi check
     guards data loaded through the codec.
     """
+    psd_threshold = linalg.as_threshold(psd_threshold)
     defect = completeness_defect(ch)
     e = choi_matrix(ch)
     # Huge Kraus entries overflow the Choi matrix, which then has no spectrum to check.
@@ -214,7 +215,7 @@ def mix_weights(n: int, weights: Sequence[float] | None = None) -> list[float]:
 
     Given weights must number n, be finite and nonnegative, and sum to 1.
     """
-    if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
+    if not linalg.is_int(n) or n < 1:
         raise ChoilabError(f"mix weights need n >= 1 channels, got {n!r}")
     if weights is None:
         weights = [1.0 / n] * n

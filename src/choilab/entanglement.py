@@ -123,6 +123,7 @@ def ppt_check(
     coefficients, so it checks npt_criterion.
     """
     k = require_cut(state.system, k)
+    threshold = linalg.as_threshold(threshold)
     low = float(cut_min_eigenvalues(state)[k - 1])
     return PtVerdict(min_eigenvalue=low, is_ppt=low >= threshold)
 
@@ -211,6 +212,7 @@ def npt_vector(
     coeffs: GhzDiagonalCoefficients, threshold: float = linalg.PSD_THRESHOLD
 ) -> np.ndarray:
     """The coefficient rule lambda_j - delta/2 < threshold on every cut, in index order."""
+    threshold = linalg.as_threshold(threshold)
     if not coeffs.ghz_diagonal:
         raise ChoilabError(
             f"off-diagonal residual {coeffs.offdiagonal_residual:.3e} exceeds "

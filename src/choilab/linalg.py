@@ -3,7 +3,10 @@
 All matrices in this package are plain ``numpy.ndarray`` objects of dtype
 ``complex128``.  The helpers here add the conventions everything downstream
 relies on: the one coercion of caller numbers (``as_array``: a fresh,
-finite copy, or a ChoilabError), the Hermiticity and positivity tolerances,
+finite copy, or a ChoilabError), the one rule for a whole number
+(``is_int``: an int, numpy's too, never a bool) and the one gate for a
+positivity threshold (``as_threshold``: a finite real number, never a
+bool, or a ChoilabError), the Hermiticity and positivity tolerances,
 the Frobenius norm (``norm``: the bits of ``np.linalg.norm`` without its
 per-call dispatch), the smallest eigenvalue, and the standard Pauli
 constructors (sigma1 = X, sigma2 = Y, sigma3 = Z, sigma_pm =
@@ -62,6 +65,26 @@ def as_array(entries, ndim: int, what: str) -> np.ndarray:
 
 def as_matrix(entries) -> np.ndarray:
     return as_array(entries, 2, "matrix")
+
+
+# Built once: a tuple written in a call and naming np.integer is rebuilt on every call.
+_INTS, _REALS = (int, np.integer), (float, np.floating, int, np.integer)
+
+
+def is_int(x) -> bool:
+    """Whether x is a whole number: a Python or numpy int, and not a bool."""
+    return isinstance(x, _INTS) and not isinstance(x, bool)
+
+
+def as_threshold(t) -> float:
+    """t as a float if it is a real number, no bool, and finite as a float; else ChoilabError."""
+    if isinstance(t, _REALS) and not isinstance(t, bool):
+        try:
+            if math.isfinite(f := float(t)):
+                return f
+        except OverflowError:  # an int past the float range
+            pass
+    raise ChoilabError(f"threshold {t!r} must be a finite real number")
 
 
 def norm(x: np.ndarray) -> float:

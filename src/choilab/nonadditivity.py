@@ -12,13 +12,14 @@ capacity proxies, the GHZ one-way example, and teleportation fidelities,
 each with a deliberately corrupted negative control.  A report is its
 claims: each section returns a tuple of ``ClaimEntry`` in build order,
 ``full_report`` returns every claim ordered by claim id, and
-``capacity_proxy`` returns a bool.  Each kind of claim has one rule.  The
-Choi-distance and teleportation-fidelity sections are tables of rows, each
-row a value, its target and tolerance, read by one within-tolerance rule
-under which a control passes when its value is farther.  The proxy rule's
-witnesses, the sender group's verdict toward each receiver, come from one
-``pair_verdicts`` call per coefficient set, which ``capacity_proxy`` and
-the proxy section both read.
+``capacity_proxy`` returns a bool.  Every section is a table of rows read
+by one claim rule, ``_claims``: a row's check is computed by its section,
+a claim passes when its check holds, and a control, whose check runs on a
+planted corruption, passes when it fails.  The Choi-distance and
+teleportation rows check a value against a target within a tolerance.  The
+proxy rule's witnesses, the sender group's verdict toward each receiver,
+come from one ``pair_verdicts`` call per coefficient set, which
+``capacity_proxy`` and the proxy section both read.
 
 Party conventions: the Choi states live on qubits (A1, B, A2, C), where
 (A1, A2) is the reference pair for the four-level input read big-endian as
@@ -118,7 +119,7 @@ _KRAUS = _kraus_stacks()
 
 def _channel_index(a) -> int:
     """a as an int if it is a Python or numpy int 1, 2 or 3, not a bool; else ChoilabError."""
-    if isinstance(a, bool) or not isinstance(a, (int, np.integer)) or a not in (1, 2, 3):
+    if not linalg.is_int(a) or a not in (1, 2, 3):
         raise ChoilabError(f"channel index must be 1, 2 or 3, got {a!r}")
     return int(a)
 
@@ -239,29 +240,35 @@ def build_scenario() -> Scenario:
     return Scenario(states=states, coeffs=coeffs)
 
 
-def _tolerance_claims(rows, computed: str) -> tuple[ClaimEntry, ...]:
-    """The within-tolerance rule: one claim per table row, in row order.
+def _claims(rows) -> tuple[ClaimEntry, ...]:
+    """The claim rule over rows (id, description, expected, computed, tolerance, holds, control).
 
-    A row is (id, description, expected, value, target, tol, control).  A
-    claim holds when |value - target| <= tol; a control, whose value carries
-    a planted corruption, passes when the value is farther.  ``computed``
-    is the format string that shows the value.
+    One claim per row, in row order: a claim passes when its check holds, a control when it fails.
     """
-    entries = []
-    for claim_id, description, expected, value, target, tol, control in rows:
-        near = abs(value - target) <= tol
-        entries.append(
-            ClaimEntry(
-                claim_id=claim_id,
-                description=description,
-                expected=expected,
-                computed=computed.format(value),
-                tolerance=tol,
-                passed=not near if control else near,
-                control=control,
-            )
+    return tuple(
+        ClaimEntry(
+            claim_id=claim_id,
+            description=description,
+            expected=expected,
+            computed=computed,
+            tolerance=tolerance,
+            passed=holds != control,
+            control=control,
         )
-    return tuple(entries)
+        for claim_id, description, expected, computed, tolerance, holds, control in rows
+    )
+
+
+def _tolerance_claims(rows, computed: str) -> tuple[ClaimEntry, ...]:
+    """Rows (id, description, expected, value, target, tol, control) under the claim rule.
+
+    A check holds when |value - target| <= tol; the format string ``computed`` shows the value.
+    """
+    return _claims(
+        (claim_id, description, expected, computed.format(value), tol,
+         abs(value - target) <= tol, control)
+        for claim_id, description, expected, value, target, tol, control in rows
+    )
 
 
 def reproduce_choi_claims(scenario: Scenario) -> tuple[ClaimEntry, ...]:
@@ -312,51 +319,37 @@ def reproduce_pt_table(scenario: Scenario) -> tuple[ClaimEntry, ...]:
     # both routes decide at linalg.PSD_THRESHOLD; each claim reports that
     # bound and holds the mixture's NPT eigenvalue to it
     tol = -linalg.PSD_THRESHOLD
-    entries = []
-    verdicts = {}
+    rows, verdicts = [], {}
     for key, side, expect_ppt in _PT_FACTS:
         k = cut_number(CHOI_SYSTEM, side)
         verdict = verdicts[key, side] = ppt_check(states[key], k)
         criterion_npt = npt_criterion(coeffs[key], k)
-        agree = verdict.is_ppt == (not criterion_npt)
-        ok = agree and verdict.is_ppt == expect_ppt
-        computed = (
+        # both routes agree, on the expected sign, and an NPT cut on -1/48
+        ok = verdict.is_ppt == (not criterion_npt) == expect_ppt and (
+            expect_ppt or abs(verdict.min_eigenvalue - MIX_NPT_EIGENVALUE) <= tol
+        )
+        rows.append((
+            f"pt-{key}-{''.join(side)}",
+            f"{key} is {'PPT' if expect_ppt else 'NPT'} across {','.join(side)}",
+            "PPT (both methods)" if expect_ppt else "NPT = -1/48 (both methods)",
             f"min eig = {verdict.min_eigenvalue: .6e}; "
-            f"criterion {'NPT' if criterion_npt else 'PPT'}"
-        )
-        if not expect_ppt:
-            ok = ok and abs(verdict.min_eigenvalue - MIX_NPT_EIGENVALUE) <= tol
-        entries.append(
-            ClaimEntry(
-                claim_id=f"pt-{key}-{''.join(side)}",
-                description=f"{key} is {'PPT' if expect_ppt else 'NPT'} across {','.join(side)}",
-                expected="PPT (both methods)" if expect_ppt else "NPT = -1/48 (both methods)",
-                computed=computed,
-                tolerance=tol,
-                passed=ok,
-            )
-        )
+            f"criterion {'NPT' if criterion_npt else 'PPT'}",
+            tol, ok, False,
+        ))
     # control: the E1 PPT claim evaluated on the wrong (mixed) state must fail;
     # that is the pt-mix-B eigensolve above
     wrong = verdicts["mix", ("B",)]
-    entries.append(
-        ClaimEntry(
-            claim_id="pt-control-wrong-state",
-            description="the E1 PPT fact must fail when checked on the mixture",
-            expected="NPT detected",
-            computed=f"min eig = {wrong.min_eigenvalue: .6e}",
-            tolerance=tol,
-            passed=not wrong.is_ppt,
-            control=True,
-        )
-    )
-    return tuple(entries)
+    rows.append((
+        "pt-control-wrong-state", "the E1 PPT fact must fail when checked on the mixture",
+        "NPT detected", f"min eig = {wrong.min_eigenvalue: .6e}", tol, wrong.is_ppt, True,
+    ))
+    return _claims(rows)
 
 
 def capacity_proxy_report(scenario: Scenario) -> tuple[ClaimEntry, ...]:
     """Capacity proxies for the three channels (all zero) and the mixture (positive)."""
     targets = [("AB", ("B",)), ("AC", ("C",)), ("ABC", ("B", "C"))]
-    entries = []
+    rows = []
     names = cut_names(CHOI_SYSTEM)
     for key, coeffs in scenario.coeffs.items():
         expect = key == "mix"
@@ -367,48 +360,31 @@ def capacity_proxy_report(scenario: Scenario) -> tuple[ClaimEntry, ...]:
             # a cut separating the senders from both receivers blocks
             # each witness; list it once, in first-seen order
             blocking = dict.fromkeys(names[k - 1] for w in witnesses for k in w.blocking_cuts)
-            entries.append(
-                ClaimEntry(
-                    claim_id=f"proxy-{key}-{tag}",
-                    description=f"capacity proxy of {key} toward {tag[1:]}",
-                    expected="positive" if expect else "zero",
-                    computed=(
-                        "positive" if proxy else f"zero (blocking cuts: {'; '.join(blocking)})"
-                    ),
-                    tolerance=None,
-                    passed=proxy == expect,
-                )
-            )
-    headline_ok = all(e.passed for e in entries)
-    entries.append(
-        ClaimEntry(
-            claim_id="nonadditivity-headline",
-            description="three zero-proxy channels, positive-proxy mixture",
-            expected="non-additivity witnessed",
-            computed="non-additivity witnessed" if headline_ok else "witness failed",
-            tolerance=None,
-            passed=headline_ok,
-        )
-    )
+            rows.append((
+                f"proxy-{key}-{tag}", f"capacity proxy of {key} toward {tag[1:]}",
+                "positive" if expect else "zero",
+                "positive" if proxy else f"zero (blocking cuts: {'; '.join(blocking)})",
+                None, proxy == expect, False,
+            ))
+    headline = all(holds for *_, holds, _ in rows)
+    rows.append((
+        "nonadditivity-headline", "three zero-proxy channels, positive-proxy mixture",
+        "non-additivity witnessed",
+        "non-additivity witnessed" if headline else "witness failed", None, headline, False,
+    ))
     # control: zeroing E1's pair weight 0b010, fixed here and not read from
-    # any verdict, must flip its A-B proxy
+    # any verdict, must flip its A-B proxy, so the zero-proxy check fails
     coeffs_e1 = scenario.coeffs["E1"]
     plus, minus = coeffs_e1.plus.copy(), coeffs_e1.minus.copy()
     plus[0b010] = minus[0b010] = 0.0
     corrupted = replace(coeffs_e1, plus=plus, minus=minus)
     flipped = capacity_proxy(corrupted, ("B",))
-    entries.append(
-        ClaimEntry(
-            claim_id="proxy-control-corrupted-E1",
-            description="corrupting the blocking coefficient must flip the E1 proxy",
-            expected="positive after corruption",
-            computed="positive" if flipped else "still zero",
-            tolerance=None,
-            passed=flipped,
-            control=True,
-        )
-    )
-    return tuple(entries)
+    rows.append((
+        "proxy-control-corrupted-E1", "corrupting the blocking coefficient must flip the E1 proxy",
+        "positive after corruption", "positive" if flipped else "still zero",
+        None, not flipped, True,
+    ))
+    return _claims(rows)
 
 
 GHZ3_SYSTEM = PartySystem(("A", "B1", "B2"), (2, 2, 2))
@@ -428,60 +404,32 @@ def ghz_oneway_example() -> tuple[ClaimEntry, ...]:
     """The three-qubit contrast: separable two-party marginals, localizable triple."""
     ghz = ghz3_state()
     rho = ghz.density()
-    entries = []
-    for other, kept in [("B2", "B1"), ("B1", "B2")]:
-        marginal = partial_trace(rho, [other])
-        sep = two_qubit_separability(marginal)
-        entries.append(
-            ClaimEntry(
-                claim_id=f"ghz-oneway-marginal-A{kept}",
-                description=f"reduced state on (A,{kept}) is separable",
-                expected="separable",
-                computed="separable" if sep else "entangled",
-                tolerance=None,
-                passed=sep,
-            )
-        )
+    seps = {kept: two_qubit_separability(partial_trace(rho, [other]))
+            for other, kept in [("B2", "B1"), ("B1", "B2")]}
     verdict = ppt_check(rho, cut_number(GHZ3_SYSTEM, ["A"]))
-    entries.append(
-        ClaimEntry(
-            claim_id="ghz-oneway-full-npt",
-            description="the full state is NPT across A | (B1,B2)",
-            expected="NPT",
-            computed=f"min eig = {verdict.min_eigenvalue: .6e}",
-            tolerance=-linalg.PSD_THRESHOLD,
-            passed=not verdict.is_ppt,
-        )
-    )
     result = localize_entanglement(ghz, ["A"], ["B1", "B2"])
     sd = schmidt_decomposition(result.final_state, [result.sender_kept])
     balanced = sd.rank == 2 and all(
         abs(float(c) - 1 / math.sqrt(2)) <= LOCALIZED_PAIR_TOL for c in sd.coefficients[:2]
     )
-    entries.append(
-        ClaimEntry(
-            claim_id="ghz-oneway-localization",
-            description="localization yields a balanced pair on (A, one receiver)",
-            expected="coefficients (1/sqrt2, 1/sqrt2)",
-            computed=f"pair (A,{result.receiver_kept}), coefficients {sd.coefficients[:2].round(12).tolist()}",
-            tolerance=LOCALIZED_PAIR_TOL,
-            passed=balanced,
-        )
-    )
-    w_marginal = partial_trace(_w_state(), ["B2"])
-    w_sep = two_qubit_separability(w_marginal)
-    entries.append(
-        ClaimEntry(
-            claim_id="ghz-oneway-control-wrong-state",
-            description="the separability claim must fail on a different triple state",
-            expected="entangled marginal detected",
-            computed="separable" if w_sep else "entangled",
-            tolerance=None,
-            passed=not w_sep,
-            control=True,
-        )
-    )
-    return tuple(entries)
+    w_sep = two_qubit_separability(partial_trace(_w_state(), ["B2"]))
+    return _claims([
+        *[(f"ghz-oneway-marginal-A{kept}", f"reduced state on (A,{kept}) is separable",
+           "separable", "separable" if sep else "entangled", None, sep, False)
+          for kept, sep in seps.items()],
+        ("ghz-oneway-full-npt", "the full state is NPT across A | (B1,B2)", "NPT",
+         f"min eig = {verdict.min_eigenvalue: .6e}", -linalg.PSD_THRESHOLD,
+         not verdict.is_ppt, False),
+        ("ghz-oneway-localization", "localization yields a balanced pair on (A, one receiver)",
+         "coefficients (1/sqrt2, 1/sqrt2)",
+         f"pair (A,{result.receiver_kept}), "
+         f"coefficients {sd.coefficients[:2].round(12).tolist()}",
+         LOCALIZED_PAIR_TOL, balanced, False),
+        # control: the separability check run on the W state's marginal must fail
+        ("ghz-oneway-control-wrong-state",
+         "the separability claim must fail on a different triple state",
+         "entangled marginal detected", "separable" if w_sep else "entangled", None, w_sep, True),
+    ])
 
 
 # ---------------------------------------------------------------------------

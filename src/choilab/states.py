@@ -59,7 +59,7 @@ class PartySystem:
         except TypeError:
             raise ChoilabError(f"dims {self.dims!r} must be a list of ints") from None
         for d in dims:
-            if isinstance(d, bool) or not isinstance(d, (int, np.integer)):
+            if not linalg.is_int(d):
                 raise ChoilabError(f"local dimension {d!r} must be an int")
         object.__setattr__(self, "dims", tuple(int(d) for d in dims))
         if len(self.labels) != len(set(self.labels)):
@@ -135,7 +135,7 @@ def label_tuple(labels: Iterable[str]) -> tuple[str, ...]:
 def require_cut(system: PartySystem, k: int) -> int:
     """k itself if it numbers a cut, 1 <= k < 2^(N-1), and is no bool; else ChoilabError."""
     n = system.num_parties
-    if isinstance(k, bool) or not isinstance(k, (int, np.integer)) or not 0 < k < 1 << (n - 1):
+    if not linalg.is_int(k) or not 0 < k < 1 << (n - 1):
         raise ChoilabError(f"no cut number {k!r} for {system.labels}")
     return k
 
@@ -209,6 +209,7 @@ class MultipartiteState:
     _cut_lows: np.ndarray | None = field(init=False, default=None, repr=False)
 
     def __post_init__(self, psd_threshold):
+        psd_threshold = linalg.as_threshold(psd_threshold)
         m = linalg.as_matrix(self.matrix)
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
@@ -323,9 +324,9 @@ def ghz_basis_state(system: PartySystem, k: int, sign: int) -> PureState:
         literal = f"0b{k}" if k and set(k) <= {"0", "1"} else "a number such as 0b010"
         raise ChoilabError(f"the GHZ index is the number k, not the string {k!r}: "
                            f"write {literal}")
-    if isinstance(k, bool) or not isinstance(k, (int, np.integer)) or not 0 <= k < 1 << (n - 1):
+    if not linalg.is_int(k) or not 0 <= k < 1 << (n - 1):
         raise ChoilabError(f"no GHZ index {k!r} for {n} qubits: need 0 <= k < {1 << (n - 1)}")
-    if isinstance(sign, bool) or not isinstance(sign, (int, np.integer)) or sign not in (1, -1):
+    if not linalg.is_int(sign) or sign not in (1, -1):
         raise ChoilabError(f"sign must be 1 or -1, got {sign!r}")
     v = np.zeros(system.total_dim, dtype=np.complex128)
     v[2 * k] = 1 / math.sqrt(2)

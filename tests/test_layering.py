@@ -9,14 +9,16 @@ minus, and only the CLI names its entries by cut-index strings.  Every
 name the benchmark's tracer wraps still exists, and the CLI reads every
 input file through codec.load_path.  No index is parsed from a bit string.
 Every refusal is one class, errors.ChoilabError, told apart by its message,
-and every entry point that takes parties, dims, an index, weights or a list
-of channels refuses a value of the wrong kind with it, quoting the value."""
+and every entry point that takes parties, dims, an index, weights, a list
+of channels or a positivity threshold refuses a value of the wrong kind
+with it, quoting the value."""
 
 import ast
 import dataclasses
 import importlib
 import importlib.util
 import json
+import math
 import os
 import re
 import subprocess
@@ -29,7 +31,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import choilab
-from choilab import channels, entanglement, nonadditivity, states
+from choilab import channels, codec, entanglement, nonadditivity, states
 from choilab.entanglement import GhzDiagonalCoefficients
 from choilab.errors import ChoilabError
 
@@ -318,6 +320,8 @@ BAD_VALUES = {
     "weights": _whole(st.integers() | st.floats() | st.booleans()),
     "channels": _whole(st.integers() | st.floats() | st.none() | st.booleans())
     | _channels_holding_one_bad(),
+    # NaN compares False with every eigenvalue, so it would pass any matrix as positive
+    "threshold": _whole(st.sampled_from([math.nan, math.inf, -math.inf, True, "x", 1j, None])),
 }
 
 _SYSTEM = states.PartySystem(("A", "B", "C"), (2, 2, 2))
@@ -328,8 +332,10 @@ _CHOI = channels.choi(_CHANNEL)
 _REF, _OUT = _CHOI.system.labels[:1], _CHOI.system.labels[1:]
 _PAIR = [_CHANNEL, nonadditivity.binding_channel(2)]
 _E1_COEFFS = entanglement.ghz_diagonal_coefficients(nonadditivity.choi_state(_CHANNEL))
+_SENDERS = nonadditivity.SENDER_GROUP
 
-# (kind, call) for every entry point that reads parties, dims, a number, weights or channels.
+# (kind, call) for every entry point that reads parties, dims, a number, weights,
+# channels or a threshold.
 ENTRY_POINTS = {
     "label_tuple": ("labels", states.label_tuple),
     "PartySystem-labels": ("labels", lambda v: states.PartySystem(v, (2, 2))),
@@ -364,6 +370,23 @@ ENTRY_POINTS = {
     "mix-channels": ("channels", channels.mix),
     "binding_channel": ("number", nonadditivity.binding_channel),
     "capacity_proxy": ("labels", lambda v: nonadditivity.capacity_proxy(_E1_COEFFS, v)),
+    "MultipartiteState-threshold": (
+        "threshold", lambda v: states.MultipartiteState(_SYSTEM, _RHO.matrix, psd_threshold=v)
+    ),
+    "state_from_dict-threshold": (
+        "threshold", lambda v: codec.state_from_dict(codec.state_to_dict(_RHO), psd_threshold=v)
+    ),
+    "ppt_check-threshold": ("threshold", lambda v: entanglement.ppt_check(_RHO, 1, v)),
+    "npt_vector": ("threshold", lambda v: entanglement.npt_vector(_E1_COEFFS, v)),
+    "npt_criterion": ("threshold", lambda v: entanglement.npt_criterion(_E1_COEFFS, 1, v)),
+    "pair_verdicts": (
+        "threshold", lambda v: entanglement.pair_verdicts(_E1_COEFFS, [(_SENDERS, ("B",))], v)
+    ),
+    "pairwise_distillability": (
+        "threshold",
+        lambda v: entanglement.pairwise_distillability(_E1_COEFFS, _SENDERS, ["B"], v),
+    ),
+    "verify_cptp": ("threshold", lambda v: channels.verify_cptp(_CHANNEL, psd_threshold=v)),
 }
 
 

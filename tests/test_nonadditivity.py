@@ -1,5 +1,7 @@
+import ast
 import math
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -343,6 +345,44 @@ class TestReports:
             shared = report(scenario)
             assert report_passed(shared)
             assert all(full[e.claim_id] == e.computed for e in shared)
+
+    def test_claim_rule_over_holds_and_control(self):
+        # a claim passes when its check holds, a control when its check fails
+        rows = [
+            (f"c-{holds}-{control}", "d", "e", "shown", 0.5, holds, control)
+            for holds in (True, False)
+            for control in (False, True)
+        ]
+        entries = nonadditivity._claims(iter(rows))
+        assert [(e.claim_id, e.passed, e.control) for e in entries] == [
+            ("c-True-False", True, False),
+            ("c-True-True", False, True),
+            ("c-False-False", False, False),
+            ("c-False-True", True, True),
+        ]
+        for e in entries:
+            assert type(e.passed) is bool
+            assert (e.description, e.expected, e.computed, e.tolerance) == ("d", "e", "shown", 0.5)
+
+    def test_one_claim_rule_builds_every_entry(self):
+        # every section hands its rows to _claims, the module's one
+        # ClaimEntry call and the one place that writes passed=
+        tree = ast.parse(Path(nonadditivity.__file__).read_text(encoding="utf-8"))
+        built, passed = [], []
+
+        def scan(node, function):
+            for child in ast.iter_child_nodes(node):
+                if isinstance(child, ast.FunctionDef):
+                    scan(child, child.name)
+                    continue
+                if isinstance(child, ast.Call) and ast.unparse(child.func) == "ClaimEntry":
+                    built.append(function)
+                if isinstance(child, ast.keyword) and child.arg == "passed":
+                    passed.append(function)
+                scan(child, function)
+
+        scan(tree, None)
+        assert built == ["_claims"] and passed == ["_claims"]
 
 
 class TestTeleportation:

@@ -528,6 +528,14 @@ class TestValidation:
         # a loosened threshold admits the same matrix
         MultipartiteState(sys, np.diag([1.5, -0.5]), psd_threshold=-1.0)
 
+    def test_non_finite_threshold_refused(self):
+        # NaN compares False with every eigenvalue, so it would admit any matrix
+        sys = qubits("A")
+        for bad, shown in [(float("nan"), "nan"), (-math.inf, "-inf"), (True, "True")]:
+            message = f"^threshold {shown} must be a finite real number$"
+            with pytest.raises(ChoilabError, match=message):
+                MultipartiteState(sys, np.diag([1.5, -0.5]), psd_threshold=bad)
+
     def test_matrix_is_a_read_only_copy(self):
         given = np.diag([0.75, 0.25]).astype(complex)
         rho = MultipartiteState(qubits("A"), given)
