@@ -48,9 +48,9 @@ REF_MARGINAL_TOL = 1e-8
 class KrausChannel:
     """A linear map in Kraus form; completeness is checked by verify_cptp.
 
-    ``kraus`` may be given as any sequence of matrices; it is stored as a
-    fresh, writable, C-contiguous complex128 array of shape
-    (K, dim_out, dim_in), K >= 1, with finite entries.
+    ``name`` must be a str.  ``kraus`` may be given as any sequence of
+    matrices; it is stored as a fresh, writable, C-contiguous complex128
+    array of shape (K, dim_out, dim_in), K >= 1, with finite entries.
     """
 
     name: str
@@ -59,6 +59,8 @@ class KrausChannel:
     kraus: np.ndarray
 
     def __post_init__(self):
+        if not isinstance(self.name, str):
+            raise ChoilabError(f"channel name {self.name!r} must be a string")
         shape = (self.output_system.total_dim, self.input_system.total_dim)
         try:
             ops = linalg.as_array(self.kraus, 3, "Kraus stack")

@@ -6,6 +6,9 @@ threshold, except for reproduce, which accepts only the default; echoed in
 the report), --out <path> (the Choi state for choi, the mixed channel for
 mix, the JSON report otherwise).  Exit codes: 0 pass, 1 claim failure,
 2 input/usage error.
+
+``main`` turns --tolerance into ``args.threshold`` once, and every command
+reads that.  Each row a command reports is one ``codec.report_row`` call.
 """
 
 from __future__ import annotations
@@ -26,6 +29,7 @@ from .codec import (
     channel_to_dict,
     dumps,
     load_path,
+    report_row,
     report_to_dict,
     state_from_dict,
     state_to_dict,
@@ -100,7 +104,7 @@ def _write_over(path, text: str) -> None:
 
 def _render_human(report: dict) -> None:
     print(f"choilab {report['version']} :: {report['command']}")
-    print(f"positivity threshold: {-report['tolerance']:g}")
+    print(f"positivity threshold: {0.0 - report['tolerance']:g}")  # 0, never -0
     for entry in report["entries"]:
         print(f"  [{entry['status']:>4}] {entry['id']:<34} {entry['computed']}")
     print(f"overall: {report['overall']}")
@@ -111,18 +115,11 @@ def _render_human(report: dict) -> None:
 
 def _cmd_verify(args) -> int:
     ch = channel_from_dict(load_path(args.channel))
-    rep = verify_cptp(ch, psd_threshold=-args.tolerance)
+    rep = verify_cptp(ch, psd_threshold=args.threshold)
+    defect, low = rep.trace_preserving_defect, rep.choi_min_eigenvalue
     entries = [
-        {
-            "id": "cptp-completeness",
-            "status": "pass" if rep.trace_preserving else "fail",
-            "computed": f"defect = {rep.trace_preserving_defect:.3e}",
-        },
-        {
-            "id": "cptp-choi-positive",
-            "status": "pass" if rep.choi_positive else "fail",
-            "computed": f"choi min eigenvalue = {rep.choi_min_eigenvalue:.3e}",
-        },
+        report_row("cptp-completeness", rep.trace_preserving, f"defect = {defect:.3e}"),
+        report_row("cptp-choi-positive", rep.choi_positive, f"choi min eigenvalue = {low:.3e}"),
     ]
     return _finish(args, entries)
 
@@ -135,13 +132,7 @@ def _cmd_choi(args) -> int:
     # smallest eigenvalue this report reads.
     state = choi(ch, order)
     low = state.min_eigenvalue
-    entries = [
-        {
-            "id": "choi-positive",
-            "status": "pass" if low >= -args.tolerance else "fail",
-            "computed": f"min eigenvalue = {low:.3e}",
-        },
-    ]
+    entries = [report_row("choi-positive", low >= args.threshold, f"min eigenvalue = {low:.3e}")]
     return _finish(args, entries, state_to_dict(state))
 
 
@@ -177,78 +168,53 @@ def _parse_pairs(specs, system) -> list[tuple[tuple[str, ...], tuple[str, ...]]]
 def _cmd_classify(args) -> int:
     """Rows for the GHZ fingerprint, every cut and every group pair.
 
-    The rows are made in one pass over the states.cut_names table: cut k,
-    with j its number written in N-1 bits, gives its lambda-j row (a
-    GHZ-diagonal state only) and its cut-j row; then each group pair's
-    row names its blocking cuts from the same table.  The names are made
-    once per party system, however many rows and pairs use them.
-    Cut k's row still makes one ppt_check call by its number, an O(1)
-    read of entanglement.cut_min_eigenvalues, one table per state of any
-    shape, solved for all cuts at once, so that the benchmark's per-cut
-    ppt_check count holds.  The criterion column and the pair verdicts
-    each read one NPT vector.
+    Cut k, with j its number written in N-1 bits, gives a lambda-j row (a
+    GHZ-diagonal state only) and a cut-j row; each group pair's row names
+    its blocking cuts.  Cuts are named from one states.cut_names table.
+    Cut k's row makes one ppt_check call, an O(1) read of the table
+    entanglement.cut_min_eigenvalues solves for all cuts at once, so that
+    the benchmark's per-cut ppt_check count holds.  The criterion column
+    and the pair verdicts each read one NPT vector.
     """
-    state = state_from_dict(load_path(args.state), psd_threshold=-args.tolerance)
+    threshold = args.threshold
+    state = state_from_dict(load_path(args.state), psd_threshold=threshold)
     sys_ = state.system
     coeffs = ghz_diagonal_coefficients(state)  # rejects a state not on qubits
     pairs = _parse_pairs(args.pair, sys_)
-    threshold = -args.tolerance
     names = cut_names(sys_)
+    bits = [f"{k:0{sys_.num_parties - 1}b}" for k in range(1, len(names) + 1)]
     ghz_diagonal = coeffs.ghz_diagonal
-    entries = [
-        {
-            "id": "residual",
-            "status": "info" if ghz_diagonal else "warn",
-            "computed": f"off-diagonal residual = {coeffs.offdiagonal_residual:.3e}"
-            + ("" if ghz_diagonal else " (not GHZ-diagonal: reporting PT facts only)"),
-        }
-    ]
-    lambda_rows, cut_rows = [], []
+    residual = f"off-diagonal residual = {coeffs.offdiagonal_residual:.3e}"
+    if not ghz_diagonal:
+        residual += " (not GHZ-diagonal: reporting PT facts only)"
+    entries = [report_row("residual", "info" if ghz_diagonal else "warn", residual)]
     if ghz_diagonal:
+        delta, plus, minus = coeffs.delta, float(coeffs.plus[0]), float(coeffs.minus[0])
+        text = f"delta = {delta:.12g}"
+        if coeffs.asymmetry_flag:
+            text += " (asymmetric pair weights symmetrized)"
         entries.append(
-            {
-                "id": "delta",
-                "status": "info",
-                "computed": f"delta = {coeffs.delta:.12g}"
-                + (" (asymmetric pair weights symmetrized)" if coeffs.asymmetry_flag else ""),
-                "delta": coeffs.delta,
-                "lambda0_plus": float(coeffs.plus[0]),
-                "lambda0_minus": float(coeffs.minus[0]),
-            }
+            report_row("delta", "info", text, delta=delta, lambda0_plus=plus, lambda0_minus=minus)
         )
-        lambdas = coeffs.lambdas.tolist()
+        entries += [
+            report_row(f"lambda-{j}", "info", f"lambda_{j} = {lam:.12g}", value=lam)
+            for j, lam in zip(bits, coeffs.lambdas.tolist())
+        ]
         npt = npt_vector(coeffs, threshold).tolist()
-    for k, name in enumerate(names, start=1):
-        j = f"{k:0{sys_.num_parties - 1}b}"
+    for k, (j, name) in enumerate(zip(bits, names), start=1):
         verdict = ppt_check(state, k, threshold=threshold)
-        low = verdict.min_eigenvalue
-        eigensolver = "PPT" if verdict.is_ppt else "NPT"
-        row = {
-            "id": f"cut-{j}",
-            "status": "info",
-            "cut": name,
-            "min_eigenvalue": low,
-            "eigensolver": eigensolver,
-        }
-        text = f"{name:<18} eigensolver {eigensolver}"
+        low, solver = verdict.min_eigenvalue, "PPT" if verdict.is_ppt else "NPT"
         if ghz_diagonal:
-            lam = lambdas[k - 1]
-            lambda_rows.append(
-                {
-                    "id": f"lambda-{j}",
-                    "status": "info",
-                    "computed": f"lambda_{j} = {lam:.12g}",
-                    "value": lam,
-                }
-            )
+            # The row fails where the two routes to the cut's verdict disagree.
             criterion = "NPT" if npt[k - 1] else "PPT"
-            row["criterion"] = criterion
-            text += f", criterion {criterion}"
-            if criterion != eigensolver:
-                row["status"] = "fail"
-        row["computed"] = f"{text}, min eig = {low: .6e}"
-        cut_rows.append(row)
-    entries += lambda_rows + cut_rows
+            text = f"{name:<18} eigensolver {solver}, criterion {criterion}, min eig = {low: .6e}"
+            entries.append(report_row(f"cut-{j}", "info" if criterion == solver else "fail", text,
+                                      cut=name, min_eigenvalue=low, eigensolver=solver,
+                                      criterion=criterion))
+        else:
+            text = f"{name:<18} eigensolver {solver}, min eig = {low: .6e}"
+            entries.append(report_row(f"cut-{j}", "info", text,
+                                      cut=name, min_eigenvalue=low, eigensolver=solver))
     if ghz_diagonal:
         for (one, two), verdict in zip(pairs, pair_verdicts(coeffs, pairs, threshold)):
             a, b = ",".join(one), ",".join(two)
@@ -257,14 +223,8 @@ def _cmd_classify(args) -> int:
             else:
                 blocking = "; ".join([names[k - 1] for k in verdict.blocking_cuts])
                 result = f"not distillable (blocking: {blocking})"
-            entries.append(
-                {
-                    "id": f"distill-{a}-vs-{b}",
-                    "status": "info",
-                    "computed": f"{a} vs {b}: {result}",
-                    "distillable": verdict.distillable,
-                }
-            )
+            entries.append(report_row(f"distill-{a}-vs-{b}", "info", f"{a} vs {b}: {result}",
+                                      distillable=verdict.distillable))
     return _finish(args, entries)
 
 
@@ -274,31 +234,25 @@ def _cmd_mix(args) -> int:
     # The parts' raw Choi matrices: a part that is not trace preserving is
     # for mix-cptp to report, not an input error.
     w = mix_weights(len(channels), args.weights)
-    rep = verify_cptp(mixed, psd_threshold=-args.tolerance)
+    rep = verify_cptp(mixed, psd_threshold=args.threshold)
     # A huge entry overflows to inf and nan here, which fails the row.
     with np.errstate(over="ignore", invalid="ignore"):
         combo = sum(x * choi_matrix(ch) for x, ch in zip(w, channels))
         linearity = linalg.norm(rep.choi_matrix - combo)
+    defect, low = rep.trace_preserving_defect, rep.choi_min_eigenvalue
     entries = [
-        {
-            "id": "mix-choi-linearity",
-            "status": "pass" if linearity <= MIX_LINEARITY_TOL else "fail",
-            "computed": f"|choi(mix) - sum w*choi| = {linearity:.3e}",
-        },
-        {
-            "id": "mix-cptp",
-            "status": "pass" if rep.passed else "fail",
-            "computed": f"defect = {rep.trace_preserving_defect:.3e}, "
-            f"choi min eigenvalue = {rep.choi_min_eigenvalue:.3e}",
-        },
+        report_row("mix-choi-linearity", linearity <= MIX_LINEARITY_TOL,
+                   f"|choi(mix) - sum w*choi| = {linearity:.3e}"),
+        report_row("mix-cptp", rep.passed,
+                   f"defect = {defect:.3e}, choi min eigenvalue = {low:.3e}"),
     ]
     return _finish(args, entries, channel_to_dict(mixed))
 
 
 def _cmd_reproduce(args) -> int:
-    if args.tolerance != DEFAULT_TOLERANCE:
+    if args.threshold != PSD_THRESHOLD:
         raise ChoilabError(
-            f"reproduce checks its claims at the fixed threshold -{DEFAULT_TOLERANCE:g}; "
+            f"reproduce checks its claims at the fixed threshold {PSD_THRESHOLD:g}; "
             f"--tolerance {args.tolerance:g} is not supported"
         )
     entries = report_to_dict(full_report())
@@ -388,6 +342,7 @@ def main(argv=None) -> int:
         args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else 0
+    args.threshold = -args.tolerance
     try:
         return args.func(args)
     except (ChoilabError, OSError) as exc:

@@ -2,9 +2,11 @@
 
 Matrix entries are always [re, im] pairs (even for real values); numbers go
 through Python's shortest-round-trip float encoding, so parse(emit(x)) is
-bit-exact at double precision.  ``report_to_dict`` reads claims by their
-attributes (``claim_id``, ``passed``, ...) and names no report type, so
-the codec imports nothing from the report layer above it.
+bit-exact at double precision.  ``report_row`` builds every report row,
+a claim's and each row a CLI command prints: ``id``, ``status`` and
+``computed``, then the row's own fields.  ``report_to_dict`` reads claims
+by their attributes (``claim_id``, ``passed``, ...) and names no report
+type, so the codec imports nothing from the report layer above it.
 
 ``dumps`` writes the bytes of ``json.dumps(obj, indent=2, sort_keys=True)``
 plus a newline, without the pure-Python encoder that ``indent`` selects in
@@ -173,18 +175,24 @@ def channel_from_dict(obj: Any) -> KrausChannel:
         raise ChoilabError(f"channel: {exc}") from exc
 
 
+def report_row(entry_id: str, status: str | bool, computed: str, **fields) -> dict:
+    """One report row: its id, status and computed text, then any further fields.
+
+    A str status (``"info"``, ``"warn"``) marks a fact and is kept; any
+    other status is a check's outcome, ``"pass"`` if it holds, else ``"fail"``.
+    """
+    if type(status) is not str:
+        status = "pass" if status else "fail"
+    # fields is a fresh dict; filling it in costs less than copying it into another
+    fields["id"], fields["status"], fields["computed"] = entry_id, status, computed
+    return fields
+
+
 def report_to_dict(claims) -> list[dict]:
-    """One row per claim, its status decided here; the CLI adds the run envelope."""
+    """One row per claim, passing iff its ``passed`` holds; the CLI adds the run envelope."""
     return [
-        {
-            "id": e.claim_id,
-            "description": e.description,
-            "expected": e.expected,
-            "computed": e.computed,
-            "tolerance": e.tolerance,
-            "status": "pass" if e.passed else "fail",
-            "control": e.control,
-        }
+        report_row(e.claim_id, e.passed, e.computed, description=e.description,
+                   expected=e.expected, tolerance=e.tolerance, control=e.control)
         for e in claims
     ]
 

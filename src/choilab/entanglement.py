@@ -273,7 +273,8 @@ def pair_verdicts(
 ) -> list[DistillabilityVerdict]:
     """pairwise_distillability of each (group_one, group_two) in ``pairs``.
 
-    Every pair is checked (disjoint_groups) before the NPT vector is read.
+    ``pairs`` is read once; each pair must hold exactly two groups, and
+    every pair is checked (disjoint_groups) before the NPT vector is read.
     A group is a mask with one bit per party, the first party most
     significant; cut k's bits are k << 1, the last party's bit 0 appended,
     as cut_side reads them.  The cut separates the groups (a, b) iff its
@@ -284,9 +285,17 @@ def pair_verdicts(
     sys = coeffs.system
     n = sys.num_parties
     bit = {l: 1 << (n - 1 - i) for i, l in enumerate(sys.labels)}
+    try:
+        pairs = tuple(pairs)
+    except TypeError:
+        raise ChoilabError(f"a list of group pairs is needed, not {pairs!r}") from None
     masks = []
     for pair in pairs:
-        g1, g2 = disjoint_groups(sys, *pair)
+        try:
+            one, two = () if isinstance(pair, str) else pair
+        except (TypeError, ValueError):
+            raise ChoilabError(f"group pair {pair!r} must hold two groups") from None
+        g1, g2 = disjoint_groups(sys, one, two)
         masks.append((sum(map(bit.get, g1)), sum(map(bit.get, g2))))
     ppt = [k for k, npt in enumerate(npt_vector(coeffs, threshold).tolist(), start=1) if not npt]
     verdicts = []

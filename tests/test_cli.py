@@ -1146,13 +1146,13 @@ class TestOutputContract:
         [
             (None, "-1e-09"),
             ("0.01", "-0.01"),
-            ("0", "-0"),
+            ("0", "0"),
             ("-0.5", "0.5"),
             ("-1e-12", "1e-12"),
         ],
     )
     def test_human_header_prints_the_threshold(self, fixture_dir, capsys, tolerance, line):
-        # the threshold is -tolerance, printed as one number whatever its sign
+        # the threshold is -tolerance, printed as one number whatever its sign, and 0 never as -0
         flags = [] if tolerance is None else [f"--tolerance={tolerance}"]
         _, out, _ = run(capsys, *flags, "verify", str(fixture_dir / "e1.json"))
         assert out.splitlines()[1] == f"positivity threshold: {line}"

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from choilab import codec
+from choilab.channels import KrausChannel
 from choilab.codec import (
     channel_from_dict,
     channel_to_dict,
@@ -17,6 +18,7 @@ from choilab.codec import (
     encode_matrix,
     load_path,
     loads,
+    report_row,
     report_to_dict,
     state_from_dict,
     state_to_dict,
@@ -80,6 +82,45 @@ def test_encode_matrix_bytes_match_per_cell_encoding():
     # the sign of every zero survives the round trip through text
     back = decode_matrix(json.loads(json.dumps(encode_matrix(m).tolist())))
     assert back.tobytes() == m.tobytes()
+
+
+def test_report_row_status_and_fields():
+    # a check's truth value becomes pass or fail; a fact's status is kept
+    assert report_row("a", True, "shown") == {"id": "a", "status": "pass", "computed": "shown"}
+    assert report_row("b", False, "shown", value=0.5, cut="A | B") == {
+        "id": "b",
+        "status": "fail",
+        "computed": "shown",
+        "value": 0.5,
+        "cut": "A | B",
+    }
+    for status in ("info", "warn", "fail"):
+        assert report_row("c", status, "shown")["status"] == status
+    assert [report_row("d", v, "")["status"] for v in (np.True_, np.False_)] == ["pass", "fail"]
+
+
+_NAMES = (
+    st.text()
+    | st.integers()
+    | st.floats()
+    | st.none()
+    | st.booleans()
+    | st.binary()
+    | st.lists(st.text(max_size=2), max_size=2)
+)
+
+
+@given(_NAMES)
+def test_every_accepted_channel_name_round_trips(name):
+    # a name KrausChannel takes is one a channel file can hold and give back
+    system = PartySystem(("A",), (2,))
+    try:
+        ch = KrausChannel(name, system, system, [np.eye(2)])
+    except ChoilabError as exc:
+        assert not isinstance(name, str) and repr(name) in str(exc)
+        return
+    back = channel_from_dict(loads(dumps(channel_to_dict(ch))))
+    assert type(back.name) is str and back.name == name
 
 
 def test_report_schema():

@@ -10,8 +10,10 @@ name the benchmark's tracer wraps still exists, and the CLI reads every
 input file through codec.load_path.  No index is parsed from a bit string.
 Every refusal is one class, errors.ChoilabError, told apart by its message,
 and every entry point that takes parties, dims, an index, weights, a list
-of channels or a positivity threshold refuses a value of the wrong kind
-with it, quoting the value."""
+of channels, a list of group pairs, a channel name or a positivity threshold
+refuses a value of the wrong kind with it, quoting the value.  Every report
+row is built by codec.report_row, and the CLI reads --tolerance as a
+threshold in one place."""
 
 import ast
 import dataclasses
@@ -241,6 +243,40 @@ def test_cli_opens_no_file_for_reading():
     assert calls == [("open", "wb"), ("os.open", os.O_WRONLY | os.O_CREAT)]
 
 
+def test_one_row_builder_and_one_threshold():
+    # every report row is a codec.report_row call, the one place that sets
+    # a row's id or status, by a dict key or a stored item, and writes
+    # "pass" for a check that holds; the CLI turns --tolerance into its
+    # threshold once
+    package = Path(choilab.__file__).resolve().parent
+    builders, pass_rules, negations = set(), [], []
+
+    def scan(node, module, function):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.FunctionDef):
+                scan(child, module, child.name)
+                continue
+            if isinstance(child, ast.Dict):
+                keys = [getattr(k, "value", None) for k in child.keys]
+            elif isinstance(child, ast.Subscript) and isinstance(child.ctx, ast.Store):
+                keys = [getattr(child.slice, "value", None)]
+            else:
+                keys = []
+            if {"id", "status"} & set(keys):
+                builders.add((module, function))
+            if isinstance(child, ast.IfExp) and getattr(child.body, "value", None) == "pass":
+                pass_rules.append((module, function))
+            if isinstance(child, ast.UnaryOp) and ast.unparse(child) == "-args.tolerance":
+                negations.append((module, function))
+            scan(child, module, function)
+
+    for module in ("cli", "codec"):
+        scan(ast.parse((package / f"{module}.py").read_text(encoding="utf-8")), module, None)
+    assert builders == {("codec", "report_row")}
+    assert pass_rules == [("codec", "report_row")]
+    assert negations == [("cli", "main")]
+
+
 def test_no_index_is_parsed_from_a_bit_string():
     # every index is its number k (a cut, a GHZ weight, a GHZ basis state,
     # a removed projector), so no module reads one with int(text, base)
@@ -312,6 +348,15 @@ def _channels_holding_one_bad(draw):
     return chans, bad
 
 
+@st.composite
+def _pairs_holding_one_bad(draw):
+    pairs = draw(st.lists(st.just((_SENDERS, ("B",))), max_size=2))
+    groups = st.lists(st.just(("A1",)), max_size=4).filter(lambda g: len(g) != 2).map(tuple)
+    bad = draw(st.text() | st.integers() | st.none() | groups | st.just(("A1", "A2", "B")))
+    pairs.insert(draw(st.integers(0, len(pairs))), bad)
+    return pairs, bad
+
+
 BAD_VALUES = {
     "labels": _whole(st.integers() | st.floats() | st.none() | st.booleans() | st.text())
     | _labels_holding_one_bad(),
@@ -320,6 +365,18 @@ BAD_VALUES = {
     "weights": _whole(st.integers() | st.floats() | st.booleans()),
     "channels": _whole(st.integers() | st.floats() | st.none() | st.booleans())
     | _channels_holding_one_bad(),
+    # a string of pairs is read per character, so its first character is refused
+    "pairs": _whole(st.integers() | st.floats() | st.none() | st.booleans())
+    | st.text(min_size=1).map(lambda s: (s, s[0]))
+    | _pairs_holding_one_bad(),
+    "name": _whole(
+        st.integers()
+        | st.floats()
+        | st.none()
+        | st.booleans()
+        | st.binary()
+        | st.lists(st.text(max_size=2), max_size=2)
+    ),
     # NaN compares False with every eigenvalue, so it would pass any matrix as positive
     "threshold": _whole(st.sampled_from([math.nan, math.inf, -math.inf, True, "x", 1j, None])),
 }
@@ -335,7 +392,7 @@ _E1_COEFFS = entanglement.ghz_diagonal_coefficients(nonadditivity.choi_state(_CH
 _SENDERS = nonadditivity.SENDER_GROUP
 
 # (kind, call) for every entry point that reads parties, dims, a number, weights,
-# channels or a threshold.
+# channels, group pairs, a channel name or a threshold.
 ENTRY_POINTS = {
     "label_tuple": ("labels", states.label_tuple),
     "PartySystem-labels": ("labels", lambda v: states.PartySystem(v, (2, 2))),
@@ -382,6 +439,14 @@ ENTRY_POINTS = {
     "pair_verdicts": (
         "threshold", lambda v: entanglement.pair_verdicts(_E1_COEFFS, [(_SENDERS, ("B",))], v)
     ),
+    "pair_verdicts-pairs": ("pairs", lambda v: entanglement.pair_verdicts(_E1_COEFFS, v)),
+    "KrausChannel-name": (
+        "name",
+        lambda v: channels.KrausChannel(
+            v, _CHANNEL.input_system, _CHANNEL.output_system, _CHANNEL.kraus
+        ),
+    ),
+    "mix-name": ("name", lambda v: channels.mix(_PAIR, name=v)),
     "pairwise_distillability": (
         "threshold",
         lambda v: entanglement.pairwise_distillability(_E1_COEFFS, _SENDERS, ["B"], v),
@@ -398,6 +463,7 @@ def test_every_bad_kind_is_refused_by_value(name, data):
     kind, call = ENTRY_POINTS[name]
     value, quoted = data.draw(BAD_VALUES[kind])
     assume(not (name == "choi-order" and value is None))  # order=None is the default order
+    assume(not (name == "mix-name" and value is None))  # name=None names the mixture by its parts
     with pytest.raises(ChoilabError, match=re.escape(repr(quoted))) as refused:
         call(value)
     assert refused.type is ChoilabError
