@@ -1,11 +1,11 @@
 """Command-line front end.
 
 Commands: verify, choi, classify, mix, reproduce.  Global flags: --format
-{human,json}, --tolerance <float> (overrides the default positivity
-threshold, except for reproduce, which accepts only the default; echoed in
-the report), --out <path> (the Choi state for choi, the mixed channel for
-mix, the JSON report otherwise).  Exit codes: 0 pass, 1 claim failure,
-2 input/usage error.
+{human,json}, --tolerance <float> (the positivity threshold of verdicts
+only, echoed in the report; a state file must meet linalg.PSD_THRESHOLD
+whatever it says, and reproduce accepts only the default), --out <path>
+(the Choi state for choi, the mixed channel for mix, the JSON report
+otherwise).  Exit codes: 0 pass, 1 claim failure, 2 input/usage error.
 
 ``main`` turns --tolerance into ``args.threshold`` once, and every command
 reads that.  Each row a command reports is one ``codec.report_row`` call.
@@ -176,8 +176,7 @@ def _cmd_classify(args) -> int:
     the benchmark's per-cut ppt_check count holds.  The criterion column
     and the pair verdicts each read one NPT vector.
     """
-    threshold = args.threshold
-    state = state_from_dict(load_path(args.state), psd_threshold=threshold)
+    state = state_from_dict(load_path(args.state))
     sys_ = state.system
     coeffs = ghz_diagonal_coefficients(state)  # rejects a state not on qubits
     pairs = _parse_pairs(args.pair, sys_)
@@ -200,9 +199,9 @@ def _cmd_classify(args) -> int:
             report_row(f"lambda-{j}", "info", f"lambda_{j} = {lam:.12g}", value=lam)
             for j, lam in zip(bits, coeffs.lambdas.tolist())
         ]
-        npt = npt_vector(coeffs, threshold).tolist()
+        npt = npt_vector(coeffs, args.threshold).tolist()
     for k, (j, name) in enumerate(zip(bits, names), start=1):
-        verdict = ppt_check(state, k, threshold=threshold)
+        verdict = ppt_check(state, k, threshold=args.threshold)
         low, solver = verdict.min_eigenvalue, "PPT" if verdict.is_ppt else "NPT"
         if ghz_diagonal:
             # The row fails where the two routes to the cut's verdict disagree.
@@ -216,7 +215,7 @@ def _cmd_classify(args) -> int:
             entries.append(report_row(f"cut-{j}", "info", text,
                                       cut=name, min_eigenvalue=low, eigensolver=solver))
     if ghz_diagonal:
-        for (one, two), verdict in zip(pairs, pair_verdicts(coeffs, pairs, threshold)):
+        for (one, two), verdict in zip(pairs, pair_verdicts(coeffs, pairs, args.threshold)):
             a, b = ",".join(one), ",".join(two)
             if verdict.distillable:
                 result = "distillable"

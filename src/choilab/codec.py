@@ -45,7 +45,6 @@ from typing import Any
 
 import numpy as np
 
-from . import linalg
 from .channels import KrausChannel
 from .errors import ChoilabError
 from .states import MultipartiteState, PartySystem
@@ -125,7 +124,7 @@ def state_to_dict(state: MultipartiteState) -> dict:
     }
 
 
-def state_from_dict(obj: Any, psd_threshold: float = linalg.PSD_THRESHOLD) -> MultipartiteState:
+def state_from_dict(obj: Any) -> MultipartiteState:
     if not isinstance(obj, dict):
         raise ChoilabError("state: expected a JSON object")
     if "kraus" in obj and "matrix" not in obj:
@@ -133,7 +132,7 @@ def state_from_dict(obj: Any, psd_threshold: float = linalg.PSD_THRESHOLD) -> Mu
     system = _decode_system({"labels": obj.get("labels"), "dims": obj.get("dims")}, "state")
     matrix = decode_matrix(obj.get("matrix"), "state.matrix")
     try:
-        return MultipartiteState(system, matrix, psd_threshold=psd_threshold)
+        return MultipartiteState(system, matrix)
     except ChoilabError as exc:
         raise ChoilabError(f"state: {exc}") from exc
 

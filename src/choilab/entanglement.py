@@ -10,12 +10,12 @@ names are made only where a report prints them.  Each pair lives on the
 two computational kets |j,0> and |jbar,1>, so the read takes the 2x2
 blocks of the density matrix on those kets: O(2^N) entries for the
 coefficients and one O(4^N) pass for the off-diagonal residual, with no
-GHZ vector built.  Within this class the partial transpose across the cut
-with index j is non-positive iff 2*lambda_j < delta, PPT across a cut
-implies separability across it, and non-positive partial transposition
-across every cut separating two groups is sufficient for distilling
-entanglement between them.  Outside the class only partial-transpose
-facts are reported, never verdicts.
+GHZ vector built.  Within this class 2*lambda_j < delta marks the cut with
+index j NPT for the depolarized state (npt_criterion), exactly so for the
+state itself when its pairs are symmetric.  PPT across a cut implies
+separability across it, and NPT across every cut separating two groups is
+sufficient for distilling entanglement between them.  Outside the class
+only partial-transpose facts are reported, never verdicts.
 
 ppt_check and npt_criterion take a cut as its number k (the cut index j
 read in binary, 1 <= k < 2^(N-1)); states.cut_number gives the k of a
@@ -211,7 +211,7 @@ def ghz_diagonal_coefficients(state: MultipartiteState) -> GhzDiagonalCoefficien
 def npt_vector(
     coeffs: GhzDiagonalCoefficients, threshold: float = linalg.PSD_THRESHOLD
 ) -> np.ndarray:
-    """The coefficient rule lambda_j - delta/2 < threshold on every cut, in index order."""
+    """npt_criterion's rule, the depolarized state's lambda_j - delta/2 < threshold, per cut."""
     threshold = linalg.as_threshold(threshold)
     if not coeffs.ghz_diagonal:
         raise ChoilabError(
@@ -228,12 +228,13 @@ def npt_criterion(
 ) -> bool:
     """Coefficient route: cut k is NPT iff lambda_j - delta/2 < threshold.
 
-    lambda_j - delta/2 is the smallest eigenvalue of the partial transpose
-    across the cut, so with the eigensolver's threshold the two routes
-    read the same number against the same bound; equality, and the exact
-    boundary cases of the class, sit on the PPT side.  The vector is read
-    from coeffs.plus and coeffs.minus on every call (npt_vector).  Requires
-    the state to actually be GHZ-diagonal.
+    lambda_j - delta/2 is the pair-j eigenvalue of the partial transpose
+    across the cut of the depolarized state (pairs j != 0 made symmetric),
+    its smallest whenever negative; on symmetric pairs that is the state
+    itself, and on asymmetric pairs the routes can differ (classify fails
+    that cut's row).  Equality, and the exact boundary cases of the class,
+    sit on the PPT side.  The vector is read from coeffs.plus and
+    coeffs.minus on every call (npt_vector).  Requires a GHZ-diagonal state.
     """
     k = require_cut(coeffs.system, k)
     return bool(npt_vector(coeffs, threshold)[k - 1])

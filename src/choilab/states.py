@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import InitVar, dataclass, field
+from dataclasses import dataclass, field
 from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
@@ -194,6 +194,7 @@ def cut_names(system: PartySystem) -> tuple[str, ...]:
 class MultipartiteState:
     """Density operator with its party system; validated at construction.
 
+    Every state is admitted at ``linalg.PSD_THRESHOLD``, whatever a verdict's threshold.
     The state holds a read-only copy of the matrix it was given, so
     ``x_shaped``, the support test taken once during validation,
     ``min_eigenvalue``, the smallest eigenvalue that validation solved,
@@ -202,14 +203,12 @@ class MultipartiteState:
 
     system: PartySystem
     matrix: np.ndarray
-    psd_threshold: InitVar[float] = linalg.PSD_THRESHOLD
     x_shaped: bool = field(init=False)
     min_eigenvalue: float = field(init=False)
     # entanglement.cut_min_eigenvalues keeps its result here
     _cut_lows: np.ndarray | None = field(init=False, default=None, repr=False)
 
-    def __post_init__(self, psd_threshold):
-        psd_threshold = linalg.as_threshold(psd_threshold)
+    def __post_init__(self):
         m = linalg.as_matrix(self.matrix)
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
@@ -226,8 +225,9 @@ class MultipartiteState:
         object.__setattr__(self, "x_shaped", linalg.is_x_shaped(m))
         low = linalg.min_eigenvalue(m, self.x_shaped)
         object.__setattr__(self, "min_eigenvalue", low)
-        if low < psd_threshold:
-            raise ChoilabError(f"min eigenvalue {low:.3e} below threshold {psd_threshold:.1e}")
+        if low < linalg.PSD_THRESHOLD:
+            threshold = f"{linalg.PSD_THRESHOLD:.1e}"
+            raise ChoilabError(f"min eigenvalue {low:.3e} below threshold {threshold}")
 
 
 @dataclass(frozen=True, eq=False)

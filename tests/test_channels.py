@@ -333,15 +333,6 @@ class TestKrausFromChoi:
         rebuilt = kraus_from_choi(state, state.system.labels[:1], state.system.labels[1:])
         assert np.linalg.norm(choi(rebuilt).matrix - state.matrix) < 1e-9
 
-    def test_not_psd(self):
-        from choilab.states import partial_transpose
-
-        phi = max_entangled(2, ("R", "Q"))
-        pt = partial_transpose(phi.density(), ["Q"])
-        bad = MultipartiteState(phi.system, pt, psd_threshold=-1.0)
-        with pytest.raises(ChoilabError, match="^Choi min eigenvalue -5.000e-01$"):
-            kraus_from_choi(bad, ["R"], ["Q"])
-
     def test_not_psd_by_the_dense_solve(self):
         # Just below the threshold: the block solve that validates this
         # diagonal state reads its smallest eigenvalue just above it, and
@@ -358,9 +349,9 @@ class TestKrausFromChoi:
         built = []
         post_init = MultipartiteState.__post_init__
 
-        def counting(self, psd_threshold):
+        def counting(self):
             built.append(1)
-            post_init(self, psd_threshold)
+            post_init(self)
 
         monkeypatch.setattr(MultipartiteState, "__post_init__", counting)
         kraus_from_choi(state, ["A1", "A2"], ["B", "C"])
@@ -410,6 +401,12 @@ class TestKrausArray:
         read_only = np.stack(ops)
         read_only.setflags(write=False)
         assert KrausChannel("t", ch.input_system, ch.output_system, read_only).kraus.flags.writeable
+
+    def test_operators_that_do_not_stack_are_read_one_by_one(self):
+        # a generator is no stack, so each operator it yields is checked alone
+        ch = KrausChannel("t", qubit_system("Q"), qubit_system("Q"), (m for m in [np.eye(2)]))
+        assert ch.kraus.shape == (1, 2, 2) and ch.kraus.dtype == np.complex128
+        assert np.array_equal(ch.kraus[0], np.eye(2))
 
     @pytest.mark.parametrize(
         "ops, error, message",

@@ -540,7 +540,7 @@ class TestClassifyOracle:
             code = main(argv)
 
         args = cli.build_parser().parse_args(argv)
-        read = state_from_dict(loads(path.read_text()), psd_threshold=-args.tolerance)
+        read = state_from_dict(loads(path.read_text()))
         entries = loop_classify_entries(
             read, cli._parse_pairs(args.pair, read.system), -args.tolerance
         )
@@ -1265,6 +1265,30 @@ class TestNonFiniteTolerance:
         assert "usage:" in err and "--tolerance: expected a finite number" in err
         assert "Traceback" not in err
         assert not out_path.exists()
+
+
+class TestOneAdmissionRule:
+    """A state file is admitted at linalg.PSD_THRESHOLD; --tolerance moves verdicts only."""
+
+    def test_strict_tolerance_admits_rounding(self, tmp_path, capsys):
+        # a Choi file that choi writes can read a smallest eigenvalue of
+        # -2.5e-17; this one is not GHZ-diagonal, so only the eigensolver reads it
+        path = tmp_path / "rounded.json"
+        state = MultipartiteState(qubits("AB"), np.diag([0.0, 0.7, 0.3, -2.5e-17]))
+        assert state.min_eigenvalue == -2.5e-17
+        path.write_text(dumps(state_to_dict(state)))
+        code, out, err = run(capsys, "--format", "json", "--tolerance", "0", "classify", str(path))
+        assert (code, err) == (0, "")
+        assert json.loads(out)["tolerance"] == 0.0
+
+    def test_loose_tolerance_refuses_a_non_state(self, fixture_dir, tmp_path, capsys):
+        doc = json.loads((fixture_dir / "ghz3.json").read_text())
+        doc["matrix"][0][0][0] = 0.51
+        doc["matrix"][7][7][0] = 0.49
+        path = tmp_path / "loose.json"
+        path.write_text(json.dumps(doc))
+        message = "error: state: min eigenvalue -9.999e-05 below threshold -1.0e-09\n"
+        assert run(capsys, "--tolerance", "0.01", "classify", str(path)) == (2, "", message)
 
 
 class TestUsage:

@@ -19,6 +19,7 @@ import ast
 import dataclasses
 import importlib
 import importlib.util
+import inspect
 import json
 import math
 import os
@@ -52,6 +53,14 @@ def loaded_after_import(module: str) -> set[str]:
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
     return set(json.loads(out.stdout))
+
+
+def test_one_admission_rule_for_states():
+    # a state is admitted at linalg.PSD_THRESHOLD and no caller sets another
+    assert list(inspect.signature(states.MultipartiteState).parameters) == ["system", "matrix"]
+    assert list(inspect.signature(codec.state_from_dict).parameters) == ["obj"]
+    package = Path(choilab.__file__).resolve().parent
+    assert [p.name for p in package.glob("*.py") if "InitVar" in p.read_text()] == []
 
 
 def test_codec_does_not_import_the_report_layer():
@@ -427,12 +436,6 @@ ENTRY_POINTS = {
     "mix-channels": ("channels", channels.mix),
     "binding_channel": ("number", nonadditivity.binding_channel),
     "capacity_proxy": ("labels", lambda v: nonadditivity.capacity_proxy(_E1_COEFFS, v)),
-    "MultipartiteState-threshold": (
-        "threshold", lambda v: states.MultipartiteState(_SYSTEM, _RHO.matrix, psd_threshold=v)
-    ),
-    "state_from_dict-threshold": (
-        "threshold", lambda v: codec.state_from_dict(codec.state_to_dict(_RHO), psd_threshold=v)
-    ),
     "ppt_check-threshold": ("threshold", lambda v: entanglement.ppt_check(_RHO, 1, v)),
     "npt_vector": ("threshold", lambda v: entanglement.npt_vector(_E1_COEFFS, v)),
     "npt_criterion": ("threshold", lambda v: entanglement.npt_criterion(_E1_COEFFS, 1, v)),

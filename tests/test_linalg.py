@@ -190,3 +190,10 @@ def test_norm_has_the_bits_of_numpy_norm(shape, transposed, scale, seed):
         got, want = linalg.norm(x), float(np.linalg.norm(x))
     assert isinstance(got, float)
     assert np.array([got]).tobytes() == np.array([want]).tobytes()
+
+
+def test_threshold_past_the_float_range_is_refused():
+    # float() of an int past the float range raises OverflowError, not a value
+    big = 10**400
+    with pytest.raises(ChoilabError, match=f"^threshold {big} must be a finite real number$"):
+        linalg.as_threshold(big)

@@ -225,6 +225,17 @@ class TestRandomProjectorFallback:
         assert (result.sender_kept, result.receiver_kept) == ("A2", "B2")
         assert_balanced(result)
 
+    def test_no_candidate_left_is_refused(self, monkeypatch):
+        # a qutrit has no fixed candidates, so with no random ones either
+        # nothing can factor B1 out of the receiver side
+        monkeypatch.setattr(entanglement, "MAX_RANDOM_PROJECTORS", 0)
+        sys = PartySystem(("A", "B1", "B2"), (3, 3, 2))
+        v = np.zeros(18)
+        v[0] = v[-1] = 1 / math.sqrt(2)  # (|000> + |221>)/sqrt(2)
+        message = "no projector kept the branches of 'B1' distinct"
+        with pytest.raises(ChoilabError, match=f"^{re.escape(message)}$"):
+            localize_entanglement(PureState(sys, v), ["A"], ["B1", "B2"])
+
 
 @st.composite
 def rank2_cases(draw):
